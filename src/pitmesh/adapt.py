@@ -1,19 +1,21 @@
-"""Variational mesh adaptation: monitor, energy functional, gradient flow.
+"""Variational mesh adaptation: monitor, energy functional, mesh relaxation.
 
 The distance-based monitor concentrates elements near the pit boundary.
 Minimizing the equidistribution/alignment energy over vertex positions
 moves the mesh; the motion is the gradient flow dx/dt = -(P/tau) dI/dx.
-tau only rescales time, so the flow is integrated in normalized pseudo
-time with budget dt/tau: small tau relaxes the mesh far toward the energy
-minimum each step, large tau leaves it lagging.
+tau only rescales time, so the flow runs in normalized pseudo time with
+budget dt/tau: small tau relaxes the mesh far toward the energy minimum
+each step, large tau leaves it lagging.
 
-The integrator is explicit with adaptive substeps, energy-descent
-backtracking, and inversion rejection; both energy terms blow up as an
-element degenerates, so an accepted substep can never invert a cell.
-With an unlimited budget (mesh smoothing runs the flow to stationarity)
-substep sizes come from the Barzilai-Borwein secant estimate, which
-converges far faster than stability-limited steps and has the same
-stationary points.
+A budget of at least bb_threshold cannot bind before the flow is
+stationary, so there the endpoint is computed directly as the energy
+minimum, by L-BFGS (two-loop recursion, P-scaled initial inverse
+Hessian).  Smaller budgets are integrated in explicit substeps capped at
+a fraction of the local edge length.  Both paths backtrack until the
+energy does not rise and no cell inverts; both energy terms blow up as
+an element degenerates, so an accepted step can never invert a cell.
+Mesh smoothing repeats the minimisation under a monitor rebuilt at the
+moved vertices until the mesh stops moving.
 
 Also hosts the 1D equidistribution oracle used for verification.
 """
@@ -26,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import blas
 from scipy.optimize import brentq
 
 from .mesh import (MeshError, PitChain, TriMesh, min_distance_to_pit,
@@ -45,16 +48,15 @@ class AdaptParams:
     gamma: float = 1.5            # energy power, > 1
     smoothing_tol: float = 1e-2   # displacement-sum stop, micrometers
     smoothing_max_iters: int = 40
-    smooth_physics_every: int = 1
-    # gradient-flow integrator knobs (the upstream formulation names no
-    # integrator; these control the explicit substepping)
-    max_substeps: int = 500
-    smoothing_substeps: int = 1000
+    # mesh relaxation knobs (the upstream formulation names no solver);
+    # the caps count explicit substeps or L-BFGS iterations
+    max_substeps: int = 500       # per time step
+    smoothing_substeps: int = 1000  # per smoothing iteration
     disp_frac: float = 0.2        # substep displacement cap vs local edge
     grad_tol: float = 1e-7        # stationarity exit on the projected gradient
     grad_rtol: float = 1e-3       # ... or relative to the interval's start
     # budgets dt/tau at least this large cannot bind before the flow is
-    # stationary, so secant-accelerated substeps reach the same endpoint
+    # stationary, so L-BFGS minimises the energy instead of substepping
     bb_threshold: float = 1e4
 
     def validate(self) -> None:
@@ -115,9 +117,13 @@ class _ElementFunctional:
 
     def __init__(self, triangles: np.ndarray, cell_metric: np.ndarray,
                  theta: float, gamma: float):
-        self.t0 = triangles[:, 0]
-        self.t1 = triangles[:, 1]
-        self.t2 = triangles[:, 2]
+        self.triangles = triangles
+        # index of coordinate c of corner k of each cell in the flattened
+        # (nv, 2) positions, laid out (c, k, cell): one take gathers every
+        # corner coordinate and one bincount scatters the gradient back
+        self._flat = np.ascontiguousarray(
+            2 * triangles.T[None, :, :].astype(np.intp)
+            + np.arange(2)[:, None, None])
         self.gamma = gamma
         det = (cell_metric[:, 0, 0] * cell_metric[:, 1, 1]
                - cell_metric[:, 0, 1] * cell_metric[:, 1, 0])
@@ -130,51 +136,17 @@ class _ElementFunctional:
         self.c2 = (1.0 - 2.0 * theta) * 2.0 ** (gamma - 1.0) \
             * det ** ((1.0 - gamma) / 2.0)
 
-    def _edges(self, x: np.ndarray):
-        p0x, p0y = x[self.t0, 0], x[self.t0, 1]
-        e00 = x[self.t1, 0] - p0x
-        e10 = x[self.t1, 1] - p0y
-        e01 = x[self.t2, 0] - p0x
-        e11 = x[self.t2, 1] - p0y
-        return e00, e01, e10, e11, e00 * e11 - e01 * e10
-
-    def signed_area2(self, x: np.ndarray) -> np.ndarray:
-        return self._edges(x)[4]
-
-    def _trace(self, j00, j01, j10, j11):
-        # tr(J M^-1 J^T) with symmetric M^-1
-        return (self.m00 * (j00 * j00 + j10 * j10)
-                + 2.0 * self.m01 * (j00 * j01 + j10 * j11)
-                + self.m11 * (j01 * j01 + j11 * j11))
-
-    def try_energy(self, x: np.ndarray) -> Optional[float]:
-        """Total energy, or None if any element is inverted."""
-        e00, e01, e10, e11, a2 = self._edges(x)
+    def evaluate(self, x: np.ndarray) -> Optional[tuple]:
+        """(energy, gradient (nv, 2)), or None if any element is inverted."""
+        corners = np.take(x.ravel(), self._flat)
+        (e00, e01), (e10, e11) = corners[:, 1:] - corners[:, :1]
+        a2 = e00 * e11 - e01 * e10
         if np.any(a2 <= 0.0):
             return None
-        j00, j01 = e11 / a2, -e01 / a2
-        j10, j11 = -e10 / a2, e00 / a2
-        tr = self._trace(j00, j01, j10, j11)
-        g = self.gamma
-        return float(np.sum(self.c1 * a2 * tr ** g + self.c2 * a2 ** (1.0 - g)))
-
-    def energy(self, x: np.ndarray) -> float:
-        val = self.try_energy(x)
-        if val is None:
-            a2 = self.signed_area2(x)
-            raise MeshError(f"energy of inverted cell {int(np.argmin(a2))}")
-        return val
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        e00, e01, e10, e11, a2 = self._edges(x)
-        if np.any(a2 <= 0.0):
-            raise MeshError(f"gradient at inverted cell {int(np.argmin(a2))}")
-        j00, j01 = e11 / a2, -e01 / a2
-        j10, j11 = -e10 / a2, e00 / a2
-        tr = self._trace(j00, j01, j10, j11)
-        g = self.gamma
-
-        # B = J M^-1 J^T (symmetric), W = -2 J^T B = dT/dE
+        inv = 1.0 / a2
+        j00, j01 = e11 * inv, -e01 * inv
+        j10, j11 = -e10 * inv, e00 * inv
+        # B = J M^-1 J^T (symmetric), T = tr(B), dT/dE = -2 J^T B
         jm00 = j00 * self.m00 + j01 * self.m01
         jm01 = j00 * self.m01 + j01 * self.m11
         jm10 = j10 * self.m00 + j11 * self.m01
@@ -182,56 +154,69 @@ class _ElementFunctional:
         b00 = jm00 * j00 + jm01 * j01
         b01 = jm00 * j10 + jm01 * j11
         b11 = jm10 * j10 + jm11 * j11
-        w00 = -2.0 * (j00 * b00 + j10 * b01)
-        w01 = -2.0 * (j00 * b01 + j10 * b11)
-        w10 = -2.0 * (j01 * b00 + j11 * b01)
-        w11 = -2.0 * (j01 * b01 + j11 * b11)
+        tr = b00 + b11
+        g = self.gamma
+        tr_g1 = tr ** (g - 1.0)
+        align = self.c1 * tr * tr_g1        # c1 T^gamma
+        equi = self.c2 * a2 ** -g           # c2 A2^-gamma
+        energy = float(np.dot(a2, align + equi))
 
-        coef_a = self.c1 * tr ** g + self.c2 * (1.0 - g) * a2 ** (-g)
-        coef_w = self.c1 * a2 * g * tr ** (g - 1.0)
-        # dA2/dE entries are (e11, -e10; -e01, e00)
-        ge00 = coef_a * e11 + coef_w * w00
-        ge01 = -coef_a * e10 + coef_w * w01
-        ge10 = -coef_a * e01 + coef_w * w10
-        ge11 = coef_a * e00 + coef_w * w11
+        coef_a = align + (1.0 - g) * equi
+        coef_w = -2.0 * g * self.c1 * a2 * tr_g1
+        # dA2/dE entries are (e11, -e10; -e01, e00); ge is laid out like
+        # the corners, and corner 0 takes minus the sum of corners 1 and 2
+        ge = np.empty_like(corners)
+        ge[0, 1] = coef_a * e11 + coef_w * (j00 * b00 + j10 * b01)
+        ge[0, 2] = coef_w * (j00 * b01 + j10 * b11) - coef_a * e10
+        ge[1, 1] = coef_w * (j01 * b00 + j11 * b01) - coef_a * e01
+        ge[1, 2] = coef_a * e00 + coef_w * (j01 * b01 + j11 * b11)
+        np.add(ge[:, 1], ge[:, 2], out=ge[:, 0])
+        np.negative(ge[:, 0], out=ge[:, 0])
+        grad = np.bincount(self._flat.ravel(), weights=ge.ravel(),
+                           minlength=x.size)
+        return energy, grad.reshape(x.shape)
 
-        nv = len(x)
-        grad = np.empty((nv, 2))
-        grad[:, 0] = (np.bincount(self.t1, weights=ge00, minlength=nv)
-                      + np.bincount(self.t2, weights=ge01, minlength=nv)
-                      - np.bincount(self.t0, weights=ge00 + ge01, minlength=nv))
-        grad[:, 1] = (np.bincount(self.t1, weights=ge10, minlength=nv)
-                      + np.bincount(self.t2, weights=ge11, minlength=nv)
-                      - np.bincount(self.t0, weights=ge10 + ge11, minlength=nv))
-        return grad
+
+def _functional(mesh: TriMesh, metric: np.ndarray,
+                p: AdaptParams) -> _ElementFunctional:
+    return _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
+                              p.theta, p.gamma)
+
+
+def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh) -> tuple:
+    out = fn.evaluate(mesh.vertices)
+    if out is None:
+        cell = int(np.argmin(mesh.signed_areas()))
+        raise MeshError(f"energy of inverted cell {cell}")
+    return out
 
 
 def energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> float:
     """Total adaptation energy of the mesh under a frozen vertex metric."""
-    fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                            p.theta, p.gamma)
-    return fn.energy(mesh.vertices)
+    return _evaluate_mesh(_functional(mesh, metric, p), mesh)[0]
 
 
 def grad_energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> np.ndarray:
     """Analytic dI/dx per vertex, (nv, 2); metric values are held fixed."""
-    fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                            p.theta, p.gamma)
-    return fn.gradient(mesh.vertices)
+    return _evaluate_mesh(_functional(mesh, metric, p), mesh)[1]
 
 
 @dataclass
 class MmpdeResult:
     positions: np.ndarray
-    substeps: int
-    pseudo_time: float       # integrated pseudo time in units of tau
+    substeps: int            # explicit substeps or L-BFGS iterations
     stopped: str             # "budget" | "stationary" | "substep-cap"
     max_displacement: float
 
 
-def _local_scale(x: np.ndarray, t0, t1, t2) -> np.ndarray:
+# L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
+_LBFGS_HISTORY = 8
+
+
+def _local_scale(x: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Shortest incident edge length per vertex."""
     scale = np.full(len(x), np.inf)
+    t0, t1, t2 = triangles.T
     for (i, j) in ((t0, t1), (t1, t2), (t2, t0)):
         ln = np.hypot(x[i, 0] - x[j, 0], x[i, 1] - x[j, 1])
         np.minimum.at(scale, i, ln)
@@ -239,98 +224,124 @@ def _local_scale(x: np.ndarray, t0, t1, t2) -> np.ndarray:
     return scale
 
 
+def _lbfgs_direction(g: np.ndarray, pscale: np.ndarray, history: list) -> np.ndarray:
+    """-H g by the two-loop recursion, with H0 = diag(P) s'y / y'Py.
+
+    g is (nv, 2), pscale the per-coordinate P flattened to (2 nv,), and
+    history holds flat pairs (s, y, 1/s'y), oldest first.
+    """
+    q = g.ravel().copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * s.dot(q)
+        q = blas.daxpy(y, q, a=-a)
+        alphas.append(a)
+    s, y, _ = history[-1]
+    r = (s.dot(y) / y.dot(pscale * y)) * (pscale * q)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        r = blas.daxpy(s, r, a=a - rho * y.dot(r))
+    return -r.reshape(g.shape)
+
+
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                dt_interval: float, max_substeps: Optional[int] = None,
                grad_tol: Optional[float] = None) -> MmpdeResult:
-    """Integrate the mesh gradient flow over one interval.
+    """Relax the mesh under the flow over one interval.
 
     Returns the new vertex positions (the mesh itself is untouched).
     Interior vertices move freely, top/bottom vertices slide in x,
     left/right vertices slide in y; rectangle corners and all pit-chain
-    vertices are pinned (the front owns them).
+    vertices are pinned (the front owns them).  A budget dt/tau of at
+    least bb_threshold cannot bind, so the flow's endpoint, the energy
+    minimum, is found by L-BFGS; smaller budgets are integrated in
+    explicit substeps.  Either way the flow stops once the largest
+    projected gradient entry is below the stationarity tolerance.
     """
     max_substeps = p.max_substeps if max_substeps is None else max_substeps
     budget = dt_interval / p.tau
-    bb_mode = budget >= p.bb_threshold
 
-    fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                            p.theta, p.gamma)
+    fn = _functional(mesh, metric, p)
     pscale = vertex_p_scaling(metric)[:, None]
+    pflat = np.repeat(pscale, 2)
     roles = vertex_roles(mesh)
+    free = np.ones((mesh.n_vertices, 2))
+    free[roles.pinned] = 0.0
+    free[roles.slide_x, 1] = 0.0
+    free[roles.slide_y, 0] = 0.0
     x = mesh.vertices.copy()
-    x0 = mesh.vertices
-    current = fn.energy(x)
-    scale = _local_scale(x, fn.t0, fn.t1, fn.t2)
-
-    def velocity(pos):
-        v = -pscale * fn.gradient(pos)
-        v[roles.pinned] = 0.0
-        v[roles.slide_x, 1] = 0.0
-        v[roles.slide_y, 0] = 0.0
-        return v
-
-    s = 0.0
-    stopped = "substep-cap"
-    shrink = 1.0
-    prev_x = None
-    prev_v = None
-    n_done = 0
-    v = velocity(x)
-    g0max = float(np.max(np.abs(v / pscale)))
+    current, grad = _evaluate_mesh(fn, mesh)
+    g = grad * free
+    scale = _local_scale(x, fn.triangles)
     # an explicit grad_tol is an exact threshold; the default combines the
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
-        else max(p.grad_tol, p.grad_rtol * g0max)
+        else max(p.grad_tol, p.grad_rtol * float(np.max(np.abs(g))))
+    minimise = budget >= p.bb_threshold
+
+    s = 0.0               # pseudo time integrated, explicit substeps only
+    shrink = 1.0          # explicit substep reduction left by backtracking
+    history = []          # L-BFGS pairs (s, y, 1/s'y), oldest first
+    stopped = "substep-cap"
+    n_done = 0
     for _ in range(max_substeps):
-        gmax = float(np.max(np.abs(v / pscale)))
-        if gmax < stop_tol:
+        if float(np.max(np.abs(g))) < stop_tol:
             stopped = "stationary"
             break
-        vrel = float(np.max(np.hypot(v[:, 0], v[:, 1]) / scale))
+        if history:
+            d = _lbfgs_direction(g, pflat, history)
+            if float(np.vdot(d, g)) >= 0.0:
+                history.clear()
+        if not history:
+            d = -pscale * g
+        vrel = float(np.max(np.hypot(d[:, 0], d[:, 1]) / scale))
         if vrel <= 0.0:
             stopped = "stationary"
             break
-        cap = p.disp_frac / vrel
-        ds = cap
-        if bb_mode and prev_x is not None:
-            dx = (x - prev_x).ravel()
-            dv = (prev_v - v).ravel()
-            denom = float(dx @ dv)
-            if denom > 0.0:
-                ds = min(float(dx @ dx) / denom, 100.0 * cap)
-        ds = min(ds * shrink, budget - s)
-        if ds * vrel * max(1.0, 1.0 / p.disp_frac) < 1e-14:
+        # explicit substeps, and minimiser steps without curvature history,
+        # move no vertex further than disp_frac of its shortest edge
+        if history:
+            step = 1.0
+        elif minimise:
+            step = p.disp_frac / vrel
+        else:
+            step = min(p.disp_frac / vrel * shrink, budget - s)
+        if step * vrel * max(1.0, 1.0 / p.disp_frac) < 1e-14:
             stopped = "stationary"
             break
-        accepted = False
+        # descent-only backtracking that also rejects inverted trials
+        taken = step
         for _ in range(40):
-            trial = x + ds * v
-            trial_energy = fn.try_energy(trial)
-            if trial_energy is not None and \
-                    trial_energy <= current + 1e-12 * max(1.0, abs(current)):
-                accepted = True
+            trial = x + taken * d
+            out = fn.evaluate(trial)
+            if out is not None and \
+                    out[0] <= current + 1e-12 * max(1.0, abs(current)):
                 break
-            ds *= 0.5
-            shrink = max(shrink * 0.5, 1e-6)
-        if not accepted:
-            raise MeshError(
-                "mmpde substep rejected down to the step floor "
-                f"(substep {n_done + 1}, energy {current:.6g})")
-        shrink = min(1.0, shrink * 2.0)
-        prev_x, prev_v = x, v
-        x, current = trial, trial_energy
-        s += ds
+            taken *= 0.5
+        else:
+            raise MeshError("mmpde substep rejected down to the step floor "
+                            f"(substep {n_done + 1}, energy {current:.6g})")
+        current, grad = out
+        g_new = grad * free
+        if minimise:
+            dx, dg = (trial - x).ravel(), (g_new - g).ravel()
+            sy = dx.dot(dg)
+            if sy > 0.0:
+                history.append((dx, dg, 1.0 / sy))
+                del history[:-_LBFGS_HISTORY]
+        else:
+            shrink = min(1.0, 2.0 * max(shrink * taken / step, 1e-6))
+            s += taken
+        x, g = trial, g_new
         n_done += 1
-        if s >= budget * (1.0 - 1e-12):
+        if not minimise and s >= budget * (1.0 - 1e-12):
             stopped = "budget"
             break
         if n_done % 25 == 0:
-            scale = _local_scale(x, fn.t0, fn.t1, fn.t2)
-        v = velocity(x)
+            scale = _local_scale(x, fn.triangles)
 
-    moved = x - x0
+    moved = x - mesh.vertices
     max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
-    return MmpdeResult(x, n_done, s, stopped, max_disp)
+    return MmpdeResult(x, n_done, stopped, max_disp)
 
 
 @dataclass
@@ -339,44 +350,48 @@ class SmoothResult:
     trace: list = field(default_factory=list)      # displacement sum per iter
     trace_max: list = field(default_factory=list)  # max vertex move per iter
     converged: bool = False
+    flow_stops: list = field(default_factory=list)  # mmpde stop reason per iter
+    flow_iters: list = field(default_factory=list)  # mmpde iterations per iter
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
-                physics_callback: Optional[Callable[[TriMesh], None]] = None,
                 max_iters: Optional[int] = None) -> SmoothResult:
-    """Alternate physics solves and mesh relaxation until the mesh settles.
+    """Relax the mesh against its own monitor until it settles.
 
     Each iteration rebuilds the monitor at the current vertex positions and
-    integrates the flow to stationarity under that frozen metric; the loop
-    stops when the summed vertex displacement drops below smoothing_tol.
-    Returns the smoothed mesh and the per-iteration displacement trace.
+    runs the flow to stationarity under that frozen metric; the loop stops
+    when the summed vertex displacement drops below smoothing_tol.
+    Returns the smoothed mesh, the per-iteration displacement trace and
+    each flow's stop reason and iteration count.
     """
     max_iters = p.smoothing_max_iters if max_iters is None else max_iters
     work = mesh.copy()
-    trace = []
-    trace_max = []
-    converged = False
+    out = SmoothResult(work)
     for it in range(max_iters):
         metric = monitor_mackenzie(work, chains, p)
-        if physics_callback is not None and it % max(1, p.smooth_physics_every) == 0:
-            physics_callback(work)
         # run the flow to absolute stationarity: the outer loop then sees
         # only the metric-update fixed point, not integrator leftovers
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
                          max_substeps=p.smoothing_substeps,
                          grad_tol=p.grad_tol)
+        if res.stopped == "substep-cap":
+            logger.warning("smoothing iteration %d: flow stopped at "
+                           "smoothing_substeps=%d before stationarity",
+                           it + 1, p.smoothing_substeps)
         moved = res.positions - work.vertices
         disp = float(np.sum(np.hypot(moved[:, 0], moved[:, 1])))
         work.vertices = res.positions
-        trace.append(disp)
-        trace_max.append(res.max_displacement)
+        out.trace.append(disp)
+        out.trace_max.append(res.max_displacement)
+        out.flow_stops.append(res.stopped)
+        out.flow_iters.append(res.substeps)
         if disp < p.smoothing_tol:
-            converged = True
+            out.converged = True
             break
-    if not converged:
+    if not out.converged:
         logger.warning("mesh smoothing hit max_iters=%d with displacement %.3g",
-                       max_iters, trace[-1] if trace else float("nan"))
-    return SmoothResult(work, trace, trace_max, converged)
+                       max_iters, out.trace[-1] if out.trace else float("nan"))
+    return out
 
 
 def solve_equidistribution_1d(rho: Callable[[float], float], a: float, b: float,

@@ -132,9 +132,7 @@ def init_mesh(config: SimConfig) -> InitResult:
                                          config.gap_single_edge)
     holder = {"chains": chains, "phi": None}
     solve = _solver_callback(config, holder)
-    solve(mesh)
-    smooth = adapt.smooth_mesh(mesh, chains, config.adapt,
-                               physics_callback=lambda m: solve(m))
+    smooth = adapt.smooth_mesh(mesh, chains, config.adapt)
     phi = solve(smooth.mesh)
     return InitResult(smooth.mesh, chains, phi, smooth.trace, smooth.trace_max,
                       smooth.converged)
@@ -230,7 +228,6 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                 events.append(event)
                 holder["chains"] = chains
                 post = adapt.smooth_mesh(mesh, chains, config.adapt,
-                                         physics_callback=lambda m: solve(m),
                                          max_iters=5)
                 mesh = post.mesh
                 phi = solve(mesh, chains)

@@ -61,7 +61,6 @@ _SCALAR_KEYS = {
     "gamma": ("adapt", "gamma", float),
     "smoothing_tol": ("adapt", "smoothing_tol", float),
     "smoothing_max_iters": ("adapt", "smoothing_max_iters", int),
-    "smooth_physics_every": ("adapt", "smooth_physics_every", int),
     "mmpde_max_substeps": ("adapt", "max_substeps", int),
     "mmpde_smoothing_substeps": ("adapt", "smoothing_substeps", int),
     "mmpde_disp_frac": ("adapt", "disp_frac", float),

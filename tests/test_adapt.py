@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitmesh.adapt import (AdaptParams, element_metrics, energy, grad_energy,
-                           mmpde_step, monitor_mackenzie, smooth_mesh,
-                           solve_equidistribution_1d, vertex_p_scaling)
-from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit
+from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
+                           energy, grad_energy, mmpde_step, monitor_mackenzie,
+                           smooth_mesh, solve_equidistribution_1d,
+                           vertex_p_scaling)
+from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
 
@@ -108,6 +109,21 @@ class TestEnergy:
         mesh.triangles[1] = mesh.triangles[1][[0, 2, 1]]
         with pytest.raises(MeshError, match="cell 1"):
             energy(mesh, identity_metric(mesh.n_vertices), AdaptParams())
+
+
+    def test_evaluate_none_on_one_inverted_cell(self):
+        mesh = make_rect_mesh(3, 3)
+        metric = identity_metric(mesh.n_vertices)
+        fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
+                                1.0 / 3.0, 1.5)
+        value, grad = fn.evaluate(mesh.vertices)
+        assert value == pytest.approx(energy(mesh, metric, AdaptParams()))
+        assert grad.shape == mesh.vertices.shape
+        flipped = mesh.triangles.copy()
+        flipped[4] = flipped[4][[0, 2, 1]]
+        fn = _ElementFunctional(flipped, element_metrics(mesh, metric),
+                                1.0 / 3.0, 1.5)
+        assert fn.evaluate(mesh.vertices) is None
 
 
 class TestGradient:
@@ -265,6 +281,69 @@ class TestMmpdeStep:
         g[roles.slide_y, 0] = 0.0
         assert np.abs(g).max() < 1e-8
 
+    def test_lbfgs_and_explicit_reach_the_same_minimum(self):
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
+                                             target_h=3.0, seed=1)
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        roles = vertex_roles(mesh)
+        free = np.ones((mesh.n_vertices, 2), dtype=bool)
+        free[roles.pinned] = False
+        free[roles.slide_x, 1] = False
+        free[roles.slide_y, 0] = False
+
+        def projected_gradient(pos):
+            moved = mesh.copy()
+            moved.vertices = pos
+            return grad_energy(moved, metric, p)[free]
+
+        lbfgs = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                           max_substeps=20000, grad_tol=1e-8)
+        assert lbfgs.stopped == "stationary"
+        # plain explicit substeps converge only linearly, and on this mesh
+        # stall near a projected gradient of 1.3e-6, where the energy
+        # decrease per substep falls below the backtracking slack
+        explicit = mmpde_step(mesh, metric, AdaptParams(bb_threshold=np.inf),
+                              dt_interval=1e300, max_substeps=20000,
+                              grad_tol=2e-6)
+        assert explicit.stopped == "stationary"
+        g_lbfgs = projected_gradient(lbfgs.positions)
+        g_explicit = projected_gradient(explicit.positions)
+        assert np.abs(g_lbfgs).max() < 1e-8
+        assert np.abs(g_explicit).max() < 2e-6
+
+        # near a strict minimum |x - x*| <= |g(x)| / lambda_min of the
+        # Hessian over the free coordinates (central differences here).  The
+        # explicit error lies mostly along the softest mode, so on this mesh
+        # the gap (1.15e-3 um, after moves of about 2 um) nearly meets the
+        # bound (1.22e-3 um, lambda_min 3.4e-3)
+        base = lbfgs.positions[free]
+        h = 1e-6
+        hess = np.empty((base.size, base.size))
+        for j in range(base.size):
+            cols = []
+            for sign in (1.0, -1.0):
+                shifted = base.copy()
+                shifted[j] += sign * h
+                pos = lbfgs.positions.copy()
+                pos[free] = shifted
+                cols.append(projected_gradient(pos))
+            hess[:, j] = (cols[0] - cols[1]) / (2.0 * h)
+        lam_min = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
+        assert lam_min > 0.0
+        bound = (np.linalg.norm(g_lbfgs) + np.linalg.norm(g_explicit)) / lam_min
+        gap = np.linalg.norm(lbfgs.positions - explicit.positions)
+        assert gap <= bound
+
+    def test_binding_budget_stops_on_budget(self):
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
+                                             target_h=3.0, seed=1)
+        p = AdaptParams(tau=1e-2)
+        metric = monitor_mackenzie(mesh, chains, p)
+        res = mmpde_step(mesh, metric, p, dt_interval=0.05)
+        assert res.stopped == "budget"
+        assert 0 < res.substeps < p.max_substeps
+
     def test_smaller_tau_closer_to_equidistribution(self):
         # one physical step from a uniform start; the mesh with the faster
         # response time ends nearer the equidistributed state (the large-tau
@@ -312,6 +391,20 @@ class TestSmoothing:
         assert result.trace[-1] < 1e-2
         tail = result.trace[-min(5, len(result.trace)):]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
+
+    def test_records_each_flow_and_warns_at_substep_cap(self, caplog):
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
+                                             target_h=2.5, seed=1)
+        full = smooth_mesh(mesh, chains, AdaptParams())
+        assert len(full.flow_stops) == len(full.flow_iters) == len(full.trace)
+        assert set(full.flow_stops) == {"stationary"}
+        assert all(n <= AdaptParams().smoothing_substeps for n in full.flow_iters)
+        capped = AdaptParams(smoothing_substeps=3, smoothing_max_iters=2)
+        with caplog.at_level("WARNING", logger="pitmesh.adapt"):
+            short = smooth_mesh(mesh, chains, capped)
+        assert short.flow_stops == ["substep-cap", "substep-cap"]
+        assert short.flow_iters == [3, 3]
+        assert "smoothing_substeps=3" in caplog.text
 
     def test_equidistribution_spread_tightens(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
