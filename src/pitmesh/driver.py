@@ -97,9 +97,11 @@ class InitResult:
     mesh: TriMesh
     chains: list
     phi: np.ndarray
-    trace: list
-    trace_max: list
+    trace: list           # smoothing displacement sum per iteration
+    trace_max: list       # smoothing max vertex move per iteration
     converged: bool
+    flow_stops: list      # each smoothing flow's mmpde stop reason
+    flow_iters: list      # each smoothing flow's mmpde iteration count
 
 
 @dataclass
@@ -109,7 +111,7 @@ class RunResult:
     chains: list
     phi: np.ndarray
     events: list
-    init_trace: list
+    init: InitResult      # the smoothed initial state and its record
     steps: int
     min_area_seen: float
 
@@ -135,7 +137,7 @@ def init_mesh(config: SimConfig) -> InitResult:
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt)
     phi = solve(smooth.mesh)
     return InitResult(smooth.mesh, chains, phi, smooth.trace, smooth.trace_max,
-                      smooth.converged)
+                      smooth.converged, smooth.flow_stops, smooth.flow_iters)
 
 
 def diagnostics(mesh: TriMesh, chains) -> tuple:
@@ -171,7 +173,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     wrapped in a SimulationError carrying the last good state.
     """
     init = init_mesh(config)
-    mesh, chains, phi = init.mesh, init.chains, init.phi
+    # the loop moves its mesh in place; init keeps the starting state
+    mesh, chains, phi = init.mesh.copy(), init.chains, init.phi
     holder = {"chains": chains, "phi": phi}
     solve = _solver_callback(config, holder)
 
@@ -252,7 +255,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     if not report.ok:
         raise SimulationError(f"final mesh invalid: {report.summary()}",
                               step=step, mesh=mesh, chains=chains, phi=phi)
-    return RunResult(series, mesh, chains, phi, events, init.trace, step,
+    return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen)
 
 

@@ -76,11 +76,6 @@ def current_density(p: ElectroParams, v_corr, phi):
     return p.z * p.F * p.a_diss_si * np.exp(_exponent(p, v_corr, phi))
 
 
-def current_density_dphi(p: ElectroParams, v_corr, phi):
-    """Analytic derivative d i / d phi, A/(m^2 V)."""
-    return -p.alpha * p.zf_rt * current_density(p, v_corr, phi)
-
-
 def normal_velocity(p: ElectroParams, v_corr, phi):
     """Faraday front speed i/(z F c_solid), m/s; always positive."""
     return (p.a_diss_si / p.c_solid_si) * np.exp(_exponent(p, v_corr, phi))

@@ -44,7 +44,6 @@ class NewtonSettings:
     rel_tol: float = 1e-4
     max_iters: int = 25
     quad_points: int = 2   # Gauss points per pit edge, 2..4
-    flux_sign: float = 1.0
 
     def validate(self) -> None:
         if self.abs_tol <= 0.0 and self.rel_tol <= 0.0:
@@ -56,13 +55,6 @@ class NewtonSettings:
 
 
 @dataclass
-class PhysicalState:
-    """Nodal electric potential, volts; zero on the top boundary."""
-
-    phi: np.ndarray
-
-
-@dataclass
 class NewtonResult:
     phi: np.ndarray
     iterations: int
@@ -70,8 +62,13 @@ class NewtonResult:
     history: list = field(default_factory=list)
 
 
-def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """Standard P1 stiffness matrix; constants span its null space."""
+def assemble_stiffness(mesh: TriMesh,
+                       weight: Optional[np.ndarray] = None) -> sp.csr_matrix:
+    """P1 stiffness matrix; constants span its null space.
+
+    With a per-cell weight (nt,), each cell's contribution is scaled by
+    it, giving the stiffness of -div(w grad u) for piecewise-constant w.
+    """
     t = mesh.triangles
     v = mesh.vertices
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
@@ -83,6 +80,8 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
     c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
     scale = 1.0 / (2.0 * area2)
+    if weight is not None:
+        scale = scale * weight
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -167,7 +166,7 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
                  vc_params: VcorrParams, eparams: ElectroParams,
                  guess: Optional[np.ndarray] = None,
                  settings: Optional[NewtonSettings] = None) -> NewtonResult:
-    """Solve K phi = flux_sign * b(phi) with phi = 0 on the top boundary."""
+    """Solve K phi = b(phi) with phi = 0 on the top boundary."""
     settings = settings or NewtonSettings()
     settings.validate()
     nv = mesh.n_vertices
@@ -176,13 +175,12 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     phi[fixed] = 0.0
     free = np.where(~fixed)[0]
     K = assemble_stiffness(mesh)
-    s = settings.flux_sign
 
     history = []
     for it in range(settings.max_iters + 1):
         b, dB = boundary_residual_and_jacobian(
             mesh, chains, phi, material, vc_params, eparams, settings.quad_points)
-        residual = K @ phi - s * b
+        residual = K @ phi - b
         rf = residual[free]
         norm = float(np.linalg.norm(rf))
         history.append(norm)
@@ -191,7 +189,7 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
             return NewtonResult(phi, it, norm, history)
         if it == settings.max_iters:
             break
-        jac = (K - s * dB).tocsr()
+        jac = (K - dB).tocsr()
         jff = jac[free][:, free].tocsc()
         try:
             delta = splu(jff).solve(-rf)

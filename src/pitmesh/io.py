@@ -74,7 +74,6 @@ _SCALAR_KEYS = {
     "newton_rel_tol": ("newton", "rel_tol", float),
     "newton_max_iters": ("newton", "max_iters", int),
     "boundary_quad_points": ("newton", "quad_points", int),
-    "flux_sign": ("newton", "flux_sign", float),
     "vcorr_k": ("vcorr", "k_const", float),
     "vcorr_s": ("vcorr", "s_const", float),
     "target_h": (None, "target_h", float),
@@ -391,6 +390,12 @@ class RunArtifacts:
 
 def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines = [resolved_summary(config), ""]
+    init = result.init
+    flows = ", ".join(f"{n} {stop}" for n, stop in
+                      zip(init.flow_iters, init.flow_stops))
+    lines.append(f"initial smoothing: {len(init.trace)} iterations, "
+                 f"converged={init.converged}; mmpde iterations and stop "
+                 f"per flow: {flows}")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"merge events: {len(result.events)}")
     for ev in result.events:

@@ -214,15 +214,24 @@ def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
 
 def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to each segment, (n_points, n_segs)."""
-    d = b - a
-    l2 = np.einsum("ij,ij->i", d, d)
-    safe = np.where(l2 > 0.0, l2, 1.0)
-    w = points[:, None, :] - a[None, :, :]
-    t = np.einsum("nsi,si->ns", w, d) / safe
+    dx = b[:, 0] - a[:, 0]
+    dy = b[:, 1] - a[:, 1]
+    l2 = dx * dx + dy * dy
+    inv_l2 = 1.0 / np.where(l2 > 0.0, l2, 1.0)
+    # per-coordinate (n_points, n_segs) offsets from each segment start,
+    # reduced in place to the offsets from the nearest segment point
+    wx = points[:, 0, None] - a[:, 0]
+    wy = points[:, 1, None] - a[:, 1]
+    t = wx * (dx * inv_l2)
+    tmp = wy * (dy * inv_l2)
+    t += tmp
     np.clip(t, 0.0, 1.0, out=t)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    diff = points[:, None, :] - proj
-    return np.hypot(diff[:, :, 0], diff[:, :, 1])
+    wx -= np.multiply(t, dx, out=tmp)
+    wy -= np.multiply(t, dy, out=tmp)
+    wx *= wx
+    wy *= wy
+    wx += wy
+    return np.sqrt(wx, out=wx)
 
 
 def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],

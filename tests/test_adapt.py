@@ -281,6 +281,33 @@ class TestMmpdeStep:
         g[roles.slide_y, 0] = 0.0
         assert np.abs(g).max() < 1e-8
 
+    def test_minimiser_iterations_from_initial_mesh(self, pit_mesh):
+        # the stiffness-preconditioned minimiser reaches grad_tol 1e-8 from
+        # the 436-vertex initial mesh in about 50 iterations; a diagonal
+        # initial inverse Hessian takes about 270
+        mesh, chains, _ = pit_mesh
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                         max_substeps=20000, grad_tol=1e-8)
+        assert mesh.n_vertices == 436
+        assert res.stopped == "stationary"
+        assert res.substeps <= 100
+
+    def test_no_free_vertex_in_one_coordinate(self):
+        # a one-cell-high strip: the middle vertices slide in x, and no
+        # vertex is free in y, so only the x block is factorised
+        mesh = make_rect_mesh(2, 1)
+        mesh.vertices[[2, 3], 0] += 0.2
+        p = AdaptParams(mu1=0.0)
+        metric = identity_metric(mesh.n_vertices)
+        res = mmpde_step(mesh, metric, p, dt_interval=np.inf, grad_tol=1e-10)
+        assert res.stopped == "stationary"
+        assert np.array_equal(res.positions[:, 1], mesh.vertices[:, 1])
+        moved = mesh.copy()
+        moved.vertices = res.positions
+        assert energy(moved, metric, p) < energy(mesh, metric, p)
+
     def test_lbfgs_and_explicit_reach_the_same_minimum(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=3.0, seed=1)

@@ -4,6 +4,7 @@ import pytest
 from pitmesh.crystal import Crystal, orientation_from_axes
 from pitmesh.driver import (SimConfig, TimeSeries, diagnostics, fit_power_law,
                             fit_power_law_arrays, init_mesh, run)
+from pitmesh.io import write_summary
 from pitmesh.mesh import PitChain, validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
@@ -96,6 +97,24 @@ class TestRun:
 
     def test_no_merge_events_single_pit(self, short_run):
         assert short_run.events == []
+
+    def test_summary_reports_initial_smoothing(self, short_run, tmp_path):
+        init = short_run.init
+        assert len(init.flow_stops) == len(init.flow_iters) == len(init.trace)
+        assert set(init.flow_stops) == {"stationary"}
+        # the run moved its own copy; init keeps the smoothed start
+        fresh = init_mesh(small_config())
+        assert np.array_equal(init.mesh.vertices, fresh.mesh.vertices)
+        assert not np.array_equal(init.mesh.vertices, short_run.mesh.vertices)
+        path = tmp_path / "summary.txt"
+        write_summary(str(path), small_config(), short_run, {})
+        lines = [ln for ln in path.read_text().splitlines()
+                 if ln.startswith("initial smoothing:")]
+        flows = ", ".join(f"{n} {stop}" for n, stop in
+                          zip(init.flow_iters, init.flow_stops))
+        assert lines == [f"initial smoothing: {len(init.trace)} iterations, "
+                         f"converged={init.converged}; mmpde iterations and "
+                         f"stop per flow: {flows}"]
 
     def test_deterministic_replay(self):
         a = run(small_config())

@@ -66,6 +66,15 @@ class TestStiffness:
                     expected[tri[i], tri[j]] += area * (grads[i] @ grads[j])
         assert np.allclose(K, expected)
 
+    def test_cell_weight(self):
+        mesh, _, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                        target_h=2.0, seed=0)
+        plain = assemble_stiffness(mesh).toarray()
+        ones = np.ones(mesh.n_triangles)
+        assert np.array_equal(assemble_stiffness(mesh, ones).toarray(), plain)
+        scaled = assemble_stiffness(mesh, 2.5 * ones).toarray()
+        assert np.allclose(scaled, 2.5 * plain, rtol=1e-14, atol=1e-14)
+
     def test_inverted_cell_aborts_with_index(self):
         mesh = make_rect_mesh(2, 2)
         mesh.triangles[5] = mesh.triangles[5][[0, 2, 1]]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from pitmesh.mesh import (AffineMap, BoundaryTag, MeshError, PitChain, TriMesh,
                           affine_map, chains_from_tags, face_and_vertex_normals,
-                          min_distance_to_pit, polyline_self_intersects,
-                          validate, validate_chain, vertex_roles)
+                          min_distance_to_pit, point_segment_distances,
+                          polyline_self_intersects, validate, validate_chain, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
 
@@ -135,6 +135,24 @@ class TestMinDistance:
         expected = np.min(np.hypot(*(dense - query).T))
         got = min_distance_to_pit(query, [chain], mesh)
         assert got == pytest.approx(expected, abs=1e-5)
+
+    def test_point_segment_distances_match_pairwise_loop(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-6, 6, (40, 2))
+        a = rng.uniform(-4, 4, (15, 2))
+        b = a + rng.normal(0, 2, (15, 2))
+        b[4] = a[4]   # a zero-length segment is a point
+        expected = np.empty((len(points), len(a)))
+        for i, (px, py) in enumerate(points):
+            for j, ((ax, ay), (bx, by)) in enumerate(zip(a, b)):
+                dx, dy = bx - ax, by - ay
+                l2 = dx * dx + dy * dy
+                t = 0.0 if l2 == 0.0 else \
+                    min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / l2))
+                expected[i, j] = np.hypot(px - ax - t * dx, py - ay - t * dy)
+        got = point_segment_distances(points, a, b)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8))
