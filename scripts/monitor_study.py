@@ -61,7 +61,7 @@ def main():
         result = init_mesh(cfg)
         print(f"  mu1 = {mu1:6g}: min near-pit edge "
               f"{near_pit_min_edge(result.mesh, result.chains):.4f} um "
-              f"({len(result.trace)} smoothing iterations)")
+              f"({len(result.smooth.trace)} smoothing iterations)")
 
     print("mu2 sweep (mu1 = 100):")
     for mu2 in args.mu2:

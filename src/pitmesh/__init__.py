@@ -12,7 +12,6 @@ from .crystal import Bicrystal, Crystal, Homogeneous, VcorrParams, ZoneOrientati
 from .electrochem import ElectroParams
 from .adapt import AdaptParams
 from .front import FrontParams
-from .fem import NewtonSettings
 from .driver import SimConfig, TimeSeries, PowerLawFit
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "FrontParams",
     "Homogeneous",
     "MeshError",
-    "NewtonSettings",
     "PitChain",
     "PowerLawFit",
     "SimConfig",

@@ -7,7 +7,7 @@ tau only rescales time, so the flow runs in normalized pseudo time with
 budget dt/tau: small tau relaxes the mesh far toward the energy minimum
 each step, large tau leaves it lagging.
 
-A budget of at least bb_threshold cannot bind before the flow is
+A budget of at least _MINIMISE_BUDGET cannot bind before the flow is
 stationary, so there the endpoint is computed directly as the energy
 minimum, by L-BFGS.  Its initial inverse Hessian is a scaled K^-1, where
 K is the P1 stiffness matrix of the starting mesh with each cell weighted
@@ -56,16 +56,6 @@ class AdaptParams:
     gamma: float = 1.5            # energy power, > 1
     smoothing_tol: float = 1e-2   # displacement-sum stop, micrometers
     smoothing_max_iters: int = 40
-    # mesh relaxation knobs (the upstream formulation names no solver);
-    # the caps count explicit substeps or L-BFGS iterations
-    max_substeps: int = 500       # per time step
-    smoothing_substeps: int = 1000  # per smoothing iteration
-    disp_frac: float = 0.2        # substep displacement cap vs local edge
-    grad_tol: float = 1e-7        # stationarity exit on the projected gradient
-    grad_rtol: float = 1e-3       # ... or relative to the interval's start
-    # budgets dt/tau at least this large cannot bind before the flow is
-    # stationary, so L-BFGS minimises the energy instead of substepping
-    bb_threshold: float = 1e4
 
     def validate(self) -> None:
         if self.mu1 < 0.0 or self.mu2 < 0.0:
@@ -226,6 +216,16 @@ class MmpdeResult:
     max_displacement: float
 
 
+# Mesh relaxation settings (the upstream formulation names no solver).
+# The caps count explicit substeps or L-BFGS iterations.
+_MAX_SUBSTEPS = 500          # per time step
+_SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
+_DISP_FRAC = 0.2             # substep displacement cap vs local edge
+_GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
+_GRAD_RTOL = 1e-3            # ... or relative to the interval's start
+# budgets dt/tau at least this large cannot bind before the flow is
+# stationary, so L-BFGS minimises the energy instead of substepping
+_MINIMISE_BUDGET = 1e4
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
 _LBFGS_HISTORY = 8
 
@@ -290,7 +290,7 @@ def _lbfgs_direction(g: np.ndarray, precond: Callable, history: list) -> np.ndar
 
 
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
-               dt_interval: float, max_substeps: Optional[int] = None,
+               dt_interval: float, max_substeps: int = _MAX_SUBSTEPS,
                grad_tol: Optional[float] = None) -> MmpdeResult:
     """Relax the mesh under the flow over one interval.
 
@@ -298,12 +298,11 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     Interior vertices move freely, top/bottom vertices slide in x,
     left/right vertices slide in y; rectangle corners and all pit-chain
     vertices are pinned (the front owns them).  A budget dt/tau of at
-    least bb_threshold cannot bind, so the flow's endpoint, the energy
+    least _MINIMISE_BUDGET cannot bind, so the flow's endpoint, the energy
     minimum, is found by L-BFGS; smaller budgets are integrated in
     explicit substeps.  Either way the flow stops once the largest
     projected gradient entry is below the stationarity tolerance.
     """
-    max_substeps = p.max_substeps if max_substeps is None else max_substeps
     budget = dt_interval / p.tau
 
     fn = _functional(mesh, metric, p)
@@ -319,8 +318,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     # an explicit grad_tol is an exact threshold; the default combines the
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
-        else max(p.grad_tol, p.grad_rtol * float(np.max(np.abs(g))))
-    minimise = budget >= p.bb_threshold
+        else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
+    minimise = budget >= _MINIMISE_BUDGET
     if minimise:
         precond = _stiffness_preconditioner(mesh, density, free)
     else:
@@ -347,14 +346,14 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             stopped = "stationary"
             break
         # explicit substeps, and minimiser steps without curvature history,
-        # move no vertex further than disp_frac of its shortest edge
+        # move no vertex further than _DISP_FRAC of its shortest edge
         if history:
             step = 1.0
         elif minimise:
-            step = p.disp_frac / vrel
+            step = _DISP_FRAC / vrel
         else:
-            step = min(p.disp_frac / vrel * shrink, budget - s)
-        if step * vrel * max(1.0, 1.0 / p.disp_frac) < 1e-14:
+            step = min(_DISP_FRAC / vrel * shrink, budget - s)
+        if step * vrel * max(1.0, 1.0 / _DISP_FRAC) < 1e-14:
             stopped = "stationary"
             break
         # descent-only backtracking that also rejects inverted trials
@@ -421,12 +420,11 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         # run the flow to absolute stationarity: the outer loop then sees
         # only the metric-update fixed point, not integrator leftovers
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
-                         max_substeps=p.smoothing_substeps,
-                         grad_tol=p.grad_tol)
+                         max_substeps=_SMOOTHING_SUBSTEPS, grad_tol=_GRAD_TOL)
         if res.stopped == "substep-cap":
-            logger.warning("smoothing iteration %d: flow stopped at "
-                           "smoothing_substeps=%d before stationarity",
-                           it + 1, p.smoothing_substeps)
+            logger.warning("smoothing iteration %d: flow stopped at its "
+                           "%d-substep cap before stationarity",
+                           it + 1, _SMOOTHING_SUBSTEPS)
         moved = res.positions - work.vertices
         disp = float(np.sum(np.hypot(moved[:, 0], moved[:, 1])))
         work.vertices = res.positions

@@ -62,9 +62,10 @@ def _cmd_init_mesh(args) -> int:
     io.write_mesh(result.mesh, args.output)
     print(f"wrote {args.output}: {result.mesh.n_vertices} vertices, "
           f"{result.mesh.n_triangles} triangles")
-    print(f"smoothing: {len(result.trace)} iterations, converged="
-          f"{result.converged}, final displacement "
-          f"{result.trace[-1] if result.trace else 0.0:.4g}")
+    smooth = result.smooth
+    print(f"smoothing: {len(smooth.trace)} iterations, converged="
+          f"{smooth.converged}, final displacement "
+          f"{smooth.trace[-1] if smooth.trace else 0.0:.4g}")
     return 0
 
 

@@ -20,7 +20,6 @@ from . import adapt, fem, front
 from .adapt import AdaptParams
 from .crystal import Homogeneous, MaterialSpec, VcorrParams
 from .electrochem import ElectroParams
-from .fem import NewtonSettings
 from .front import FrontParams
 from .mesh import MeshError, TriMesh, validate, validate_chain
 from .meshgen import DomainSpec, PitSpec, build_initial_mesh
@@ -46,7 +45,6 @@ class SimConfig:
     electro: ElectroParams = field(default_factory=ElectroParams)
     adapt: AdaptParams = field(default_factory=AdaptParams)
     front: FrontParams = field(default_factory=FrontParams)
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
     material: MaterialSpec = field(default_factory=lambda: Homogeneous(-0.24))
     vcorr: VcorrParams = field(default_factory=VcorrParams)
     target_h: float = 0.7        # mesh generation edge length, micrometers
@@ -60,7 +58,6 @@ class SimConfig:
         self.electro.validate()
         self.adapt.validate()
         self.front.validate()
-        self.newton.validate()
         self.vcorr.validate()
         if self.target_h <= 0.0:
             raise ValueError("target_h must be positive")
@@ -97,11 +94,7 @@ class InitResult:
     mesh: TriMesh
     chains: list
     phi: np.ndarray
-    trace: list           # smoothing displacement sum per iteration
-    trace_max: list       # smoothing max vertex move per iteration
-    converged: bool
-    flow_stops: list      # each smoothing flow's mmpde stop reason
-    flow_iters: list      # each smoothing flow's mmpde iteration count
+    smooth: adapt.SmoothResult   # the initial smoothing's record
 
 
 @dataclass
@@ -116,28 +109,16 @@ class RunResult:
     min_area_seen: float
 
 
-def _solver_callback(config: SimConfig, holder: dict) -> Callable:
-    def solve(mesh: TriMesh, chains=None) -> np.ndarray:
-        result = fem.newton_solve(mesh, holder["chains"] if chains is None else chains,
-                                  config.material, config.vcorr, config.electro,
-                                  guess=holder.get("phi"), settings=config.newton)
-        holder["phi"] = result.phi
-        return result.phi
-    return solve
-
-
 def init_mesh(config: SimConfig) -> InitResult:
     """Build the domain mesh and smooth it against the pit monitor."""
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed,
                                          config.gap_single_edge)
-    holder = {"chains": chains, "phi": None}
-    solve = _solver_callback(config, holder)
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt)
-    phi = solve(smooth.mesh)
-    return InitResult(smooth.mesh, chains, phi, smooth.trace, smooth.trace_max,
-                      smooth.converged, smooth.flow_stops, smooth.flow_iters)
+    phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
+                           config.electro).phi
+    return InitResult(smooth.mesh, chains, phi, smooth)
 
 
 def diagnostics(mesh: TriMesh, chains) -> tuple:
@@ -175,8 +156,6 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     init = init_mesh(config)
     # the loop moves its mesh in place; init keeps the starting state
     mesh, chains, phi = init.mesh.copy(), init.chains, init.phi
-    holder = {"chains": chains, "phi": phi}
-    solve = _solver_callback(config, holder)
 
     series = TimeSeries()
     d0, w0 = diagnostics(mesh, chains)
@@ -197,17 +176,19 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt)
             mesh.vertices = moved.positions
 
-            phi = solve(mesh, chains)
+            phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
+                                   config.electro, guess=phi).phi
 
             # CFL-like cap: the front may not sweep more than a fraction of
             # the smallest pit edge in one step.  Edges in an already
             # collapsed bunch (envelope-limited vertices) no longer carry
             # front resolution and are excluded from the scale.
+            speeds = [front.chain_velocities(mesh, chain, phi, config.material,
+                                             config.vcorr, config.electro)
+                      for chain in chains]
             max_vn = 0.0
             min_edge = np.inf
-            for chain in chains:
-                vn, _ = front.chain_velocities(mesh, chain, phi, config.material,
-                                               config.vcorr, config.electro)
+            for chain, (vn, _) in zip(chains, speeds):
                 max_vn = max(max_vn, float(np.max(vn)))
                 seg = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
                 seg = seg[seg >= 0.1 * np.median(seg)]
@@ -220,20 +201,20 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                     dt = cap
             dt = min(dt, fparams.t_end - t)
 
-            for chain in chains:
-                front.advance_pit(mesh, chain, phi, config.material,
-                                  config.vcorr, config.electro, fparams, dt=dt)
+            for chain, (vn, normals) in zip(chains, speeds):
+                front.advance_pit(mesh, chain, vn, normals, fparams, dt)
 
             cand = front.detect_merge(mesh, chains, fparams)
             if cand is not None:
                 chains, event = front.merge_pits(mesh, chains, cand)
                 event.step = step
                 events.append(event)
-                holder["chains"] = chains
                 post = adapt.smooth_mesh(mesh, chains, config.adapt,
                                          max_iters=5)
                 mesh = post.mesh
-                phi = solve(mesh, chains)
+                phi = fem.newton_solve(mesh, chains, config.material,
+                                       config.vcorr, config.electro,
+                                       guess=phi).phi
 
             min_area_seen = min(min_area_seen, _check_state(mesh, chains, step))
             area = sum(front.pit_area(mesh, c) for c in chains)
@@ -338,8 +319,6 @@ def fit_power_law_arrays(t: np.ndarray, y: np.ndarray) -> PowerLawFit:
         if moved < 1e-12:
             converged = True
             break
-    else:
-        converged = False
 
     dof = max(1, len(t) - 3)
     J = jacobian(params)

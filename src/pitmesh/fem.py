@@ -35,23 +35,15 @@ class NewtonError(Exception):
         self.history = list(history or [])
 
 
-@dataclass
-class NewtonSettings:
-    abs_tol: float = 1e-10
-    # the sparse-LU rounding floor can sit above abs_tol on merged-pit
-    # systems, so convergence also accepts a drop relative to the first
-    # residual
-    rel_tol: float = 1e-4
-    max_iters: int = 25
-    quad_points: int = 2   # Gauss points per pit edge, 2..4
-
-    def validate(self) -> None:
-        if self.abs_tol <= 0.0 and self.rel_tol <= 0.0:
-            raise ValueError("at least one Newton tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 2 <= self.quad_points <= 4:
-            raise ValueError("quad_points must be between 2 and 4")
+# Newton converges once the residual norm is at most _ABS_TOL plus _REL_TOL
+# times the first residual norm.  The sparse-LU rounding floor can sit above
+# _ABS_TOL on merged-pit systems, so convergence also accepts a drop
+# relative to the first residual.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-4
+_MAX_ITERS = 25
+# two-point Gauss-Legendre rule on [-1, 1] for the pit-edge flux integrals
+_GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(2)
 
 
 @dataclass
@@ -95,15 +87,9 @@ def assemble_stiffness(mesh: TriMesh,
     return K.tocsr()
 
 
-def _gauss_points(n: int):
-    xi, w = np.polynomial.legendre.leggauss(n)
-    return xi, w
-
-
 def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
                                    phi: np.ndarray, material: MaterialSpec,
-                                   vc_params: VcorrParams, eparams: ElectroParams,
-                                   quad_points: int = 2):
+                                   vc_params: VcorrParams, eparams: ElectroParams):
     """Pit-flux load vector b_k = int i(phi)/sigma_c * N_k ds and d b/d phi.
 
     V_corr is evaluated at each quadrature point from its position and the
@@ -122,7 +108,7 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
         raise MeshError("zero-length pit edge in boundary integral")
     normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
 
-    xi, w = _gauss_points(quad_points)
+    xi, w = _GAUSS_XI, _GAUSS_W
     na = 0.5 * (1.0 - xi)              # hat value of edge start, (nq,)
     nb = 0.5 * (1.0 + xi)
     pos = pa[:, None, :] * na[None, :, None] + pb[:, None, :] * nb[None, :, None]
@@ -164,11 +150,8 @@ def dirichlet_mask(mesh: TriMesh, tag: BoundaryTag = BoundaryTag.TOP) -> np.ndar
 
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
                  vc_params: VcorrParams, eparams: ElectroParams,
-                 guess: Optional[np.ndarray] = None,
-                 settings: Optional[NewtonSettings] = None) -> NewtonResult:
+                 guess: Optional[np.ndarray] = None) -> NewtonResult:
     """Solve K phi = b(phi) with phi = 0 on the top boundary."""
-    settings = settings or NewtonSettings()
-    settings.validate()
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
     fixed = dirichlet_mask(mesh)
@@ -177,17 +160,17 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     K = assemble_stiffness(mesh)
 
     history = []
-    for it in range(settings.max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         b, dB = boundary_residual_and_jacobian(
-            mesh, chains, phi, material, vc_params, eparams, settings.quad_points)
+            mesh, chains, phi, material, vc_params, eparams)
         residual = K @ phi - b
         rf = residual[free]
         norm = float(np.linalg.norm(rf))
         history.append(norm)
-        tol = settings.abs_tol + settings.rel_tol * history[0]
+        tol = _ABS_TOL + _REL_TOL * history[0]
         if norm <= tol:
             return NewtonResult(phi, it, norm, history)
-        if it == settings.max_iters:
+        if it == _MAX_ITERS:
             break
         jac = (K - dB).tocsr()
         jff = jac[free][:, free].tocsc()
@@ -197,7 +180,7 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
             raise NewtonError(f"singular linearized system: {err}", history) from err
         phi[free] += delta
     raise NewtonError(
-        f"Newton did not converge in {settings.max_iters} iterations; "
+        f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)
 
 

@@ -21,8 +21,8 @@ from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams
 from .mesh import (BoundaryTag, PitChain, TriMesh, cross2,
-                   face_and_vertex_normals, polyline_crossings,
-                   polyline_self_intersects)
+                   face_and_vertex_normals, point_segment_distances,
+                   polyline_crossings, polyline_self_intersects)
 
 logger = logging.getLogger("pitmesh.front")
 
@@ -82,26 +82,18 @@ def chain_velocities(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
     return vn * M_TO_UM, normals
 
 
-def advance_pit(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
-                material: MaterialSpec, vc_params: VcorrParams,
-                eparams: ElectroParams, fparams: FrontParams,
-                dt: Optional[float] = None, vn_override=None) -> float:
+def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
+                normals: np.ndarray, fparams: FrontParams, dt: float) -> None:
     """Advance one chain over dt; corners and apex get their special rules.
 
-    Mutates mesh vertex positions (and, for large corner jumps, the chain
-    and edge tags).  Returns the maximum normal speed in micrometers/s.
-    Rejects the step (restoring positions) if the chain self-intersects.
+    vn_um and normals are the normal speed (micrometers/s) and unit normal
+    of every chain vertex, as chain_velocities returns them.  Mutates mesh
+    vertex positions (and, for large corner jumps, the chain and edge
+    tags).  Rejects the step (restoring positions) if the chain
+    self-intersects.
     """
-    dt = fparams.dt if dt is None else dt
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
-    if vn_override is not None:
-        _, normals = face_and_vertex_normals(mesh, chain)
-        vn_um = np.asarray(vn_override(chain.positions(mesh), normals),
-                           dtype=np.float64)
-    else:
-        vn_um, normals = chain_velocities(mesh, chain, phi, material,
-                                          vc_params, eparams)
     saved = mesh.vertices[chain.vertices].copy()
     saved_ids = chain.vertices.copy()
     saved_apex = chain.apex_pos
@@ -140,7 +132,6 @@ def advance_pit(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
         raise FrontError(
             f"pit {chain.pit_id}: chain self-intersects after advance; "
             "a smaller dt should prevent this")
-    return float(np.max(vn_um))
 
 
 APPROACH_FACTOR = 0.4   # a vertex keeps this fraction of its clearance
@@ -149,7 +140,6 @@ FREEZE_CLEARANCE = 1e-3  # micrometers; bunched vertices stop entirely
 
 def _clearance(points: np.ndarray) -> np.ndarray:
     """Distance from each polyline vertex to its non-adjacent segments."""
-    from .mesh import point_segment_distances
     n = len(points)
     dist = point_segment_distances(points, points[:-1], points[1:])
     idx = np.arange(n)[:, None]
@@ -459,6 +449,6 @@ def pit_area(mesh: TriMesh, chain: PitChain) -> float:
     """Cavity area enclosed between the chain and the surface y = 0."""
     p = chain.positions(mesh)
     x, y = p[:, 0], p[:, 1]
+    # the closing run along y = 0 contributes nothing
     shoelace = np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])
-    shoelace += x[-1] * 0.0 - x[0] * 0.0  # closing run along y = 0
     return abs(0.5 * shoelace)

@@ -61,19 +61,11 @@ _SCALAR_KEYS = {
     "gamma": ("adapt", "gamma", float),
     "smoothing_tol": ("adapt", "smoothing_tol", float),
     "smoothing_max_iters": ("adapt", "smoothing_max_iters", int),
-    "mmpde_max_substeps": ("adapt", "max_substeps", int),
-    "mmpde_smoothing_substeps": ("adapt", "smoothing_substeps", int),
-    "mmpde_disp_frac": ("adapt", "disp_frac", float),
-    "mmpde_grad_tol": ("adapt", "grad_tol", float),
     "dt": ("front", "dt", float),
     "t_end": ("front", "t_end", float),
     "corner_close_factor": ("front", "corner_close_factor", float),
     "merge_gap_tol": ("front", "merge_gap_tol", float),
     "cfl_frac": ("front", "cfl_frac", float),
-    "newton_abs_tol": ("newton", "abs_tol", float),
-    "newton_rel_tol": ("newton", "rel_tol", float),
-    "newton_max_iters": ("newton", "max_iters", int),
-    "boundary_quad_points": ("newton", "quad_points", int),
     "vcorr_k": ("vcorr", "k_const", float),
     "vcorr_s": ("vcorr", "s_const", float),
     "target_h": (None, "target_h", float),
@@ -390,11 +382,11 @@ class RunArtifacts:
 
 def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines = [resolved_summary(config), ""]
-    init = result.init
+    smooth = result.init.smooth
     flows = ", ".join(f"{n} {stop}" for n, stop in
-                      zip(init.flow_iters, init.flow_stops))
-    lines.append(f"initial smoothing: {len(init.trace)} iterations, "
-                 f"converged={init.converged}; mmpde iterations and stop "
+                      zip(smooth.flow_iters, smooth.flow_stops))
+    lines.append(f"initial smoothing: {len(smooth.trace)} iterations, "
+                 f"converged={smooth.converged}; mmpde iterations and stop "
                  f"per flow: {flows}")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"merge events: {len(result.events)}")

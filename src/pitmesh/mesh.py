@@ -124,12 +124,16 @@ class TriMesh:
             self.triangles[bad] = self.triangles[bad][:, [0, 2, 1]]
         return n
 
-    def unique_edges(self) -> np.ndarray:
-        """All undirected triangle edges, (E,2) with sorted vertex pairs."""
+    def edge_counts(self) -> tuple:
+        """Undirected triangle edges (E,2), sorted pairs, and cells per edge."""
         t = self.triangles
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0)
+        return np.unique(pairs, axis=0, return_counts=True)
+
+    def unique_edges(self) -> np.ndarray:
+        """All undirected triangle edges, (E,2) with sorted vertex pairs."""
+        return self.edge_counts()[0]
 
     def edge_lengths(self, edges: Optional[np.ndarray] = None) -> np.ndarray:
         if edges is None:
@@ -329,10 +333,7 @@ def validate(mesh: TriMesh) -> ValidationReport:
     areas = mesh.signed_areas()
     report.inverted_cells = np.where(areas <= 0.0)[0].tolist()
 
-    t = mesh.triangles
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+    uniq, counts = mesh.edge_counts()
     derived = {tuple(e) for e in uniq[counts == 1]}
     over = {tuple(e) for e in uniq[counts > 2]}
     for e in sorted(over):

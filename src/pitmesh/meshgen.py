@@ -227,10 +227,7 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
 
 
 def _assert_conforming(mesh: TriMesh, poly: np.ndarray) -> None:
-    t = mesh.triangles
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+    uniq, counts = mesh.edge_counts()
     derived = {tuple(e) for e in uniq[counts == 1]}
     wanted = {tuple(sorted(e)) for e in mesh.edge_nodes.tolist()}
     missing = wanted - derived

@@ -256,9 +256,9 @@ class TestCriterion9:
         cfg = acceptance_config()
         cfg.pits.nodes = 45
         result = init_mesh(cfg)
-        trace = result.trace
+        trace = result.smooth.trace
         tail = trace[-min(5, len(trace)):]
-        ok = (result.converged and len(trace) <= 40 and trace[-1] < 1e-2
+        ok = (result.smooth.converged and len(trace) <= 40 and trace[-1] < 1e-2
               and all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:])))
         verdict(9, ok, f"45-node mesh smoothing: {len(trace)} iterations to "
                 f"displacement sum {trace[-1]:.2e} (tol 1e-2, cap 40); "

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pitmesh import adapt
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            energy, grad_energy, mmpde_step, monitor_mackenzie,
                            smooth_mesh, solve_equidistribution_1d,
@@ -308,7 +309,7 @@ class TestMmpdeStep:
         moved.vertices = res.positions
         assert energy(moved, metric, p) < energy(mesh, metric, p)
 
-    def test_lbfgs_and_explicit_reach_the_same_minimum(self):
+    def test_lbfgs_and_explicit_reach_the_same_minimum(self, monkeypatch):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=3.0, seed=1)
         p = AdaptParams()
@@ -330,9 +331,9 @@ class TestMmpdeStep:
         # plain explicit substeps converge only linearly, and on this mesh
         # stall near a projected gradient of 1.3e-6, where the energy
         # decrease per substep falls below the backtracking slack
-        explicit = mmpde_step(mesh, metric, AdaptParams(bb_threshold=np.inf),
-                              dt_interval=1e300, max_substeps=20000,
-                              grad_tol=2e-6)
+        monkeypatch.setattr(adapt, "_MINIMISE_BUDGET", np.inf)
+        explicit = mmpde_step(mesh, metric, p, dt_interval=1e300,
+                              max_substeps=20000, grad_tol=2e-6)
         assert explicit.stopped == "stationary"
         g_lbfgs = projected_gradient(lbfgs.positions)
         g_explicit = projected_gradient(explicit.positions)
@@ -369,7 +370,7 @@ class TestMmpdeStep:
         metric = monitor_mackenzie(mesh, chains, p)
         res = mmpde_step(mesh, metric, p, dt_interval=0.05)
         assert res.stopped == "budget"
-        assert 0 < res.substeps < p.max_substeps
+        assert 0 < res.substeps < adapt._MAX_SUBSTEPS
 
     def test_smaller_tau_closer_to_equidistribution(self):
         # one physical step from a uniform start; the mesh with the faster
@@ -388,9 +389,10 @@ class TestMmpdeStep:
 
         results = {}
         for tau in (1e-2, 1e-6):
-            p = AdaptParams(tau=tau, max_substeps=40000)
+            p = AdaptParams(tau=tau)
             metric = monitor_mackenzie(mesh, chains, p)
-            res = mmpde_step(mesh, metric, p, dt_interval=0.05, grad_tol=1e-6)
+            res = mmpde_step(mesh, metric, p, dt_interval=0.05,
+                             max_substeps=40000, grad_tol=1e-6)
             moved = mesh.copy()
             moved.vertices = res.positions
             results[tau] = deviation(moved, monitor_mackenzie(moved, chains, p))
@@ -419,19 +421,21 @@ class TestSmoothing:
         tail = result.trace[-min(5, len(result.trace)):]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
 
-    def test_records_each_flow_and_warns_at_substep_cap(self, caplog):
+    def test_records_each_flow_and_warns_at_substep_cap(self, caplog,
+                                                        monkeypatch):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=1)
         full = smooth_mesh(mesh, chains, AdaptParams())
         assert len(full.flow_stops) == len(full.flow_iters) == len(full.trace)
         assert set(full.flow_stops) == {"stationary"}
-        assert all(n <= AdaptParams().smoothing_substeps for n in full.flow_iters)
-        capped = AdaptParams(smoothing_substeps=3, smoothing_max_iters=2)
+        assert all(n <= adapt._SMOOTHING_SUBSTEPS for n in full.flow_iters)
+        monkeypatch.setattr(adapt, "_SMOOTHING_SUBSTEPS", 3)
+        capped = AdaptParams(smoothing_max_iters=2)
         with caplog.at_level("WARNING", logger="pitmesh.adapt"):
             short = smooth_mesh(mesh, chains, capped)
         assert short.flow_stops == ["substep-cap", "substep-cap"]
         assert short.flow_iters == [3, 3]
-        assert "smoothing_substeps=3" in caplog.text
+        assert "its 3-substep cap" in caplog.text
 
     def test_equidistribution_spread_tightens(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),

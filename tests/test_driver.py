@@ -43,9 +43,10 @@ class TestInitMesh:
         result = init_mesh(cfg)
         # adaptation off: after at most two sweeps no vertex moves further
         # than the smoothing tolerance
-        assert result.converged
-        assert result.trace_max[1] < cfg.adapt.smoothing_tol
-        assert len(result.trace) <= 3
+        smooth = result.smooth
+        assert smooth.converged
+        assert smooth.trace_max[1] < cfg.adapt.smoothing_tol
+        assert len(smooth.trace) <= 3
 
     def test_nodes_concentrate_near_pit(self):
         cfg = small_config()
@@ -100,8 +101,9 @@ class TestRun:
 
     def test_summary_reports_initial_smoothing(self, short_run, tmp_path):
         init = short_run.init
-        assert len(init.flow_stops) == len(init.flow_iters) == len(init.trace)
-        assert set(init.flow_stops) == {"stationary"}
+        smooth = init.smooth
+        assert len(smooth.flow_stops) == len(smooth.flow_iters) == len(smooth.trace)
+        assert set(smooth.flow_stops) == {"stationary"}
         # the run moved its own copy; init keeps the smoothed start
         fresh = init_mesh(small_config())
         assert np.array_equal(init.mesh.vertices, fresh.mesh.vertices)
@@ -111,9 +113,9 @@ class TestRun:
         lines = [ln for ln in path.read_text().splitlines()
                  if ln.startswith("initial smoothing:")]
         flows = ", ".join(f"{n} {stop}" for n, stop in
-                          zip(init.flow_iters, init.flow_stops))
-        assert lines == [f"initial smoothing: {len(init.trace)} iterations, "
-                         f"converged={init.converged}; mmpde iterations and "
+                          zip(smooth.flow_iters, smooth.flow_stops))
+        assert lines == [f"initial smoothing: {len(smooth.trace)} iterations, "
+                         f"converged={smooth.converged}; mmpde iterations and "
                          f"stop per flow: {flows}"]
 
     def test_deterministic_replay(self):

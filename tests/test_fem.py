@@ -3,7 +3,8 @@ import pytest
 
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
-from pitmesh.fem import (NewtonError, NewtonSettings, assemble_stiffness,
+from pitmesh import fem
+from pitmesh.fem import (NewtonError, assemble_stiffness,
                          boundary_residual_and_jacobian, l2_error, newton_solve,
                          solve_dirichlet)
 from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh
@@ -202,13 +203,14 @@ class TestNewton:
                             ElectroParams(), guess=cold.phi)
         assert warm.iterations <= 1
 
-    def test_nonconvergence_raises_with_history(self):
+    def test_nonconvergence_raises_with_history(self, monkeypatch):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=0)
-        settings = NewtonSettings(abs_tol=1e-300, max_iters=2)
+        monkeypatch.setattr(fem, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(fem, "_MAX_ITERS", 2)
         with pytest.raises(NewtonError) as err:
             newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                         ElectroParams(), settings=settings)
+                         ElectroParams())
         assert len(err.value.history) == 3
 
     def test_sign_pattern_stable_under_refinement(self):

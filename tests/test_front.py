@@ -8,7 +8,8 @@ from pitmesh.front import (FrontError, FrontParams, advance_pit,
                            chain_velocities, detect_merge, line_intersection,
                            merge_pits, pit_area, track_apex, update_corners)
 from pitmesh.front import _extrapolate_to_surface
-from pitmesh.mesh import BoundaryTag, validate, validate_chain
+from pitmesh.mesh import (BoundaryTag, face_and_vertex_normals, validate,
+                          validate_chain)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
@@ -31,14 +32,31 @@ def uniform_phi(mesh, value=0.0):
     return np.full(mesh.n_vertices, value)
 
 
+def advance_physical(mesh, chain, material=Homogeneous(-0.24), ep=None,
+                     fp=None):
+    """advance_pit at the Faraday speeds of a uniform phi = 0."""
+    ep = ep or ElectroParams()
+    fp = fp or FrontParams()
+    vn, normals = chain_velocities(mesh, chain, uniform_phi(mesh), material,
+                                   VcorrParams(), ep)
+    advance_pit(mesh, chain, vn, normals, fp, fp.dt)
+
+
+def advance_with(mesh, chain, speed):
+    """advance_pit at the speeds speed(positions, normals) gives."""
+    fp = FrontParams()
+    _, normals = face_and_vertex_normals(mesh, chain)
+    vn = np.asarray(speed(chain.positions(mesh), normals), dtype=np.float64)
+    advance_pit(mesh, chain, vn, normals, fp, fp.dt)
+
+
 class TestAdvance:
     def test_uniform_velocity_grows_semicircle(self, pit_setup):
         mesh, chain = pit_setup
         ep = ElectroParams()
         fp = FrontParams()
         vn = float(ec.normal_velocity(ep, -0.24, 0.0)) * 1e6
-        advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                    VcorrParams(), ep, fp)
+        advance_physical(mesh, chain, ep=ep, fp=fp)
         p = chain.positions(mesh)[1:-1]
         radii = np.hypot(p[:, 0], p[:, 1])
         assert np.abs(radii - (5.0 + fp.dt * vn)).max() < 1e-9
@@ -48,21 +66,16 @@ class TestAdvance:
         zero = lambda pos, normals: np.zeros(len(pos))
         # first call settles the corners onto the wall extrapolation; after
         # that a zero-velocity advance is an exact fixed point
-        advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                    VcorrParams(), ElectroParams(), FrontParams(),
-                    vn_override=zero)
+        advance_with(mesh, chain, zero)
         before = chain.positions(mesh).copy()
-        advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                    VcorrParams(), ElectroParams(), FrontParams(),
-                    vn_override=zero)
+        advance_with(mesh, chain, zero)
         assert np.array_equal(chain.positions(mesh), before)
 
     def test_crystal_slow_directions_move_less(self, pit_setup):
         mesh, chain = pit_setup
         mat = Crystal(orientation_from_axes([0, 0, 1], [1, 0, 0]))
         before = chain.positions(mesh).copy()
-        advance_pit(mesh, chain, uniform_phi(mesh), mat, VcorrParams(),
-                    ElectroParams(), FrontParams())
+        advance_physical(mesh, chain, mat)
         moved = np.linalg.norm(chain.positions(mesh) - before, axis=1)
         # slow <011>-type image at 45 degrees, fast <001> at the bottom
         angles = np.rad2deg(np.arctan2(before[:, 0], -before[:, 1]))
@@ -80,9 +93,7 @@ class TestAdvance:
             sign = np.where(np.arange(len(pos)) % 2 == 0, 8.0, -8.0)
             return sign / FrontParams().dt
 
-        advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                    VcorrParams(), ElectroParams(), FrontParams(),
-                    vn_override=crossing)
+        advance_with(mesh, chain, crossing)
         assert not polyline_self_intersects(chain.positions(mesh))
 
     def test_bunched_vertices_freeze(self, pit_setup):
@@ -91,9 +102,7 @@ class TestAdvance:
         mesh, chain = pit_setup
         squeeze = lambda pos, normals: np.full(len(pos), -0.5 / FrontParams().dt)
         for _ in range(14):
-            advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                        VcorrParams(), ElectroParams(), FrontParams(),
-                        vn_override=squeeze)
+            advance_with(mesh, chain, squeeze)
         p = chain.positions(mesh)
         from pitmesh.mesh import polyline_self_intersects
         assert not polyline_self_intersects(p)
@@ -108,9 +117,7 @@ class TestAdvance:
         squeeze = lambda pos, normals: np.full(len(pos), -4.0 / FrontParams().dt)
         with pytest.raises(FrontError, match="self-intersect"):
             for _ in range(12):
-                advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                            VcorrParams(), ElectroParams(), FrontParams(),
-                            vn_override=squeeze)
+                advance_with(mesh, chain, squeeze)
         # the failing step rolled back: the chain is simple and consistent
         from pitmesh.mesh import polyline_self_intersects, validate_chain
         assert not polyline_self_intersects(chain.positions(mesh))
@@ -278,8 +285,7 @@ class TestInvariants:
     def test_pit_area_grows_under_advance(self, pit_setup):
         mesh, chain = pit_setup
         before = pit_area(mesh, chain)
-        advance_pit(mesh, chain, uniform_phi(mesh), Homogeneous(-0.24),
-                    VcorrParams(), ElectroParams(), FrontParams())
+        advance_physical(mesh, chain)
         assert pit_area(mesh, chain) > before
 
     def test_semicircle_area_value(self, pit_setup):

@@ -37,9 +37,15 @@ class TestConfig:
         assert cfg.front.dt == 0.5
         assert cfg.pits.nodes == 61
 
-    def test_unknown_key_rejected_with_line(self, tmp_path):
-        path = write(tmp_path, "bad.cfg", "mu1 = 10\nbogus_key = 3\n")
-        with pytest.raises(ConfigError, match=r"bad.cfg:2.*bogus_key"):
+    # the keys after bogus_key named solver settings that are now module
+    # constants in adapt and fem
+    @pytest.mark.parametrize("key", [
+        "bogus_key", "mmpde_max_substeps", "mmpde_smoothing_substeps",
+        "mmpde_disp_frac", "mmpde_grad_tol", "newton_abs_tol",
+        "newton_rel_tol", "newton_max_iters", "boundary_quad_points"])
+    def test_unknown_key_rejected_with_line(self, tmp_path, key):
+        path = write(tmp_path, "bad.cfg", f"mu1 = 10\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=rf"bad.cfg:2.*{key}"):
             parse_config(path)
 
     def test_type_mismatch_names_key(self, tmp_path):
