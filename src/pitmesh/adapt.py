@@ -10,11 +10,14 @@ each step, large tau leaves it lagging.
 A budget of at least _MINIMISE_BUDGET cannot bind before the flow is
 stationary, so there the endpoint is computed directly as the energy
 minimum, by L-BFGS.  Its initial inverse Hessian is a scaled K^-1, where
-K is the P1 stiffness matrix of the starting mesh with each cell weighted
-by its energy density, restricted per coordinate to the free vertices
-and factorised once per call.  K carries the coupling between
-neighbouring vertices that a diagonal scaling misses, so the iteration
-count stays nearly flat as the mesh is refined.  Smaller budgets are
+K is the P1 stiffness matrix of the mesh with each cell weighted by its
+energy density and restricted per coordinate to the free vertices.  K
+carries the coupling between neighbouring vertices that a diagonal
+scaling misses, so the iteration count stays nearly flat as the mesh is
+refined.  A caller without a StiffnessFactor gets K factorised afresh
+from the starting mesh of each call; a run passes one StiffnessFactor to
+every call, and K is factorised again only when the free-vertex set
+changes or the cell energy densities drift.  Smaller budgets are
 integrated in explicit P-scaled substeps capped at a fraction of the
 local edge length.  Both paths backtrack until the energy does not rise
 and no cell inverts; both energy terms blow up as an element
@@ -33,10 +36,11 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.linalg import blas
+from scipy.linalg import blas, cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .fem import assemble_stiffness
 from .mesh import (MeshError, PitChain, TriMesh, min_distance_to_pit,
@@ -228,6 +232,10 @@ _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
 _MINIMISE_BUDGET = 1e4
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
 _LBFGS_HISTORY = 8
+# a kept preconditioner factor is rebuilt once some cell's energy density
+# leaves [1/r, r] times its value at factorisation; within that band the
+# weights raise cond(K_f^-1 K) by at most r^2
+_REFACTOR_RATIO = 1.5
 
 
 def _local_scale(x: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -247,25 +255,73 @@ def _stiffness_preconditioner(mesh: TriMesh, density: np.ndarray,
 
     K is the P1 stiffness matrix with each cell weighted by its energy
     density, restricted per coordinate to the vertices free in that
-    coordinate and factorised once; constrained entries map to zero.
+    coordinate; constrained entries map to zero.  Each call factorises K
+    anew, and the returned function holds the factors.  K is SPD, so each
+    block is ordered by reverse Cuthill-McKee and factorised by banded
+    Cholesky.  The band factor is a plain array of its own size; a SuperLU
+    factor reserves heap for its fill estimate, about 15 times what it
+    touches, and kept across calls that reserve fragments the heap.
     """
     stiffness = assemble_stiffness(mesh, density)
     blocks = []
     for c in range(2):
         idx = np.flatnonzero(free[:, c])
         if len(idx):
-            lu = splu(stiffness[idx][:, idx].tocsc(),
-                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-            blocks.append((c, idx, lu))
+            block = stiffness[idx][:, idx]
+            order = reverse_cuthill_mckee(block, symmetric_mode=True)
+            idx = idx[order]
+            upper = sp.triu(block[order][:, order], format="coo")
+            width = int(np.max(upper.col - upper.row))
+            # Fortran order lets LAPACK factorise the band in place
+            band = np.zeros((width + 1, len(idx)), order="F")
+            band[width + upper.row - upper.col, upper.col] = upper.data
+            blocks.append((c, idx, cholesky_banded(band, overwrite_ab=True)))
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = v.reshape(-1, 2)
         out = np.zeros_like(v)
-        for c, idx, lu in blocks:
-            out[idx, c] = lu.solve(v[idx, c])
+        for c, idx, chol in blocks:
+            out[idx, c] = cho_solve_banded((chol, False), v[idx, c],
+                                           check_finite=False)
         return out.ravel()
     return apply
+
+
+class StiffnessFactor:
+    """The preconditioner factor of mmpde_step, kept across one run's calls.
+
+    The density-weighted stiffness K is factorised again only when the
+    mesh topology or free-vertex set changes, or when some cell's energy
+    density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value
+    at the last factorisation.  A stale K is still SPD, so it stays a
+    valid preconditioner.  Counts its factorisations and the minimiser
+    calls it served.
+    """
+
+    def __init__(self):
+        self.factorisations = 0
+        self.minimiser_calls = 0
+        self._key = None        # (triangles, free) of the factor
+        self._density = None    # cell energy densities at factorisation
+        self._apply = None
+
+    def preconditioner(self, mesh: TriMesh, density: np.ndarray,
+                       free: np.ndarray) -> Callable:
+        """v -> K^-1 v as _stiffness_preconditioner, refactorised if stale."""
+        self.minimiser_calls += 1
+        if self._apply is None \
+                or not np.array_equal(mesh.triangles, self._key[0]) \
+                or not np.array_equal(free, self._key[1]) \
+                or np.max(np.abs(np.log(density / self._density))) \
+                > np.log(_REFACTOR_RATIO):
+            # drop the old factor first: building the new one beside it
+            # raises peak memory
+            self._apply = None
+            self._apply = _stiffness_preconditioner(mesh, density, free)
+            self._key = (mesh.triangles.copy(), free)
+            self._density = density
+            self.factorisations += 1
+        return self._apply
 
 
 def _lbfgs_direction(g: np.ndarray, precond: Callable, history: list) -> np.ndarray:
@@ -291,7 +347,8 @@ def _lbfgs_direction(g: np.ndarray, precond: Callable, history: list) -> np.ndar
 
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                dt_interval: float, max_substeps: int = _MAX_SUBSTEPS,
-               grad_tol: Optional[float] = None) -> MmpdeResult:
+               grad_tol: Optional[float] = None,
+               factor: Optional[StiffnessFactor] = None) -> MmpdeResult:
     """Relax the mesh under the flow over one interval.
 
     Returns the new vertex positions (the mesh itself is untouched).
@@ -302,6 +359,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     minimum, is found by L-BFGS; smaller budgets are integrated in
     explicit substeps.  Either way the flow stops once the largest
     projected gradient entry is below the stationarity tolerance.
+    factor keeps the minimiser's preconditioner across calls; without
+    one it is factorised afresh.
     """
     budget = dt_interval / p.tau
 
@@ -321,7 +380,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
     minimise = budget >= _MINIMISE_BUDGET
     if minimise:
-        precond = _stiffness_preconditioner(mesh, density, free)
+        precond = _stiffness_preconditioner(mesh, density, free) \
+            if factor is None else factor.preconditioner(mesh, density, free)
     else:
         pflat = np.repeat(vertex_p_scaling(metric), 2)
         precond = partial(np.multiply, pflat)
@@ -403,14 +463,16 @@ class SmoothResult:
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
-                max_iters: Optional[int] = None) -> SmoothResult:
+                max_iters: Optional[int] = None,
+                factor: Optional[StiffnessFactor] = None) -> SmoothResult:
     """Relax the mesh against its own monitor until it settles.
 
     Each iteration rebuilds the monitor at the current vertex positions and
     runs the flow to stationarity under that frozen metric; the loop stops
     when the summed vertex displacement drops below smoothing_tol.
     Returns the smoothed mesh, the per-iteration displacement trace and
-    each flow's stop reason and iteration count.
+    each flow's stop reason and iteration count.  factor is passed to
+    every flow's mmpde_step.
     """
     max_iters = p.smoothing_max_iters if max_iters is None else max_iters
     work = mesh.copy()
@@ -420,7 +482,8 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         # run the flow to absolute stationarity: the outer loop then sees
         # only the metric-update fixed point, not integrator leftovers
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
-                         max_substeps=_SMOOTHING_SUBSTEPS, grad_tol=_GRAD_TOL)
+                         max_substeps=_SMOOTHING_SUBSTEPS, grad_tol=_GRAD_TOL,
+                         factor=factor)
         if res.stopped == "substep-cap":
             logger.warning("smoothing iteration %d: flow stopped at its "
                            "%d-substep cap before stationarity",

@@ -107,15 +107,25 @@ class RunResult:
     init: InitResult      # the smoothed initial state and its record
     steps: int
     min_area_seen: float
+    # relaxation preconditioner factorisations and the minimiser calls
+    # they served; counts only, so a kept result holds no factor
+    factorisations: int
+    minimiser_calls: int
 
 
-def init_mesh(config: SimConfig) -> InitResult:
-    """Build the domain mesh and smooth it against the pit monitor."""
+def init_mesh(config: SimConfig,
+              factor: Optional[adapt.StiffnessFactor] = None) -> InitResult:
+    """Build the domain mesh and smooth it against the pit monitor.
+
+    The smoothing flows share factor, a fresh one if none is given.
+    """
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed,
                                          config.gap_single_edge)
-    smooth = adapt.smooth_mesh(mesh, chains, config.adapt)
+    if factor is None:
+        factor = adapt.StiffnessFactor()
+    smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor)
     phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
                            config.electro).phi
     return InitResult(smooth.mesh, chains, phi, smooth)
@@ -151,9 +161,11 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
 
     step_hook(step, t, mesh, chains, phi) is called after every completed
     step (and once at t = 0); exceptions from any module abort the run
-    wrapped in a SimulationError carrying the last good state.
+    wrapped in a SimulationError carrying the last good state.  One
+    StiffnessFactor serves every mesh relaxation of the run.
     """
-    init = init_mesh(config)
+    factor = adapt.StiffnessFactor()
+    init = init_mesh(config, factor)
     # the loop moves its mesh in place; init keeps the starting state
     mesh, chains, phi = init.mesh.copy(), init.chains, init.phi
 
@@ -173,7 +185,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
         step += 1
         try:
             metric = adapt.monitor_mackenzie(mesh, chains, config.adapt)
-            moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt)
+            moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
+                                     factor=factor)
             mesh.vertices = moved.positions
 
             phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
@@ -210,7 +223,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                 event.step = step
                 events.append(event)
                 post = adapt.smooth_mesh(mesh, chains, config.adapt,
-                                         max_iters=5)
+                                         max_iters=5, factor=factor)
                 mesh = post.mesh
                 phi = fem.newton_solve(mesh, chains, config.material,
                                        config.vcorr, config.electro,
@@ -237,7 +250,13 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
         raise SimulationError(f"final mesh invalid: {report.summary()}",
                               step=step, mesh=mesh, chains=chains, phi=phi)
     return RunResult(series, mesh, chains, phi, events, init, step,
-                     min_area_seen)
+                     min_area_seen, factor.factorisations,
+                     factor.minimiser_calls)
+
+
+# a Gauss-Newton step of at most this relative size that cannot lower
+# the RSS is rounding noise, so the fit has converged
+_FIT_FLOOR_STEP = 1e-6
 
 
 @dataclass
@@ -264,8 +283,10 @@ def fit_power_law_arrays(t: np.ndarray, y: np.ndarray) -> PowerLawFit:
     """Damped Gauss-Newton least squares for y = a*t^b + c.
 
     Initialized from a log-log slope estimate; parameter standard errors
-    come from the linearized covariance at the optimum.  A constant series
-    short-circuits to a = 0, b = 1, c = mean.
+    come from the linearized covariance at the optimum.  Converged means a
+    relative step below 1e-12, or no RSS decrease from a relative step
+    below _FIT_FLOOR_STEP.  A constant series short-circuits to a = 0,
+    b = 1, c = mean.
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -313,6 +334,8 @@ def fit_power_law_arrays(t: np.ndarray, y: np.ndarray) -> PowerLawFit:
                 break
             lam *= 0.5
         if not improved:
+            converged = float(np.max(np.abs(step) / np.maximum(
+                1e-12, np.abs(params)))) < _FIT_FLOOR_STEP
             break
         moved = np.max(np.abs(lam * step) / np.maximum(1e-12, np.abs(trial)))
         params, r, rss = trial, rt, rss_t

@@ -13,7 +13,7 @@ meters so that phi comes out in volts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,42 +175,13 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
         jac = (K - dB).tocsr()
         jff = jac[free][:, free].tocsc()
         try:
-            delta = splu(jff).solve(-rf)
+            # K - dB is SPD (dB <= 0 as the current is positive), so the
+            # symmetric ordering with diagonal pivots applies
+            delta = splu(jff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve(-rf)
         except RuntimeError as err:
             raise NewtonError(f"singular linearized system: {err}", history) from err
         phi[free] += delta
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)
-
-
-def solve_dirichlet(mesh: TriMesh, g: Callable) -> np.ndarray:
-    """Linear Laplace solve with Dirichlet data g(x, y) on the whole boundary.
-
-    Verification hook for manufactured harmonic solutions; not used by the
-    corrosion model itself.
-    """
-    mask = np.zeros(mesh.n_vertices, dtype=bool)
-    mask[mesh.edge_nodes.ravel()] = True
-    K = assemble_stiffness(mesh)
-    phi = np.zeros(mesh.n_vertices)
-    phi[mask] = g(mesh.vertices[mask, 0], mesh.vertices[mask, 1])
-    free = np.where(~mask)[0]
-    bnd = np.where(mask)[0]
-    rhs = -K[free][:, bnd] @ phi[bnd]
-    phi[free] = splu(K[free][:, free].tocsc()).solve(rhs)
-    return phi
-
-
-def l2_error(mesh: TriMesh, phi: np.ndarray, exact: Callable) -> float:
-    """L2 norm of phi_h - exact via the 3-point edge-midpoint rule."""
-    t = mesh.triangles
-    v = mesh.vertices
-    areas = mesh.signed_areas()
-    total = 0.0
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        mid = 0.5 * (v[t[:, i]] + v[t[:, j]])
-        ph = 0.5 * (phi[t[:, i]] + phi[t[:, j]])
-        diff = ph - exact(mid[:, 0], mid[:, 1])
-        total += np.sum(areas / 3.0 * diff ** 2)
-    return float(np.sqrt(total))

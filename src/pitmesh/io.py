@@ -388,6 +388,8 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines.append(f"initial smoothing: {len(smooth.trace)} iterations, "
                  f"converged={smooth.converged}; mmpde iterations and stop "
                  f"per flow: {flows}")
+    lines.append(f"relaxation: {result.factorisations} preconditioner "
+                 f"factorisations in {result.minimiser_calls} minimiser calls")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"merge events: {len(result.events)}")
     for ev in result.events:

@@ -16,9 +16,10 @@ from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
 from pitmesh.driver import (SimConfig, diagnostics, fit_power_law,
                             fit_power_law_arrays, init_mesh, run)
 from pitmesh.electrochem import ElectroParams
-from pitmesh.fem import l2_error, solve_dirichlet
 from pitmesh.mesh import min_distance_to_pit, validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
+
+from oracles import l2_error, solve_dirichlet
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)

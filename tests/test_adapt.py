@@ -8,6 +8,7 @@ from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            energy, grad_energy, mmpde_step, monitor_mackenzie,
                            smooth_mesh, solve_equidistribution_1d,
                            vertex_p_scaling)
+from pitmesh.fem import assemble_stiffness
 from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
@@ -309,6 +310,25 @@ class TestMmpdeStep:
         moved.vertices = res.positions
         assert energy(moved, metric, p) < energy(mesh, metric, p)
 
+    def test_stale_factor_still_reaches_stationarity(self, pit_mesh):
+        # a factor built on a jittered copy is reused, not rebuilt, and
+        # still preconditions the minimiser to grad_tol 1e-8
+        mesh, chains, _ = pit_mesh
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        jittered = mesh.copy()
+        rng = np.random.default_rng(3)
+        jittered.vertices = mesh.vertices + rng.uniform(
+            -0.02, 0.02, mesh.vertices.shape)
+        factor = adapt.StiffnessFactor()
+        mmpde_step(jittered, metric, p, dt_interval=np.inf, max_substeps=1,
+                   factor=factor)
+        res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                         max_substeps=20000, grad_tol=1e-8, factor=factor)
+        assert (factor.factorisations, factor.minimiser_calls) == (1, 2)
+        assert res.stopped == "stationary"
+        assert res.substeps <= 100
+
     def test_lbfgs_and_explicit_reach_the_same_minimum(self, monkeypatch):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=3.0, seed=1)
@@ -397,6 +417,71 @@ class TestMmpdeStep:
             moved.vertices = res.positions
             results[tau] = deviation(moved, monitor_mackenzie(moved, chains, p))
         assert results[1e-6] < results[1e-2]
+
+
+class TestStiffnessFactor:
+    @staticmethod
+    def problem():
+        mesh = make_rect_mesh(4, 4)
+        free = np.ones((mesh.n_vertices, 2))
+        free[mesh.edge_nodes.ravel()] = 0.0
+        return mesh, np.ones(mesh.n_triangles), free
+
+    def test_reused_while_densities_stay_in_band(self):
+        mesh, density, free = self.problem()
+        factor = adapt.StiffnessFactor()
+        apply = factor.preconditioner(mesh, density, free)
+        for ratio in (1.4, 1 / 1.4, 1.5):
+            drifted = density.copy()
+            drifted[5] *= ratio
+            assert factor.preconditioner(mesh, drifted, free) is apply
+        assert (factor.factorisations, factor.minimiser_calls) == (1, 4)
+
+    @pytest.mark.parametrize("ratio", [1.6, 1 / 1.6])
+    def test_refactorised_when_one_density_drifts(self, ratio):
+        mesh, density, free = self.problem()
+        factor = adapt.StiffnessFactor()
+        apply = factor.preconditioner(mesh, density, free)
+        drifted = density.copy()
+        drifted[5] *= ratio
+        assert factor.preconditioner(mesh, drifted, free) is not apply
+        assert factor.factorisations == 2
+        # the band is measured from the newest factorisation
+        assert factor.preconditioner(mesh, drifted, free) is not apply
+        assert factor.factorisations == 2
+
+    def test_refactorised_when_free_set_changes(self):
+        mesh, density, free = self.problem()
+        factor = adapt.StiffnessFactor()
+        factor.preconditioner(mesh, density, free)
+        pinned = free.copy()
+        pinned[np.flatnonzero(free[:, 0])[0]] = 0.0
+        factor.preconditioner(mesh, density, pinned)
+        assert factor.factorisations == 2
+        v = np.ones(2 * mesh.n_vertices)
+        out = factor.preconditioner(mesh, density, pinned)(v)
+        assert np.all(out.reshape(-1, 2)[pinned == 0.0] == 0.0)
+        assert factor.factorisations == 2
+
+    def test_inverts_each_free_block(self):
+        mesh = make_rect_mesh(7, 5)
+        rng = np.random.default_rng(1)
+        density = rng.uniform(0.5, 2.0, mesh.n_triangles)
+        free = np.ones((mesh.n_vertices, 2))
+        free[mesh.edge_nodes.ravel(), 1] = 0.0
+        free[0] = 0.0
+        x = rng.normal(size=free.shape) * free
+        stiffness = assemble_stiffness(mesh, density)
+        kx = np.column_stack([stiffness @ x[:, c] for c in range(2)])
+        apply = adapt._stiffness_preconditioner(mesh, density, free)
+        assert np.allclose(apply(kx.ravel()), x.ravel(), rtol=0, atol=1e-12)
+
+    def test_applies_the_fresh_factor(self):
+        mesh, density, free = self.problem()
+        v = np.random.default_rng(0).normal(size=2 * mesh.n_vertices)
+        fresh = adapt._stiffness_preconditioner(mesh, density, free)(v)
+        kept = adapt.StiffnessFactor().preconditioner(mesh, density, free)(v)
+        assert np.array_equal(fresh, kept)
 
 
 class TestSmoothing:

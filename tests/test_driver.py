@@ -1,5 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
+
+from pitmesh import adapt
 
 from pitmesh.crystal import Crystal, orientation_from_axes
 from pitmesh.driver import (SimConfig, TimeSeries, diagnostics, fit_power_law,
@@ -118,15 +122,41 @@ class TestRun:
                          f"converged={smooth.converged}; mmpde iterations and "
                          f"stop per flow: {flows}"]
 
+    def test_summary_reports_relaxation_factorisations(self, short_run,
+                                                       tmp_path):
+        # one minimiser call per smoothing flow and per step, and far fewer
+        # factorisations than calls
+        calls = short_run.minimiser_calls
+        factorisations = short_run.factorisations
+        assert calls == len(short_run.init.smooth.trace) + short_run.steps
+        assert 1 <= factorisations < calls
+        # the result keeps the counts, not the factor: results held after
+        # their runs would otherwise each pin a sparse LU in memory
+        gc.collect()
+        assert not any(isinstance(obj, adapt.StiffnessFactor)
+                       for obj in gc.get_objects())
+        path = tmp_path / "summary.txt"
+        write_summary(str(path), small_config(), short_run, {})
+        lines = [ln for ln in path.read_text().splitlines()
+                 if ln.startswith("relaxation:")]
+        assert lines == [f"relaxation: {factorisations} preconditioner "
+                         f"factorisations in {calls} minimiser calls"]
+
     def test_deterministic_replay(self):
+        # each run keeps its own preconditioner factor, so neither a repeat
+        # nor a run of another config in between changes a result
         a = run(small_config())
         b = run(small_config())
-        ta, da, wa = a.series.arrays()
-        tb, db, wb = b.series.arrays()
-        assert np.array_equal(ta, tb)
-        assert np.array_equal(da, db)
-        assert np.array_equal(wa, wb)
-        assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
+        other = small_config(seed=1, target_h=1.1)
+        alone = run(other)
+        run(small_config())
+        after = run(other)
+        for x, y in ((a, b), (alone, after)):
+            for col_x, col_y in zip(x.series.arrays(), y.series.arrays()):
+                assert np.array_equal(col_x, col_y)
+            assert np.array_equal(x.mesh.vertices, y.mesh.vertices)
+            assert (x.factorisations, x.minimiser_calls) == \
+                (y.factorisations, y.minimiser_calls)
 
     def test_step_hook_called_each_step(self):
         steps = []
@@ -197,6 +227,29 @@ class TestPowerLawFit:
         # a + c evaluated at fit-time 1 approximates the initial depth
         fit = fit_power_law(short_run.series, "depth")
         assert fit.a + fit.c == pytest.approx(5.0, rel=0.05)
+
+    def test_converges_at_the_rounding_floor(self, caplog):
+        # width of the homogeneous pit, t = 0..12.5 s in 0.5 s steps: the
+        # Gauss-Newton step stalls at a relative size near 5e-8, where no
+        # step lowers the RSS
+        t = np.arange(26) * 0.5 + 1.0
+        y = np.array([
+            10.0, 10.052510069819498, 10.077554561422136, 10.102597960991037,
+            10.127640270589009, 10.15268149277476, 10.17772163009679,
+            10.202760685086385, 10.22779866025841, 10.252835558111787,
+            10.277871381129168, 10.302906131776991, 10.327939812505953,
+            10.352972425750927, 10.378003973931076, 10.40303445944966,
+            10.428063884694293, 10.453092252162213, 10.478119563968718,
+            10.503145822681194, 10.528171030505206, 10.55319518975951,
+            10.578218302741881, 10.603240371734895, 10.628261399007078,
+            10.653281386812655])
+        with caplog.at_level("WARNING", logger="pitmesh.driver"):
+            fit = fit_power_law_arrays(t, y)
+        assert fit.converged
+        assert "before full convergence" not in caplog.text
+        assert round(fit.b, 6) == 0.947967
+        assert round(fit.se_b, 4) == 0.0165
+        assert round(fit.r_squared, 9) == 0.999508906
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
