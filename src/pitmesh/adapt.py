@@ -2,44 +2,39 @@
 
 The distance-based monitor concentrates elements near the pit boundary.
 Minimizing the equidistribution/alignment energy over vertex positions
-moves the mesh; the motion is the gradient flow dx/dt = -(P/tau) dI/dx.
-tau only rescales time, so the flow runs in normalized pseudo time with
-budget dt/tau: small tau relaxes the mesh far toward the energy minimum
-each step, large tau leaves it lagging.
+moves the mesh along the flow tau dx/dt = -P dI/dx.  Each time step of
+length dt is one backward-Euler step of that flow, whose result is the
+minimiser of I(x) + tau/(2 dt) sum_i |x_i - x_i^n|^2 / P_i.  Small tau
+relaxes the mesh far toward the energy minimum each step, large tau leaves
+it lagging; with dt infinite the step is the energy minimum itself.
 
-A budget of at least _MINIMISE_BUDGET cannot bind before the flow is
-stationary, so there the endpoint is computed directly as the energy
-minimum, by L-BFGS.  Its initial inverse Hessian is a scaled K^-1, where
-K is the P1 stiffness matrix of the mesh with each cell weighted by its
-energy density and restricted per coordinate to the free vertices.  K
-carries the coupling between neighbouring vertices that a diagonal
-scaling misses, so the iteration count stays nearly flat as the mesh is
-refined.  A caller without a StiffnessFactor gets K factorised afresh
-from the starting mesh of each call; a run passes one StiffnessFactor to
-every call, and K is factorised again only when the free-vertex set
-changes or the cell energy densities drift.  Smaller budgets are
-integrated in explicit P-scaled substeps capped at a fraction of the
-local edge length.  Both paths backtrack until the energy does not rise
-and no cell inverts; both energy terms blow up as an element
-degenerates, so an accepted step can never invert a cell.
+The step is solved by L-BFGS.  Its initial inverse Hessian is a scaled
+K^-1, where K is the P1 stiffness matrix of the mesh with each cell
+weighted by its energy density and restricted per coordinate to the free
+vertices.  K carries the coupling between neighbouring vertices that a
+diagonal scaling misses, so the iteration count stays nearly flat as the
+mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
+so it does not depend on dt; the curvature pairs take that term up.  A
+caller without a StiffnessFactor gets K factorised afresh from the
+starting mesh of each call; a run passes one StiffnessFactor to every
+call, and K is factorised again only when the free-vertex set changes or
+the cell energy densities drift.  Steps
+backtrack until the energy does not rise and no cell inverts; both energy
+terms blow up as an element degenerates, so an accepted step can never
+invert a cell.
 Mesh smoothing repeats the minimisation under a monitor rebuilt at the
 moved vertices until the mesh stops moving.
-
-Also hosts the 1D equidistribution oracle used for verification.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.linalg import blas, cho_solve_banded, cholesky_banded
-from scipy.optimize import brentq
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .fem import assemble_stiffness
@@ -215,21 +210,18 @@ def grad_energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> np.ndarray
 @dataclass
 class MmpdeResult:
     positions: np.ndarray
-    substeps: int            # explicit substeps or L-BFGS iterations
-    stopped: str             # "budget" | "stationary" | "substep-cap"
+    substeps: int            # L-BFGS iterations
+    stopped: str             # "stationary" | "substep-cap"
     max_displacement: float
 
 
 # Mesh relaxation settings (the upstream formulation names no solver).
-# The caps count explicit substeps or L-BFGS iterations.
+# The caps count L-BFGS iterations.
 _MAX_SUBSTEPS = 500          # per time step
 _SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
-_DISP_FRAC = 0.2             # substep displacement cap vs local edge
+_DISP_FRAC = 0.2             # first-step displacement cap vs local edge
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
-# budgets dt/tau at least this large cannot bind before the flow is
-# stationary, so L-BFGS minimises the energy instead of substepping
-_MINIMISE_BUDGET = 1e4
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
 _LBFGS_HISTORY = 8
 # a kept preconditioner factor is rebuilt once some cell's energy density
@@ -349,28 +341,37 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                dt_interval: float, max_substeps: int = _MAX_SUBSTEPS,
                grad_tol: Optional[float] = None,
                factor: Optional[StiffnessFactor] = None) -> MmpdeResult:
-    """Relax the mesh under the flow over one interval.
+    """One backward-Euler step of the flow over an interval dt_interval.
 
-    Returns the new vertex positions (the mesh itself is untouched).
+    Returns the minimiser of I(x) + tau/(2 dt) sum_i |x_i - x_i^n|^2 / P_i,
+    x^n the current vertices and P_i = vertex_p_scaling(metric); the mesh
+    itself is untouched.  dt_interval = inf gives the energy minimum.
     Interior vertices move freely, top/bottom vertices slide in x,
     left/right vertices slide in y; rectangle corners and all pit-chain
-    vertices are pinned (the front owns them).  A budget dt/tau of at
-    least _MINIMISE_BUDGET cannot bind, so the flow's endpoint, the energy
-    minimum, is found by L-BFGS; smaller budgets are integrated in
-    explicit substeps.  Either way the flow stops once the largest
-    projected gradient entry is below the stationarity tolerance.
-    factor keeps the minimiser's preconditioner across calls; without
-    one it is factorised afresh.
+    vertices are pinned (the front owns them).  L-BFGS stops once the
+    largest projected gradient entry of that sum is below the stationarity
+    tolerance.  factor keeps the minimiser's preconditioner across calls;
+    without one it is factorised afresh.
     """
-    budget = dt_interval / p.tau
-
     fn = _functional(mesh, metric, p)
     roles = vertex_roles(mesh)
     free = np.ones((mesh.n_vertices, 2))
     free[roles.pinned] = 0.0
     free[roles.slide_x, 1] = 0.0
     free[roles.slide_y, 0] = 0.0
-    x = mesh.vertices.copy()
+    x0 = mesh.vertices
+    # proximal weight (tau/dt)/P_i per coordinate; 0 for an infinite dt
+    pull = (p.tau / dt_interval / vertex_p_scaling(metric))[:, None]
+
+    def evaluate(trial: np.ndarray) -> Optional[tuple]:
+        out = fn.evaluate(trial)
+        if out is None:
+            return None
+        shift = trial - x0
+        pulled = pull * shift
+        return out[0] + 0.5 * float(np.vdot(pulled, shift)), out[1] + pulled
+
+    x = x0.copy()
     current, grad, density = _evaluate_mesh(fn, mesh, with_density=True)
     g = grad * free
     scale = _local_scale(x, fn.triangles)
@@ -378,16 +379,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
         else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
-    minimise = budget >= _MINIMISE_BUDGET
-    if minimise:
-        precond = _stiffness_preconditioner(mesh, density, free) \
-            if factor is None else factor.preconditioner(mesh, density, free)
-    else:
-        pflat = np.repeat(vertex_p_scaling(metric), 2)
-        precond = partial(np.multiply, pflat)
+    precond = _stiffness_preconditioner(mesh, density, free) \
+        if factor is None else factor.preconditioner(mesh, density, free)
 
-    s = 0.0               # pseudo time integrated, explicit substeps only
-    shrink = 1.0          # explicit substep reduction left by backtracking
     history = []          # L-BFGS pairs (s, y, 1/s'y), oldest first
     stopped = "substep-cap"
     n_done = 0
@@ -405,22 +399,17 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         if vrel <= 0.0:
             stopped = "stationary"
             break
-        # explicit substeps, and minimiser steps without curvature history,
-        # move no vertex further than _DISP_FRAC of its shortest edge
-        if history:
-            step = 1.0
-        elif minimise:
-            step = _DISP_FRAC / vrel
-        else:
-            step = min(_DISP_FRAC / vrel * shrink, budget - s)
-        if step * vrel * max(1.0, 1.0 / _DISP_FRAC) < 1e-14:
+        # a step without curvature history moves no vertex further than
+        # _DISP_FRAC of its shortest edge
+        step = 1.0 if history else _DISP_FRAC / vrel
+        if step * vrel < 1e-14 * _DISP_FRAC:
             stopped = "stationary"
             break
         # descent-only backtracking that also rejects inverted trials
         taken = step
         for _ in range(40):
             trial = x + taken * d
-            out = fn.evaluate(trial)
+            out = evaluate(trial)
             if out is not None and \
                     out[0] <= current + 1e-12 * max(1.0, abs(current)):
                 break
@@ -430,24 +419,17 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                             f"(substep {n_done + 1}, energy {current:.6g})")
         current, grad = out
         g_new = grad * free
-        if minimise:
-            dx, dg = (trial - x).ravel(), (g_new - g).ravel()
-            sy = dx.dot(dg)
-            if sy > 0.0:
-                history.append((dx, dg, 1.0 / sy))
-                del history[:-_LBFGS_HISTORY]
-        else:
-            shrink = min(1.0, 2.0 * max(shrink * taken / step, 1e-6))
-            s += taken
+        dx, dg = (trial - x).ravel(), (g_new - g).ravel()
+        sy = dx.dot(dg)
+        if sy > 0.0:
+            history.append((dx, dg, 1.0 / sy))
+            del history[:-_LBFGS_HISTORY]
         x, g = trial, g_new
         n_done += 1
-        if not minimise and s >= budget * (1.0 - 1e-12):
-            stopped = "budget"
-            break
         if n_done % 25 == 0:
             scale = _local_scale(x, fn.triangles)
 
-    moved = x - mesh.vertices
+    moved = x - x0
     max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
     return MmpdeResult(x, n_done, stopped, max_disp)
 
@@ -503,37 +485,3 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
                        max_iters, out.trace[-1] if out.trace else float("nan"))
     return out
 
-
-def solve_equidistribution_1d(rho: Callable[[float], float], a: float, b: float,
-                              N: int) -> np.ndarray:
-    """Equidistributing mesh for a positive density on [a, b].
-
-    Returns x_0..x_N with equal integrals of rho over every subinterval,
-    found by inverting the cumulative integral with adaptive quadrature.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if b <= a:
-        raise ValueError("need b > a")
-    samples = np.linspace(a, b, 513)
-    vals = np.array([rho(float(s)) for s in samples])
-    if np.any(vals <= 0.0):
-        bad = float(samples[int(np.argmin(vals))])
-        raise ValueError(f"density must be positive; rho({bad:g}) <= 0")
-
-    sigma, _ = quad(rho, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
-
-    points = np.empty(N + 1)
-    points[0] = a
-    points[N] = b
-    lo = a
-    for i in range(1, N):
-        target = sigma * i / N
-
-        def balance(x):
-            val, _ = quad(rho, a, x, epsabs=1e-13, epsrel=1e-13, limit=200)
-            return val - target
-
-        points[i] = brentq(balance, lo, b, xtol=1e-14, rtol=8.9e-16)
-        lo = points[i]
-    return points

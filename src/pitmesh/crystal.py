@@ -13,14 +13,6 @@ from typing import Union
 
 import numpy as np
 
-# the six signed <001> directions, fixed enumeration order for argmax reporting
-CUBE_DIRECTIONS = np.array([
-    [1, 0, 0], [-1, 0, 0],
-    [0, 1, 0], [0, -1, 0],
-    [0, 0, 1], [0, 0, -1],
-], dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class ZoneOrientation:
     """Orthonormal crystal-frame axes (columns of the A^-1 transform).
@@ -102,12 +94,6 @@ def max_cube_dot(n_cd: np.ndarray) -> np.ndarray:
     Equal to the largest absolute component; works on (3,) or (m,3).
     """
     return np.max(np.abs(n_cd), axis=-1)
-
-
-def argmax_cube_direction(n_cd: np.ndarray) -> np.ndarray:
-    """The <001> member maximizing the dot product (first wins ties)."""
-    dots = CUBE_DIRECTIONS @ np.asarray(n_cd, dtype=np.float64)
-    return CUBE_DIRECTIONS[int(np.argmax(dots))]
 
 
 def _orientations_for(material: MaterialSpec, positions: np.ndarray):

@@ -3,7 +3,7 @@
 Config files are flat ``key = value`` text with ``#`` comments; unknown
 keys are rejected and missing keys take the documented defaults.  Floats
 are written with 17 significant digits everywhere so every file round
-trips bit-exactly through its own reader.
+trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -300,22 +300,6 @@ def write_vtk(mesh: TriMesh, phi: Optional[np.ndarray], path: str) -> None:
                     fh.write((FMT + "\n") % value)
     except OSError as err:
         raise OSError(f"failed writing VTK file {path}: {err}") from err
-
-
-def read_vtk_points_and_phi(path: str):
-    """Round-trip reader for the writer above (verification only)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    idx = next(i for i, ln in enumerate(lines) if ln.startswith("POINTS"))
-    n = int(lines[idx].split()[1])
-    pts = np.array([[float(v) for v in lines[idx + 1 + k].split()]
-                    for k in range(n)])
-    phi = None
-    for i, ln in enumerate(lines):
-        if ln.startswith("SCALARS phi"):
-            phi = np.array([float(lines[i + 2 + k]) for k in range(n)])
-            break
-    return pts[:, :2], phi
 
 
 def write_timeseries(series: TimeSeries, path: str) -> None:

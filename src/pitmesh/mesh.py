@@ -69,18 +69,6 @@ class PitChain:
 
 
 @dataclass
-class AffineMap:
-    """Affine map from the reference triangle (0,0),(1,0),(0,1) to a cell."""
-
-    jacobian: np.ndarray     # (2,2), micrometers per reference unit
-    translation: np.ndarray  # (2,)
-    area: float
-
-    def apply(self, ref_points: np.ndarray) -> np.ndarray:
-        return ref_points @ self.jacobian.T + self.translation
-
-
-@dataclass
 class TriMesh:
     """Triangulation with tagged boundary edges.
 
@@ -170,16 +158,6 @@ def vertex_roles(mesh: TriMesh) -> VertexRoles:
     slide_x = (on[BoundaryTag.TOP] | on[BoundaryTag.BOTTOM]) & ~pinned
     slide_y = (on[BoundaryTag.LEFT] | on[BoundaryTag.RIGHT]) & ~pinned
     return VertexRoles(pinned, slide_x, slide_y)
-
-
-def affine_map(mesh: TriMesh, cell: int) -> AffineMap:
-    """Affine map of one cell; raises MeshError for degenerate cells."""
-    v = mesh.vertices[mesh.triangles[cell]]
-    jac = np.column_stack((v[1] - v[0], v[2] - v[0]))
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det <= 0.0:
-        raise MeshError(f"inverted or degenerate cell {cell}: det(F') = {det:g}")
-    return AffineMap(jacobian=jac, translation=v[0].copy(), area=0.5 * det)
 
 
 def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):

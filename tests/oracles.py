@@ -1,15 +1,18 @@
-"""Reference solvers the tests check the package against.
+"""Reference solvers and readers the tests check the package against.
 
 Not used by the corrosion model itself, so they live with the tests.
 """
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from pitmesh.fem import assemble_stiffness
-from pitmesh.mesh import TriMesh
+from pitmesh.mesh import MeshError, TriMesh
 
 
 def solve_dirichlet(mesh: TriMesh, g: Callable) -> np.ndarray:
@@ -41,3 +44,76 @@ def l2_error(mesh: TriMesh, phi: np.ndarray, exact: Callable) -> float:
         diff = ph - exact(mid[:, 0], mid[:, 1])
         total += np.sum(areas / 3.0 * diff ** 2)
     return float(np.sqrt(total))
+
+
+@dataclass
+class AffineMap:
+    """Affine map from the reference triangle (0,0),(1,0),(0,1) to a cell."""
+
+    jacobian: np.ndarray     # (2,2), micrometers per reference unit
+    translation: np.ndarray  # (2,)
+    area: float
+
+    def apply(self, ref_points: np.ndarray) -> np.ndarray:
+        return ref_points @ self.jacobian.T + self.translation
+
+
+def affine_map(mesh: TriMesh, cell: int) -> AffineMap:
+    """Affine map of one cell; raises MeshError for degenerate cells."""
+    v = mesh.vertices[mesh.triangles[cell]]
+    jac = np.column_stack((v[1] - v[0], v[2] - v[0]))
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if det <= 0.0:
+        raise MeshError(f"inverted or degenerate cell {cell}: det(F') = {det:g}")
+    return AffineMap(jacobian=jac, translation=v[0].copy(), area=0.5 * det)
+
+
+def read_vtk_points_and_phi(path: str):
+    """Points and phi from a legacy-ASCII VTK file of pitmesh.io.write_vtk."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("POINTS"))
+    n = int(lines[idx].split()[1])
+    pts = np.array([[float(v) for v in lines[idx + 1 + k].split()]
+                    for k in range(n)])
+    phi = None
+    for i, ln in enumerate(lines):
+        if ln.startswith("SCALARS phi"):
+            phi = np.array([float(lines[i + 2 + k]) for k in range(n)])
+            break
+    return pts[:, :2], phi
+
+
+def solve_equidistribution_1d(rho: Callable[[float], float], a: float, b: float,
+                              N: int) -> np.ndarray:
+    """Equidistributing mesh for a positive density on [a, b].
+
+    Returns x_0..x_N with equal integrals of rho over every subinterval,
+    found by inverting the cumulative integral with adaptive quadrature.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if b <= a:
+        raise ValueError("need b > a")
+    samples = np.linspace(a, b, 513)
+    vals = np.array([rho(float(s)) for s in samples])
+    if np.any(vals <= 0.0):
+        bad = float(samples[int(np.argmin(vals))])
+        raise ValueError(f"density must be positive; rho({bad:g}) <= 0")
+
+    sigma, _ = quad(rho, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+
+    points = np.empty(N + 1)
+    points[0] = a
+    points[N] = b
+    lo = a
+    for i in range(1, N):
+        target = sigma * i / N
+
+        def balance(x):
+            val, _ = quad(rho, a, x, epsabs=1e-13, epsrel=1e-13, limit=200)
+            return val - target
+
+        points[i] = brentq(balance, lo, b, xtol=1e-14, rtol=8.9e-16)
+        lo = points[i]
+    return points

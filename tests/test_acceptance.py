@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pitmesh import electrochem as ec
-from pitmesh.adapt import AdaptParams, solve_equidistribution_1d
+from pitmesh.adapt import AdaptParams
 from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
                              orientation_from_axes, vcorr)
 from pitmesh.driver import (SimConfig, diagnostics, fit_power_law,
@@ -19,7 +19,7 @@ from pitmesh.electrochem import ElectroParams
 from pitmesh.mesh import min_distance_to_pit, validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
-from oracles import l2_error, solve_dirichlet
+from oracles import l2_error, solve_dirichlet, solve_equidistribution_1d
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)

@@ -82,7 +82,7 @@ class TestDiagnostics:
         theta = np.pi * (1 - np.linspace(0, 1, 21))
         pts = np.column_stack((r * np.cos(theta), -r * np.sin(theta)))
         pts[0, 1] = pts[-1, 1] = 0.0
-        from tests.test_mesh import chain_mesh
+        from test_mesh import chain_mesh
         mesh, chain = chain_mesh(pts)
         depth, width = diagnostics(mesh, [chain])
         assert depth == pytest.approx(r)

@@ -11,6 +11,8 @@ from pitmesh.driver import SimConfig, TimeSeries
 from pitmesh.io import ConfigError, RunArtifacts, parse_config, write_config
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
+from oracles import read_vtk_points_and_phi
+
 
 @pytest.fixture
 def pit_mesh():
@@ -158,7 +160,7 @@ class TestVtk:
         phi = rng.uniform(-1e-3, 1e-3, mesh.n_vertices)
         path = str(tmp_path / "snap.vtk")
         pio.write_vtk(mesh, phi, path)
-        pts, phi_back = pio.read_vtk_points_and_phi(path)
+        pts, phi_back = read_vtk_points_and_phi(path)
         assert np.array_equal(pts, mesh.vertices)
         assert np.array_equal(phi_back, phi)
 
@@ -166,7 +168,7 @@ class TestVtk:
         mesh, _ = pit_mesh
         path = str(tmp_path / "snap.vtk")
         pio.write_vtk(mesh, np.zeros(mesh.n_vertices), path)
-        _, phi_back = pio.read_vtk_points_and_phi(path)
+        _, phi_back = read_vtk_points_and_phi(path)
         assert len(phi_back) == mesh.n_vertices
 
 
