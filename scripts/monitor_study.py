@@ -70,7 +70,7 @@ def main():
         cfg.adapt.mu2 = mu2
         result = init_mesh(cfg)
         initial, _, _ = build_initial_mesh(cfg.domain, cfg.pits, cfg.target_h,
-                                           cfg.seed, cfg.gap_single_edge)
+                                           cfg.seed)
         radius, peak = half_excess_radius(result.mesh, initial, result.chains)
         shown = "none" if radius is None else f"{radius:.4f} um"
         print(f"  mu2 = {mu2:6g}: half-excess radius {shown} "

@@ -53,8 +53,6 @@ class AdaptParams:
     tau: float = 1e-5             # mesh response time, seconds
     theta: float = 1.0 / 3.0      # energy balance exponent, in (0, 1/2)
     gamma: float = 1.5            # energy power, > 1
-    smoothing_tol: float = 1e-2   # displacement-sum stop, micrometers
-    smoothing_max_iters: int = 40
 
     def validate(self) -> None:
         if self.mu1 < 0.0 or self.mu2 < 0.0:
@@ -65,10 +63,6 @@ class AdaptParams:
             raise ValueError(f"theta must be in (0, 1/2), got {self.theta}")
         if self.gamma <= 1.0:
             raise ValueError(f"gamma must be > 1, got {self.gamma}")
-        if self.smoothing_tol <= 0.0:
-            raise ValueError("smoothing_tol must be positive")
-        if self.smoothing_max_iters < 1:
-            raise ValueError("smoothing_max_iters must be >= 1")
 
 
 def monitor_mackenzie(mesh: TriMesh, chains: Sequence[PitChain],
@@ -222,6 +216,8 @@ _SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
 _DISP_FRAC = 0.2             # first-step displacement cap vs local edge
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
+_SMOOTHING_TOL = 1e-2        # smoothing stop on the displacement sum, um
+_SMOOTHING_MAX_ITERS = 40    # smoothing iterations (monitor rebuilds)
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
 _LBFGS_HISTORY = 8
 # a kept preconditioner factor is rebuilt once some cell's energy density
@@ -445,18 +441,17 @@ class SmoothResult:
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
-                max_iters: Optional[int] = None,
+                max_iters: int = _SMOOTHING_MAX_ITERS,
                 factor: Optional[StiffnessFactor] = None) -> SmoothResult:
     """Relax the mesh against its own monitor until it settles.
 
     Each iteration rebuilds the monitor at the current vertex positions and
     runs the flow to stationarity under that frozen metric; the loop stops
-    when the summed vertex displacement drops below smoothing_tol.
+    when the summed vertex displacement drops below _SMOOTHING_TOL.
     Returns the smoothed mesh, the per-iteration displacement trace and
     each flow's stop reason and iteration count.  factor is passed to
     every flow's mmpde_step.
     """
-    max_iters = p.smoothing_max_iters if max_iters is None else max_iters
     work = mesh.copy()
     out = SmoothResult(work)
     for it in range(max_iters):
@@ -477,7 +472,7 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         out.trace_max.append(res.max_displacement)
         out.flow_stops.append(res.stopped)
         out.flow_iters.append(res.substeps)
-        if disp < p.smoothing_tol:
+        if disp < _SMOOTHING_TOL:
             out.converged = True
             break
     if not out.converged:

@@ -83,9 +83,9 @@ def orientation_from_axes(zone_axis, x_direction) -> ZoneOrientation:
 
 
 def transform_normal(orientation: ZoneOrientation, n: np.ndarray) -> np.ndarray:
-    """Map an in-plane unit normal (nx, ny) into the crystal frame."""
+    """Map in-plane unit normals, (2,) or (m,2), into the crystal frame."""
     n = np.asarray(n, dtype=np.float64)
-    return n[0] * orientation.i + n[1] * orientation.j
+    return n[..., 0, None] * orientation.i + n[..., 1, None] * orientation.j
 
 
 def max_cube_dot(n_cd: np.ndarray) -> np.ndarray:
@@ -104,14 +104,6 @@ def _orientations_for(material: MaterialSpec, positions: np.ndarray):
     return [(left, material.left), (~left, material.right)]
 
 
-def vcorr(material: MaterialSpec, params: VcorrParams,
-          position, n) -> float:
-    """Corrosion potential (volts) at one pit-boundary point."""
-    return float(vcorr_many(material, params,
-                            np.atleast_2d(np.asarray(position, dtype=np.float64)),
-                            np.atleast_2d(np.asarray(n, dtype=np.float64)))[0])
-
-
 def vcorr_many(material: MaterialSpec, params: VcorrParams,
                positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Vectorized corrosion potential for (m,2) positions and unit normals."""
@@ -121,7 +113,6 @@ def vcorr_many(material: MaterialSpec, params: VcorrParams,
         return np.full(len(positions), material.v_corr)
     out = np.empty(len(positions))
     for sel, orient in _orientations_for(material, positions):
-        n_cd = (normals[sel, 0, None] * orient.i[None, :]
-                + normals[sel, 1, None] * orient.j[None, :])
+        n_cd = transform_normal(orient, normals[sel])
         out[sel] = params.k_const - params.s_const * (1.0 - max_cube_dot(n_cd))
     return out

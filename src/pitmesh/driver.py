@@ -26,6 +26,9 @@ from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 logger = logging.getLogger("pitmesh.driver")
 
+# dt cap: the front sweeps at most this fraction of the smallest pit edge
+_CFL_FRAC = 0.2
+
 
 class SimulationError(Exception):
     """A module failure wrapped with the step index and last-good state."""
@@ -48,7 +51,6 @@ class SimConfig:
     material: MaterialSpec = field(default_factory=lambda: Homogeneous(-0.24))
     vcorr: VcorrParams = field(default_factory=VcorrParams)
     target_h: float = 0.7        # mesh generation edge length, micrometers
-    gap_single_edge: float = 3.0  # inter-pit gaps below this stay one edge
     seed: int = 0
     vtk_every: int = 0           # snapshot cadence in steps, 0 = off
 
@@ -121,8 +123,7 @@ def init_mesh(config: SimConfig,
     """
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
-                                         config.target_h, config.seed,
-                                         config.gap_single_edge)
+                                         config.target_h, config.seed)
     if factor is None:
         factor = adapt.StiffnessFactor()
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor)
@@ -208,14 +209,14 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                 min_edge = min(min_edge, float(np.min(seg)))
             dt = fparams.dt
             if max_vn > 0.0:
-                cap = fparams.cfl_frac * min_edge / max_vn
+                cap = _CFL_FRAC * min_edge / max_vn
                 if cap < dt:
                     logger.warning("step %d: dt capped %.3g -> %.3g", step, dt, cap)
                     dt = cap
             dt = min(dt, fparams.t_end - t)
 
             for chain, (vn, normals) in zip(chains, speeds):
-                front.advance_pit(mesh, chain, vn, normals, fparams, dt)
+                front.advance_pit(mesh, chain, vn, normals, dt)
 
             cand = front.detect_merge(mesh, chains, fparams)
             if cand is not None:

@@ -31,6 +31,9 @@ PARALLEL_SIN = np.sin(np.deg2rad(1.0))
 # once the chain turn at a merge apex flattens below this angle the ridge
 # has corroded away and the vertex goes back to plain normal motion
 APEX_RETIRE_TURN_DEG = 20.0
+# a re-seated corner within this many mean pit-edge lengths of the old one
+# just slides; a farther one absorbs the adjacent surface vertex
+_CORNER_CLOSE_FACTOR = 1.5
 
 
 class FrontError(Exception):
@@ -41,13 +44,10 @@ class FrontError(Exception):
 class FrontParams:
     dt: float = 0.5                  # seconds
     t_end: float = 120.0
-    corner_close_factor: float = 1.5  # times the mean pit-edge length
-    merge_gap_tol: float = 1.0        # micrometers
-    cfl_frac: float = 0.2             # dt cap: frac * min pit edge / max V_n
+    merge_gap_tol: float = 1.0       # micrometers
 
     def validate(self) -> None:
-        for name in ("dt", "t_end", "corner_close_factor", "merge_gap_tol",
-                     "cfl_frac"):
+        for name in ("dt", "t_end", "merge_gap_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -83,7 +83,7 @@ def chain_velocities(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
 
 
 def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
-                normals: np.ndarray, fparams: FrontParams, dt: float) -> None:
+                normals: np.ndarray, dt: float) -> None:
     """Advance one chain over dt; corners and apex get their special rules.
 
     vn_um and normals are the normal speed (micrometers/s) and unit normal
@@ -116,7 +116,7 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     disp[move] = dt * vn_um[move, None] * normals[move]
     _apply_limited(mesh, chain, disp)
 
-    update_corners(mesh, chain, fparams)
+    update_corners(mesh, chain)
     if chain.apex_pos is not None:
         _advance_apex(mesh, chain, old_neighbors)
 
@@ -214,7 +214,7 @@ def _retag_to_pit(mesh: TriMesh, a: int, b: int, pit_id: int) -> None:
     mesh.edge_pits[idx[0]] = pit_id
 
 
-def update_corners(mesh: TriMesh, chain: PitChain, fparams: FrontParams) -> None:
+def update_corners(mesh: TriMesh, chain: PitChain) -> None:
     """Re-seat both chain corners on y = 0 by wall extrapolation.
 
     Close intersections just move the corner along y = 0; far ones absorb
@@ -223,7 +223,7 @@ def update_corners(mesh: TriMesh, chain: PitChain, fparams: FrontParams) -> None
     intersection (its bottom edge is retagged as pit boundary).
     """
     edge_len = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
-    tol = fparams.corner_close_factor * float(np.mean(edge_len))
+    tol = _CORNER_CLOSE_FACTOR * float(np.mean(edge_len))
     for side in ("left", "right"):
         if side == "left":
             corner = chain.vertices[0]

@@ -1,9 +1,9 @@
 """Configuration parsing and all file emission (mesh, VTK, CSV, summary).
 
 Config files are flat ``key = value`` text with ``#`` comments; unknown
-keys are rejected and missing keys take the documented defaults.  Floats
-are written with 17 significant digits everywhere so every file round
-trips bit-exactly.
+keys, and material keys the chosen material does not read, are rejected;
+missing keys take the documented defaults.  Floats are written with 17
+significant digits everywhere so every file round trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ def _parse_vector(text: str) -> list:
 
 
 def _parse_int_vector(text: str) -> list:
-    return [int(round(v)) for v in _parse_vector(text)]
+    values = _parse_vector(text)
+    for v in values:
+        if not v.is_integer():
+            raise ValueError(f"Miller index {v:g} is not an integer")
+    return [int(v) for v in values]
 
 
 # key -> (section attribute, field, parser); material keys handled separately
@@ -59,24 +63,24 @@ _SCALAR_KEYS = {
     "tau": ("adapt", "tau", float),
     "theta": ("adapt", "theta", float),
     "gamma": ("adapt", "gamma", float),
-    "smoothing_tol": ("adapt", "smoothing_tol", float),
-    "smoothing_max_iters": ("adapt", "smoothing_max_iters", int),
     "dt": ("front", "dt", float),
     "t_end": ("front", "t_end", float),
-    "corner_close_factor": ("front", "corner_close_factor", float),
     "merge_gap_tol": ("front", "merge_gap_tol", float),
-    "cfl_frac": ("front", "cfl_frac", float),
     "vcorr_k": ("vcorr", "k_const", float),
     "vcorr_s": ("vcorr", "s_const", float),
     "target_h": (None, "target_h", float),
-    "gap_single_edge": (None, "gap_single_edge", float),
     "seed": (None, "seed", int),
     "vtk_every": (None, "vtk_every", int),
 }
 
-_MATERIAL_KEYS = ("material", "vcorr_homogeneous", "zone_axis", "x_dir",
-                  "zone_axis_left", "x_dir_left", "zone_axis_right",
-                  "x_dir_right", "x_interface")
+# material -> the keys it reads; a key of another material is rejected
+_MATERIAL_FIELDS = {
+    "homogeneous": ("vcorr_homogeneous",),
+    "crystal": ("zone_axis", "x_dir"),
+    "bicrystal": ("zone_axis_left", "x_dir_left", "zone_axis_right",
+                  "x_dir_right", "x_interface"),
+}
+_MATERIAL_KEYS = ("material",) + sum(_MATERIAL_FIELDS.values(), ())
 
 
 def parse_config(path: str) -> SimConfig:
@@ -131,67 +135,35 @@ def _get(raw: dict, key: str, default: str) -> str:
 
 def _parse_material(raw: dict, path: str) -> MaterialSpec:
     kind = _get(raw, "material", "homogeneous").lower()
+    if kind not in _MATERIAL_FIELDS:
+        raise ConfigError(f"{path}:{raw['material'][1]}: unknown material "
+                          f"'{kind}'")
+    for key, (_, lineno) in raw.items():
+        if key in _MATERIAL_KEYS and \
+                key not in ("material",) + _MATERIAL_FIELDS[kind]:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' does not apply "
+                              f"to material '{kind}'")
+
+    def axis(key: str, default: str) -> list:
+        try:
+            return _parse_int_vector(_get(raw, key, default))
+        except ValueError as err:
+            raise ConfigError(f"{path}:{raw[key][1]}: bad value for "
+                              f"'{key}': {err}") from err
+
     try:
         if kind == "homogeneous":
             return Homogeneous(float(_get(raw, "vcorr_homogeneous", "-0.24")))
         if kind == "crystal":
-            zone = _parse_int_vector(_get(raw, "zone_axis", "0 0 1"))
-            xdir = _parse_int_vector(_get(raw, "x_dir", "1 0 0"))
-            return Crystal(orientation_from_axes(zone, xdir))
-        if kind == "bicrystal":
-            left = orientation_from_axes(
-                _parse_int_vector(_get(raw, "zone_axis_left", "0 0 1")),
-                _parse_int_vector(_get(raw, "x_dir_left", "1 0 0")))
-            right = orientation_from_axes(
-                _parse_int_vector(_get(raw, "zone_axis_right", "1 0 1")),
-                _parse_int_vector(_get(raw, "x_dir_right", "-1 0 1")))
-            return Bicrystal(float(_get(raw, "x_interface", "0.0")), left, right)
+            return Crystal(orientation_from_axes(axis("zone_axis", "0 0 1"),
+                                                 axis("x_dir", "1 0 0")))
+        left = orientation_from_axes(axis("zone_axis_left", "0 0 1"),
+                                     axis("x_dir_left", "1 0 0"))
+        right = orientation_from_axes(axis("zone_axis_right", "1 0 1"),
+                                      axis("x_dir_right", "-1 0 1"))
+        return Bicrystal(float(_get(raw, "x_interface", "0.0")), left, right)
     except ValueError as err:
         raise ConfigError(f"{path}: bad material description: {err}") from err
-    raise ConfigError(f"{path}: unknown material '{kind}'")
-
-
-def _material_lines(material: MaterialSpec) -> list:
-    def ivec(v):
-        return " ".join(str(int(round(c))) for c in v)
-
-    if isinstance(material, Homogeneous):
-        return ["material = homogeneous",
-                f"vcorr_homogeneous = {FMT % material.v_corr}"]
-    if isinstance(material, Crystal):
-        o = material.orientation
-        return ["material = crystal",
-                f'zone_axis = "{ivec(_axes_as_ints(o.k))}"',
-                f'x_dir = "{ivec(_axes_as_ints(o.i))}"']
-    o1, o2 = material.left, material.right
-    return ["material = bicrystal",
-            f'zone_axis_left = "{ivec(_axes_as_ints(o1.k))}"',
-            f'x_dir_left = "{ivec(_axes_as_ints(o1.i))}"',
-            f'zone_axis_right = "{ivec(_axes_as_ints(o2.k))}"',
-            f'x_dir_right = "{ivec(_axes_as_ints(o2.i))}"',
-            f"x_interface = {FMT % material.x_interface}"]
-
-
-def _axes_as_ints(v: np.ndarray) -> np.ndarray:
-    """Recover small integer Miller indices from a unit vector."""
-    for scale in range(1, 13):
-        cand = v * scale / max(abs(c) for c in v if abs(c) > 1e-12)
-        if np.allclose(cand, np.round(cand), atol=1e-9):
-            return np.round(cand)
-    return v  # not an integer direction; emit as-is
-
-
-def write_config(config: SimConfig, path: str) -> None:
-    """Emit every key explicitly; parse(write(config)) is an identity."""
-    lines = ["# pitmesh run configuration"]
-    lines.append(f"pit_centers = \"{' '.join(FMT % c for c in config.pits.centers)}\"")
-    for key, (section, attr, cast) in _SCALAR_KEYS.items():
-        target = config if section is None else getattr(config, section)
-        value = getattr(target, attr)
-        lines.append(f"{key} = {FMT % value if cast is float else int(value)}")
-    lines.extend(_material_lines(config.material))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def resolved_summary(config: SimConfig) -> str:
@@ -203,7 +175,7 @@ def resolved_summary(config: SimConfig) -> str:
         f"[0, {config.domain.height:g}] um",
         f"  pits at {list(config.pits.centers)} um, width {config.pits.width:g},"
         f" depth {config.pits.depth:g}, {config.pits.nodes} chain nodes",
-        f"  material: {_material_lines(config.material)[0].split('= ')[1]}",
+        f"  material: {type(config.material).__name__.lower()}",
         f"  A_diss = {e.A_diss:g} mol/cm^2s = {e.a_diss_si:g} mol/m^2s",
         f"  c_solid = {e.c_solid:g} mol/l = {e.c_solid_si:g} mol/m^3",
         f"  z F / R T = {e.zf_rt:.6g} 1/V, alpha = {e.alpha:g}, "
@@ -234,8 +206,28 @@ def write_mesh(mesh: TriMesh, path: str) -> None:
 
 
 def read_mesh(path: str) -> TriMesh:
+    """Read a write_mesh file; records must be numbered 0, 1, ... in order.
+
+    A truncated file, a token that is not a number or a vertex index out
+    of range raises MeshError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
+    try:
+        verts, tris, nodes, tags, pids = _mesh_records(tokens, path)
+    except (IndexError, ValueError) as err:
+        raise MeshError(f"{path}: truncated or malformed mesh file: {err}") \
+            from err
+    for what, idx in (("triangle", tris), ("boundary edge", nodes)):
+        if idx.size and (idx.min() < 0 or idx.max() >= len(verts)):
+            raise MeshError(f"{path}: {what} vertex index out of range "
+                            f"[0, {len(verts)})")
+    mesh = TriMesh(verts, tris, nodes, tags, pids)
+    mesh.orient_ccw()
+    return mesh
+
+
+def _mesh_records(tokens: list, path: str) -> tuple:
     pos = 0
 
     def expect(marker):
@@ -244,18 +236,22 @@ def read_mesh(path: str) -> TriMesh:
             raise MeshError(f"{path}: expected {marker}, found {tokens[pos]}")
         pos += 1
 
+    def expect_index(i):
+        if int(tokens[pos]) != i:
+            raise MeshError(f"{path}: record {i} is numbered {tokens[pos]}")
+
     expect("$Nodes")
     n = int(tokens[pos]); pos += 1
     verts = np.empty((n, 2))
-    for _ in range(n):
-        i = int(tokens[pos])
+    for i in range(n):
+        expect_index(i)
         verts[i] = (float(tokens[pos + 1]), float(tokens[pos + 2]))
         pos += 3
     expect("$Elements")
     n = int(tokens[pos]); pos += 1
     tris = np.empty((n, 3), dtype=np.int32)
-    for _ in range(n):
-        i = int(tokens[pos])
+    for i in range(n):
+        expect_index(i)
         tris[i] = (int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3]))
         pos += 4
     expect("$BoundaryEdges")
@@ -270,9 +266,7 @@ def read_mesh(path: str) -> TriMesh:
         if tags[k] == BoundaryTag.PIT:
             pids[k] = int(tokens[pos])
             pos += 1
-    mesh = TriMesh(verts, tris, nodes, tags, pids)
-    mesh.orient_ccw()
-    return mesh
+    return verts, tris, nodes, tags, pids
 
 
 def write_vtk(mesh: TriMesh, phi: Optional[np.ndarray], path: str) -> None:

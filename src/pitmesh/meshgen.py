@@ -25,6 +25,9 @@ from .mesh import BoundaryTag, PitChain, TriMesh, point_segment_distances
 
 logger = logging.getLogger("pitmesh.meshgen")
 
+# inter-pit gaps shorter than this (micrometers) stay one bottom edge
+_GAP_SINGLE_EDGE = 3.0
+
 
 class MeshGenError(Exception):
     """Degenerate geometry or non-conforming triangulation."""
@@ -107,7 +110,7 @@ def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return (np.sum(crosses & (x < x_hit), axis=1) % 2).astype(bool)
 
 
-def _polygon(domain: DomainSpec, pits: PitSpec, h: float, gap_single_edge: float):
+def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
     """CCW boundary loop with per-edge tags and pit chain index ranges.
 
     Returns (points, tags, pit_ids, chain_ranges, gap_edges) where tags[k]
@@ -163,7 +166,7 @@ def _polygon(domain: DomainSpec, pits: PitSpec, h: float, gap_single_edge: float
         if pid + 1 < len(pits.centers):
             nxt = corners[pid + 1][0]
             gap = nxt - right
-            if gap < gap_single_edge:
+            if gap < _GAP_SINGLE_EDGE:
                 gap_edges.append((np.array([0.5 * (right + nxt), 0.0]), gap))
             else:
                 add_many(_segment_nodes((right, 0.0), (nxt, 0.0),
@@ -195,14 +198,14 @@ def _interior_lattice(domain: DomainSpec, pits: PitSpec, poly: np.ndarray,
 
 
 def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
-                       seed: int = 0, gap_single_edge: float = 3.0):
+                       seed: int = 0):
     """Triangulate the domain; returns (TriMesh, chains, polygon)."""
     domain.validate()
     pits.validate()
     if target_h <= 0.0:
         raise ValueError("target_h must be positive")
     poly, edge_tags, edge_pids, chain_ranges, gap_edges = _polygon(
-        domain, pits, target_h, gap_single_edge)
+        domain, pits, target_h)
     interior = _interior_lattice(domain, pits, poly, target_h, seed, gap_edges)
     points = np.vstack((poly, interior))
 

@@ -12,7 +12,7 @@ import pytest
 from pitmesh import electrochem as ec
 from pitmesh.adapt import AdaptParams
 from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
-                             orientation_from_axes, vcorr)
+                             orientation_from_axes, vcorr_many)
 from pitmesh.driver import (SimConfig, diagnostics, fit_power_law,
                             fit_power_law_arrays, init_mesh, run)
 from pitmesh.electrochem import ElectroParams
@@ -141,9 +141,10 @@ class TestCriterion1:
         par = VcorrParams()
         o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        got = (vcorr(Crystal(o001), par, [0, 0], [0.0, -1.0]),
-               vcorr(Crystal(o001), par, [0, 0], [S2, -S2]),
-               vcorr(Crystal(o101), par, [0, 0], [np.sqrt(2.0 / 3.0), -S3]))
+        got = (*vcorr_many(Crystal(o001), par, np.zeros((2, 2)),
+                           np.array([[0.0, -1.0], [S2, -S2]])),
+               *vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+                           np.array([[np.sqrt(2.0 / 3.0), -S3]])))
         want = (-0.2297, -0.2455, -0.2525)
         ok = all(abs(g - w) < 5e-5 for g, w in zip(got, want))
         verdict(1, ok, "V_corr(<001>,<011>,<111>) = "
@@ -312,8 +313,7 @@ class TestCriterion10:
             cfg.adapt.mu2 = mu2
             result = init_mesh(cfg)
             initial, _, _ = build_initial_mesh(cfg.domain, cfg.pits,
-                                               cfg.target_h, cfg.seed,
-                                               cfg.gap_single_edge)
+                                               cfg.target_h, cfg.seed)
             radius, peak = _half_excess_radius(result.mesh, initial,
                                                result.chains)
             radii.append(radius)

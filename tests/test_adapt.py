@@ -393,8 +393,9 @@ class TestMmpdeStep:
 
     def test_smaller_tau_closer_to_equidistribution(self):
         # one physical step from a uniform start; the mesh with the faster
-        # response time ends nearer the equidistributed state (the large-tau
-        # flow runs out of its dt/tau budget long before stationarity)
+        # response time ends nearer the equidistributed state (at large tau
+        # the step's proximal term tau/(2 dt)|x - x^n|^2/P holds the mesh
+        # near its start)
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=1)
 
@@ -514,9 +515,8 @@ class TestSmoothing:
         assert set(full.flow_stops) == {"stationary"}
         assert all(n <= adapt._SMOOTHING_SUBSTEPS for n in full.flow_iters)
         monkeypatch.setattr(adapt, "_SMOOTHING_SUBSTEPS", 3)
-        capped = AdaptParams(smoothing_max_iters=2)
         with caplog.at_level("WARNING", logger="pitmesh.adapt"):
-            short = smooth_mesh(mesh, chains, capped)
+            short = smooth_mesh(mesh, chains, AdaptParams(), max_iters=2)
         assert short.flow_stops == ["substep-cap", "substep-cap"]
         assert short.flow_iters == [3, 3]
         assert "its 3-substep cap" in caplog.text

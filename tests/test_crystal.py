@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
                              max_cube_dot, orientation_from_axes,
-                             transform_normal, vcorr, vcorr_many)
+                             transform_normal, vcorr_many)
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -74,11 +74,11 @@ class TestVcorr:
         par = VcorrParams()
         o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
         # normals whose crystal-frame images hit <001>, <011>, <111>
-        v001 = vcorr(Crystal(o001), par, [0, 0], [0.0, -1.0])
-        v011 = vcorr(Crystal(o001), par, [0, 0], [S2, -S2])
+        v001, v011 = vcorr_many(Crystal(o001), par, np.zeros((2, 2)),
+                                np.array([[0.0, -1.0], [S2, -S2]]))
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        v111 = vcorr(Crystal(o101), par, [0, 0],
-                     [np.sqrt(2.0 / 3.0), -S3])
+        (v111,) = vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+                             np.array([[np.sqrt(2.0 / 3.0), -S3]]))
         assert v001 == pytest.approx(-0.2297, abs=5e-5)
         assert v011 == pytest.approx(-0.2455, abs=5e-5)
         assert v111 == pytest.approx(-0.2525, abs=5e-5)
@@ -86,15 +86,16 @@ class TestVcorr:
     def test_sign_symmetry(self):
         par = VcorrParams()
         o = orientation_from_axes([0, 0, 1], [1, 0, 0])
-        up = vcorr(Crystal(o), par, [0, 0], [0.0, 1.0])
-        down = vcorr(Crystal(o), par, [0, 0], [0.0, -1.0])
+        up, down = vcorr_many(Crystal(o), par, np.zeros((2, 2)),
+                              np.array([[0.0, 1.0], [0.0, -1.0]]))
         assert up == down == pytest.approx(-0.2297, abs=5e-5)
 
     def test_homogeneous_constant(self):
         par = VcorrParams()
-        for n in ([1, 0], [0, -1], [S2, S2]):
-            assert vcorr(Homogeneous(-0.24), par, [3, -1],
-                         np.asarray(n, dtype=float)) == -0.24
+        normals = np.array([[1.0, 0.0], [0.0, -1.0], [S2, S2]])
+        positions = np.tile([3.0, -1.0], (3, 1))
+        v = vcorr_many(Homogeneous(-0.24), par, positions, normals)
+        assert np.all(v == -0.24)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2 * np.pi), st.integers(0, 5), st.integers(0, 7))
@@ -114,17 +115,19 @@ class TestVcorr:
     def test_range_bounds(self, n):
         par = VcorrParams()
         o = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        v = vcorr(Crystal(o), par, [0, 0], n)
+        (v,) = vcorr_many(Crystal(o), par, np.zeros((1, 2)), n[None, :])
         lo = par.k_const - par.s_const * (1 - S3)
         assert lo - 1e-12 <= v <= par.k_const + 1e-12
 
     def test_extremes_attained(self):
         par = VcorrParams()
         o = orientation_from_axes([0, 0, 1], [1, 0, 0])
-        assert vcorr(Crystal(o), par, [0, 0], [0.0, -1.0]) \
+        assert vcorr_many(Crystal(o), par, np.zeros((1, 2)),
+                          np.array([[0.0, -1.0]]))[0] \
             == pytest.approx(par.k_const)
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        v = vcorr(Crystal(o101), par, [0, 0], [np.sqrt(2.0 / 3.0), -S3])
+        (v,) = vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+                          np.array([[np.sqrt(2.0 / 3.0), -S3]]))
         assert v == pytest.approx(par.k_const - par.s_const * (1 - S3))
 
     def test_semicircle_argmax_arcs(self):
@@ -153,13 +156,13 @@ class TestVcorr:
         mat = Bicrystal(0.0, o001, o101)
         # an x-normal lands on <001> for the left grain but on a <011>-type
         # image for the right grain, so it tells the two sides apart
-        n = np.array([1.0, 0.0])
-        left = vcorr(mat, par, [-1.0, -2.0], n)
-        right = vcorr(mat, par, [1.0, -2.0], n)
+        normals = np.tile([1.0, 0.0], (3, 1))
+        left, right, boundary = vcorr_many(
+            mat, par, np.array([[-1.0, -2.0], [1.0, -2.0], [0.0, -2.0]]),
+            normals)
         assert left == pytest.approx(par.k_const)
         assert right == pytest.approx(par.k_const - par.s_const * (1 - S2))
         # x exactly on the interface uses the right-side orientation
-        boundary = vcorr(mat, par, [0.0, -2.0], n)
         assert boundary == right
 
     def test_vectorized_matches_scalar(self):
@@ -171,8 +174,13 @@ class TestVcorr:
         normals = np.column_stack((np.cos(angles), np.sin(angles)))
         pos = rng.uniform(-5, 5, (17, 2))
         many = vcorr_many(mat, par, pos, normals)
-        each = [vcorr(mat, par, p, n) for p, n in zip(pos, normals)]
-        assert np.allclose(many, each)
+        each = [vcorr_many(mat, par, pos[k:k + 1], normals[k:k + 1])[0]
+                for k in range(len(pos))]
+        assert np.array_equal(many, each)
+        # the batch rotates each normal as transform_normal does one
+        n_cd = np.array([transform_normal(o, n) for n in normals])
+        assert np.array_equal(
+            many, par.k_const - par.s_const * (1.0 - max_cube_dot(n_cd)))
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):

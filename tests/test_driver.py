@@ -49,7 +49,7 @@ class TestInitMesh:
         # than the smoothing tolerance
         smooth = result.smooth
         assert smooth.converged
-        assert smooth.trace_max[1] < cfg.adapt.smoothing_tol
+        assert smooth.trace_max[1] < adapt._SMOOTHING_TOL
         assert len(smooth.trace) <= 3
 
     def test_nodes_concentrate_near_pit(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pitmesh import electrochem as ec
+from pitmesh import front
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams
 from pitmesh.front import (FrontError, FrontParams, advance_pit,
@@ -39,7 +40,7 @@ def advance_physical(mesh, chain, material=Homogeneous(-0.24), ep=None,
     fp = fp or FrontParams()
     vn, normals = chain_velocities(mesh, chain, uniform_phi(mesh), material,
                                    VcorrParams(), ep)
-    advance_pit(mesh, chain, vn, normals, fp, fp.dt)
+    advance_pit(mesh, chain, vn, normals, fp.dt)
 
 
 def advance_with(mesh, chain, speed):
@@ -47,7 +48,7 @@ def advance_with(mesh, chain, speed):
     fp = FrontParams()
     _, normals = face_and_vertex_normals(mesh, chain)
     vn = np.asarray(speed(chain.positions(mesh), normals), dtype=np.float64)
-    advance_pit(mesh, chain, vn, normals, fp, fp.dt)
+    advance_pit(mesh, chain, vn, normals, fp.dt)
 
 
 class TestAdvance:
@@ -146,7 +147,7 @@ class TestCorners:
         mesh.vertices[v1] = (-4.9, -0.5)
         mesh.vertices[v2] = (-4.8, -1.0)
         before = mesh.vertices[c].copy()
-        update_corners(mesh, chain, FrontParams())
+        update_corners(mesh, chain)
         assert np.abs(mesh.vertices[c] - before).max() < 1e-12
 
     def test_extrapolation_line_by_hand(self):
@@ -155,17 +156,19 @@ class TestCorners:
                                        np.array([1.0, -2.0])) \
             == pytest.approx(3.0)
 
-    def test_far_intersection_absorbs_surface_vertex(self, twin_setup):
+    def test_far_intersection_absorbs_surface_vertex(self, twin_setup,
+                                                    monkeypatch):
         mesh, chains = twin_setup
         chain = chains[0]
-        fp = FrontParams(corner_close_factor=0.01)  # force the far branch
+        # force the far branch
+        monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
         n_before = chain.n_vertices
         counts = (mesh.n_vertices, mesh.n_triangles, len(mesh.edge_nodes))
         v1 = chain.vertices[1]
         # steepen the wall so the intersection leaps outward
         mesh.vertices[v1] = mesh.vertices[chain.vertices[0]] + (-0.35, -0.25)
         old_corner = chain.vertices[0]
-        update_corners(mesh, chain, fp)
+        update_corners(mesh, chain)
         assert chain.n_vertices >= n_before + 1
         assert (mesh.n_vertices, mesh.n_triangles, len(mesh.edge_nodes)) == counts
         # the old corner now sits strictly inside the pit on the wall line

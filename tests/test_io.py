@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -7,11 +8,16 @@ import pytest
 
 from pitmesh import io as pio
 from pitmesh.crystal import Bicrystal, Crystal, Homogeneous
-from pitmesh.driver import SimConfig, TimeSeries
-from pitmesh.io import ConfigError, RunArtifacts, parse_config, write_config
+from pitmesh.driver import TimeSeries
+from pitmesh.io import ConfigError, RunArtifacts, parse_config
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
 from oracles import read_vtk_points_and_phi
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg"))
+                         + glob.glob(os.path.join(REPO, "bench", "workloads",
+                                                  "*.cfg")))
 
 
 @pytest.fixture
@@ -40,11 +46,13 @@ class TestConfig:
         assert cfg.pits.nodes == 61
 
     # the keys after bogus_key named solver settings that are now module
-    # constants in adapt and fem
+    # constants in adapt, fem, front, driver and meshgen
     @pytest.mark.parametrize("key", [
         "bogus_key", "mmpde_max_substeps", "mmpde_smoothing_substeps",
         "mmpde_disp_frac", "mmpde_grad_tol", "newton_abs_tol",
-        "newton_rel_tol", "newton_max_iters", "boundary_quad_points"])
+        "newton_rel_tol", "newton_max_iters", "boundary_quad_points",
+        "smoothing_tol", "smoothing_max_iters", "corner_close_factor",
+        "cfl_frac", "gap_single_edge"])
     def test_unknown_key_rejected_with_line(self, tmp_path, key):
         path = write(tmp_path, "bad.cfg", f"mu1 = 10\n{key} = 3\n")
         with pytest.raises(ConfigError, match=rf"bad.cfg:2.*{key}"):
@@ -61,9 +69,13 @@ class TestConfig:
             parse_config(path)
 
     def test_crystal_material(self, tmp_path):
-        path = write(tmp_path, "c.cfg",
-                     'material = crystal\nzone_axis = "1 0 1"\nx_dir = "-1 0 1"\n')
+        path = write(tmp_path, "c.cfg", "\n".join([
+            'material = crystal', 'zone_axis = "1 0 1"', 'x_dir = "-1 0 1"',
+            'pit_centers = "-6 6"', "mu2 = 10", "alpha = 0.3"]) + "\n")
         cfg = parse_config(path)
+        assert cfg.pits.centers == (-6.0, 6.0)
+        assert cfg.adapt.mu2 == 10.0
+        assert cfg.electro.alpha == 0.3
         assert isinstance(cfg.material, Crystal)
         s = 1 / np.sqrt(2)
         expected = np.array([[-s, 0, s], [0, 1, 0], [s, 0, s]])
@@ -79,27 +91,43 @@ class TestConfig:
         assert isinstance(cfg.material, Bicrystal)
         assert cfg.material.x_interface == 0.5
 
-    def test_roundtrip_identity(self, tmp_path):
-        cfg = SimConfig()
-        cfg.pits.centers = (-6.0, 6.0)
-        cfg.adapt.mu2 = 10.0
-        cfg.electro.alpha = 0.3
-        from pitmesh.crystal import orientation_from_axes
-        cfg.material = Crystal(orientation_from_axes([1, 0, 1], [-1, 0, 1]))
-        path = str(tmp_path / "round.cfg")
-        write_config(cfg, path)
-        back = parse_config(path)
-        assert back.pits.centers == cfg.pits.centers
-        assert back.adapt.mu2 == cfg.adapt.mu2
-        assert back.electro.alpha == cfg.electro.alpha
-        assert isinstance(back.material, Crystal)
-        assert np.abs(back.material.orientation.matrix()
-                      - cfg.material.orientation.matrix()).max() < 1e-12
-        # a second round trip is bit-identical
-        path2 = str(tmp_path / "round2.cfg")
-        write_config(back, path2)
-        assert open(path).read().splitlines()[1:] \
-            == open(path2).read().splitlines()[1:]
+    @pytest.mark.parametrize("text, line, key", [
+        ('material = homogeneous\nzone_axis = "0 0 1"\n', 2, "zone_axis"),
+        ("material = crystal\nvcorr_homogeneous = -0.3\n", 2,
+         "vcorr_homogeneous"),
+        ("vcorr_homogeneous = -0.3\nx_interface = 1.0\n", 2, "x_interface"),
+        ('x_dir_left = "1 0 0"\nmaterial = crystal\n', 1, "x_dir_left")])
+    def test_key_of_another_material_rejected(self, tmp_path, text, line, key):
+        path = write(tmp_path, "m.cfg", text)
+        with pytest.raises(ConfigError,
+                           match=rf"m.cfg:{line}: key '{key}' does not apply"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("axes", ['"0.4 0 1"', '"0 0 1.5"', '"nan 0 1"'])
+    def test_fractional_miller_index_rejected(self, tmp_path, axes):
+        path = write(tmp_path, "f.cfg",
+                     f"material = crystal\nzone_axis = {axes}\n")
+        with pytest.raises(ConfigError,
+                           match=r"f.cfg:2: bad value for 'zone_axis'.*"
+                                 r"not an integer"):
+            parse_config(path)
+
+    def test_integral_miller_index_written_as_float_accepted(self, tmp_path):
+        path = write(tmp_path, "i.cfg", 'material = crystal\n'
+                     'zone_axis = "1.0 0 1"\nx_dir = "-1 0 1.0"\n')
+        o = parse_config(path).material.orientation
+        assert np.allclose(o.k, [1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
+
+    @pytest.mark.parametrize(
+        "path", SHIPPED_CONFIGS,
+        ids=[os.path.relpath(p, REPO) for p in SHIPPED_CONFIGS])
+    def test_shipped_config_parses(self, path):
+        parse_config(path)
+
+    def test_shipped_configs_found(self):
+        names = {os.path.relpath(p, REPO) for p in SHIPPED_CONFIGS}
+        assert {"configs/homogeneous.cfg", "bench/workloads/homog.cfg",
+                "bench/workloads/twopit.cfg"} <= names
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(tmp_path, "dup.cfg", "mu1 = 1\nmu1 = 2\n")
@@ -241,6 +269,31 @@ class TestCli:
 
     def test_missing_file_exit_code_1(self, tmp_path):
         assert self.run_cli("fit", str(tmp_path / "nope.csv")) == 1
+
+    @pytest.mark.parametrize("damage", ["truncate", "vertex_index",
+                                        "node_number"])
+    def test_malformed_mesh_exit_code_2(self, tmp_path, capsys, pit_mesh,
+                                        damage):
+        mesh, _ = pit_mesh
+        mesh_file = tmp_path / "mesh.txt"
+        mesh_path = str(mesh_file)
+        pio.write_mesh(mesh, mesh_path)
+        lines = mesh_file.read_text().splitlines()
+        if damage == "truncate":
+            lines = lines[:len(lines) // 2]
+        elif damage == "vertex_index":
+            first_cell = lines.index("$Elements") + 2
+            lines[first_cell] = f"0 0 1 {mesh.n_vertices}"
+        else:
+            lines[2] = "-1 " + lines[2].split(" ", 1)[1]
+        mesh_file.write_text("\n".join(lines) + "\n")
+        cfg = write(tmp_path, "small.cfg", "target_h = 2.5\npit_nodes = 15\n")
+        assert self.run_cli("smooth", cfg, mesh_path, "-o",
+                            str(tmp_path / "out.txt")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ")
+        assert mesh_path in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_init_mesh_and_smooth_roundtrip(self, tmp_path, capsys):
         cfg = write(tmp_path, "small.cfg",
