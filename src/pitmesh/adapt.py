@@ -1,6 +1,8 @@
 """Variational mesh adaptation: monitor, energy functional, mesh relaxation.
 
 The distance-based monitor concentrates elements near the pit boundary.
+It is isotropic, M = m I, so every function here takes the scalar m, one
+value per vertex.
 Minimizing the equidistribution/alignment energy over vertex positions
 moves the mesh along the flow tau dx/dt = -P dI/dx.  Each time step of
 length dt is one backward-Euler step of that flow, whose result is the
@@ -69,40 +71,33 @@ def monitor_mackenzie(mesh: TriMesh, chains: Sequence[PitChain],
                       p: AdaptParams) -> np.ndarray:
     """Distance-based monitor M(x) = (1 + mu1/sqrt(mu2^2 d^2 + 1)) I.
 
-    Returns one symmetric 2x2 tensor per vertex, (nv, 2, 2).  Without any
-    chains (plain rectangle meshes) the metric is the identity.
+    M is isotropic, so it is carried as its scalar factor m, one value per
+    vertex, (nv,).  Without any chains (plain rectangle meshes) m is one.
     """
-    nv = mesh.n_vertices
     if chains and p.mu1 > 0.0:
         d = min_distance_to_pit(mesh.vertices, chains, mesh)
-        m = 1.0 + p.mu1 / np.sqrt(p.mu2 ** 2 * d ** 2 + 1.0)
-    else:
-        m = np.ones(nv)
-    out = np.zeros((nv, 2, 2))
-    out[:, 0, 0] = m
-    out[:, 1, 1] = m
-    return out
+        return 1.0 + p.mu1 / np.sqrt(p.mu2 ** 2 * d ** 2 + 1.0)
+    return np.ones(mesh.n_vertices)
 
 
 def element_metrics(mesh: TriMesh, metric: np.ndarray) -> np.ndarray:
-    """Cell tensors M_K as the mean of the three vertex tensors."""
+    """Cell monitor values m_K as the mean of the three vertex values."""
     return metric[mesh.triangles].mean(axis=1)
 
 
 def vertex_p_scaling(metric: np.ndarray) -> np.ndarray:
-    """Invariance scaling P_i = det(M_i)^(1/(d+2)) per vertex."""
-    det = metric[:, 0, 0] * metric[:, 1, 1] - metric[:, 0, 1] * metric[:, 1, 0]
-    return det ** (1.0 / (_MESH_DIM + 2))
+    """Invariance scaling P_i = det(M_i)^(1/(d+2)) = m_i^(d/(d+2)) per vertex."""
+    return metric ** (_MESH_DIM / (_MESH_DIM + 2))
 
 
 class _ElementFunctional:
-    """Energy and gradient over elements with a frozen per-cell metric.
+    """Energy and gradient over elements with a frozen per-cell monitor m.
 
-    Per cell with edge matrix E = [x1-x0, x2-x0], J = E^-1, A2 = det(E):
-        I_K = c1 * A2 * T^gamma + c2 * A2^(1-gamma),  T = tr(J M^-1 J^T)
-    with c1 = theta sqrt(det M)/2 and
-    c2 = (1-2 theta) 2^(gamma-1) det(M)^((1-gamma)/2).
-    Gradients use d det(E)/dE = A2 J^T and dT/dE = -2 J^T J M^-1 J^T.
+    Per cell with edge matrix E = [x1-x0, x2-x0], J = E^-1, A2 = det(E)
+    and monitor M = m I:
+        I_K = c1 * A2 * T^gamma + c2 * A2^(1-gamma),  T = tr(J J^T)/m
+    with c1 = theta m/2 and c2 = (1-2 theta) 2^(gamma-1) m^(1-gamma).
+    Gradients use d det(E)/dE = A2 J^T and dT/dE = -2 J^T B, B = J J^T/m.
     The 2x2 algebra is written out component-wise for speed.
     """
 
@@ -116,23 +111,18 @@ class _ElementFunctional:
             2 * triangles.T[None, :, :].astype(np.intp)
             + np.arange(2)[:, None, None])
         self.gamma = gamma
-        det = (cell_metric[:, 0, 0] * cell_metric[:, 1, 1]
-               - cell_metric[:, 0, 1] * cell_metric[:, 1, 0])
-        if np.any(det <= 0.0):
-            raise MeshError("metric tensor with non-positive determinant")
-        self.m00 = cell_metric[:, 1, 1] / det
-        self.m01 = -cell_metric[:, 0, 1] / det
-        self.m11 = cell_metric[:, 0, 0] / det
-        self.c1 = theta * np.sqrt(det) / 2.0
+        if np.any(cell_metric <= 0.0):
+            raise MeshError("non-positive monitor value")
+        self.inv_m = 1.0 / cell_metric
+        self.c1 = theta * cell_metric / 2.0
         self.c2 = (1.0 - 2.0 * theta) * 2.0 ** (gamma - 1.0) \
-            * det ** ((1.0 - gamma) / 2.0)
+            * cell_metric ** (1.0 - gamma)
 
-    def evaluate(self, x: np.ndarray,
-                 with_density: bool = False) -> Optional[tuple]:
-        """(energy, gradient (nv, 2)), or None if any element is inverted.
+    def evaluate(self, x: np.ndarray) -> Optional[tuple]:
+        """(energy, gradient, density), or None if any element is inverted.
 
-        with_density appends the per-cell energy density
-        c1 T^gamma + c2 A2^-gamma, the cell energy divided by A2.
+        The gradient is (nv, 2).  The density, (nt,), is each cell's energy
+        divided by its A2: c1 T^gamma + c2 A2^-gamma.
         """
         corners = np.take(x.ravel(), self._flat)
         (e00, e01), (e10, e11) = corners[:, 1:] - corners[:, :1]
@@ -142,14 +132,10 @@ class _ElementFunctional:
         inv = 1.0 / a2
         j00, j01 = e11 * inv, -e01 * inv
         j10, j11 = -e10 * inv, e00 * inv
-        # B = J M^-1 J^T (symmetric), T = tr(B), dT/dE = -2 J^T B
-        jm00 = j00 * self.m00 + j01 * self.m01
-        jm01 = j00 * self.m01 + j01 * self.m11
-        jm10 = j10 * self.m00 + j11 * self.m01
-        jm11 = j10 * self.m01 + j11 * self.m11
-        b00 = jm00 * j00 + jm01 * j01
-        b01 = jm00 * j10 + jm01 * j11
-        b11 = jm10 * j10 + jm11 * j11
+        # B = J J^T / m (symmetric), T = tr(B), dT/dE = -2 J^T B
+        b00 = (j00 * j00 + j01 * j01) * self.inv_m
+        b01 = (j00 * j10 + j01 * j11) * self.inv_m
+        b11 = (j10 * j10 + j11 * j11) * self.inv_m
         tr = b00 + b11
         g = self.gamma
         tr_g1 = tr ** (g - 1.0)
@@ -171,9 +157,7 @@ class _ElementFunctional:
         np.negative(ge[:, 0], out=ge[:, 0])
         grad = np.bincount(self._flat.ravel(), weights=ge.ravel(),
                            minlength=x.size)
-        if with_density:
-            return energy, grad.reshape(x.shape), density
-        return energy, grad.reshape(x.shape)
+        return energy, grad.reshape(x.shape), density
 
 
 def _functional(mesh: TriMesh, metric: np.ndarray,
@@ -182,9 +166,8 @@ def _functional(mesh: TriMesh, metric: np.ndarray,
                               p.theta, p.gamma)
 
 
-def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh,
-                   with_density: bool = False) -> tuple:
-    out = fn.evaluate(mesh.vertices, with_density)
+def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh) -> tuple:
+    out = fn.evaluate(mesh.vertices)
     if out is None:
         cell = int(np.argmin(mesh.signed_areas()))
         raise MeshError(f"energy of inverted cell {cell}")
@@ -192,12 +175,12 @@ def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh,
 
 
 def energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> float:
-    """Total adaptation energy of the mesh under a frozen vertex metric."""
+    """Total adaptation energy of the mesh under a frozen vertex monitor."""
     return _evaluate_mesh(_functional(mesh, metric, p), mesh)[0]
 
 
 def grad_energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> np.ndarray:
-    """Analytic dI/dx per vertex, (nv, 2); metric values are held fixed."""
+    """Analytic dI/dx per vertex, (nv, 2); monitor values are held fixed."""
     return _evaluate_mesh(_functional(mesh, metric, p), mesh)[1]
 
 
@@ -237,53 +220,22 @@ def _local_scale(x: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return scale
 
 
-def _stiffness_preconditioner(mesh: TriMesh, density: np.ndarray,
-                              free: np.ndarray) -> Callable:
-    """v -> K^-1 v for flat (2 nv,) vectors, K the density-weighted stiffness.
+class StiffnessFactor:
+    """The preconditioner of mmpde_step: v -> K^-1 v, kept across calls.
 
     K is the P1 stiffness matrix with each cell weighted by its energy
     density, restricted per coordinate to the vertices free in that
-    coordinate; constrained entries map to zero.  Each call factorises K
-    anew, and the returned function holds the factors.  K is SPD, so each
-    block is ordered by reverse Cuthill-McKee and factorised by banded
-    Cholesky.  The band factor is a plain array of its own size; a SuperLU
-    factor reserves heap for its fill estimate, about 15 times what it
-    touches, and kept across calls that reserve fragments the heap.
-    """
-    stiffness = assemble_stiffness(mesh, density)
-    blocks = []
-    for c in range(2):
-        idx = np.flatnonzero(free[:, c])
-        if len(idx):
-            block = stiffness[idx][:, idx]
-            order = reverse_cuthill_mckee(block, symmetric_mode=True)
-            idx = idx[order]
-            upper = sp.triu(block[order][:, order], format="coo")
-            width = int(np.max(upper.col - upper.row))
-            # Fortran order lets LAPACK factorise the band in place
-            band = np.zeros((width + 1, len(idx)), order="F")
-            band[width + upper.row - upper.col, upper.col] = upper.data
-            blocks.append((c, idx, cholesky_banded(band, overwrite_ab=True)))
+    coordinate; constrained entries map to zero.  K is factorised again
+    only when the mesh topology or free-vertex set changes, or when some
+    cell's energy density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO]
+    times its value at the last factorisation.  A stale K is still SPD, so
+    it stays a valid preconditioner.  Counts its factorisations and the
+    minimiser calls it served.
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        v = v.reshape(-1, 2)
-        out = np.zeros_like(v)
-        for c, idx, chol in blocks:
-            out[idx, c] = cho_solve_banded((chol, False), v[idx, c],
-                                           check_finite=False)
-        return out.ravel()
-    return apply
-
-
-class StiffnessFactor:
-    """The preconditioner factor of mmpde_step, kept across one run's calls.
-
-    The density-weighted stiffness K is factorised again only when the
-    mesh topology or free-vertex set changes, or when some cell's energy
-    density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value
-    at the last factorisation.  A stale K is still SPD, so it stays a
-    valid preconditioner.  Counts its factorisations and the minimiser
-    calls it served.
+    Each block of K is ordered by reverse Cuthill-McKee and factorised by
+    banded Cholesky.  The band factor is a plain array of its own size; a
+    SuperLU factor reserves heap for its fill estimate, about 15 times
+    what it touches, and kept across calls that reserve fragments the heap.
     """
 
     def __init__(self):
@@ -295,21 +247,46 @@ class StiffnessFactor:
 
     def preconditioner(self, mesh: TriMesh, density: np.ndarray,
                        free: np.ndarray) -> Callable:
-        """v -> K^-1 v as _stiffness_preconditioner, refactorised if stale."""
+        """v -> K^-1 v for flat (2 nv,) vectors, refactorised if stale."""
         self.minimiser_calls += 1
-        if self._apply is None \
-                or not np.array_equal(mesh.triangles, self._key[0]) \
-                or not np.array_equal(free, self._key[1]) \
-                or np.max(np.abs(np.log(density / self._density))) \
-                > np.log(_REFACTOR_RATIO):
-            # drop the old factor first: building the new one beside it
-            # raises peak memory
-            self._apply = None
-            self._apply = _stiffness_preconditioner(mesh, density, free)
-            self._key = (mesh.triangles.copy(), free)
-            self._density = density
-            self.factorisations += 1
-        return self._apply
+        if self._apply is not None \
+                and np.array_equal(mesh.triangles, self._key[0]) \
+                and np.array_equal(free, self._key[1]) \
+                and np.max(np.abs(np.log(density / self._density))) \
+                <= np.log(_REFACTOR_RATIO):
+            return self._apply
+        # drop the old factor first: building the new one beside it raises
+        # peak memory
+        self._apply = None
+        stiffness = assemble_stiffness(mesh, density)
+        blocks = []
+        for c in range(2):
+            idx = np.flatnonzero(free[:, c])
+            if len(idx):
+                block = stiffness[idx][:, idx]
+                order = reverse_cuthill_mckee(block, symmetric_mode=True)
+                idx = idx[order]
+                upper = sp.triu(block[order][:, order], format="coo")
+                width = int(np.max(upper.col - upper.row))
+                # Fortran order lets LAPACK factorise the band in place
+                band = np.zeros((width + 1, len(idx)), order="F")
+                band[width + upper.row - upper.col, upper.col] = upper.data
+                blocks.append((c, idx,
+                               cholesky_banded(band, overwrite_ab=True)))
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v = v.reshape(-1, 2)
+            out = np.zeros_like(v)
+            for c, idx, chol in blocks:
+                out[idx, c] = cho_solve_banded((chol, False), v[idx, c],
+                                               check_finite=False)
+            return out.ravel()
+
+        self._apply = apply
+        self._key = (mesh.triangles.copy(), free)
+        self._density = density
+        self.factorisations += 1
+        return apply
 
 
 def _lbfgs_direction(g: np.ndarray, precond: Callable, history: list) -> np.ndarray:
@@ -368,15 +345,16 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         return out[0] + 0.5 * float(np.vdot(pulled, shift)), out[1] + pulled
 
     x = x0.copy()
-    current, grad, density = _evaluate_mesh(fn, mesh, with_density=True)
+    current, grad, density = _evaluate_mesh(fn, mesh)
     g = grad * free
     scale = _local_scale(x, fn.triangles)
     # an explicit grad_tol is an exact threshold; the default combines the
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
         else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
-    precond = _stiffness_preconditioner(mesh, density, free) \
-        if factor is None else factor.preconditioner(mesh, density, free)
+    if factor is None:
+        factor = StiffnessFactor()
+    precond = factor.preconditioner(mesh, density, free)
 
     history = []          # L-BFGS pairs (s, y, 1/s'y), oldest first
     stopped = "substep-cap"

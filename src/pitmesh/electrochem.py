@@ -16,7 +16,14 @@ EXP_GUARD = 700.0  # exp() overflows just above 709
 
 
 class OverflowGuardError(ArithmeticError):
-    """Butler-Volmer exponent too large to evaluate."""
+    """Butler-Volmer exponent too large to evaluate.
+
+    index is the flat index of the largest exponent in the evaluated array.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -63,11 +70,11 @@ def _exponent(p: ElectroParams, v_corr, phi):
     expo = p.zf_rt * (np.asarray(v_corr)
                       + p.alpha * overpotential(p, v_corr, phi))
     if np.any(expo > EXP_GUARD):
-        worst = float(np.max(expo))
+        worst = int(np.argmax(expo))
         raise OverflowGuardError(
-            f"Butler-Volmer exponent {worst:.3g} exceeds {EXP_GUARD:g} "
-            f"(v_corr={np.max(np.asarray(v_corr)):.4g} V, "
-            f"phi={np.min(np.asarray(phi)):.4g} V)")
+            f"Butler-Volmer exponent {float(np.max(expo)):.3g} exceeds "
+            f"{EXP_GUARD:g} (v_corr={np.max(np.asarray(v_corr)):.4g} V, "
+            f"phi={np.min(np.asarray(phi)):.4g} V)", worst)
     return expo
 
 

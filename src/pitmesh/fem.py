@@ -119,11 +119,10 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     try:
         cur = electrochem.current_density(eparams, vc, phi_q)
     except OverflowGuardError as err:
-        expo = eparams.zf_rt * (vc + eparams.alpha
-                                * electrochem.overpotential(eparams, vc, phi_q))
-        bad = int(np.argmax(np.max(expo, axis=1)))
+        bad = err.index // nq
         raise OverflowGuardError(
-            f"{err} on pit edge {bad} ({a_idx[bad]}-{b_idx[bad]})") from err
+            f"{err} on pit edge {bad} ({a_idx[bad]}-{b_idx[bad]})",
+            err.index) from err
     dcur = -eparams.alpha * eparams.zf_rt * cur
 
     weight = (0.5 * lengths * UM_TO_M)[:, None] * w[None, :] / eparams.sigma_c
@@ -141,9 +140,10 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     return res, jac
 
 
-def dirichlet_mask(mesh: TriMesh, tag: BoundaryTag = BoundaryTag.TOP) -> np.ndarray:
+def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
+    """True at the vertices of the top boundary, where phi = 0."""
     mask = np.zeros(mesh.n_vertices, dtype=bool)
-    sel = mesh.edge_tags == tag
+    sel = mesh.edge_tags == BoundaryTag.TOP
     mask[mesh.edge_nodes[sel].ravel()] = True
     return mask
 

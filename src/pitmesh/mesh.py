@@ -13,6 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# validate_chain's tolerance on the y = 0 surface, micrometers
+_CHAIN_Y_TOL = 1e-9
+
 
 class MeshError(Exception):
     """Invalid mesh topology or degenerate geometry."""
@@ -259,15 +262,15 @@ def polyline_self_intersects(p: np.ndarray) -> bool:
     return len(polyline_crossings(p)) > 0
 
 
-def validate_chain(mesh: TriMesh, chain: PitChain, y_tol: float = 1e-9) -> list:
+def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
     """Check PitChain invariants; returns a list of problem strings."""
     problems = []
     p = chain.positions(mesh)
-    if abs(p[0, 1]) > y_tol or abs(p[-1, 1]) > y_tol:
+    if abs(p[0, 1]) > _CHAIN_Y_TOL or abs(p[-1, 1]) > _CHAIN_Y_TOL:
         problems.append(f"pit {chain.pit_id}: corner not on y=0")
     interior_y = p[1:-1, 1]
     # the post-merge apex may sit exactly on y=0 until it corrodes down
-    if np.any(interior_y > y_tol):
+    if np.any(interior_y > _CHAIN_Y_TOL):
         problems.append(f"pit {chain.pit_id}: interior vertex above y=0")
     if polyline_self_intersects(p):
         problems.append(f"pit {chain.pit_id}: chain self-intersects")

@@ -27,6 +27,8 @@ logger = logging.getLogger("pitmesh.meshgen")
 
 # inter-pit gaps shorter than this (micrometers) stay one bottom edge
 _GAP_SINGLE_EDGE = 3.0
+# boundary node spacing grows by this much per unit length away from a pit
+_GRADING_RATE = 0.5
 
 
 class MeshGenError(Exception):
@@ -63,18 +65,20 @@ class PitSpec:
 
 
 def _graded_points(length: float, s_start: float, s_end: float,
-                   h: float, growth: float = 0.5) -> np.ndarray:
+                   h: float) -> np.ndarray:
     """Interior division points of [0, L], spacing graded between the ends.
 
     Spacing starts at s_start, ends at s_end, grows toward h at rate
-    ``growth`` per unit length; the march is rescaled to land exactly on L.
+    _GRADING_RATE per unit length; the march is rescaled to land exactly
+    on L.
     """
     if length <= 0.618 * (s_start + s_end):
         return np.empty(0)
     knots = [0.0]
     t = 0.0
     while t < length:
-        s = min(h, s_start + growth * t, s_end + growth * (length - t))
+        s = min(h, s_start + _GRADING_RATE * t,
+                s_end + _GRADING_RATE * (length - t))
         t += max(s, 1e-12)
         knots.append(t)
     knots = np.asarray(knots) * (length / knots[-1])

@@ -9,13 +9,11 @@ suite costs a handful of 120 s simulations.
 import numpy as np
 import pytest
 
-from pitmesh import electrochem as ec
 from pitmesh.adapt import AdaptParams
-from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
+from pitmesh.crystal import (Bicrystal, Crystal, VcorrParams,
                              orientation_from_axes, vcorr_many)
-from pitmesh.driver import (SimConfig, diagnostics, fit_power_law,
-                            fit_power_law_arrays, init_mesh, run)
-from pitmesh.electrochem import ElectroParams
+from pitmesh.driver import (SimConfig, fit_power_law, fit_power_law_arrays,
+                            init_mesh, run)
 from pitmesh.mesh import min_distance_to_pit, validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 

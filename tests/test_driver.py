@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from pitmesh import adapt
-
-from pitmesh.crystal import Crystal, orientation_from_axes
 from pitmesh.driver import (SimConfig, TimeSeries, diagnostics, fit_power_law,
                             fit_power_law_arrays, init_mesh, run)
 from pitmesh.io import write_summary
-from pitmesh.mesh import PitChain, validate
+from pitmesh.mesh import validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 

@@ -140,6 +140,21 @@ class TestBoundaryTerm:
             boundary_residual_and_jacobian(mesh, [chain],
                                            np.full(4, -30.0),
                                            Homogeneous(-0.24), VcorrParams(), ep)
+        # a two-edge chain 0-1-2 with phi low only at vertex 2: the first
+        # edge's exponents stay below the guard, the second's do not
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                          [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        tris = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]])
+        edges = np.array([[0, 1], [1, 2], [2, 5], [5, 4], [4, 3], [3, 0]])
+        tags = np.array([BoundaryTag.PIT, BoundaryTag.PIT, BoundaryTag.RIGHT,
+                         BoundaryTag.TOP, BoundaryTag.TOP, BoundaryTag.LEFT])
+        mesh = TriMesh(verts, tris, edges, tags,
+                       np.array([0, 0, -1, -1, -1, -1]))
+        chain = PitChain(0, np.array([0, 1, 2]))
+        phi = np.array([0.0, 0.0, -30.0, 0.0, 0.0, 0.0])
+        with pytest.raises(OverflowGuardError, match=r"on pit edge 1 \(1-2\)"):
+            boundary_residual_and_jacobian(mesh, [chain], phi,
+                                           Homogeneous(-0.24), VcorrParams(), ep)
 
 
 class TestNewton:

@@ -9,8 +9,7 @@ from pitmesh.front import (FrontError, FrontParams, advance_pit,
                            chain_velocities, detect_merge, line_intersection,
                            merge_pits, pit_area, track_apex, update_corners)
 from pitmesh.front import _extrapolate_to_surface
-from pitmesh.mesh import (BoundaryTag, face_and_vertex_normals, validate,
-                          validate_chain)
+from pitmesh.mesh import face_and_vertex_normals, validate, validate_chain
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
