@@ -89,8 +89,8 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     vn_um and normals are the normal speed (micrometers/s) and unit normal
     of every chain vertex, as chain_velocities returns them.  Mutates mesh
     vertex positions (and, for large corner jumps, the chain and edge
-    tags).  Rejects the step (restoring positions) if the chain
-    self-intersects.
+    tags).  Rejects the step, restoring the chain, positions and tags, if
+    the chain self-intersects or a corner cannot be re-seated.
     """
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
@@ -98,7 +98,6 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     saved_ids = chain.vertices.copy()
     saved_apex = chain.apex_pos
     saved_tags = mesh.edge_tags.copy()
-    saved_pits = mesh.edge_pits.copy()
     # corner absorption may pull surface vertices into the chain
     bottom_ids = np.unique(
         mesh.edge_nodes[mesh.edge_tags == BoundaryTag.BOTTOM].ravel())
@@ -116,22 +115,22 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     disp[move] = dt * vn_um[move, None] * normals[move]
     _apply_limited(mesh, chain, disp)
 
-    update_corners(mesh, chain)
-    if chain.apex_pos is not None:
-        _advance_apex(mesh, chain, old_neighbors)
-
-    p = chain.positions(mesh)
-    if polyline_self_intersects(p):
+    try:
+        update_corners(mesh, chain)
+        if chain.apex_pos is not None:
+            _advance_apex(mesh, chain, old_neighbors)
+        if polyline_self_intersects(chain.positions(mesh)):
+            raise FrontError(
+                f"pit {chain.pit_id}: chain self-intersects after advance; "
+                "a smaller dt should prevent this")
+    except FrontError:
         # roll back positions plus anything a corner absorption changed
         mesh.vertices[bottom_ids] = saved_bottom
         mesh.vertices[saved_ids] = saved
         mesh.edge_tags = saved_tags
-        mesh.edge_pits = saved_pits
         chain.vertices = saved_ids
         chain.apex_pos = saved_apex
-        raise FrontError(
-            f"pit {chain.pit_id}: chain self-intersects after advance; "
-            "a smaller dt should prevent this")
+        raise
 
 
 APPROACH_FACTOR = 0.4   # a vertex keeps this fraction of its clearance
@@ -204,14 +203,13 @@ def _bottom_neighbor(mesh: TriMesh, corner: int) -> int:
     return int(v if u == corner else u)
 
 
-def _retag_to_pit(mesh: TriMesh, a: int, b: int, pit_id: int) -> None:
+def _retag_to_pit(mesh: TriMesh, a: int, b: int) -> None:
     en = mesh.edge_nodes
     sel = ((en[:, 0] == a) & (en[:, 1] == b)) | ((en[:, 0] == b) & (en[:, 1] == a))
     idx = np.where(sel)[0]
     if len(idx) != 1:
         raise FrontError(f"edge ({a},{b}) not found for retagging")
     mesh.edge_tags[idx[0]] = BoundaryTag.PIT
-    mesh.edge_pits[idx[0]] = pit_id
 
 
 def update_corners(mesh: TriMesh, chain: PitChain) -> None:
@@ -220,7 +218,9 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
     Close intersections just move the corner along y = 0; far ones absorb
     the adjacent surface vertex: the old corner dives onto the wall line
     inside the pit and the surface vertex becomes the corner at the
-    intersection (its bottom edge is retagged as pit boundary).
+    intersection (its bottom edge is retagged as pit boundary).  A surface
+    vertex that already ends a PIT edge belongs to the facing pit and is
+    never absorbed: that raises FrontError.
     """
     edge_len = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
     tol = _CORNER_CLOSE_FACTOR * float(np.mean(edge_len))
@@ -243,9 +243,13 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
             continue
         # large jump: absorb the neighboring surface vertex into the chain
         neighbor = _bottom_neighbor(mesh, int(corner))
+        if np.any(mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT] == neighbor):
+            raise FrontError(
+                f"pit {chain.pit_id} {side} corner {corner}: surface vertex "
+                f"{neighbor} it would absorb is a corner of another pit")
         mesh.vertices[neighbor] = (x_int, 0.0)
         mesh.vertices[corner] = 0.5 * (p1 + np.array([x_int, 0.0]))
-        _retag_to_pit(mesh, int(corner), neighbor, chain.pit_id)
+        _retag_to_pit(mesh, int(corner), neighbor)
         if side == "left":
             chain.vertices = np.concatenate(([neighbor], chain.vertices)).astype(np.int32)
             if chain.apex_pos is not None:
@@ -372,7 +376,8 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     The gap-edge endpoint with the larger angle in the owning triangle
     becomes the apex at the gap midpoint; the other endpoint moves halfway
     toward its first chain neighbor.  Vertex and cell counts are untouched;
-    the gap edge and the right pit's edges are retagged to the merged pit.
+    the gap edge is retagged as pit boundary, and the chains are renumbered
+    from 0 in left-corner order.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]
@@ -408,15 +413,9 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
             f"cells {np.where(~areas_ok)[0][:5].tolist()}; "
             "use a smaller merge_gap_tol")
 
-    merged_id = left.pit_id
     mesh.edge_tags[cand.edge_index] = BoundaryTag.PIT
-    mesh.edge_pits[cand.edge_index] = merged_id
-    right_sel = (mesh.edge_tags == BoundaryTag.PIT) & \
-        (mesh.edge_pits == right.pit_id)
-    mesh.edge_pits[right_sel] = merged_id
-
     merged = PitChain(
-        merged_id,
+        left.pit_id,
         np.concatenate((left.vertices, right.vertices)).astype(np.int32),
         apex_pos=len(left.vertices) - 1 if apex_id == rc else len(left.vertices))
 
@@ -424,25 +423,14 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
                   if i not in (cand.left_chain, cand.right_chain)]
     new_chains.append(merged)
     new_chains.sort(key=lambda c: mesh.vertices[c.left_corner, 0])
-    _renumber_pits(mesh, new_chains)
+    for pit_id, chain in enumerate(new_chains):
+        chain.pit_id = pit_id
     event = MergeEvent(left.pit_id, right.pit_id, int(apex_id), int(moved_id),
                        (float(apex_point[0]), float(apex_point[1])),
                        cand.gap_length)
     logger.info("merged pits %d and %d at x=%.3f (gap %.3g)", left.pit_id,
                 right.pit_id, apex_point[0], cand.gap_length)
     return new_chains, event
-
-
-def _renumber_pits(mesh: TriMesh, chains: Sequence[PitChain]) -> None:
-    """Make pit ids contiguous from 0, in left-to-right chain order."""
-    mapping = {}
-    for new_id, chain in enumerate(chains):
-        mapping[chain.pit_id] = new_id
-    old = mesh.edge_pits.copy()
-    for old_id, new_id in mapping.items():
-        mesh.edge_pits[old == old_id] = new_id
-    for chain in chains:
-        chain.pit_id = mapping[chain.pit_id]
 
 
 def pit_area(mesh: TriMesh, chain: PitChain) -> float:

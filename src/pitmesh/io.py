@@ -1,14 +1,16 @@
 """Configuration parsing and all file emission (mesh, VTK, CSV, summary).
 
 Config files are flat ``key = value`` text with ``#`` comments; unknown
-keys, and material keys the chosen material does not read, are rejected;
-missing keys take the documented defaults.  Floats are written with 17
-significant digits everywhere so every file round trips bit-exactly.
+keys, material keys the chosen material does not read, and numbers that
+are not finite are rejected; missing keys take the documented defaults.
+Floats are written with 17 significant digits everywhere so every file
+round trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -29,12 +31,19 @@ class ConfigError(Exception):
     """Bad key, bad value, or failed invariant in a run configuration."""
 
 
-def _parse_vector(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
+def _parse_vector(text: str, number=_finite) -> list:
+    return [number(tok) for tok in text.replace(",", " ").split()]
 
 
 def _parse_int_vector(text: str) -> list:
-    values = _parse_vector(text)
+    values = _parse_vector(text, float)
     for v in values:
         if not v.is_integer():
             raise ValueError(f"Miller index {v:g} is not an integer")
@@ -43,32 +52,32 @@ def _parse_int_vector(text: str) -> list:
 
 # key -> (section attribute, field, parser); material keys handled separately
 _SCALAR_KEYS = {
-    "domain_xmin": ("domain", "xmin", float),
-    "domain_xmax": ("domain", "xmax", float),
-    "domain_height": ("domain", "height", float),
-    "pit_width": ("pits", "width", float),
-    "pit_depth": ("pits", "depth", float),
+    "domain_xmin": ("domain", "xmin", _finite),
+    "domain_xmax": ("domain", "xmax", _finite),
+    "domain_height": ("domain", "height", _finite),
+    "pit_width": ("pits", "width", _finite),
+    "pit_depth": ("pits", "depth", _finite),
     "pit_nodes": ("pits", "nodes", int),
-    "z": ("electro", "z", float),
-    "F": ("electro", "F", float),
-    "R": ("electro", "R", float),
-    "T": ("electro", "T", float),
-    "V_app": ("electro", "V_app", float),
-    "A_diss": ("electro", "A_diss", float),
-    "c_solid": ("electro", "c_solid", float),
-    "alpha": ("electro", "alpha", float),
-    "sigma_c": ("electro", "sigma_c", float),
-    "mu1": ("adapt", "mu1", float),
-    "mu2": ("adapt", "mu2", float),
-    "tau": ("adapt", "tau", float),
-    "theta": ("adapt", "theta", float),
-    "gamma": ("adapt", "gamma", float),
-    "dt": ("front", "dt", float),
-    "t_end": ("front", "t_end", float),
-    "merge_gap_tol": ("front", "merge_gap_tol", float),
-    "vcorr_k": ("vcorr", "k_const", float),
-    "vcorr_s": ("vcorr", "s_const", float),
-    "target_h": (None, "target_h", float),
+    "z": ("electro", "z", _finite),
+    "F": ("electro", "F", _finite),
+    "R": ("electro", "R", _finite),
+    "T": ("electro", "T", _finite),
+    "V_app": ("electro", "V_app", _finite),
+    "A_diss": ("electro", "A_diss", _finite),
+    "c_solid": ("electro", "c_solid", _finite),
+    "alpha": ("electro", "alpha", _finite),
+    "sigma_c": ("electro", "sigma_c", _finite),
+    "mu1": ("adapt", "mu1", _finite),
+    "mu2": ("adapt", "mu2", _finite),
+    "tau": ("adapt", "tau", _finite),
+    "theta": ("adapt", "theta", _finite),
+    "gamma": ("adapt", "gamma", _finite),
+    "dt": ("front", "dt", _finite),
+    "t_end": ("front", "t_end", _finite),
+    "merge_gap_tol": ("front", "merge_gap_tol", _finite),
+    "vcorr_k": ("vcorr", "k_const", _finite),
+    "vcorr_s": ("vcorr", "s_const", _finite),
+    "target_h": (None, "target_h", _finite),
     "seed": (None, "seed", int),
     "vtk_every": (None, "vtk_every", int),
 }
@@ -144,16 +153,19 @@ def _parse_material(raw: dict, path: str) -> MaterialSpec:
             raise ConfigError(f"{path}:{lineno}: key '{key}' does not apply "
                               f"to material '{kind}'")
 
-    def axis(key: str, default: str) -> list:
+    def value(parse, key: str, default: str):
         try:
-            return _parse_int_vector(_get(raw, key, default))
+            return parse(_get(raw, key, default))
         except ValueError as err:
             raise ConfigError(f"{path}:{raw[key][1]}: bad value for "
                               f"'{key}': {err}") from err
 
+    def axis(key: str, default: str) -> list:
+        return value(_parse_int_vector, key, default)
+
     try:
         if kind == "homogeneous":
-            return Homogeneous(float(_get(raw, "vcorr_homogeneous", "-0.24")))
+            return Homogeneous(value(_finite, "vcorr_homogeneous", "-0.24"))
         if kind == "crystal":
             return Crystal(orientation_from_axes(axis("zone_axis", "0 0 1"),
                                                  axis("x_dir", "1 0 0")))
@@ -161,7 +173,7 @@ def _parse_material(raw: dict, path: str) -> MaterialSpec:
                                      axis("x_dir_left", "1 0 0"))
         right = orientation_from_axes(axis("zone_axis_right", "1 0 1"),
                                       axis("x_dir_right", "-1 0 1"))
-        return Bicrystal(float(_get(raw, "x_interface", "0.0")), left, right)
+        return Bicrystal(value(_finite, "x_interface", "0.0"), left, right)
     except ValueError as err:
         raise ConfigError(f"{path}: bad material description: {err}") from err
 
@@ -187,7 +199,12 @@ def resolved_summary(config: SimConfig) -> str:
     return "\n".join(parts)
 
 
-# mesh exchange format: integer boundary tags follow BoundaryTag values
+# mesh exchange format: three fixed-width tables, each a marker, a row
+# count and the rows: "$Nodes" rows "i x y", "$Elements" rows "i a b c"
+# and "$BoundaryEdges" rows "a b tag", with tag a BoundaryTag value
+_MESH_TABLES = (("$Nodes", 3), ("$Elements", 4), ("$BoundaryEdges", 3))
+
+
 def write_mesh(mesh: TriMesh, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("$Nodes\n%d\n" % mesh.n_vertices)
@@ -197,76 +214,58 @@ def write_mesh(mesh: TriMesh, path: str) -> None:
         for i, (a, b, c) in enumerate(mesh.triangles):
             fh.write("%d %d %d %d\n" % (i, a, b, c))
         fh.write("$BoundaryEdges\n%d\n" % len(mesh.edge_nodes))
-        for (a, b), tag, pid in zip(mesh.edge_nodes, mesh.edge_tags,
-                                    mesh.edge_pits):
-            if tag == BoundaryTag.PIT:
-                fh.write("%d %d %d %d\n" % (a, b, tag, pid))
-            else:
-                fh.write("%d %d %d\n" % (a, b, tag))
+        for (a, b), tag in zip(mesh.edge_nodes, mesh.edge_tags):
+            fh.write("%d %d %d\n" % (a, b, tag))
 
 
 def read_mesh(path: str) -> TriMesh:
     """Read a write_mesh file; records must be numbered 0, 1, ... in order.
 
-    A truncated file, a token that is not a number or a vertex index out
-    of range raises MeshError naming the file.
+    A truncated file, a token that is not a number, a token after the last
+    table, a coordinate that is not finite, a vertex index out of range or
+    an unknown boundary tag raises MeshError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
+    tables = []
+    pos = 0
     try:
-        verts, tris, nodes, tags, pids = _mesh_records(tokens, path)
-    except (IndexError, ValueError) as err:
+        for marker, width in _MESH_TABLES:
+            if tokens[pos] != marker:
+                raise MeshError(f"{path}: expected {marker}, found {tokens[pos]}")
+            n = int(tokens[pos + 1])
+            start, pos = pos + 2, pos + 2 + n * width
+            if n < 0 or pos > len(tokens):
+                raise IndexError(f"{marker} row count {n} does not fit the file")
+            tables.append(np.array(tokens[start:pos]).reshape(n, width))
+        if pos != len(tokens):
+            raise MeshError(f"{path}: {len(tokens) - pos} tokens after "
+                            "the last table")
+        nodes, cells, edges = tables
+        verts = nodes[:, 1:].astype(np.float64)
+        cells = cells.astype(np.int64)
+        edges = edges.astype(np.int64)
+        for numbers in (nodes[:, 0].astype(np.int64), cells[:, 0]):
+            wrong = np.flatnonzero(numbers != np.arange(len(numbers)))
+            if wrong.size:
+                raise MeshError(f"{path}: record {wrong[0]} is numbered "
+                                f"{numbers[wrong[0]]}")
+    except (IndexError, ValueError, OverflowError) as err:
         raise MeshError(f"{path}: truncated or malformed mesh file: {err}") \
             from err
-    for what, idx in (("triangle", tris), ("boundary edge", nodes)):
+    if not np.isfinite(verts).all():
+        raise MeshError(f"{path}: vertex coordinate not finite")
+    tris, ends, tags = cells[:, 1:], edges[:, :2], edges[:, 2]
+    for what, idx in (("triangle", tris), ("boundary edge", ends)):
         if idx.size and (idx.min() < 0 or idx.max() >= len(verts)):
             raise MeshError(f"{path}: {what} vertex index out of range "
                             f"[0, {len(verts)})")
-    mesh = TriMesh(verts, tris, nodes, tags, pids)
+    unknown = np.setdiff1d(tags, list(BoundaryTag))
+    if unknown.size:
+        raise MeshError(f"{path}: unknown boundary tag(s) {unknown.tolist()}")
+    mesh = TriMesh(verts, tris, ends, tags)
     mesh.orient_ccw()
     return mesh
-
-
-def _mesh_records(tokens: list, path: str) -> tuple:
-    pos = 0
-
-    def expect(marker):
-        nonlocal pos
-        if tokens[pos] != marker:
-            raise MeshError(f"{path}: expected {marker}, found {tokens[pos]}")
-        pos += 1
-
-    def expect_index(i):
-        if int(tokens[pos]) != i:
-            raise MeshError(f"{path}: record {i} is numbered {tokens[pos]}")
-
-    expect("$Nodes")
-    n = int(tokens[pos]); pos += 1
-    verts = np.empty((n, 2))
-    for i in range(n):
-        expect_index(i)
-        verts[i] = (float(tokens[pos + 1]), float(tokens[pos + 2]))
-        pos += 3
-    expect("$Elements")
-    n = int(tokens[pos]); pos += 1
-    tris = np.empty((n, 3), dtype=np.int32)
-    for i in range(n):
-        expect_index(i)
-        tris[i] = (int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3]))
-        pos += 4
-    expect("$BoundaryEdges")
-    n = int(tokens[pos]); pos += 1
-    nodes = np.empty((n, 2), dtype=np.int32)
-    tags = np.empty(n, dtype=np.int16)
-    pids = np.full(n, -1, dtype=np.int32)
-    for k in range(n):
-        nodes[k] = (int(tokens[pos]), int(tokens[pos + 1]))
-        tags[k] = int(tokens[pos + 2])
-        pos += 3
-        if tags[k] == BoundaryTag.PIT:
-            pids[k] = int(tokens[pos])
-            pos += 1
-    return verts, tris, nodes, tags, pids
 
 
 def write_vtk(mesh: TriMesh, phi: Optional[np.ndarray], path: str) -> None:

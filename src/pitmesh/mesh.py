@@ -76,22 +76,20 @@ class TriMesh:
     """Triangulation with tagged boundary edges.
 
     vertices (nv,2) float64; triangles (nt,3) int32, counterclockwise;
-    edge_nodes (ne,2) int32; edge_tags (ne,) BoundaryTag values;
-    edge_pits (ne,) pit id for PIT edges, -1 otherwise.
+    edge_nodes (ne,2) int32; edge_tags (ne,) BoundaryTag values.  Which
+    pit owns a PIT edge is recorded only by the PitChains.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     edge_nodes: np.ndarray
     edge_tags: np.ndarray
-    edge_pits: np.ndarray
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int32)
         self.edge_nodes = np.ascontiguousarray(self.edge_nodes, dtype=np.int32)
         self.edge_tags = np.ascontiguousarray(self.edge_tags, dtype=np.int16)
-        self.edge_pits = np.ascontiguousarray(self.edge_pits, dtype=np.int32)
 
     @property
     def n_vertices(self) -> int:
@@ -134,8 +132,7 @@ class TriMesh:
 
     def copy(self) -> "TriMesh":
         return TriMesh(self.vertices.copy(), self.triangles.copy(),
-                       self.edge_nodes.copy(), self.edge_tags.copy(),
-                       self.edge_pits.copy())
+                       self.edge_nodes.copy(), self.edge_tags.copy())
 
 
 @dataclass
@@ -263,7 +260,11 @@ def polyline_self_intersects(p: np.ndarray) -> bool:
 
 
 def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
-    """Check PitChain invariants; returns a list of problem strings."""
+    """Check PitChain invariants; returns a list of problem strings.
+
+    Every PIT edge that touches a chain vertex counts as the chain's own,
+    so a vertex shared with another chain shows up as a surplus edge.
+    """
     problems = []
     p = chain.positions(mesh)
     if abs(p[0, 1]) > _CHAIN_Y_TOL or abs(p[-1, 1]) > _CHAIN_Y_TOL:
@@ -274,10 +275,9 @@ def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
         problems.append(f"pit {chain.pit_id}: interior vertex above y=0")
     if polyline_self_intersects(p):
         problems.append(f"pit {chain.pit_id}: chain self-intersects")
-    tagged = set()
-    sel = (mesh.edge_tags == BoundaryTag.PIT) & (mesh.edge_pits == chain.pit_id)
-    for u, v in mesh.edge_nodes[sel]:
-        tagged.add((min(u, v), max(u, v)))
+    pit_edges = mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT]
+    touching = np.isin(pit_edges, chain.vertices).any(axis=1)
+    tagged = {(min(u, v), max(u, v)) for u, v in pit_edges[touching]}
     for u, v in zip(chain.vertices[:-1], chain.vertices[1:]):
         if (min(u, v), max(u, v)) not in tagged:
             problems.append(f"pit {chain.pit_id}: edge ({u},{v}) not tagged Pit")
@@ -291,11 +291,10 @@ def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
 class ValidationReport:
     inverted_cells: list = field(default_factory=list)
     boundary_errors: list = field(default_factory=list)
-    tag_errors: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.inverted_cells or self.boundary_errors or self.tag_errors)
+        return not (self.inverted_cells or self.boundary_errors)
 
     def summary(self) -> str:
         if self.ok:
@@ -304,7 +303,6 @@ class ValidationReport:
         if self.inverted_cells:
             lines.append(f"inverted cells: {self.inverted_cells[:10]}")
         lines.extend(self.boundary_errors[:10])
-        lines.extend(self.tag_errors[:10])
         return "; ".join(lines)
 
 
@@ -331,29 +329,30 @@ def validate(mesh: TriMesh) -> ValidationReport:
                 f"tagged edge {e} is not a boundary edge of exactly one cell")
     for e in sorted(derived - seen):
         report.boundary_errors.append(f"boundary edge {e} has no tag")
-
-    pit_ids = np.unique(mesh.edge_pits[mesh.edge_tags == BoundaryTag.PIT])
-    if len(pit_ids) and not np.array_equal(pit_ids, np.arange(len(pit_ids))):
-        report.tag_errors.append(f"pit ids not contiguous from 0: {pit_ids.tolist()}")
-    if np.any(mesh.edge_pits[mesh.edge_tags != BoundaryTag.PIT] != -1):
-        report.tag_errors.append("non-pit edge carries a pit id")
     return report
 
 
 def chains_from_tags(mesh: TriMesh) -> list:
-    """Rebuild ordered PitChains from tagged edges (left corner first)."""
+    """One PitChain per path of PIT edges, each walked from its left end.
+
+    Chains are numbered from 0 in left-corner order, the order the front
+    keeps them in.  Branching or closed PIT paths raise MeshError.
+    """
+    adj: dict = {}
+    for u, v in mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT].tolist():
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    branch = [v for v, nb in adj.items() if len(nb) > 2]
+    if branch:
+        raise MeshError(f"Pit edges branch at vertex {branch[0]}")
+    # a path is met first at its left end
+    ends = sorted((v for v, nb in adj.items() if len(nb) == 1),
+                  key=lambda v: mesh.vertices[v, 0])
     chains = []
-    pit_sel = mesh.edge_tags == BoundaryTag.PIT
-    for pid in np.unique(mesh.edge_pits[pit_sel]):
-        edges = mesh.edge_nodes[pit_sel & (mesh.edge_pits == pid)]
-        adj: dict = {}
-        for u, v in edges:
-            adj.setdefault(int(u), []).append(int(v))
-            adj.setdefault(int(v), []).append(int(u))
-        ends = [v for v, nb in adj.items() if len(nb) == 1]
-        if len(ends) != 2:
-            raise MeshError(f"pit {pid}: chain is not a simple open path")
-        start = min(ends, key=lambda v: mesh.vertices[v, 0])
+    walked = set()
+    for start in ends:
+        if start in walked:
+            continue
         order = [start]
         prev = None
         while True:
@@ -362,8 +361,8 @@ def chains_from_tags(mesh: TriMesh) -> list:
                 break
             prev = order[-1]
             order.append(nxt[0])
-        if len(order) != len(adj):
-            raise MeshError(f"pit {pid}: disconnected chain")
-        chains.append(PitChain(int(pid), np.array(order, dtype=np.int32)))
-    chains.sort(key=lambda c: c.pit_id)
+        walked.update(order)
+        chains.append(PitChain(len(chains), np.array(order, dtype=np.int32)))
+    if len(walked) != len(adj):
+        raise MeshError("Pit edges close into a loop")
     return chains

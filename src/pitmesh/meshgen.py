@@ -117,7 +117,7 @@ def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
     """CCW boundary loop with per-edge tags and pit chain index ranges.
 
-    Returns (points, tags, pit_ids, chain_ranges, gap_edges) where tags[k]
+    Returns (points, tags, chain_ranges, gap_edges) where tags[k]
     labels the edge from point k to point k+1 (cyclic) and gap_edges lists
     (midpoint, length) of single-edge inter-pit gaps.
     """
@@ -129,14 +129,13 @@ def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
     if corners[0][0] <= domain.xmin or corners[-1][1] >= domain.xmax:
         raise MeshGenError("pit extends to or beyond the domain sides")
 
-    pts, tags, pids = [], [], []
+    pts, tags = [], []
     chain_ranges = []
     gap_edges = []
 
-    def add(point, tag, pid=-1):
+    def add(point, tag):
         pts.append(np.asarray(point, dtype=np.float64))
         tags.append(int(tag))
-        pids.append(pid)
 
     def add_many(arr, tag):
         for q in arr:
@@ -162,8 +161,7 @@ def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
         chain = _pit_chain_points(pits.centers[pid], pits.width, pits.depth,
                                   pits.nodes)
         start = len(pts)
-        for q in chain[:-1]:
-            add(q, BoundaryTag.PIT, pid)
+        add_many(chain[:-1], BoundaryTag.PIT)
         chain_ranges.append((start, start + pits.nodes))
         right = corners[pid][1]
         add((right, 0.0), BoundaryTag.BOTTOM)
@@ -179,7 +177,7 @@ def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
             add_many(_segment_nodes((right, 0.0), (domain.xmax, 0.0),
                                     s_chain, h, h), BoundaryTag.BOTTOM)
     points = np.vstack(pts)
-    return (points, np.asarray(tags), np.asarray(pids), chain_ranges, gap_edges)
+    return points, np.asarray(tags), chain_ranges, gap_edges
 
 
 def _interior_lattice(domain: DomainSpec, pits: PitSpec, poly: np.ndarray,
@@ -208,8 +206,7 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
     pits.validate()
     if target_h <= 0.0:
         raise ValueError("target_h must be positive")
-    poly, edge_tags, edge_pids, chain_ranges, gap_edges = _polygon(
-        domain, pits, target_h)
+    poly, edge_tags, chain_ranges, gap_edges = _polygon(domain, pits, target_h)
     interior = _interior_lattice(domain, pits, poly, target_h, seed, gap_edges)
     points = np.vstack((poly, interior))
 
@@ -221,8 +218,7 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
     n_poly = len(poly)
     loop = np.column_stack(
         (np.arange(n_poly), (np.arange(n_poly) + 1) % n_poly)).astype(np.int32)
-    mesh = TriMesh(points, cells, loop, edge_tags.astype(np.int16),
-                   edge_pids.astype(np.int32))
+    mesh = TriMesh(points, cells, loop, edge_tags.astype(np.int16))
     mesh.orient_ccw()
     _assert_conforming(mesh, poly)
 
@@ -284,5 +280,4 @@ def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
         tags.append(BoundaryTag.RIGHT)
     return TriMesh(pts, np.asarray(cells, dtype=np.int32),
                    np.asarray(edges, dtype=np.int32),
-                   np.asarray(tags, dtype=np.int16),
-                   np.full(len(edges), -1, dtype=np.int32))
+                   np.asarray(tags, dtype=np.int16))

@@ -67,7 +67,7 @@ class TestEnergy:
         tri = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                       np.array([[0, 1, 2]]),
                       np.array([[0, 1], [1, 2], [2, 0]]),
-                      np.array([3, 2, 0]), np.array([-1, -1, -1]))
+                      np.array([3, 2, 0]))
         p = AdaptParams()
         # J = I, T = 2, det J = 1: I = 0.5[theta 2^1.5 + (1-2theta) 2^1.5]
         expected = 0.5 * 2.0 ** 1.5 * (1.0 - p.theta)

@@ -17,8 +17,7 @@ def reference_triangle():
                    np.array([[0, 1, 2]]),
                    np.array([[0, 1], [1, 2], [2, 0]]),
                    np.array([BoundaryTag.BOTTOM, BoundaryTag.RIGHT,
-                             BoundaryTag.TOP]),
-                   np.array([-1, -1, -1]))
+                             BoundaryTag.TOP]))
 
 
 def pit_edge_mesh(length):
@@ -28,7 +27,7 @@ def pit_edge_mesh(length):
     edges = np.array([[0, 1], [1, 3], [3, 2], [2, 0]])
     tags = np.array([BoundaryTag.PIT, BoundaryTag.RIGHT, BoundaryTag.TOP,
                      BoundaryTag.LEFT])
-    mesh = TriMesh(verts, tris, edges, tags, np.array([0, -1, -1, -1]))
+    mesh = TriMesh(verts, tris, edges, tags)
     chain = PitChain(0, np.array([0, 1]))
     return mesh, chain
 
@@ -148,8 +147,7 @@ class TestBoundaryTerm:
         edges = np.array([[0, 1], [1, 2], [2, 5], [5, 4], [4, 3], [3, 0]])
         tags = np.array([BoundaryTag.PIT, BoundaryTag.PIT, BoundaryTag.RIGHT,
                          BoundaryTag.TOP, BoundaryTag.TOP, BoundaryTag.LEFT])
-        mesh = TriMesh(verts, tris, edges, tags,
-                       np.array([0, 0, -1, -1, -1, -1]))
+        mesh = TriMesh(verts, tris, edges, tags)
         chain = PitChain(0, np.array([0, 1, 2]))
         phi = np.array([0.0, 0.0, -30.0, 0.0, 0.0, 0.0])
         with pytest.raises(OverflowGuardError, match=r"on pit edge 1 \(1-2\)"):

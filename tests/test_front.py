@@ -155,11 +155,10 @@ class TestCorners:
                                        np.array([1.0, -2.0])) \
             == pytest.approx(3.0)
 
-    def test_far_intersection_absorbs_surface_vertex(self, twin_setup,
+    def test_far_intersection_absorbs_surface_vertex(self, pit_setup,
                                                     monkeypatch):
-        mesh, chains = twin_setup
-        chain = chains[0]
-        # force the far branch
+        mesh, chain = pit_setup
+        # force the far branch; both corners absorb a plain surface vertex
         monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
         n_before = chain.n_vertices
         counts = (mesh.n_vertices, mesh.n_triangles, len(mesh.edge_nodes))
@@ -175,6 +174,33 @@ class TestCorners:
         new_corner = chain.vertices[0]
         assert mesh.vertices[new_corner, 1] == 0.0
         assert validate_chain(mesh, chain) == []
+
+    def test_far_intersection_never_takes_facing_pit_corner(self, twin_setup,
+                                                            monkeypatch):
+        # one bottom edge separates the pits, so the right corner's surface
+        # neighbour is the facing pit's left corner
+        mesh, chains = twin_setup
+        monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
+        corner, facing = chains[0].right_corner, chains[1].left_corner
+        with pytest.raises(FrontError,
+                           match=rf"corner {corner}: .* vertex {facing} "):
+            update_corners(mesh, chains[0])
+
+    def test_rejected_corner_absorption_rolled_back(self, twin_setup,
+                                                    monkeypatch):
+        # the left corner absorbs a surface vertex before the right one
+        # fails; advance_pit undoes both
+        mesh, chains = twin_setup
+        monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
+        chain = chains[0]
+        before = (mesh.vertices.copy(), mesh.edge_tags.copy(),
+                  chain.vertices.copy())
+        zero = lambda pos, normals: np.zeros(len(pos))
+        with pytest.raises(FrontError, match="another pit"):
+            advance_with(mesh, chain, zero)
+        assert np.array_equal(mesh.vertices, before[0])
+        assert np.array_equal(mesh.edge_tags, before[1])
+        assert np.array_equal(chain.vertices, before[2])
 
 
 class TestMergeDetect:

@@ -9,7 +9,9 @@ import pytest
 from pitmesh import io as pio
 from pitmesh.crystal import Bicrystal, Crystal, Homogeneous
 from pitmesh.driver import TimeSeries
+from pitmesh.front import FrontParams, detect_merge, merge_pits
 from pitmesh.io import ConfigError, RunArtifacts, parse_config
+from pitmesh.mesh import MeshError, chains_from_tags
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
 
 from oracles import read_vtk_points_and_phi
@@ -112,6 +114,21 @@ class TestConfig:
                                  r"not an integer"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("t_end = nan\n", 1, "t_end"),
+        ("mu1 = 10\ntau = nan\n", 2, "tau"),
+        ("sigma_c = inf\n", 1, "sigma_c"),
+        ("merge_gap_tol = -inf\n", 1, "merge_gap_tol"),
+        ('pit_centers = "-6 nan"\n', 1, "pit_centers"),
+        ("vcorr_homogeneous = nan\n", 1, "vcorr_homogeneous"),
+        ("material = bicrystal\nx_interface = inf\n", 2, "x_interface")])
+    def test_non_finite_number_rejected_with_line(self, tmp_path, text, line,
+                                                  key):
+        path = write(tmp_path, "n.cfg", text)
+        with pytest.raises(ConfigError,
+                           match=rf"n.cfg:{line}: bad .*{key}.*not finite"):
+            parse_config(path)
+
     def test_integral_miller_index_written_as_float_accepted(self, tmp_path):
         path = write(tmp_path, "i.cfg", 'material = crystal\n'
                      'zone_axis = "1.0 0 1"\nx_dir = "-1 0 1.0"\n')
@@ -145,7 +162,6 @@ class TestMeshExchange:
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.array_equal(back.edge_nodes, mesh.edge_nodes)
         assert np.array_equal(back.edge_tags, mesh.edge_tags)
-        assert np.array_equal(back.edge_pits, mesh.edge_pits)
 
     def test_format_layout(self, tmp_path):
         mesh = make_rect_mesh(1, 1)
@@ -165,6 +181,60 @@ class TestMeshExchange:
         from pitmesh.mesh import chains_from_tags
         rebuilt = chains_from_tags(back)
         assert np.array_equal(rebuilt[0].vertices, chains[0].vertices)
+
+    def roundtrip_chains(self, tmp_path, mesh):
+        path = str(tmp_path / "mesh.txt")
+        pio.write_mesh(mesh, path)
+        return chains_from_tags(pio.read_mesh(path))
+
+    def test_two_pit_chains_rebuilt(self, tmp_path):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-6.0, 6.0), nodes=21),
+            target_h=2.0, seed=0)
+        rebuilt = self.roundtrip_chains(tmp_path, mesh)
+        assert [c.pit_id for c in rebuilt] == [c.pit_id for c in chains] \
+            == [0, 1]
+        for orig, new in zip(chains, rebuilt):
+            assert np.array_equal(new.vertices, orig.vertices)
+
+    def test_merged_chain_rebuilt_in_merge_order(self, tmp_path):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-5.2, 5.2), nodes=31),
+            target_h=1.2, seed=0)
+        cand = detect_merge(mesh, chains, FrontParams(merge_gap_tol=0.5))
+        merged, _ = merge_pits(mesh, chains, cand)
+        rebuilt = self.roundtrip_chains(tmp_path, mesh)
+        assert len(rebuilt) == len(merged) == 1
+        assert rebuilt[0].pit_id == merged[0].pit_id == 0
+        assert np.array_equal(rebuilt[0].vertices, merged[0].vertices)
+
+    def test_rows_have_fixed_width(self, tmp_path, pit_mesh):
+        mesh, _ = pit_mesh
+        path = str(tmp_path / "mesh.txt")
+        pio.write_mesh(mesh, path)
+        rows = {}
+        for line in open(path).read().splitlines():
+            if line.startswith("$"):
+                marker, count = line, None
+            elif count is None:
+                count = int(line)
+            else:
+                rows.setdefault(marker, set()).add(len(line.split()))
+        assert rows == {"$Nodes": {3}, "$Elements": {4},
+                        "$BoundaryEdges": {3}}
+
+    def test_pit_id_column_rejected(self, tmp_path, pit_mesh):
+        # the earlier format appended the pit id to every Pit edge row
+        mesh, _ = pit_mesh
+        mesh_file = tmp_path / "mesh.txt"
+        pio.write_mesh(mesh, str(mesh_file))
+        lines = mesh_file.read_text().splitlines()
+        start = lines.index("$BoundaryEdges") + 2
+        lines[start:] = [row + " 0" if row.split()[2] == "4" else row
+                         for row in lines[start:]]
+        mesh_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="tokens after the last table"):
+            pio.read_mesh(str(mesh_file))
 
 
 class TestVtk:
@@ -271,7 +341,8 @@ class TestCli:
         assert self.run_cli("fit", str(tmp_path / "nope.csv")) == 1
 
     @pytest.mark.parametrize("damage", ["truncate", "vertex_index",
-                                        "node_number"])
+                                        "node_number", "unknown_tag",
+                                        "nan_coordinate"])
     def test_malformed_mesh_exit_code_2(self, tmp_path, capsys, pit_mesh,
                                         damage):
         mesh, _ = pit_mesh
@@ -284,6 +355,13 @@ class TestCli:
         elif damage == "vertex_index":
             first_cell = lines.index("$Elements") + 2
             lines[first_cell] = f"0 0 1 {mesh.n_vertices}"
+        elif damage == "nan_coordinate":
+            lines[2] = "0 nan " + lines[2].split()[2]
+        elif damage == "unknown_tag":
+            # every top edge tagged 9, which is no BoundaryTag
+            start = lines.index("$BoundaryEdges") + 2
+            lines[start:] = [row[:-1] + "9" if row.endswith(" 0") else row
+                             for row in lines[start:]]
         else:
             lines[2] = "-1 " + lines[2].split(" ", 1)[1]
         mesh_file.write_text("\n".join(lines) + "\n")

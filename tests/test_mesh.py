@@ -16,8 +16,7 @@ def single_triangle(v0, v1, v2):
     return TriMesh(np.array([v0, v1, v2], dtype=float), np.array([[0, 1, 2]]),
                    np.array([[0, 1], [1, 2], [2, 0]]),
                    np.array([BoundaryTag.BOTTOM, BoundaryTag.RIGHT,
-                             BoundaryTag.LEFT]),
-                   np.array([-1, -1, -1]))
+                             BoundaryTag.LEFT]))
 
 
 def chain_mesh(points):
@@ -29,8 +28,7 @@ def chain_mesh(points):
     tris = np.array([[i, i + 1, n] for i in range(n - 1)], dtype=np.int32)
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.int32)
     mesh = TriMesh(verts, tris, edges,
-                   np.full(n - 1, BoundaryTag.PIT, dtype=np.int16),
-                   np.zeros(n - 1, dtype=np.int32))
+                   np.full(n - 1, BoundaryTag.PIT, dtype=np.int16))
     mesh.orient_ccw()
     return mesh, PitChain(0, np.arange(n, dtype=np.int32))
 
@@ -191,7 +189,6 @@ class TestValidate:
         interior = tuple(uniq[counts == 2][0])
         mesh.edge_nodes = np.vstack((mesh.edge_nodes, interior)).astype(np.int32)
         mesh.edge_tags = np.append(mesh.edge_tags, BoundaryTag.BOTTOM).astype(np.int16)
-        mesh.edge_pits = np.append(mesh.edge_pits, -1).astype(np.int32)
         report = validate(mesh)
         assert not report.ok
         assert any(str(interior) in msg for msg in report.boundary_errors)
@@ -203,13 +200,6 @@ class TestValidate:
         x, y = poly[:, 0], poly[:, 1]
         shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         assert abs(total - shoelace) / shoelace < 1e-10
-
-    def test_pit_id_contiguity_checked(self):
-        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
-                                             target_h=2.0, seed=0)
-        mesh.edge_pits[mesh.edge_pits == 0] = 1
-        report = validate(mesh)
-        assert any("contiguous" in msg for msg in report.tag_errors)
 
 
 class TestRolesAndChains:
@@ -241,6 +231,47 @@ class TestRolesAndChains:
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
                                              target_h=2.0, seed=0)
         assert validate_chain(mesh, chains[0]) == []
+
+    def test_validate_chain_reports_vertex_shared_with_another_chain(self):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-6.0, 6.0), nodes=21),
+            target_h=2.0, seed=0)
+        left, right = chains
+        assert validate_chain(mesh, left) == []
+        assert validate_chain(mesh, right) == []
+        # the left chain takes the right pit's corner across the gap edge
+        gap = np.flatnonzero(
+            np.isin(mesh.edge_nodes, [left.right_corner,
+                                      right.left_corner]).all(axis=1))
+        mesh.edge_tags[gap] = BoundaryTag.PIT
+        left.vertices = np.append(left.vertices, right.left_corner)
+        for chain in (left, right):
+            assert any("tagged edge count" in msg
+                       for msg in validate_chain(mesh, chain))
+
+    def test_chains_numbered_by_left_corner(self):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(xmin=-30, xmax=30),
+            PitSpec(centers=(-12.0, 0.0, 12.0), nodes=15), target_h=2.0, seed=0)
+        # listing the right pit's edges first changes nothing
+        order = np.argsort(-mesh.vertices[mesh.edge_nodes[:, 0], 0],
+                           kind="stable")
+        mesh.edge_nodes = mesh.edge_nodes[order]
+        mesh.edge_tags = mesh.edge_tags[order]
+        rebuilt = chains_from_tags(mesh)
+        assert [c.pit_id for c in rebuilt] == [0, 1, 2]
+        for orig, new in zip(chains, rebuilt):
+            assert np.array_equal(orig.vertices, new.vertices)
+
+    @pytest.mark.parametrize("shape, message", [
+        ([(0, 1), (1, 2), (1, 3)], "branch at vertex 1"),
+        ([(0, 1), (1, 2), (2, 0)], "loop")])
+    def test_chains_from_tags_rejects_branch_and_loop(self, shape, message):
+        mesh = make_rect_mesh(2, 2)
+        mesh.edge_nodes = np.array(shape, dtype=np.int32)
+        mesh.edge_tags = np.full(len(shape), BoundaryTag.PIT, dtype=np.int16)
+        with pytest.raises(MeshError, match=message):
+            chains_from_tags(mesh)
 
 
 class TestSelfIntersection:
