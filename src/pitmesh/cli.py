@@ -20,6 +20,7 @@ from . import adapt, driver, io
 from .driver import SimulationError
 from .io import ConfigError, RunArtifacts
 from .mesh import MeshError, chains_from_tags
+from .meshgen import MeshGenError
 
 logger = logging.getLogger("pitmesh")
 
@@ -81,10 +82,9 @@ def _cmd_run(args) -> int:
     try:
         result = driver.run(config, step_hook=hook)
     except SimulationError as err:
-        if err.mesh is not None:
-            io.write_vtk(err.mesh, err.phi, artifacts.snapshot_path(err.step))
-            logger.error("run aborted; last good snapshot written to %s",
-                         artifacts.snapshot_path(err.step))
+        io.write_vtk(err.mesh, err.phi, artifacts.snapshot_path(err.step))
+        logger.error("run aborted; last good snapshot written to %s",
+                     artifacts.snapshot_path(err.step))
         raise
     fits = {}
     for column in ("depth", "width"):
@@ -133,10 +133,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (ConfigError, MeshGenError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (SimulationError, MeshError, OSError, ArithmeticError) as err:

@@ -31,9 +31,14 @@ _CFL_FRAC = 0.2
 
 
 class SimulationError(Exception):
-    """A module failure wrapped with the step index and last-good state."""
+    """A failed run, carrying the state of its last completed step.
 
-    def __init__(self, message, step=None, mesh=None, chains=None, phi=None):
+    step is the index of that step (0 for the smoothed initial state), and
+    mesh, chains and phi are its state as the step hook saw it.  The
+    message names the step that failed.
+    """
+
+    def __init__(self, message, step, mesh, chains, phi):
         super().__init__(message)
         self.step = step
         self.mesh = mesh
@@ -161,14 +166,19 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     """Run the full alternating loop until t_end.
 
     step_hook(step, t, mesh, chains, phi) is called after every completed
-    step (and once at t = 0); exceptions from any module abort the run
-    wrapped in a SimulationError carrying the last good state.  One
-    StiffnessFactor serves every mesh relaxation of the run.
+    step (and once at t = 0).  Each step is all or nothing: the loop keeps
+    a copy of the last completed step's mesh, chains and phi, and an
+    exception from any module within a step aborts the run with a
+    SimulationError carrying that copy, whatever the failing call left
+    half done.  One StiffnessFactor serves every mesh relaxation of the
+    run.
     """
     factor = adapt.StiffnessFactor()
     init = init_mesh(config, factor)
-    # the loop moves its mesh in place; init keeps the starting state
-    mesh, chains, phi = init.mesh.copy(), init.chains, init.phi
+    # the loop moves its own copies in place; init keeps the starting state
+    mesh = init.mesh.copy()
+    chains = [c.copy() for c in init.chains]
+    phi = init.phi
 
     series = TimeSeries()
     d0, w0 = diagnostics(mesh, chains)
@@ -184,6 +194,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     prev_area = sum(front.pit_area(mesh, c) for c in chains)
     while fparams.t_end - t > 1e-9 * fparams.dt:
         step += 1
+        # newton_solve never writes into phi, so it needs no copy
+        good = (mesh.copy(), [c.copy() for c in chains], phi)
         try:
             metric = adapt.monitor_mackenzie(mesh, chains, config.adapt)
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
@@ -238,8 +250,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             prev_area = area
         except Exception as err:
             raise SimulationError(f"step {step} (t={t:.4g}s): {err}",
-                                  step=step, mesh=mesh, chains=chains,
-                                  phi=phi) from err
+                                  step - 1, *good) from err
         t += dt
         d, w = diagnostics(mesh, chains)
         series.append(t, d, w)
@@ -249,7 +260,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     report = validate(mesh)
     if not report.ok:
         raise SimulationError(f"final mesh invalid: {report.summary()}",
-                              step=step, mesh=mesh, chains=chains, phi=phi)
+                              step, mesh, chains, phi)
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
                      factor.minimiser_calls)

@@ -89,20 +89,12 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     vn_um and normals are the normal speed (micrometers/s) and unit normal
     of every chain vertex, as chain_velocities returns them.  Mutates mesh
     vertex positions (and, for large corner jumps, the chain and edge
-    tags).  Rejects the step, restoring the chain, positions and tags, if
-    the chain self-intersects or a corner cannot be re-seated.
+    tags).  Raises FrontError if the chain self-intersects or a corner
+    cannot be re-seated; the mesh and chain may then be partly advanced,
+    and driver.run keeps the last good state.
     """
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
-    saved = mesh.vertices[chain.vertices].copy()
-    saved_ids = chain.vertices.copy()
-    saved_apex = chain.apex_pos
-    saved_tags = mesh.edge_tags.copy()
-    # corner absorption may pull surface vertices into the chain
-    bottom_ids = np.unique(
-        mesh.edge_nodes[mesh.edge_tags == BoundaryTag.BOTTOM].ravel())
-    saved_bottom = mesh.vertices[bottom_ids].copy()
-
     move = np.ones(chain.n_vertices, dtype=bool)
     move[0] = move[-1] = False
     if chain.apex_pos is not None:
@@ -114,23 +106,13 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     disp = np.zeros((chain.n_vertices, 2))
     disp[move] = dt * vn_um[move, None] * normals[move]
     _apply_limited(mesh, chain, disp)
-
-    try:
-        update_corners(mesh, chain)
-        if chain.apex_pos is not None:
-            _advance_apex(mesh, chain, old_neighbors)
-        if polyline_self_intersects(chain.positions(mesh)):
-            raise FrontError(
-                f"pit {chain.pit_id}: chain self-intersects after advance; "
-                "a smaller dt should prevent this")
-    except FrontError:
-        # roll back positions plus anything a corner absorption changed
-        mesh.vertices[bottom_ids] = saved_bottom
-        mesh.vertices[saved_ids] = saved
-        mesh.edge_tags = saved_tags
-        chain.vertices = saved_ids
-        chain.apex_pos = saved_apex
-        raise
+    update_corners(mesh, chain)
+    if chain.apex_pos is not None:
+        _advance_apex(mesh, chain, old_neighbors)
+    if polyline_self_intersects(chain.positions(mesh)):
+        raise FrontError(
+            f"pit {chain.pit_id}: chain self-intersects after advance; "
+            "a smaller dt should prevent this")
 
 
 APPROACH_FACTOR = 0.4   # a vertex keeps this fraction of its clearance
@@ -377,7 +359,9 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     becomes the apex at the gap midpoint; the other endpoint moves halfway
     toward its first chain neighbor.  Vertex and cell counts are untouched;
     the gap edge is retagged as pit boundary, and the chains are renumbered
-    from 0 in left-corner order.
+    from 0 in left-corner order.  Raises FrontError if the move would
+    invert a cell; the two moved vertices then stay moved, and driver.run
+    keeps the last good state.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]
@@ -401,13 +385,11 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     else:
         apex_id, moved_id = lc, rc
         neighbor = int(left.vertices[-2])
-    saved = pos[[rc, lc]].copy()
     pos[apex_id] = apex_point
     pos[moved_id] = 0.5 * (apex_point + pos[neighbor])
 
     areas_ok = mesh.signed_areas() > 0.0
     if not np.all(areas_ok):
-        pos[[rc, lc]] = saved
         raise FrontError(
             f"merging pits {left.pit_id} and {right.pit_id} would invert "
             f"cells {np.where(~areas_ok)[0][:5].tolist()}; "

@@ -309,14 +309,24 @@ def write_timeseries(series: TimeSeries, path: str) -> None:
 
 
 def read_timeseries(path: str) -> TimeSeries:
+    """Read a time series CSV as write_timeseries writes it.
+
+    A row that is not three finite numbers, or whose t does not increase,
+    raises ValueError naming the file and line.
+    """
     series = TimeSeries()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,depth_um,width_um":
             raise ValueError(f"{path}: unexpected header '{header}'")
-        for line in fh:
-            t, d, w = (float(v) for v in line.split(","))
-            series.append(t, d, w)
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 fields, found {len(fields)}")
+                series.append(*(_finite(v) for v in fields))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     return series
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .mesh import BoundaryTag, PitChain, TriMesh, point_segment_distances
+from .mesh import (BoundaryTag, PitChain, TriMesh, point_segment_distances,
+                   validate)
 
 logger = logging.getLogger("pitmesh.meshgen")
 
@@ -220,26 +221,15 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
         (np.arange(n_poly), (np.arange(n_poly) + 1) % n_poly)).astype(np.int32)
     mesh = TriMesh(points, cells, loop, edge_tags.astype(np.int16))
     mesh.orient_ccw()
-    _assert_conforming(mesh, poly)
+    report = validate(mesh)
+    if not report.ok:
+        raise MeshGenError(f"initial mesh invalid: {report.summary()}")
 
     chains = [PitChain(pid, np.arange(a, b, dtype=np.int32))
               for pid, (a, b) in enumerate(chain_ranges)]
     logger.info("initial mesh: %d vertices, %d triangles, %d pit(s)",
                 mesh.n_vertices, mesh.n_triangles, len(chains))
     return mesh, chains, poly
-
-
-def _assert_conforming(mesh: TriMesh, poly: np.ndarray) -> None:
-    uniq, counts = mesh.edge_counts()
-    derived = {tuple(e) for e in uniq[counts == 1]}
-    wanted = {tuple(sorted(e)) for e in mesh.edge_nodes.tolist()}
-    missing = wanted - derived
-    extra = derived - wanted
-    if missing or extra:
-        raise MeshGenError(
-            "triangulation does not conform to the boundary polygon; "
-            f"missing {sorted(missing)[:8]}, extra {sorted(extra)[:8]}; "
-            f"polygon has {len(poly)} points")
 
 
 def make_rect_mesh(nx: int, ny: int, width: float = 1.0,

@@ -3,11 +3,12 @@ import gc
 import numpy as np
 import pytest
 
-from pitmesh import adapt
-from pitmesh.driver import (SimConfig, TimeSeries, diagnostics, fit_power_law,
-                            fit_power_law_arrays, init_mesh, run)
+from pitmesh import adapt, driver, front
+from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
+                            fit_power_law, fit_power_law_arrays, init_mesh, run)
+from pitmesh.front import FrontError
 from pitmesh.io import write_summary
-from pitmesh.mesh import validate
+from pitmesh.mesh import face_and_vertex_normals, validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
@@ -172,6 +173,82 @@ class TestRun:
         # the cap keeps per-step front motion at a fraction of an edge
         assert result.steps > 1
         assert t[1] < 50.0
+
+
+def forced_absorption_config(monkeypatch):
+    """Every corner move absorbs a surface vertex; step 2 inverts a cell."""
+    monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
+    cfg = small_config(target_h=2.0)
+    cfg.pits.nodes = 15
+    return cfg
+
+
+def chain_state(chains):
+    return [(c.pit_id, c.vertices.tolist(), c.apex_pos) for c in chains]
+
+
+class TestFailedStep:
+    def run_failing(self, cfg):
+        """The SimulationError of run(cfg) and the state of every hook call."""
+        states = {}
+
+        def hook(step, t, mesh, chains, phi):
+            states[step] = (mesh.copy(), chain_state(chains), phi.copy())
+
+        with pytest.raises(SimulationError) as info:
+            run(cfg, step_hook=hook)
+        return info.value, states
+
+    def assert_carries(self, err, state):
+        mesh, chains, phi = state
+        assert np.array_equal(err.mesh.vertices, mesh.vertices)
+        assert np.array_equal(err.mesh.edge_tags, mesh.edge_tags)
+        assert chain_state(err.chains) == chains
+        assert np.array_equal(err.phi, phi)
+        assert validate(err.mesh).ok
+
+    def test_inverted_step_carries_last_completed_step(self, monkeypatch):
+        err, states = self.run_failing(forced_absorption_config(monkeypatch))
+        assert str(err).startswith("step 2 ")
+        assert "inverted element" in str(err)
+        assert err.step == 1 == max(states)
+        self.assert_carries(err, states[1])
+
+    def test_front_failure_carries_previous_step(self, monkeypatch):
+        # advance_pit pulls the chain back 4 micrometers a time until the
+        # corners drag the walls across each other; the first pull succeeds,
+        # so the mesh and chain are left partly advanced
+        real = front.advance_pit
+
+        def squeeze(mesh, chain, vn_um, normals, dt):
+            for _ in range(12):
+                _, normals = face_and_vertex_normals(mesh, chain)
+                real(mesh, chain, np.full(chain.n_vertices, -4.0 / dt),
+                     normals, dt)
+
+        monkeypatch.setattr(front, "advance_pit", squeeze)
+        cfg = small_config(target_h=1.2)   # the mesh of test_front's pit_setup
+        cfg.pits.nodes = 41
+        err, states = self.run_failing(cfg)
+        assert isinstance(err.__cause__, FrontError)
+        assert str(err).startswith("step 1 ")
+        assert "self-intersect" in str(err)
+        assert err.step == 0
+        self.assert_carries(err, states[0])
+
+    def test_failed_run_keeps_initial_chains(self, monkeypatch):
+        cfg = forced_absorption_config(monkeypatch)
+        inits = []
+
+        def capture(*args, **kwargs):
+            inits.append(init_mesh(*args, **kwargs))
+            return inits[-1]
+
+        monkeypatch.setattr(driver, "init_mesh", capture)
+        self.run_failing(cfg)
+        _, built, _ = build_initial_mesh(cfg.domain, cfg.pits, cfg.target_h,
+                                         cfg.seed)
+        assert chain_state(inits[0].chains) == chain_state(built)
 
 
 class TestTimeSeries:

@@ -1,14 +1,16 @@
 import glob
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pitmesh import driver, front
 from pitmesh import io as pio
 from pitmesh.crystal import Bicrystal, Crystal, Homogeneous
-from pitmesh.driver import TimeSeries
+from pitmesh.driver import SimulationError, TimeSeries
 from pitmesh.front import FrontParams, detect_merge, merge_pits
 from pitmesh.io import ConfigError, RunArtifacts, parse_config
 from pitmesh.mesh import MeshError, chains_from_tags
@@ -295,6 +297,25 @@ class TestTimeSeriesCsv:
         assert np.all(np.diff(d) >= 0)
         assert np.all(np.diff(w) >= 0)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,inf,10.1", "inf is not finite"),
+        ("nan,5.1,10.1", "nan is not finite"),
+        ("1.5,5.1,five", "could not convert"),
+        ("1.5,5.1", "expected 3 fields, found 2"),
+        ("1.5,5.1,10.1,0", "expected 3 fields, found 4"),
+        ("", "expected 3 fields, found 1"),
+        ("0.5,5.1,10.1", "strictly increasing"),
+    ])
+    def test_bad_row_rejected_with_line(self, tmp_path, row, message):
+        path = str(tmp_path / "ts.csv")
+        pio.write_timeseries(self.make_series(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        # header, three rows, then the bad one
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(path)}:5: .*{message}"):
+            pio.read_timeseries(path)
+
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             pio.write_timeseries(TimeSeries(), str(tmp_path / "x.csv"))
@@ -339,6 +360,48 @@ class TestCli:
 
     def test_missing_file_exit_code_1(self, tmp_path):
         assert self.run_cli("fit", str(tmp_path / "nope.csv")) == 1
+
+    def test_non_finite_series_exit_code_1(self, tmp_path, capsys):
+        rows = [f"{k},{5.0 + 0.1 * k},{10.0 + 0.2 * k}" for k in range(12)]
+        rows[5] = "5,inf,11"
+        path = write(tmp_path, "ts.csv",
+                     "t,depth_um,width_um\n" + "\n".join(rows) + "\n")
+        assert self.run_cli("fit", path) == 1
+        assert capsys.readouterr().err == f"error: {path}:7: inf is not finite\n"
+
+    @pytest.mark.parametrize("command", ["init-mesh", "run"])
+    @pytest.mark.parametrize("layout, message", [
+        ("pit_centers = -3 3", "pits overlap: corners 2 and -2"),
+        ("domain_xmin = -5\ndomain_xmax = 5",
+         "pit extends to or beyond the domain sides"),
+    ])
+    def test_impossible_pit_layout_exit_code_1(self, tmp_path, capsys,
+                                               command, layout, message):
+        cfg = write(tmp_path, "bad.cfg", layout + "\n")
+        assert self.run_cli(command, cfg, "-o", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_run_exit_code_2_with_last_good_snapshot(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        # every corner move absorbs a surface vertex; step 2 inverts a cell
+        monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
+        cfg = write(tmp_path, "forced.cfg", "\n".join([
+            "target_h = 2.0", "pit_nodes = 15", "t_end = 2.0"]) + "\n")
+        step_one = []
+
+        def hook(step, t, mesh, chains, phi):
+            if step == 1:
+                step_one.append(mesh.vertices.copy())
+
+        with pytest.raises(SimulationError):
+            driver.run(parse_config(cfg), step_hook=hook)
+        out_dir = tmp_path / "out"
+        assert self.run_cli("run", cfg, "-o", str(out_dir)) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: step 2 ")
+        assert sorted(os.listdir(out_dir)) == ["snapshot_00001.vtk"]
+        points, _ = read_vtk_points_and_phi(str(out_dir / "snapshot_00001.vtk"))
+        assert np.array_equal(points, step_one[0])
 
     @pytest.mark.parametrize("damage", ["truncate", "vertex_index",
                                         "node_number", "unknown_tag",
