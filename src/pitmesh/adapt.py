@@ -174,16 +174,6 @@ def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh) -> tuple:
     return out
 
 
-def energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> float:
-    """Total adaptation energy of the mesh under a frozen vertex monitor."""
-    return _evaluate_mesh(_functional(mesh, metric, p), mesh)[0]
-
-
-def grad_energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> np.ndarray:
-    """Analytic dI/dx per vertex, (nv, 2); monitor values are held fixed."""
-    return _evaluate_mesh(_functional(mesh, metric, p), mesh)[1]
-
-
 @dataclass
 class MmpdeResult:
     positions: np.ndarray
@@ -419,20 +409,20 @@ class SmoothResult:
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
-                max_iters: int = _SMOOTHING_MAX_ITERS,
                 factor: Optional[StiffnessFactor] = None) -> SmoothResult:
     """Relax the mesh against its own monitor until it settles.
 
     Each iteration rebuilds the monitor at the current vertex positions and
     runs the flow to stationarity under that frozen metric; the loop stops
-    when the summed vertex displacement drops below _SMOOTHING_TOL.
+    when the summed vertex displacement drops below _SMOOTHING_TOL, or
+    after _SMOOTHING_MAX_ITERS iterations.
     Returns the smoothed mesh, the per-iteration displacement trace and
     each flow's stop reason and iteration count.  factor is passed to
     every flow's mmpde_step.
     """
     work = mesh.copy()
     out = SmoothResult(work)
-    for it in range(max_iters):
+    for it in range(_SMOOTHING_MAX_ITERS):
         metric = monitor_mackenzie(work, chains, p)
         # run the flow to absolute stationarity: the outer loop then sees
         # only the metric-update fixed point, not integrator leftovers
@@ -454,7 +444,8 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
             out.converged = True
             break
     if not out.converged:
-        logger.warning("mesh smoothing hit max_iters=%d with displacement %.3g",
-                       max_iters, out.trace[-1] if out.trace else float("nan"))
+        logger.warning("mesh smoothing hit its %d-iteration cap with "
+                       "displacement %.3g", _SMOOTHING_MAX_ITERS,
+                       out.trace[-1] if out.trace else float("nan"))
     return out
 

@@ -3,7 +3,9 @@
 Per step: move the mesh under the current monitor, solve the potential on
 the moved mesh, advance the pit front, then handle a possible merge.  The
 monitor is rebuilt from the post-advance chains at the start of the next
-step, so the mesh lags the front by at most one step.  Runs are fully
+step, so the mesh lags the front by at most one step.  A merge step is no
+exception: no extra smoothing or solve follows a merge, and the next
+step's relaxation recovers the mesh around the merged pit.  Runs are fully
 deterministic for a fixed config (the only randomness is the seeded
 triangulation jitter).
 """
@@ -68,6 +70,8 @@ class SimConfig:
         self.vcorr.validate()
         if self.target_h <= 0.0:
             raise ValueError("target_h must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.vtk_every < 0:
             raise ValueError("vtk_every must be >= 0")
         if isinstance(self.material, Homogeneous) and \
@@ -166,12 +170,13 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     """Run the full alternating loop until t_end.
 
     step_hook(step, t, mesh, chains, phi) is called after every completed
-    step (and once at t = 0).  Each step is all or nothing: the loop keeps
-    a copy of the last completed step's mesh, chains and phi, and an
-    exception from any module within a step aborts the run with a
-    SimulationError carrying that copy, whatever the failing call left
-    half done.  One StiffnessFactor serves every mesh relaxation of the
-    run.
+    step (and once at t = 0) with that step's own Newton phi.  A merge
+    adds no work to its step; the next step's relaxation recovers the
+    mesh.  Each step is all or nothing: the loop keeps a copy of the last
+    completed step's mesh, chains and phi, and an exception from any
+    module within a step aborts the run with a SimulationError carrying
+    that copy, whatever the failing call left half done.  One
+    StiffnessFactor serves every mesh relaxation of the run.
     """
     factor = adapt.StiffnessFactor()
     init = init_mesh(config, factor)
@@ -235,12 +240,6 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                 chains, event = front.merge_pits(mesh, chains, cand)
                 event.step = step
                 events.append(event)
-                post = adapt.smooth_mesh(mesh, chains, config.adapt,
-                                         max_iters=5, factor=factor)
-                mesh = post.mesh
-                phi = fem.newton_solve(mesh, chains, config.material,
-                                       config.vcorr, config.electro,
-                                       guess=phi).phi
 
             min_area_seen = min(min_area_seen, _check_state(mesh, chains, step))
             area = sum(front.pit_area(mesh, c) for c in chains)

@@ -20,7 +20,7 @@ import numpy as np
 from .crystal import (Bicrystal, Crystal, Homogeneous, MaterialSpec,
                       orientation_from_axes)
 from .driver import SimConfig, TimeSeries
-from .mesh import BoundaryTag, MeshError, TriMesh
+from .mesh import BoundaryTag, MeshError, TriMesh, validate
 
 logger = logging.getLogger("pitmesh.io")
 
@@ -222,8 +222,9 @@ def read_mesh(path: str) -> TriMesh:
     """Read a write_mesh file; records must be numbered 0, 1, ... in order.
 
     A truncated file, a token that is not a number, a token after the last
-    table, a coordinate that is not finite, a vertex index out of range or
-    an unknown boundary tag raises MeshError naming the file.
+    table, a coordinate that is not finite, a vertex index out of range, an
+    unknown boundary tag or a mesh that fails mesh.validate (say a boundary
+    edge without a tag) raises MeshError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
@@ -265,6 +266,9 @@ def read_mesh(path: str) -> TriMesh:
         raise MeshError(f"{path}: unknown boundary tag(s) {unknown.tolist()}")
     mesh = TriMesh(verts, tris, ends, tags)
     mesh.orient_ccw()
+    report = validate(mesh)
+    if not report.ok:
+        raise MeshError(f"{path}: {report.summary()}")
     return mesh
 
 

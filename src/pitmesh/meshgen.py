@@ -230,44 +230,3 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
     logger.info("initial mesh: %d vertices, %d triangles, %d pit(s)",
                 mesh.n_vertices, mesh.n_triangles, len(chains))
     return mesh, chains, poly
-
-
-def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
-                   height: float = 1.0) -> TriMesh:
-    """Structured rectangle mesh on [0,w]x[0,h], all right triangles.
-
-    Used for verification problems; the top edge carries the Dirichlet tag.
-    """
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack((gx.ravel(), gy.ravel()))
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            # alternate the diagonal so every vertex star is mirror symmetric
-            if (i + j) % 2 == 0:
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-            else:
-                cells.append((a, b, d))
-                cells.append((b, c, d))
-    edges, tags = [], []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(BoundaryTag.BOTTOM)
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append(BoundaryTag.TOP)
-    for j in range(ny):
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(BoundaryTag.LEFT)
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(BoundaryTag.RIGHT)
-    return TriMesh(pts, np.asarray(cells, dtype=np.int32),
-                   np.asarray(edges, dtype=np.int32),
-                   np.asarray(tags, dtype=np.int16))

@@ -11,8 +11,71 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
+from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
 from pitmesh.fem import assemble_stiffness
-from pitmesh.mesh import MeshError, TriMesh
+from pitmesh.mesh import BoundaryTag, MeshError, TriMesh
+
+
+def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
+                   height: float = 1.0) -> TriMesh:
+    """Structured rectangle mesh on [0,w]x[0,h], all right triangles.
+
+    The top edge carries the Dirichlet tag.
+    """
+    xs = np.linspace(0.0, width, nx + 1)
+    ys = np.linspace(0.0, height, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack((gx.ravel(), gy.ravel()))
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            # alternate the diagonal so every vertex star is mirror symmetric
+            if (i + j) % 2 == 0:
+                cells.append((a, b, c))
+                cells.append((a, c, d))
+            else:
+                cells.append((a, b, d))
+                cells.append((b, c, d))
+    edges, tags = [], []
+    for i in range(nx):
+        edges.append((vid(i, 0), vid(i + 1, 0)))
+        tags.append(BoundaryTag.BOTTOM)
+        edges.append((vid(i, ny), vid(i + 1, ny)))
+        tags.append(BoundaryTag.TOP)
+    for j in range(ny):
+        edges.append((vid(0, j), vid(0, j + 1)))
+        tags.append(BoundaryTag.LEFT)
+        edges.append((vid(nx, j), vid(nx, j + 1)))
+        tags.append(BoundaryTag.RIGHT)
+    return TriMesh(pts, np.asarray(cells, dtype=np.int32),
+                   np.asarray(edges, dtype=np.int32),
+                   np.asarray(tags, dtype=np.int16))
+
+
+def _energy_and_gradient(mesh: TriMesh, metric: np.ndarray,
+                         p: AdaptParams) -> tuple:
+    fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
+                            p.theta, p.gamma)
+    out = fn.evaluate(mesh.vertices)
+    if out is None:
+        cell = int(np.argmin(mesh.signed_areas()))
+        raise MeshError(f"energy of inverted cell {cell}")
+    return out
+
+
+def energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> float:
+    """Total adaptation energy of the mesh under a frozen vertex monitor."""
+    return _energy_and_gradient(mesh, metric, p)[0]
+
+
+def grad_energy(mesh: TriMesh, metric: np.ndarray, p: AdaptParams) -> np.ndarray:
+    """Analytic dI/dx per vertex, (nv, 2); monitor values are held fixed."""
+    return _energy_and_gradient(mesh, metric, p)[1]
 
 
 def solve_dirichlet(mesh: TriMesh, g: Callable) -> np.ndarray:

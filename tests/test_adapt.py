@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from pitmesh import adapt
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
-                           energy, grad_energy, mmpde_step, monitor_mackenzie,
-                           smooth_mesh, vertex_p_scaling)
+                           mmpde_step, monitor_mackenzie, smooth_mesh,
+                           vertex_p_scaling)
 from pitmesh.fem import assemble_stiffness
 from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
-from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
+from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import solve_equidistribution_1d
+from oracles import (energy, grad_energy, make_rect_mesh,
+                     solve_equidistribution_1d)
 
 
 @pytest.fixture(scope="module")
@@ -502,8 +503,9 @@ class TestSmoothing:
         assert set(full.flow_stops) == {"stationary"}
         assert all(n <= adapt._SMOOTHING_SUBSTEPS for n in full.flow_iters)
         monkeypatch.setattr(adapt, "_SMOOTHING_SUBSTEPS", 3)
+        monkeypatch.setattr(adapt, "_SMOOTHING_MAX_ITERS", 2)
         with caplog.at_level("WARNING", logger="pitmesh.adapt"):
-            short = smooth_mesh(mesh, chains, AdaptParams(), max_iters=2)
+            short = smooth_mesh(mesh, chains, AdaptParams())
         assert short.flow_stops == ["substep-cap", "substep-cap"]
         assert short.flow_iters == [3, 3]
         assert "its 3-substep cap" in caplog.text

@@ -174,6 +174,30 @@ class TestRun:
         assert result.steps > 1
         assert t[1] < 50.0
 
+    def test_merge_step_is_an_ordinary_step(self, monkeypatch):
+        # two coarse pits merge at step 12; the run goes one step past it
+        cfg = small_config(target_h=1.5)
+        cfg.pits.centers = (-5.5, 5.5)
+        cfg.front.merge_gap_tol = 0.6
+        cfg.electro.sigma_c = 10.0
+        cfg.front.t_end = 6.5
+        smooths = []
+        real = adapt.smooth_mesh
+
+        def counted(*args, **kwargs):
+            smooths.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, "smooth_mesh", counted)
+        result = run(cfg)
+        assert [event.step for event in result.events] == [12]
+        assert validate(result.mesh).ok
+        # no smoothing follows the merge: the initial smoothing's flows and
+        # one relaxation per step are all the minimiser calls
+        assert len(smooths) == 1
+        assert result.minimiser_calls == \
+            len(result.init.smooth.trace) + result.steps
+
 
 def forced_absorption_config(monkeypatch):
     """Every corner move absorbs a surface vertex; step 2 inverts a cell."""

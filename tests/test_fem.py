@@ -7,9 +7,9 @@ from pitmesh import fem
 from pitmesh.fem import (NewtonError, assemble_stiffness,
                          boundary_residual_and_jacobian, newton_solve)
 from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh
-from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
+from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import l2_error, solve_dirichlet
+from oracles import l2_error, make_rect_mesh, solve_dirichlet
 
 
 def reference_triangle():

@@ -14,9 +14,9 @@ from pitmesh.driver import SimulationError, TimeSeries
 from pitmesh.front import FrontParams, detect_merge, merge_pits
 from pitmesh.io import ConfigError, RunArtifacts, parse_config
 from pitmesh.mesh import MeshError, chains_from_tags
-from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
+from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import read_vtk_points_and_phi
+from oracles import make_rect_mesh, read_vtk_points_and_phi
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg"))
@@ -67,9 +67,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mu1"):
             parse_config(path)
 
-    def test_invariant_violation_rejected(self, tmp_path):
-        path = write(tmp_path, "bad.cfg", "mu1 = -1\n")
-        with pytest.raises(ConfigError, match="mu1"):
+    @pytest.mark.parametrize("line, key", [("mu1 = -1", "mu1"),
+                                           ("seed = -1", "seed")],
+                             ids=["mu1", "seed"])
+    def test_invariant_violation_rejected(self, tmp_path, line, key):
+        path = write(tmp_path, "bad.cfg", line + "\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg: {key}"):
             parse_config(path)
 
     def test_crystal_material(self, tmp_path):
@@ -405,7 +408,9 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncate", "vertex_index",
                                         "node_number", "unknown_tag",
-                                        "nan_coordinate"])
+                                        "nan_coordinate", "untagged_boundary",
+                                        "duplicate_edge",
+                                        "tagged_interior_edge"])
     def test_malformed_mesh_exit_code_2(self, tmp_path, capsys, pit_mesh,
                                         damage):
         mesh, _ = pit_mesh
@@ -425,6 +430,19 @@ class TestCli:
             start = lines.index("$BoundaryEdges") + 2
             lines[start:] = [row[:-1] + "9" if row.endswith(" 0") else row
                              for row in lines[start:]]
+        elif damage in ("untagged_boundary", "duplicate_edge",
+                        "tagged_interior_edge"):
+            # the tables stay well formed; only the edge tags are wrong
+            count = lines.index("$BoundaryEdges") + 1
+            if damage == "untagged_boundary":
+                del lines[count + 1]
+            elif damage == "duplicate_edge":
+                lines.append(lines[count + 1])
+            else:
+                uniq, cells = mesh.edge_counts()
+                a, b = uniq[cells == 2][0]
+                lines.append(f"{a} {b} 0")
+            lines[count] = str(len(lines) - count - 1)
         else:
             lines[2] = "-1 " + lines[2].split(" ", 1)[1]
         mesh_file.write_text("\n".join(lines) + "\n")

@@ -7,9 +7,9 @@ from pitmesh.mesh import (BoundaryTag, MeshError, PitChain, TriMesh,
                           chains_from_tags, face_and_vertex_normals,
                           min_distance_to_pit, point_segment_distances,
                           polyline_self_intersects, validate, validate_chain, vertex_roles)
-from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh, make_rect_mesh
+from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import affine_map
+from oracles import affine_map, make_rect_mesh
 
 
 def single_triangle(v0, v1, v2):
