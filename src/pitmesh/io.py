@@ -205,17 +205,24 @@ def resolved_summary(config: SimConfig) -> str:
 _MESH_TABLES = (("$Nodes", 3), ("$Elements", 4), ("$BoundaryEdges", 3))
 
 
+def _table(row: str, values: np.ndarray) -> str:
+    """One row format applied to every row of an array, as one string."""
+    return (row * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_mesh(mesh: TriMesh, path: str) -> None:
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    # the node numbers ride as floats, which %d prints exactly
+    nodes = np.column_stack((np.arange(nv), mesh.vertices))
+    cells = np.column_stack((np.arange(nt), mesh.triangles))
+    edges = np.column_stack((mesh.edge_nodes, mesh.edge_tags))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("$Nodes\n%d\n" % mesh.n_vertices)
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(("%d " + FMT + " " + FMT + "\n") % (i, x, y))
-        fh.write("$Elements\n%d\n" % mesh.n_triangles)
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            fh.write("%d %d %d %d\n" % (i, a, b, c))
-        fh.write("$BoundaryEdges\n%d\n" % len(mesh.edge_nodes))
-        for (a, b), tag in zip(mesh.edge_nodes, mesh.edge_tags):
-            fh.write("%d %d %d\n" % (a, b, tag))
+        fh.write("$Nodes\n%d\n" % nv)
+        fh.write(_table("%d " + FMT + " " + FMT + "\n", nodes))
+        fh.write("$Elements\n%d\n" % nt)
+        fh.write(_table("%d %d %d %d\n", cells))
+        fh.write("$BoundaryEdges\n%d\n" % len(edges))
+        fh.write(_table("%d %d %d\n", edges))
 
 
 def read_mesh(path: str) -> TriMesh:
@@ -281,20 +288,17 @@ def write_vtk(mesh: TriMesh, phi: Optional[np.ndarray], path: str) -> None:
             fh.write("ASCII\n")
             fh.write("DATASET UNSTRUCTURED_GRID\n")
             fh.write("POINTS %d double\n" % mesh.n_vertices)
-            for x, y in mesh.vertices:
-                fh.write((FMT + " " + FMT + " 0\n") % (x, y))
+            fh.write(_table(FMT + " " + FMT + " 0\n", mesh.vertices))
             nt = mesh.n_triangles
             fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-            for a, b, c in mesh.triangles:
-                fh.write("3 %d %d %d\n" % (a, b, c))
+            fh.write(_table("3 %d %d %d\n", mesh.triangles))
             fh.write("CELL_TYPES %d\n" % nt)
             fh.write("5\n" * nt)
             if phi is not None:
                 fh.write("POINT_DATA %d\n" % mesh.n_vertices)
                 fh.write("SCALARS phi double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                for value in phi:
-                    fh.write((FMT + "\n") % value)
+                fh.write(_table(FMT + "\n", phi))
     except OSError as err:
         raise OSError(f"failed writing VTK file {path}: {err}") from err
 
@@ -306,8 +310,8 @@ def write_timeseries(series: TimeSeries, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,depth_um,width_um\n")
-            for row in zip(t, depth, width):
-                fh.write(",".join(FMT % v for v in row) + "\n")
+            fh.write(_table(FMT + "," + FMT + "," + FMT + "\n",
+                            np.column_stack((t, depth, width))))
     except OSError as err:
         raise OSError(f"failed writing time series {path}: {err}") from err
 

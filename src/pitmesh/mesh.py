@@ -15,6 +15,8 @@ import numpy as np
 
 # validate_chain's tolerance on the y = 0 surface, micrometers
 _CHAIN_Y_TOL = 1e-9
+# points per block of nearest_segment_distances
+_DISTANCE_BLOCK = 256
 
 
 class MeshError(Exception):
@@ -117,8 +119,14 @@ class TriMesh:
         """Undirected triangle edges (E,2), sorted pairs, and cells per edge."""
         t = self.triangles
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0, return_counts=True)
+        pairs = np.sort(pairs, axis=1).astype(np.int64)
+        # one int64 key per pair sorts as the pairs do, and np.unique on
+        # it is much faster than on rows
+        base = int(pairs.max()) + 1 if pairs.size else 1
+        keys, counts = np.unique(pairs[:, 0] * base + pairs[:, 1],
+                                 return_counts=True)
+        edges = np.column_stack(np.divmod(keys, base)).astype(t.dtype)
+        return edges, counts
 
     def unique_edges(self) -> np.ndarray:
         """All undirected triangle edges, (E,2) with sorted vertex pairs."""
@@ -194,18 +202,24 @@ def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
     return face, vert
 
 
-def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to each segment, (n_points, n_segs)."""
+def _segment_offsets(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Per-segment direction (dx, dy) and direction over squared length."""
     dx = b[:, 0] - a[:, 0]
     dy = b[:, 1] - a[:, 1]
     l2 = dx * dx + dy * dy
     inv_l2 = 1.0 / np.where(l2 > 0.0, l2, 1.0)
+    return dx, dy, dx * inv_l2, dy * inv_l2
+
+
+def _squared_distances(points: np.ndarray, a: np.ndarray, dx: np.ndarray,
+                       dy: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each segment, (n_points, n_segs)."""
     # per-coordinate (n_points, n_segs) offsets from each segment start,
     # reduced in place to the offsets from the nearest segment point
     wx = points[:, 0, None] - a[:, 0]
     wy = points[:, 1, None] - a[:, 1]
-    t = wx * (dx * inv_l2)
-    tmp = wy * (dy * inv_l2)
+    t = wx * ux
+    tmp = wy * uy
     t += tmp
     np.clip(t, 0.0, 1.0, out=t)
     wx -= np.multiply(t, dx, out=tmp)
@@ -213,7 +227,31 @@ def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     wx *= wx
     wy *= wy
     wx += wy
-    return np.sqrt(wx, out=wx)
+    return wx
+
+
+def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to each segment, (n_points, n_segs)."""
+    sq = _squared_distances(points, a, *_segment_offsets(a, b))
+    return np.sqrt(sq, out=sq)
+
+
+def nearest_segment_distances(points: np.ndarray, a: np.ndarray,
+                              b: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest segment, (n_points,).
+
+    Equal bit for bit to ``point_segment_distances(...).min(axis=1)``:
+    the same per-pair arithmetic runs over blocks of points small enough
+    for the (rows, n_segs) temporaries to stay in cache, and since sqrt is
+    monotone the minimum is taken over squared distances.
+    """
+    offsets = _segment_offsets(a, b)
+    out = np.empty(len(points))
+    for start in range(0, len(points), _DISTANCE_BLOCK):
+        stop = start + _DISTANCE_BLOCK
+        _squared_distances(points[start:stop], a, *offsets).min(
+            axis=1, out=out[start:stop])
+    return np.sqrt(out, out=out)
 
 
 def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
@@ -230,20 +268,47 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
         p = chain.positions(mesh)
         segs_a.append(p[:-1])
         segs_b.append(p[1:])
-    dist = point_segment_distances(pts, np.concatenate(segs_a),
-                                   np.concatenate(segs_b)).min(axis=1)
+    dist = nearest_segment_distances(pts, np.concatenate(segs_a),
+                                     np.concatenate(segs_b))
     if np.ndim(points) == 1:
         return dist[0]
     return dist
 
 
+def _box_overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Segment pairs (i < j) whose closed bounding boxes overlap.
+
+    A sweep on x (Shamos and Hoey 1976): after sorting the segments by
+    their left x, segment k meets in x exactly the later segments whose
+    left x is at most its right x, a contiguous run of the sorted order.
+    """
+    x0, x1 = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
+    y0, y1 = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
+    order = np.argsort(x0)
+    # sorted position k meets positions k + 1 .. stop[k] - 1 in x
+    after = np.arange(1, len(order) + 1)
+    runs = np.searchsorted(x0[order], x1[order], side="right") - after
+    run_start = np.cumsum(runs) - runs
+    lo = np.repeat(order, runs)
+    hi = order[np.arange(runs.sum()) + np.repeat(after - run_start, runs)]
+    i, j = np.minimum(lo, hi), np.maximum(lo, hi)
+    keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+    return i[keep], j[keep]
+
+
 def polyline_crossings(p: np.ndarray) -> np.ndarray:
-    """Index pairs of non-adjacent segments of the open polyline that cross."""
+    """Index pairs of non-adjacent segments of the open polyline that cross.
+
+    Pairs come sorted by (i, j), i < j.  Only segments whose bounding
+    boxes overlap can cross, so the exact test runs on those alone.
+    """
     n = len(p) - 1
     if n < 3:
         return np.empty((0, 2), dtype=np.int64)
     a, b = p[:-1], p[1:]
-    i, j = np.triu_indices(n, k=2)
+    i, j = _box_overlap_pairs(a, b)
+    apart = j >= i + 2
+    i, j = i[apart], j[apart]
     r = b[i] - a[i]
     s = b[j] - a[j]
     d1 = cross2(r, a[j] - a[i])
@@ -251,7 +316,8 @@ def polyline_crossings(p: np.ndarray) -> np.ndarray:
     d3 = cross2(s, a[i] - a[j])
     d4 = cross2(s, b[i] - a[j])
     hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-    return np.column_stack((i[hit], j[hit]))
+    pairs = np.column_stack((i[hit], j[hit]))
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def polyline_self_intersects(p: np.ndarray) -> bool:
@@ -313,12 +379,12 @@ def validate(mesh: TriMesh) -> ValidationReport:
     report.inverted_cells = np.where(areas <= 0.0)[0].tolist()
 
     uniq, counts = mesh.edge_counts()
-    derived = {tuple(e) for e in uniq[counts == 1]}
-    over = {tuple(e) for e in uniq[counts > 2]}
+    derived = {tuple(e) for e in uniq[counts == 1].tolist()}
+    over = {tuple(e) for e in uniq[counts > 2].tolist()}
     for e in sorted(over):
         report.boundary_errors.append(f"edge {e} shared by >2 cells")
 
-    tagged = [tuple(sorted(e)) for e in mesh.edge_nodes]
+    tagged = [tuple(sorted(e)) for e in mesh.edge_nodes.tolist()]
     seen = set()
     for e in tagged:
         if e in seen:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .mesh import (BoundaryTag, PitChain, TriMesh, point_segment_distances,
+from .mesh import (BoundaryTag, PitChain, TriMesh, nearest_segment_distances,
                    validate)
 
 logger = logging.getLogger("pitmesh.meshgen")
@@ -190,7 +190,7 @@ def _interior_lattice(domain: DomainSpec, pits: PitSpec, poly: np.ndarray,
     pts = np.column_stack((gx.ravel(), gy.ravel()))
     pts += rng.uniform(-0.01 * h, 0.01 * h, size=pts.shape)
     pts = pts[points_in_polygon(pts, poly)]
-    dist = point_segment_distances(pts, poly, np.roll(poly, -1, axis=0)).min(axis=1)
+    dist = nearest_segment_distances(pts, poly, np.roll(poly, -1, axis=0))
     pts = pts[dist >= 0.55 * h]
     # a bare gap edge only stays in the Delaunay triangulation if its
     # diametral circle is empty, so clear the lattice above it

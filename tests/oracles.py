@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
 from pitmesh.fem import assemble_stiffness
-from pitmesh.mesh import BoundaryTag, MeshError, TriMesh
+from pitmesh.mesh import BoundaryTag, MeshError, TriMesh, cross2
 
 
 def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
@@ -129,6 +129,27 @@ def affine_map(mesh: TriMesh, cell: int) -> AffineMap:
     if det <= 0.0:
         raise MeshError(f"inverted or degenerate cell {cell}: det(F') = {det:g}")
     return AffineMap(jacobian=jac, translation=v[0].copy(), area=0.5 * det)
+
+
+def all_pairs_crossings(p: np.ndarray) -> np.ndarray:
+    """Crossing non-adjacent segment pairs of an open polyline, sorted (i, j).
+
+    Runs the orientation test of pitmesh.mesh.polyline_crossings on every
+    pair j >= i + 2, with no bounding-box filter.
+    """
+    n = len(p) - 1
+    if n < 3:
+        return np.empty((0, 2), dtype=np.int64)
+    a, b = p[:-1], p[1:]
+    i, j = np.triu_indices(n, k=2)
+    r = b[i] - a[i]
+    s = b[j] - a[j]
+    d1 = cross2(r, a[j] - a[i])
+    d2 = cross2(r, b[j] - a[i])
+    d3 = cross2(s, a[i] - a[j])
+    d4 = cross2(s, b[i] - a[j])
+    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    return np.column_stack((i[hit], j[hit]))
 
 
 def read_vtk_points_and_phi(path: str):

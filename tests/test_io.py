@@ -324,6 +324,76 @@ class TestTimeSeriesCsv:
             pio.write_timeseries(TimeSeries(), str(tmp_path / "x.csv"))
 
 
+class TestGoldenText:
+    """Exact bytes of every writer on a two-cell mesh."""
+
+    @pytest.fixture
+    def mesh(self):
+        mesh = make_rect_mesh(1, 1)
+        mesh.vertices[1] = (0.1, 1.0)
+        mesh.vertices[3] = (1.0, 1 / 3)
+        return mesh
+
+    def test_write_mesh(self, tmp_path, mesh):
+        path = tmp_path / "mesh.txt"
+        pio.write_mesh(mesh, str(path))
+        assert path.read_text() == (
+            "$Nodes\n4\n"
+            "0 0 0\n"
+            "1 0.10000000000000001 1\n"
+            "2 1 0\n"
+            "3 1 0.33333333333333331\n"
+            "$Elements\n2\n"
+            "0 0 2 3\n"
+            "1 0 3 1\n"
+            "$BoundaryEdges\n4\n"
+            "0 2 3\n"
+            "1 3 0\n"
+            "0 1 1\n"
+            "2 3 2\n")
+
+    def test_write_vtk(self, tmp_path, mesh):
+        path = tmp_path / "snap.vtk"
+        pio.write_vtk(mesh, np.array([0.0, -2.5e-3, 1 / 7, 4.0]), str(path))
+        assert path.read_text() == (
+            "# vtk DataFile Version 2.0\n"
+            "pitmesh snapshot\n"
+            "ASCII\n"
+            "DATASET UNSTRUCTURED_GRID\n"
+            "POINTS 4 double\n"
+            "0 0 0\n"
+            "0.10000000000000001 1 0\n"
+            "1 0 0\n"
+            "1 0.33333333333333331 0\n"
+            "CELLS 2 8\n"
+            "3 0 2 3\n"
+            "3 0 3 1\n"
+            "CELL_TYPES 2\n"
+            "5\n5\n"
+            "POINT_DATA 4\n"
+            "SCALARS phi double 1\n"
+            "LOOKUP_TABLE default\n"
+            "0\n"
+            "-0.0025000000000000001\n"
+            "0.14285714285714285\n"
+            "4\n")
+
+    def test_write_vtk_without_phi_ends_at_cell_types(self, tmp_path, mesh):
+        path = tmp_path / "snap.vtk"
+        pio.write_vtk(mesh, None, str(path))
+        assert path.read_text().endswith("CELL_TYPES 2\n5\n5\n")
+
+    def test_write_timeseries(self, tmp_path):
+        series = TimeSeries()
+        series.append(0.0, 5.0, 10.0)
+        series.append(0.5, 5.0 + 1 / 3, 10.1)
+        path = tmp_path / "ts.csv"
+        pio.write_timeseries(series, str(path))
+        assert path.read_text() == ("t,depth_um,width_um\n"
+                                    "0,5,10\n"
+                                    "0.5,5.333333333333333,10.1\n")
+
+
 class TestArtifacts:
     def test_prepare_creates_and_probes(self, tmp_path):
         art = RunArtifacts(str(tmp_path / "out"))

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from pitmesh.mesh import (BoundaryTag, MeshError, PitChain, TriMesh,
                           chains_from_tags, face_and_vertex_normals,
-                          min_distance_to_pit, point_segment_distances,
-                          polyline_self_intersects, validate, validate_chain, vertex_roles)
+                          min_distance_to_pit, nearest_segment_distances,
+                          point_segment_distances, polyline_crossings,
+                          polyline_self_intersects, validate, validate_chain,
+                          vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import affine_map, make_rect_mesh
+from oracles import affine_map, all_pairs_crossings, make_rect_mesh
 
 
 def single_triangle(v0, v1, v2):
@@ -154,6 +156,19 @@ class TestMinDistance:
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_points", [0, 1, 255, 256, 257, 600])
+    def test_nearest_equals_full_matrix_minimum(self, n_points):
+        # the block size is 256 points: empty, one, and around the edges
+        rng = np.random.default_rng(n_points)
+        points = rng.uniform(-6, 6, (n_points, 2))
+        a = rng.uniform(-4, 4, (23, 2))
+        b = a + rng.normal(0, 2, (23, 2))
+        b[[0, 9]] = a[[0, 9]]   # zero-length segments
+        got = nearest_segment_distances(points, a, b)
+        assert got.shape == (n_points,)
+        assert np.array_equal(got,
+                              point_segment_distances(points, a, b).min(axis=1))
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8))
     def test_lipschitz(self, x1, y1, x2, y2):
@@ -181,17 +196,37 @@ class TestValidate:
     def test_duplicated_interior_edge_reported(self):
         # hand-built: tag an interior edge as boundary -> shared by two cells
         mesh = make_rect_mesh(2, 1)
-        interior = None
         t = mesh.triangles
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         pairs = np.sort(pairs, axis=1)
         uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        interior = tuple(uniq[counts == 2][0])
+        interior = uniq[counts == 2][0]
         mesh.edge_nodes = np.vstack((mesh.edge_nodes, interior)).astype(np.int32)
         mesh.edge_tags = np.append(mesh.edge_tags, BoundaryTag.BOTTOM).astype(np.int16)
         report = validate(mesh)
         assert not report.ok
-        assert any(str(interior) in msg for msg in report.boundary_errors)
+        assert "tagged edge (0, 3) is not a boundary edge of exactly one cell" \
+            in report.boundary_errors
+        assert not any("np." in msg for msg in report.boundary_errors)
+
+    def test_untagged_boundary_edge_reported(self):
+        mesh = make_rect_mesh(2, 1)
+        assert mesh.edge_nodes[0].tolist() == [0, 2]
+        mesh.edge_nodes = mesh.edge_nodes[1:]
+        mesh.edge_tags = mesh.edge_tags[1:]
+        report = validate(mesh)
+        assert report.boundary_errors == ["boundary edge (0, 2) has no tag"]
+
+    def test_edge_counts_match_row_unique(self):
+        mesh, _, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                        target_h=2.0, seed=0)
+        t = mesh.triangles
+        pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]],
+                                        t[:, [2, 0]]]), axis=1)
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        edges, got = mesh.edge_counts()
+        assert edges.dtype == uniq.dtype and np.array_equal(edges, uniq)
+        assert got.dtype == counts.dtype and np.array_equal(got, counts)
 
     def test_generated_mesh_area_matches_polygon(self):
         mesh, chains, poly = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
@@ -282,3 +317,55 @@ class TestSelfIntersection:
     def test_crossing_detected(self):
         p = np.array([(0, 0), (2, -2), (2, -1), (0, -1.5)], dtype=float)
         assert polyline_self_intersects(p)
+
+
+@st.composite
+def grid_polylines(draw):
+    """Polylines on a small integer grid, some with float noise added.
+
+    The grid gives repeated points, vertical and horizontal segments,
+    collinear overlaps and touching endpoints; the noise breaks them.
+    """
+    n = draw(st.integers(0, 18))
+    coords = st.integers(-3, 3)
+    pts = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n,
+                                 max_size=n)), dtype=float).reshape(n, 2)
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.floats(-0.3, 0.3), min_size=2 * n,
+                              max_size=2 * n))
+        pts += np.reshape(noise, (n, 2))
+    return pts
+
+
+class TestCrossings:
+    def check(self, p):
+        got = polyline_crossings(p)
+        want = all_pairs_crossings(p)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_polylines())
+    def test_equals_all_pairs(self, p):
+        self.check(p)
+
+    def test_zigzag_crossings_in_order(self):
+        # a saw folded back over itself crosses many segments
+        x = np.array([0, 4, 0, 4, 0, 4, 3.5, 3.5, 0.5, 0.5])
+        y = np.array([0, 1, 2, 3, 4, 5, 5.5, -1, -1, 5.5])
+        p = np.column_stack((x, y))
+        self.check(p)
+        pairs = polyline_crossings(p)
+        assert len(pairs) > 4
+        assert np.all(pairs[:, 1] >= pairs[:, 0] + 2)
+
+    def test_pit_chains_and_folded_copies(self):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-6.0, 6.0), nodes=31),
+            target_h=1.5, seed=0)
+        for chain in chains:
+            p = chain.positions(mesh)
+            self.check(p)
+            folded = p.copy()
+            folded[5:12, 1] *= -1.0
+            self.check(folded)
