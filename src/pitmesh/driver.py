@@ -28,10 +28,6 @@ from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 logger = logging.getLogger("pitmesh.driver")
 
-# dt cap: the front sweeps at most this fraction of the smallest pit edge
-_CFL_FRAC = 0.2
-
-
 class SimulationError(Exception):
     """A failed run, carrying the state of its last completed step.
 
@@ -210,27 +206,11 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
                                    config.electro, guess=phi).phi
 
-            # CFL-like cap: the front may not sweep more than a fraction of
-            # the smallest pit edge in one step.  Edges in an already
-            # collapsed bunch (envelope-limited vertices) no longer carry
-            # front resolution and are excluded from the scale.
             speeds = [front.chain_velocities(mesh, chain, phi, config.material,
                                              config.vcorr, config.electro)
                       for chain in chains]
-            max_vn = 0.0
-            min_edge = np.inf
-            for chain, (vn, _) in zip(chains, speeds):
-                max_vn = max(max_vn, float(np.max(vn)))
-                seg = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
-                seg = seg[seg >= 0.1 * np.median(seg)]
-                min_edge = min(min_edge, float(np.min(seg)))
-            dt = fparams.dt
-            if max_vn > 0.0:
-                cap = _CFL_FRAC * min_edge / max_vn
-                if cap < dt:
-                    logger.warning("step %d: dt capped %.3g -> %.3g", step, dt, cap)
-                    dt = cap
-            dt = min(dt, fparams.t_end - t)
+            dt = min(front.capped_dt(mesh, chains, speeds, fparams.dt, step),
+                     fparams.t_end - t)
 
             for chain, (vn, normals) in zip(chains, speeds):
                 front.advance_pit(mesh, chain, vn, normals, dt)

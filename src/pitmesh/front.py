@@ -22,7 +22,7 @@ from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams
 from .mesh import (BoundaryTag, PitChain, TriMesh, cross2,
                    face_and_vertex_normals, point_segment_distances,
-                   polyline_crossings, polyline_self_intersects)
+                   polyline_self_intersects)
 
 logger = logging.getLogger("pitmesh.front")
 
@@ -89,9 +89,13 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     vn_um and normals are the normal speed (micrometers/s) and unit normal
     of every chain vertex, as chain_velocities returns them.  Mutates mesh
     vertex positions (and, for large corner jumps, the chain and edge
-    tags).  Raises FrontError if the chain self-intersects or a corner
-    cannot be re-seated; the mesh and chain may then be partly advanced,
-    and driver.run keeps the last good state.
+    tags).  Interior vertices take _apply_limited's one-pass fractions of
+    the full step, which keep each APPROACH_FACTOR of its distance to every
+    chain segment not incident to it; a step within capped_dt moves them
+    in full, and one far longer than the pit edges stalls.  Corners and
+    the apex move after that, so raises FrontError if the chain then
+    self-intersects or a corner cannot be re-seated; the mesh and chain
+    may then be partly advanced, and driver.run keeps the last good state.
     """
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
@@ -117,17 +121,30 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
 
 APPROACH_FACTOR = 0.4   # a vertex keeps this fraction of its clearance
 FREEZE_CLEARANCE = 1e-3  # micrometers; bunched vertices stop entirely
+# dt cap: the front sweeps at most this fraction of the smallest pit edge
+_CFL_FRAC = 0.2
 
 
-def _clearance(points: np.ndarray) -> np.ndarray:
-    """Distance from each polyline vertex to its non-adjacent segments."""
-    n = len(points)
-    dist = point_segment_distances(points, points[:-1], points[1:])
-    idx = np.arange(n)[:, None]
-    seg = np.arange(n - 1)[None, :]
-    near = (seg >= idx - 2) & (seg <= idx + 1)
-    dist[near] = np.inf
-    return dist.min(axis=1)
+def capped_dt(mesh: TriMesh, chains: Sequence[PitChain], speeds, dt: float,
+              step: int) -> float:
+    """dt, capped so no front vertex sweeps over _CFL_FRAC of the smallest
+    pit edge; speeds holds chain_velocities' (vn_um, normals) per chain.
+    Edges below 0.1 of their chain's median (a collapsed bunch of
+    envelope-limited vertices) carry no front resolution and are ignored.
+    """
+    max_vn = 0.0
+    min_edge = np.inf
+    for chain, (vn, _) in zip(chains, speeds):
+        max_vn = max(max_vn, float(np.max(vn)))
+        seg = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
+        seg = seg[seg >= 0.1 * np.median(seg)]
+        min_edge = min(min_edge, float(np.min(seg)))
+    if max_vn > 0.0:
+        cap = _CFL_FRAC * min_edge / max_vn
+        if cap < dt:
+            logger.warning("step %d: dt capped %.3g -> %.3g", step, dt, cap)
+            dt = cap
+    return dt
 
 
 def _apply_limited(mesh: TriMesh, chain: PitChain, disp: np.ndarray) -> None:
@@ -135,30 +152,32 @@ def _apply_limited(mesh: TriMesh, chain: PitChain, disp: np.ndarray) -> None:
 
     A marker cannot overtake the envelope of its neighbors' wavefronts:
     where converging flanks have consumed the metal between them (after a
-    merge, say) the bunched vertices lose clearance geometrically and
-    finally freeze, instead of passing through the opposite wall.
+    merge, say) the bunched vertices lose clearance and freeze instead of
+    passing through the opposite wall.  Vertex i moves by f_i d_i, f_i in
+    [0, 1], in one pass.  It and a chain segment (a, b) not incident to it
+    start D apart and close by at most |d_i| + max(|d_a|, |d_b|) whatever
+    a and b do, so the pair admits (1 - APPROACH_FACTOR) D over that sum,
+    or 0 below FREEZE_CLEARANCE; f_i is the least of 1 and every fraction
+    admitted by a pair with i as vertex or segment end.  Each pair keeps
+    APPROACH_FACTOR D all step, and non-adjacent segments can only start
+    to cross where an endpoint touches the other, so the chain cannot
+    tangle.  A step far longer than the pit edges, as capped_dt prevents,
+    stalls.
     """
     base = mesh.vertices[chain.vertices].copy()
-    clear0 = _clearance(base)
-    frac = np.ones(len(disp))
-    frac[clear0 < FREEZE_CLEARANCE] = 0.0
-    for _ in range(60):
-        trial = base + frac[:, None] * disp
-        clear = _clearance(trial)
-        bad = (clear < APPROACH_FACTOR * clear0) & (frac > 0.0)
-        pairs = polyline_crossings(trial)
-        if len(pairs):
-            involved = np.unique(np.concatenate((pairs.ravel(),
-                                                 pairs.ravel() + 1)))
-            involved = involved[involved < len(bad)]
-            bad[involved] = True
-        if not np.any(bad):
-            break
-        frac[bad] *= 0.5
-        frac[frac < 1e-9] = 0.0
-    else:
-        raise FrontError(
-            f"pit {chain.pit_id}: could not untangle the advancing front")
+    length = np.hypot(disp[:, 0], disp[:, 1])
+    dist = point_segment_distances(base, base[:-1], base[1:])
+    closing = length[:, None] + np.maximum(length[:-1], length[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        admit = (1.0 - APPROACH_FACTOR) * dist / closing
+    admit[dist < FREEZE_CLEARANCE] = 0.0
+    # the two segments incident to a vertex do not limit it
+    seg = np.arange(len(base) - 1)
+    admit[seg, seg] = admit[seg + 1, seg] = np.inf
+    frac = np.minimum(1.0, admit.min(axis=1))
+    by_segment = admit.min(axis=0)
+    frac[:-1] = np.minimum(frac[:-1], by_segment)
+    frac[1:] = np.minimum(frac[1:], by_segment)
     if np.any(frac < 1.0):
         logger.debug("pit %d: limited %d vertices at the front envelope",
                      chain.pit_id, int(np.sum(frac < 1.0)))

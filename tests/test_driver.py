@@ -239,18 +239,19 @@ class TestFailedStep:
         self.assert_carries(err, states[1])
 
     def test_front_failure_carries_previous_step(self, monkeypatch):
-        # advance_pit pulls the chain back 4 micrometers a time until the
-        # corners drag the walls across each other; the first pull succeeds,
-        # so the mesh and chain are left partly advanced
+        # advance_pit pushes chain vertex 1 out 5 micrometers a time until
+        # the re-seated corner drags the wall across the chain; the first
+        # pushes succeed, so the mesh and chain are left partly advanced
         real = front.advance_pit
 
-        def squeeze(mesh, chain, vn_um, normals, dt):
+        def push(mesh, chain, vn_um, normals, dt):
             for _ in range(12):
                 _, normals = face_and_vertex_normals(mesh, chain)
-                real(mesh, chain, np.full(chain.n_vertices, -4.0 / dt),
-                     normals, dt)
+                vn = np.zeros(chain.n_vertices)
+                vn[1] = 5.0 / dt
+                real(mesh, chain, vn, normals, dt)
 
-        monkeypatch.setattr(front, "advance_pit", squeeze)
+        monkeypatch.setattr(front, "advance_pit", push)
         cfg = small_config(target_h=1.2)   # the mesh of test_front's pit_setup
         cfg.pits.nodes = 41
         err, states = self.run_failing(cfg)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pitmesh import electrochem as ec
 from pitmesh import front
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams
-from pitmesh.front import (FrontError, FrontParams, advance_pit,
-                           chain_velocities, detect_merge, line_intersection,
-                           merge_pits, pit_area, track_apex, update_corners)
-from pitmesh.front import _extrapolate_to_surface
-from pitmesh.mesh import face_and_vertex_normals, validate, validate_chain
+from pitmesh.front import (APPROACH_FACTOR, FrontError, FrontParams,
+                           advance_pit, capped_dt, chain_velocities,
+                           detect_merge, line_intersection, merge_pits,
+                           pit_area, track_apex, update_corners)
+from pitmesh.front import _apply_limited, _extrapolate_to_surface
+from pitmesh.mesh import (PitChain, TriMesh, face_and_vertex_normals,
+                          point_segment_distances, polyline_crossings,
+                          validate, validate_chain)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
@@ -48,6 +53,13 @@ def advance_with(mesh, chain, speed):
     _, normals = face_and_vertex_normals(mesh, chain)
     vn = np.asarray(speed(chain.positions(mesh), normals), dtype=np.float64)
     advance_pit(mesh, chain, vn, normals, fp.dt)
+
+
+def push_vertex_1(pos, normals):
+    """10 micrometers/s outward at chain vertex 1, rest at rest."""
+    vn = np.zeros(len(pos))
+    vn[1] = 10.0
+    return vn
 
 
 class TestAdvance:
@@ -110,12 +122,13 @@ class TestAdvance:
         assert seg.min() > 0.0
 
     def test_corner_induced_crossing_rejected(self, pit_setup):
-        # driver.run, not advance_pit, keeps the state from before the step
+        # the limiter lets vertex 1 bulge out, and the corner re-seated by
+        # extrapolating its wall drags the chain across itself; driver.run,
+        # not advance_pit, keeps the state from before the step
         mesh, chain = pit_setup
-        squeeze = lambda pos, normals: np.full(len(pos), -4.0 / FrontParams().dt)
         with pytest.raises(FrontError, match="self-intersect"):
             for _ in range(12):
-                advance_with(mesh, chain, squeeze)
+                advance_with(mesh, chain, push_vertex_1)
 
     def test_velocities_match_pointwise_formula(self, pit_setup):
         mesh, chain = pit_setup
@@ -128,6 +141,68 @@ class TestAdvance:
         k = chain.n_vertices // 2
         expected = ec.normal_velocity(ep, -0.24, phi[chain.vertices[k]]) * 1e6
         assert vn[k] == pytest.approx(float(expected))
+
+
+@st.composite
+def limiter_cases(draw):
+    """A crossing-free chain of 5-30 vertices and a displacement for each.
+
+    The vertices sit at increasing polar angles below 6 rad about the
+    origin, so spikes and near-closed loops stand in for merge ridges;
+    the few chains that cross anyway, or that have an edge a mesh would
+    reject as zero-length, are rejected.
+    """
+    n = draw(st.integers(5, 30))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 6.0), min_size=n,
+                                   max_size=n, unique=True)))
+    radii = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=n,
+                                   max_size=n)))
+    points = radii[:, None] * np.column_stack((np.cos(angles), np.sin(angles)))
+    assume(len(polyline_crossings(points)) == 0)
+    assume(np.hypot(*np.diff(points, axis=0).T).min() > 1e-6)
+    disp = np.array(draw(st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                            st.floats(-3.0, 3.0)),
+                                  min_size=n, max_size=n)))
+    return points, disp
+
+
+class TestLimiter:
+    @settings(max_examples=200, deadline=None)
+    @given(limiter_cases())
+    def test_limited_step_keeps_clearance_and_order(self, case):
+        base, disp = case
+        # a mesh of the chain's vertices alone
+        mesh = TriMesh(base.copy(), np.empty((0, 3)), np.empty((0, 2)),
+                       np.empty(0))
+        _apply_limited(mesh, PitChain(0, np.arange(len(base))), disp)
+        moved = mesh.vertices
+        # every vertex ends on its own path, base + f d with f in [0, 1],
+        # up to the rounding of base + f d
+        sq = np.einsum("ij,ij->i", disp, disp)
+        f = np.einsum("ij,ij->i", moved - base, disp) / np.where(sq > 0, sq, 1)
+        f = np.clip(f, 0.0, 1.0)
+        assert np.allclose(moved, base + f[:, None] * disp, rtol=0, atol=1e-12)
+        # each vertex keeps APPROACH_FACTOR of its starting distance to
+        # every segment not incident to it
+        before = point_segment_distances(base, base[:-1], base[1:])
+        after = point_segment_distances(moved, moved[:-1], moved[1:])
+        seg = np.arange(len(base) - 1)
+        apart = np.ones_like(before, dtype=bool)
+        apart[seg, seg] = apart[seg + 1, seg] = False
+        assert np.all(after[apart] >= APPROACH_FACTOR * before[apart] - 1e-12)
+        assert len(polyline_crossings(moved)) == 0
+
+    def test_step_within_dt_cap_is_not_limited(self, pit_setup):
+        mesh, chain = pit_setup
+        _, normals = face_and_vertex_normals(mesh, chain)
+        vn = np.random.default_rng(3).uniform(0.5, 2.0, chain.n_vertices)
+        dt = capped_dt(mesh, [chain], [(vn, normals)], 100.0, 1)
+        assert dt < 100.0
+        disp = dt * vn[:, None] * normals
+        disp[[0, -1]] = 0.0
+        base = chain.positions(mesh).copy()
+        _apply_limited(mesh, chain, disp)
+        assert np.array_equal(chain.positions(mesh), base + disp)
 
 
 class TestCorners:
