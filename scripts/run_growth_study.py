@@ -1,47 +1,31 @@
 #!/usr/bin/env python3
 """Reproduce the pit-growth study: three materials, power-law fits.
 
-Runs the homogeneous, [001] single-crystal, and [001]/[101] bicrystal
-cases to t_end, writes one time-series CSV per case, and prints the
-a t^b + c fit parameters for depth and width.
+Runs configs/homogeneous.cfg, crystal_001.cfg and bicrystal.cfg as
+shipped, writes one time-series CSV per case, and prints the a t^b + c
+fit parameters for depth and width.
 """
 
 import argparse
 import os
 import time
 
-from pitmesh.crystal import Bicrystal, Crystal, orientation_from_axes
-from pitmesh.driver import SimConfig, fit_power_law, run
-from pitmesh.io import write_timeseries
+from pitmesh.driver import fit_power_law, run
+from pitmesh.io import parse_config, write_timeseries
 
-
-def build_cases():
-    o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
-    o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-    return {
-        "homogeneous": None,
-        "crystal_001": Crystal(o001),
-        "bicrystal_001_101": Bicrystal(0.0, o001, o101),
-    }
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "configs")
+CASES = ("homogeneous", "crystal_001", "bicrystal")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--out-dir", default="growth_study")
-    parser.add_argument("--t-end", type=float, default=120.0)
-    parser.add_argument("--sigma-c", type=float, default=10.0,
-                        help="electrolyte conductivity, S/m")
-    parser.add_argument("--target-h", type=float, default=0.7)
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    for name, material in build_cases().items():
-        cfg = SimConfig()
-        cfg.front.t_end = args.t_end
-        cfg.electro.sigma_c = args.sigma_c
-        cfg.target_h = args.target_h
-        if material is not None:
-            cfg.material = material
+    for name in CASES:
+        cfg = parse_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
         start = time.time()
         result = run(cfg)
         path = os.path.join(args.out_dir, f"{name}.csv")

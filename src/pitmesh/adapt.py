@@ -16,14 +16,15 @@ weighted by its energy density and restricted per coordinate to the free
 vertices.  K carries the coupling between neighbouring vertices that a
 diagonal scaling misses, so the iteration count stays nearly flat as the
 mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
-so it does not depend on dt; the curvature pairs take that term up.  A
-caller without a StiffnessFactor gets K factorised afresh from the
-starting mesh of each call; a run passes one StiffnessFactor to every
-call, and K is factorised again only when the free-vertex set changes or
-the cell energy densities drift.  Steps
-backtrack until the energy does not rise and no cell inverts; both energy
-terms blow up as an element degenerates, so an accepted step can never
-invert a cell.
+so it does not depend on dt; the curvature pairs take that term up.  An
+mmpde_step call without a StiffnessFactor gets K factorised afresh from
+its starting mesh; a smoothing sequence shares one StiffnessFactor over
+its flows and a run passes one to every call, and K is factorised again
+only when the free-vertex set changes or the cell energy densities drift.
+Each search direction is tried at unit length, the quasi-Newton step that
+K^-1 already scales, and backtracks until the energy does not rise and no
+cell inverts; both energy terms blow up as an element degenerates, so an
+accepted step can never invert a cell.
 Mesh smoothing repeats the minimisation under a monitor rebuilt at the
 moved vertices until the mesh stops moving.
 """
@@ -186,7 +187,6 @@ class MmpdeResult:
 # The caps count L-BFGS iterations.
 _MAX_SUBSTEPS = 500          # per time step
 _SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
-_DISP_FRAC = 0.2             # first-step displacement cap vs local edge
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
 _SMOOTHING_TOL = 1e-2        # smoothing stop on the displacement sum, um
@@ -197,17 +197,6 @@ _LBFGS_HISTORY = 8
 # leaves [1/r, r] times its value at factorisation; within that band the
 # weights raise cond(K_f^-1 K) by at most r^2
 _REFACTOR_RATIO = 1.5
-
-
-def _local_scale(x: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Shortest incident edge length per vertex."""
-    scale = np.full(len(x), np.inf)
-    t0, t1, t2 = triangles.T
-    for (i, j) in ((t0, t1), (t1, t2), (t2, t0)):
-        ln = np.hypot(x[i, 0] - x[j, 0], x[i, 1] - x[j, 1])
-        np.minimum.at(scale, i, ln)
-        np.minimum.at(scale, j, ln)
-    return scale
 
 
 class StiffnessFactor:
@@ -311,7 +300,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     itself is untouched.  dt_interval = inf gives the energy minimum.
     Interior vertices move freely, top/bottom vertices slide in x,
     left/right vertices slide in y; rectangle corners and all pit-chain
-    vertices are pinned (the front owns them).  L-BFGS stops once the
+    vertices are pinned (the front owns them).  Each L-BFGS direction,
+    the first one included, is tried at unit length and halved until the
+    energy does not rise and no cell inverts.  L-BFGS stops once the
     largest projected gradient entry of that sum is below the stationarity
     tolerance.  factor keeps the minimiser's preconditioner across calls;
     without one it is factorised afresh.
@@ -337,7 +328,6 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     x = x0.copy()
     current, grad, density = _evaluate_mesh(fn, mesh)
     g = grad * free
-    scale = _local_scale(x, fn.triangles)
     # an explicit grad_tol is an exact threshold; the default combines the
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
@@ -359,18 +349,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                 history.clear()
         if not history:
             d = -precond(g.ravel()).reshape(g.shape)
-        vrel = float(np.max(np.hypot(d[:, 0], d[:, 1]) / scale))
-        if vrel <= 0.0:
-            stopped = "stationary"
-            break
-        # a step without curvature history moves no vertex further than
-        # _DISP_FRAC of its shortest edge
-        step = 1.0 if history else _DISP_FRAC / vrel
-        if step * vrel < 1e-14 * _DISP_FRAC:
-            stopped = "stationary"
-            break
-        # descent-only backtracking that also rejects inverted trials
-        taken = step
+        # descent-only backtracking from the unit step that also rejects
+        # inverted trials
+        taken = 1.0
         for _ in range(40):
             trial = x + taken * d
             out = evaluate(trial)
@@ -390,8 +371,6 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             del history[:-_LBFGS_HISTORY]
         x, g = trial, g_new
         n_done += 1
-        if n_done % 25 == 0:
-            scale = _local_scale(x, fn.triangles)
 
     moved = x - x0
     max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
@@ -417,9 +396,11 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
     when the summed vertex displacement drops below _SMOOTHING_TOL, or
     after _SMOOTHING_MAX_ITERS iterations.
     Returns the smoothed mesh, the per-iteration displacement trace and
-    each flow's stop reason and iteration count.  factor is passed to
-    every flow's mmpde_step.
+    each flow's stop reason and iteration count.  Every flow's mmpde_step
+    shares factor, a fresh one if none is given.
     """
+    if factor is None:
+        factor = StiffnessFactor()
     work = mesh.copy()
     out = SmoothResult(work)
     for it in range(_SMOOTHING_MAX_ITERS):

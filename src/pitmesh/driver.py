@@ -129,8 +129,6 @@ def init_mesh(config: SimConfig,
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed)
-    if factor is None:
-        factor = adapt.StiffnessFactor()
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor)
     phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
                            config.electro).phi

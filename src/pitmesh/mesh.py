@@ -203,11 +203,15 @@ def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
 
 
 def _segment_offsets(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Per-segment direction (dx, dy) and direction over squared length."""
+    """Per-segment direction (dx, dy) and direction over squared length.
+
+    A segment whose squared length is zero or subnormal is a point: its
+    1/l2 would overflow, so it takes 1 in its place.
+    """
     dx = b[:, 0] - a[:, 0]
     dy = b[:, 1] - a[:, 1]
     l2 = dx * dx + dy * dy
-    inv_l2 = 1.0 / np.where(l2 > 0.0, l2, 1.0)
+    inv_l2 = 1.0 / np.where(l2 >= np.finfo(float).tiny, l2, 1.0)
     return dx, dy, dx * inv_l2, dy * inv_l2
 
 

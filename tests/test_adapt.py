@@ -510,6 +510,19 @@ class TestSmoothing:
         assert short.flow_iters == [3, 3]
         assert "its 3-substep cap" in caplog.text
 
+    def test_one_factor_serves_every_flow(self):
+        # without a factor, smoothing makes one and keeps it over its flows,
+        # so it smooths exactly as a caller that passes a fresh one
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
+                                             target_h=1.3, seed=0)
+        p = AdaptParams()
+        factor = adapt.StiffnessFactor()
+        kept = smooth_mesh(mesh, chains, p, factor=factor)
+        assert factor.factorisations < factor.minimiser_calls
+        own = smooth_mesh(mesh, chains, p)
+        assert np.array_equal(own.mesh.vertices, kept.mesh.vertices)
+        assert own.flow_iters == kept.flow_iters
+
     def test_equidistribution_spread_tightens(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
                                              target_h=1.2, seed=0)

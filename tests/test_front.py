@@ -159,7 +159,7 @@ def limiter_cases(draw):
                                    max_size=n)))
     points = radii[:, None] * np.column_stack((np.cos(angles), np.sin(angles)))
     assume(len(polyline_crossings(points)) == 0)
-    assume(np.hypot(*np.diff(points, axis=0).T).min() > 1e-6)
+    assume(np.hypot(*np.diff(points, axis=0).T).min() > 0.0)
     disp = np.array(draw(st.lists(st.tuples(st.floats(-3.0, 3.0),
                                             st.floats(-3.0, 3.0)),
                                   min_size=n, max_size=n)))

@@ -169,6 +169,18 @@ class TestMinDistance:
         assert np.array_equal(got,
                               point_segment_distances(points, a, b).min(axis=1))
 
+    def test_subnormal_segment_is_a_point(self):
+        # the first segment's squared length, 1.6e-313, is subnormal
+        points = np.array([[0.0, 0.0], [1.5, 0.0]])
+        a = np.array([[0.0, -1.0], [1.0, -1.0]])
+        b = np.array([[4e-157, -1.0], [2.0, -1.0]])
+        full = point_segment_distances(points, a, b)
+        assert np.allclose(full, [[1.0, np.hypot(1.0, 1.0)],
+                                  [np.hypot(1.5, 1.0), 1.0]], rtol=1e-15, atol=0)
+        nearest = nearest_segment_distances(points, a, b)
+        assert np.array_equal(nearest, [1.0, 1.0])
+        assert np.array_equal(nearest, full.min(axis=1))
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8))
     def test_lipschitz(self, x1, y1, x2, y2):
