@@ -13,7 +13,8 @@ it lagging; with dt infinite the step is the energy minimum itself.
 The step is solved by L-BFGS.  Its initial inverse Hessian is a scaled
 K^-1, where K is the P1 stiffness matrix of the mesh with each cell
 weighted by its energy density and restricted per coordinate to the free
-vertices.  K carries the coupling between neighbouring vertices that a
+vertices.  Each iteration applies K^-1 once, to the new gradient, and
+each curvature pair keeps K^-1 y beside it.  K carries the coupling between neighbouring vertices that a
 diagonal scaling misses, so the iteration count stays nearly flat as the
 mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
 so it does not depend on dt; the curvature pairs take that term up.  An
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .fem import assemble_stiffness
@@ -89,6 +90,15 @@ def element_metrics(mesh: TriMesh, metric: np.ndarray) -> np.ndarray:
 def vertex_p_scaling(metric: np.ndarray) -> np.ndarray:
     """Invariance scaling P_i = det(M_i)^(1/(d+2)) = m_i^(d/(d+2)) per vertex."""
     return metric ** (_MESH_DIM / (_MESH_DIM + 2))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of flat arrays without BLAS.
+
+    OpenBLAS threads level-1 calls on long vectors, and waking its threads
+    for each call costs more than the call.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 class _ElementFunctional:
@@ -143,7 +153,7 @@ class _ElementFunctional:
         align = self.c1 * tr * tr_g1        # c1 T^gamma
         equi = self.c2 * a2 ** -g           # c2 A2^-gamma
         density = align + equi
-        energy = float(np.dot(a2, density))
+        energy = _dot(a2, density)
 
         coef_a = align + (1.0 - g) * equi
         coef_w = -2.0 * g * self.c1 * a2 * tr_g1
@@ -268,24 +278,26 @@ class StiffnessFactor:
         return apply
 
 
-def _lbfgs_direction(g: np.ndarray, precond: Callable, history: list) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, kg: np.ndarray, history: list) -> np.ndarray:
     """-H g by the two-loop recursion, with H0 = gamma K^-1.
 
-    precond applies K^-1 to flat vectors; gamma = s'y / y'K^-1 y from the
-    newest pair.  g is (nv, 2), and history holds flat pairs
-    (s, y, 1/s'y), oldest first.
+    kg is K^-1 g, flat; gamma = s'y / y'K^-1 y from the newest pair.  g is
+    (nv, 2), and history holds flat tuples (s, y, K^-1 y, 1/s'y), oldest
+    first.  The first loop only subtracts multiples of y from g, so K^-1 q
+    follows from kg and the stored K^-1 y without a solve.
     """
     q = g.ravel().copy()
+    r = kg.copy()
     alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * s.dot(q)
-        q = blas.daxpy(y, q, a=-a)
+    for s, y, ky, rho in reversed(history):
+        a = rho * _dot(s, q)
+        q -= a * y
+        r -= a * ky
         alphas.append(a)
-    s, y, _ = history[-1]
-    r = precond(q)
-    r *= s.dot(y) / y.dot(precond(y))
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        r = blas.daxpy(s, r, a=a - rho * y.dot(r))
+    s, y, ky, _ = history[-1]
+    r *= _dot(s, y) / _dot(y, ky)
+    for (s, y, _, rho), a in zip(history, reversed(alphas)):
+        r += (a - rho * _dot(y, r)) * s
     return -r.reshape(g.shape)
 
 
@@ -323,7 +335,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             return None
         shift = trial - x0
         pulled = pull * shift
-        return out[0] + 0.5 * float(np.vdot(pulled, shift)), out[1] + pulled
+        return out[0] + 0.5 * _dot(pulled.ravel(), shift.ravel()), \
+            out[1] + pulled
 
     x = x0.copy()
     current, grad, density = _evaluate_mesh(fn, mesh)
@@ -335,8 +348,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     if factor is None:
         factor = StiffnessFactor()
     precond = factor.preconditioner(mesh, density, free)
+    kg = precond(g.ravel())
 
-    history = []          # L-BFGS pairs (s, y, 1/s'y), oldest first
+    history = []          # L-BFGS pairs (s, y, K^-1 y, 1/s'y), oldest first
     stopped = "substep-cap"
     n_done = 0
     for _ in range(max_substeps):
@@ -344,11 +358,11 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             stopped = "stationary"
             break
         if history:
-            d = _lbfgs_direction(g, precond, history)
-            if float(np.vdot(d, g)) >= 0.0:
+            d = _lbfgs_direction(g, kg, history)
+            if _dot(d.ravel(), g.ravel()) >= 0.0:
                 history.clear()
         if not history:
-            d = -precond(g.ravel()).reshape(g.shape)
+            d = -kg.reshape(g.shape)
         # descent-only backtracking from the unit step that also rejects
         # inverted trials
         taken = 1.0
@@ -364,12 +378,14 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                             f"(substep {n_done + 1}, energy {current:.6g})")
         current, grad = out
         g_new = grad * free
+        # the one K^-1 solve of the iteration
+        kg_new = precond(g_new.ravel())
         dx, dg = (trial - x).ravel(), (g_new - g).ravel()
-        sy = dx.dot(dg)
+        sy = _dot(dx, dg)
         if sy > 0.0:
-            history.append((dx, dg, 1.0 / sy))
+            history.append((dx, dg, kg_new - kg, 1.0 / sy))
             del history[:-_LBFGS_HISTORY]
-        x, g = trial, g_new
+        x, g, kg = trial, g_new, kg_new
         n_done += 1
 
     moved = x - x0

@@ -118,20 +118,27 @@ class RunResult:
     # they served; counts only, so a kept result holds no factor
     factorisations: int
     minimiser_calls: int
+    # Newton iterations and potential solves, and the column orderings of
+    # the run's Jacobian pattern; counts only, as above
+    newton_iterations: int
+    newton_solves: int
+    orderings: int
 
 
 def init_mesh(config: SimConfig,
-              factor: Optional[adapt.StiffnessFactor] = None) -> InitResult:
+              factor: Optional[adapt.StiffnessFactor] = None,
+              pattern: Optional[fem.JacobianPattern] = None) -> InitResult:
     """Build the domain mesh and smooth it against the pit monitor.
 
-    The smoothing flows share factor, a fresh one if none is given.
+    The smoothing flows share factor, a fresh one if none is given, and
+    the potential solve uses pattern.
     """
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed)
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor)
     phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
-                           config.electro).phi
+                           config.electro, pattern=pattern).phi
     return InitResult(smooth.mesh, chains, phi, smooth)
 
 
@@ -170,10 +177,12 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     completed step's mesh, chains and phi, and an exception from any
     module within a step aborts the run with a SimulationError carrying
     that copy, whatever the failing call left half done.  One
-    StiffnessFactor serves every mesh relaxation of the run.
+    StiffnessFactor serves every mesh relaxation of the run, and one
+    JacobianPattern every potential solve.
     """
     factor = adapt.StiffnessFactor()
-    init = init_mesh(config, factor)
+    pattern = fem.JacobianPattern()
+    init = init_mesh(config, factor, pattern)
     # the loop moves its own copies in place; init keeps the starting state
     mesh = init.mesh.copy()
     chains = [c.copy() for c in init.chains]
@@ -202,7 +211,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             mesh.vertices = moved.positions
 
             phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
-                                   config.electro, guess=phi).phi
+                                   config.electro, guess=phi,
+                                   pattern=pattern).phi
 
             speeds = [front.chain_velocities(mesh, chain, phi, config.material,
                                              config.vcorr, config.electro)
@@ -240,7 +250,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                               step, mesh, chains, phi)
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
-                     factor.minimiser_calls)
+                     factor.minimiser_calls, pattern.iterations,
+                     pattern.solves, pattern.orderings)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -5,6 +5,14 @@ zero-flux sides and bottom, and the Butler-Volmer current as a nonlinear
 Robin-type flux on pit edges.  The resulting nonlinear system is solved
 with Newton's method on a direct sparse factorization.
 
+The triangulation and the Dirichlet set stay fixed over a run, so a
+JacobianPattern keeps the sparsity structure of the Jacobian's free
+block, its fill-reducing column order and the map from cell stiffness
+entries to its storage.  Each solve fills the stiffness into that
+structure once, and each Newton iteration subtracts the pit-edge terms
+in place and factorises in the kept order.  SuperLU's own ordering of the
+first factorisation sets that order.
+
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
 meters so that phi comes out in volts.
@@ -54,12 +62,12 @@ class NewtonResult:
     history: list = field(default_factory=list)
 
 
-def assemble_stiffness(mesh: TriMesh,
-                       weight: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """P1 stiffness matrix; constants span its null space.
+def _cell_stiffness(mesh: TriMesh,
+                    weight: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-cell P1 stiffness entries, (3, 3, nt).
 
-    With a per-cell weight (nt,), each cell's contribution is scaled by
-    it, giving the stiffness of -div(w grad u) for piecewise-constant w.
+    Entry [i, j, k] couples corners i and j of cell k.  With a per-cell
+    weight (nt,), each cell's entries are scaled by it.
     """
     t = mesh.triangles
     v = mesh.vertices
@@ -69,20 +77,32 @@ def assemble_stiffness(mesh: TriMesh,
         cell = int(np.argmin(area2))
         raise MeshError(f"stiffness assembly: inverted cell {cell}")
     # hat-function gradients: grad(lambda_i) = (b_i, c_i) / area2
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
+    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]])
+    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]])
     scale = 1.0 / (2.0 * area2)
     if weight is not None:
         scale = scale * weight
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) * scale)
+    return (b[:, None] * b[None, :] + c[:, None] * c[None, :]) * scale
+
+
+def _corner_pairs(triangles: np.ndarray) -> tuple:
+    """Row and column vertex of each flattened _cell_stiffness entry."""
+    t = triangles.T
+    shape = (3, 3, len(triangles))
+    return (np.broadcast_to(t[:, None], shape).ravel(),
+            np.broadcast_to(t[None, :], shape).ravel())
+
+
+def assemble_stiffness(mesh: TriMesh,
+                       weight: Optional[np.ndarray] = None) -> sp.csr_matrix:
+    """P1 stiffness matrix; constants span its null space.
+
+    With a per-cell weight (nt,), each cell's contribution is scaled by
+    it, giving the stiffness of -div(w grad u) for piecewise-constant w.
+    """
+    rows, cols = _corner_pairs(mesh.triangles)
     n = mesh.n_vertices
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    K = sp.coo_matrix((_cell_stiffness(mesh, weight).ravel(), (rows, cols)),
                       shape=(n, n))
     return K.tocsr()
 
@@ -97,7 +117,7 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     """
     nv = mesh.n_vertices
     if not chains:
-        return np.zeros(nv), sp.csr_matrix((nv, nv))
+        return np.zeros(nv), sp.coo_matrix((nv, nv))
     a_idx = np.concatenate([ch.vertices[:-1] for ch in chains])
     b_idx = np.concatenate([ch.vertices[1:] for ch in chains])
     pa = mesh.vertices[a_idx]
@@ -136,8 +156,7 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     rows = np.concatenate([a_idx, a_idx, b_idx, b_idx])
     cols = np.concatenate([a_idx, b_idx, a_idx, b_idx])
     vals = np.concatenate([jaa, jab, jab, jbb])
-    jac = sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
-    return res, jac
+    return res, sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv))
 
 
 def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
@@ -148,40 +167,140 @@ def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
     return mask
 
 
+class JacobianPattern:
+    """The free block of Newton's Jacobian as CSC structure kept across calls.
+
+    It holds the free vertices (those off the Dirichlet set) in one
+    fill-reducing column order, SuperLU's MMD ordering of A^T + A, taken
+    from the first factorisation; the CSC indptr and indices of the free
+    block in that order; and the CSC slot of each cell stiffness entry.
+    Its key is the mesh's triangles and Dirichlet mask, and the pattern is
+    built again, in vertex order until it is next factorised, when a mesh
+    does not match it.  Counts its column orderings and the Newton solves
+    and iterations it served.
+    """
+
+    def __init__(self):
+        self.orderings = 0
+        self.solves = 0
+        self.iterations = 0
+        self._key = None        # (triangles, Dirichlet mask) of the pattern
+        self._ordered = False
+
+    def _build(self, triangles: np.ndarray, nv: int, free: np.ndarray) -> None:
+        """Structure of the free block with its columns in the order free."""
+        self.free = free
+        n = len(free)
+        self._pos = np.full(nv, -1, dtype=np.int64)
+        self._pos[free] = np.arange(n)
+        rows, cols = (self._pos[i] for i in _corner_pairs(triangles))
+        keep = (rows >= 0) & (cols >= 0)
+        # column-major keys sort like CSC entries
+        self._keys, inverse = np.unique(cols[keep] * n + rows[keep],
+                                        return_inverse=True)
+        # entries of Dirichlet rows or columns go to a last, dropped slot
+        self._slot = np.full(rows.size, len(self._keys))
+        self._slot[keep] = inverse
+        # int32, the index type scipy and SuperLU keep for these sizes
+        self._indptr = np.searchsorted(
+            self._keys, np.arange(n + 1) * n).astype(np.int32)
+        self._indices = (self._keys % n).astype(np.int32)
+
+    def stiffness(self, mesh: TriMesh, fixed: np.ndarray) -> sp.csc_matrix:
+        """K on the free vertices of mesh, rows and columns in self.free order.
+
+        A mesh whose triangles or Dirichlet mask fixed differ from the
+        pattern's gets a new pattern.
+        """
+        if self._key is None or not (
+                np.array_equal(mesh.triangles, self._key[0])
+                and np.array_equal(fixed, self._key[1])):
+            self._build(mesh.triangles, mesh.n_vertices, np.flatnonzero(~fixed))
+            self._key = (mesh.triangles.copy(), fixed.copy())
+            self._ordered = False
+        data = np.bincount(self._slot, weights=_cell_stiffness(mesh).ravel(),
+                           minlength=len(self._keys) + 1)[:-1]
+        n = len(self.free)
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(n, n))
+
+    def factorise(self, jac: sp.csc_matrix):
+        """SuperLU factor of an SPD matrix with the pattern's structure.
+
+        Diagonal pivots keep the column order.  The first factorisation of
+        a pattern orders the columns itself and rebuilds the pattern in that
+        order, which later matrices must then follow.
+        """
+        if self._ordered:
+            return splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        # SuperLU's perm_c sends column i to position perm_c[i]
+        self._build(self._key[0], len(self._pos),
+                    self.free[np.argsort(lu.perm_c)])
+        self._ordered = True
+        self.orderings += 1
+        return lu
+
+    def slots(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """(CSC slots, mask) of the vertex pairs off the Dirichlet set.
+
+        Every pair must couple two vertices of one cell.
+        """
+        n = len(self.free)
+        r, c = self._pos[rows], self._pos[cols]
+        keep = (r >= 0) & (c >= 0)
+        return np.searchsorted(self._keys, c[keep] * n + r[keep]), keep
+
+
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
                  vc_params: VcorrParams, eparams: ElectroParams,
-                 guess: Optional[np.ndarray] = None) -> NewtonResult:
-    """Solve K phi = b(phi) with phi = 0 on the top boundary."""
+                 guess: Optional[np.ndarray] = None,
+                 pattern: Optional[JacobianPattern] = None) -> NewtonResult:
+    """Solve K phi = b(phi) with phi = 0 on the top boundary.
+
+    pattern keeps the Jacobian's structure and column ordering across
+    calls; without one they are built afresh.
+    """
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
     fixed = dirichlet_mask(mesh)
     phi[fixed] = 0.0
-    free = np.where(~fixed)[0]
-    K = assemble_stiffness(mesh)
+    if pattern is None:
+        pattern = JacobianPattern()
+    pattern.solves += 1
+    K = pattern.stiffness(mesh, fixed)
+    free = pattern.free
 
     history = []
     for it in range(_MAX_ITERS + 1):
         b, dB = boundary_residual_and_jacobian(
             mesh, chains, phi, material, vc_params, eparams)
-        residual = K @ phi - b
-        rf = residual[free]
+        # phi is zero on the Dirichlet set, so K's free block gives the
+        # free rows of K phi
+        rf = K @ phi[free] - b[free]
         norm = float(np.linalg.norm(rf))
         history.append(norm)
         tol = _ABS_TOL + _REL_TOL * history[0]
         if norm <= tol:
+            pattern.iterations += it
             return NewtonResult(phi, it, norm, history)
         if it == _MAX_ITERS:
             break
-        jac = (K - dB).tocsr()
-        jff = jac[free][:, free].tocsc()
+        # pit edges are mesh edges, so dB lies inside K's pattern
+        slots, keep = pattern.slots(dB.row, dB.col)
+        jac = K.copy()
+        jac.data -= np.bincount(slots, weights=dB.data[keep],
+                                minlength=K.nnz)
         try:
-            # K - dB is SPD (dB <= 0 as the current is positive), so the
-            # symmetric ordering with diagonal pivots applies
-            delta = splu(jff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).solve(-rf)
+            # K - dB is SPD (dB <= 0 as the current is positive)
+            delta = pattern.factorise(jac).solve(-rf)
         except RuntimeError as err:
             raise NewtonError(f"singular linearized system: {err}", history) from err
         phi[free] += delta
+        if pattern.free is not free:
+            # the first factorisation of the pattern reordered it
+            K, free = pattern.stiffness(mesh, fixed), pattern.free
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)

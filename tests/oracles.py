@@ -95,6 +95,27 @@ def solve_dirichlet(mesh: TriMesh, g: Callable) -> np.ndarray:
     return phi
 
 
+def lbfgs_direction_two_solves(g: np.ndarray, precond: Callable,
+                               pairs: list) -> np.ndarray:
+    """-H g by the textbook two-loop recursion with H0 = gamma K^-1.
+
+    precond applies K^-1 to flat vectors; gamma = s'y / y'K^-1 y from the
+    newest pair.  g is (nv, 2) and pairs holds flat (s, y), oldest first.
+    K^-1 is applied twice: to the first loop's result and to the newest y.
+    """
+    q = g.ravel().copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q = q - a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    r = precond(q) * (s @ y) / (y @ precond(y))
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        r = r + (a - (y @ r) / (s @ y)) * s
+    return -r.reshape(g.shape)
+
+
 def l2_error(mesh: TriMesh, phi: np.ndarray, exact: Callable) -> float:
     """L2 norm of phi_h - exact via the 3-point edge-midpoint rule."""
     t = mesh.triangles

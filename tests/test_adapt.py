@@ -11,8 +11,8 @@ from pitmesh.fem import assemble_stiffness
 from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import (energy, grad_energy, make_rect_mesh,
-                     solve_equidistribution_1d)
+from oracles import (energy, grad_energy, lbfgs_direction_two_solves,
+                     make_rect_mesh, solve_equidistribution_1d)
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +470,74 @@ class TestStiffnessFactor:
         kx = np.column_stack([stiffness @ x[:, c] for c in range(2)])
         apply = adapt.StiffnessFactor().preconditioner(mesh, density, free)
         assert np.allclose(apply(kx.ravel()), x.ravel(), rtol=0, atol=1e-12)
+
+
+class TestLbfgsDirection:
+    def test_one_solve_matches_two_solve_recursion(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        b = rng.normal(size=(n, n))
+        K = b @ b.T + n * np.eye(n)
+        hessian = rng.normal(size=(n, n))
+        hessian = hessian @ hessian.T + np.eye(n)
+        pairs = []
+        for _ in range(8):
+            s = rng.normal(size=n)
+            pairs.append((s, hessian @ s))
+        history = [(s, y, np.linalg.solve(K, y), 1.0 / (s @ y))
+                   for s, y in pairs]
+        g = rng.normal(size=(n // 2, 2))
+        d = adapt._lbfgs_direction(g, np.linalg.solve(K, g.ravel()), history)
+        ref = lbfgs_direction_two_solves(
+            g, lambda v: np.linalg.solve(K, v), pairs)
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_solve_per_iteration_across_a_history_reset(self, pit_mesh,
+                                                            monkeypatch):
+        # every direction mmpde_step takes matches the two-solve recursion,
+        # also after an ascent direction has cleared the history; the
+        # stored K^-1 y would otherwise go stale
+        mesh, chains, _ = pit_mesh
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        applies = []
+        kept = []
+        real_preconditioner = adapt.StiffnessFactor.preconditioner
+
+        def counted_preconditioner(self, *args):
+            apply = real_preconditioner(self, *args)
+            kept.append(apply)
+
+            def counted(v):
+                applies.append(1)
+                return apply(v)
+            return counted
+
+        real_direction = adapt._lbfgs_direction
+        lengths = []
+        worst = []
+
+        def checked(g, kg, history):
+            d = real_direction(g, kg, history)
+            ref = lbfgs_direction_two_solves(
+                g, kept[-1], [(s, y) for s, y, _, _ in history])
+            worst.append(np.abs(d - ref).max() / np.abs(ref).max())
+            lengths.append(len(history))
+            # the third direction is turned uphill, which clears the history
+            return -d if len(lengths) == 3 else d
+
+        monkeypatch.setattr(adapt.StiffnessFactor, "preconditioner",
+                            counted_preconditioner)
+        monkeypatch.setattr(adapt, "_lbfgs_direction", checked)
+        res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                         max_substeps=12)
+        assert res.substeps == 12
+        # the history restarts from one pair after the reset
+        assert lengths[:4] == [1, 2, 3, 1]
+        assert len(lengths) >= 8
+        assert max(worst) <= 1e-12
+        # one K^-1 solve per iteration and one for the starting gradient
+        assert len(applies) == res.substeps + 1
 
 
 class TestSmoothing:

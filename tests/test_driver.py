@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from pitmesh import adapt, driver, front
+from pitmesh import adapt, driver, fem, front
 from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
 from pitmesh.front import FrontError
@@ -140,6 +140,34 @@ class TestRun:
                  if ln.startswith("relaxation:")]
         assert lines == [f"relaxation: {factorisations} preconditioner "
                          f"factorisations in {calls} minimiser calls"]
+
+    def test_summary_reports_newton_work(self, monkeypatch, tmp_path):
+        # one Jacobian pattern, and so one column ordering, serves the
+        # initial solve and every step's solve
+        iterations = []
+        real = fem.newton_solve
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(fem, "newton_solve", counted)
+        result = run(small_config())
+        assert result.orderings == 1
+        assert result.newton_solves == len(iterations) == result.steps + 1
+        assert result.newton_iterations == sum(iterations) > 0
+        gc.collect()
+        assert not any(isinstance(obj, fem.JacobianPattern)
+                       for obj in gc.get_objects())
+        path = tmp_path / "summary.txt"
+        write_summary(str(path), small_config(), result, {})
+        lines = path.read_text().splitlines()
+        at = [k for k, ln in enumerate(lines) if ln.startswith("potential:")]
+        assert [lines[k] for k in at] == [
+            f"potential: {sum(iterations)} Newton iterations in "
+            f"{len(iterations)} solves, 1 column orderings"]
+        assert lines[at[0] - 1].startswith("relaxation:")
 
     def test_deterministic_replay(self):
         # each run keeps its own preconditioner factor, so neither a repeat

@@ -4,7 +4,7 @@ import pytest
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
 from pitmesh import fem
-from pitmesh.fem import (NewtonError, assemble_stiffness,
+from pitmesh.fem import (JacobianPattern, NewtonError, assemble_stiffness,
                          boundary_residual_and_jacobian, newton_solve)
 from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
@@ -195,15 +195,7 @@ class TestNewton:
                                              target_h=2.5, seed=3)
         base = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
                             ElectroParams()).phi
-        rng = np.random.default_rng(11)
-        perm = rng.permutation(mesh.n_vertices)
-        inv = np.argsort(perm)
-        mesh2 = mesh.copy()
-        mesh2.vertices = mesh.vertices[perm]
-        mesh2.triangles = inv[mesh.triangles].astype(np.int32)
-        mesh2.edge_nodes = inv[mesh.edge_nodes].astype(np.int32)
-        chains2 = [type(c)(c.pit_id, inv[c.vertices]) for c in chains]
-        mesh2.orient_ccw()
+        mesh2, chains2, inv = relabelled(mesh, chains, 11)
         permuted = newton_solve(mesh2, chains2, Homogeneous(-0.24),
                                 VcorrParams(), ElectroParams()).phi
         assert np.abs(permuted[inv] - base).max() < 1e-10
@@ -237,3 +229,110 @@ class TestNewton:
                                ElectroParams())
             signs.append(np.sign(res.phi[chains[0].vertices]).min())
         assert signs[0] == signs[1] == 1.0
+
+
+def relabelled(mesh, chains, seed):
+    """The same mesh and chains with vertex numbers permuted; (copies, inv)."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    inv = np.argsort(perm)
+    mesh2 = mesh.copy()
+    mesh2.vertices = mesh.vertices[perm]
+    mesh2.triangles = inv[mesh.triangles].astype(np.int32)
+    mesh2.edge_nodes = inv[mesh.edge_nodes].astype(np.int32)
+    mesh2.orient_ccw()
+    return mesh2, [type(c)(c.pit_id, inv[c.vertices]) for c in chains], inv
+
+
+def moved_interior(mesh, seed, amplitude=0.05):
+    """A copy with every vertex off the boundary shifted at random."""
+    moved = mesh.copy()
+    interior = np.ones(mesh.n_vertices, dtype=bool)
+    interior[mesh.edge_nodes.ravel()] = False
+    rng = np.random.default_rng(seed)
+    moved.vertices[interior] += rng.uniform(-amplitude, amplitude,
+                                            (int(interior.sum()), 2))
+    assert moved.signed_areas().min() > 0.0
+    return moved
+
+
+class TestJacobianPattern:
+    args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
+
+    @pytest.fixture(scope="class")
+    def pit_case(self):
+        return build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                  target_h=1.5, seed=0)[:2]
+
+    def test_kept_pattern_on_moved_mesh_matches_fresh_solve(self, pit_case):
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
+        moved = moved_interior(mesh, 1)
+        kept = newton_solve(moved, chains, *self.args, guess=first.phi,
+                            pattern=pattern)
+        fresh = newton_solve(moved, chains, *self.args, guess=first.phi)
+        assert np.abs(kept.phi - fresh.phi).max() \
+            <= 1e-12 * np.abs(fresh.phi).max()
+        assert len(kept.history) == len(fresh.history)
+        assert (pattern.orderings, pattern.solves) == (1, 2)
+        assert pattern.iterations == first.iterations + kept.iterations
+
+    def test_relabelled_mesh_rebuilds_the_pattern(self, pit_case):
+        # same vertex count, other triangles: the kept structure would
+        # scatter the stiffness into the wrong entries
+        mesh, chains = pit_case
+        mesh2, chains2, _ = relabelled(mesh, chains, 11)
+        pattern = JacobianPattern()
+        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        kept = newton_solve(mesh2, chains2, *self.args, pattern=pattern)
+        fresh = newton_solve(mesh2, chains2, *self.args)
+        assert np.abs(kept.phi - fresh.phi).max() \
+            <= 1e-12 * np.abs(fresh.phi).max()
+        assert pattern.orderings == 2
+
+    def test_dirichlet_mask_is_part_of_the_key(self, pit_case):
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        retagged = mesh.copy()
+        left = np.flatnonzero(retagged.edge_tags == BoundaryTag.LEFT)
+        retagged.edge_tags[left] = BoundaryTag.TOP
+        kept = newton_solve(retagged, chains, *self.args, pattern=pattern)
+        fresh = newton_solve(retagged, chains, *self.args)
+        assert np.array_equal(kept.phi, fresh.phi)
+        assert pattern.orderings == 2
+
+    def test_factorisations_after_the_ordering_are_natural(self, pit_case,
+                                                           monkeypatch):
+        # the first Newton factorisation orders the columns, and every
+        # later one keeps that order
+        mesh, chains = pit_case
+        specs = []
+        real = fem.splu
+
+        def recorder(matrix, permc_spec, **kwargs):
+            specs.append(permc_spec)
+            return real(matrix, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", recorder)
+        pattern = JacobianPattern()
+        iterations = 0
+        for seed in range(3):
+            iterations += newton_solve(moved_interior(mesh, seed), chains,
+                                       *self.args, pattern=pattern).iterations
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (iterations - 1)
+        assert pattern.orderings == 1
+
+    def test_kept_order_fills_in_as_superlu_own(self, pit_case):
+        # the stiffness in the kept order, factorised in place, fills in as
+        # SuperLU's own MMD ordering of it in vertex order does
+        mesh, _ = pit_case
+        fixed = fem.dirichlet_mask(mesh)
+        pattern = JacobianPattern()
+        natural = pattern.stiffness(mesh, fixed)
+        assert np.array_equal(pattern.free, np.flatnonzero(~fixed))
+        own = pattern.factorise(natural)
+        kept = pattern.factorise(pattern.stiffness(mesh, fixed))
+        assert not np.array_equal(pattern.free, np.flatnonzero(~fixed))
+        assert kept.L.nnz + kept.U.nnz == own.L.nnz + own.U.nnz
+        assert np.array_equal(kept.perm_c, np.arange(len(pattern.free)))
