@@ -14,9 +14,9 @@ The step is solved by L-BFGS.  Its initial inverse Hessian is a scaled
 K^-1, where K is the P1 stiffness matrix of the mesh with each cell
 weighted by its energy density and restricted per coordinate to the free
 vertices.  Each iteration applies K^-1 once, to the new gradient, and
-each curvature pair keeps K^-1 y beside it.  K carries the coupling between neighbouring vertices that a
-diagonal scaling misses, so the iteration count stays nearly flat as the
-mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
+each curvature pair keeps K^-1 y beside it.  K carries the coupling
+between neighbouring vertices that a diagonal scaling misses, so the
+iteration count stays nearly flat as the mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
 so it does not depend on dt; the curvature pairs take that term up.  An
 mmpde_step call without a StiffnessFactor gets K factorised afresh from
 its starting mesh; a smoothing sequence shares one StiffnessFactor over

@@ -118,11 +118,9 @@ class RunResult:
     # they served; counts only, so a kept result holds no factor
     factorisations: int
     minimiser_calls: int
-    # Newton iterations and potential solves, and the column orderings of
-    # the run's Jacobian pattern; counts only, as above
+    # Newton iterations and potential solves; counts only, as above
     newton_iterations: int
     newton_solves: int
-    orderings: int
 
 
 def init_mesh(config: SimConfig,
@@ -251,7 +249,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
                      factor.minimiser_calls, pattern.iterations,
-                     pattern.solves, pattern.orderings)
+                     pattern.solves)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -8,10 +8,10 @@ with Newton's method on a direct sparse factorization.
 The triangulation and the Dirichlet set stay fixed over a run, so a
 JacobianPattern keeps the sparsity structure of the Jacobian's free
 block, its fill-reducing column order and the map from cell stiffness
-entries to its storage.  Each solve fills the stiffness into that
-structure once, and each Newton iteration subtracts the pit-edge terms
-in place and factorises in the kept order.  SuperLU's own ordering of the
-first factorisation sets that order.
+entries to its storage.  The pattern is built once, already in SuperLU's
+MMD order of the free stiffness block.  Each solve fills the stiffness
+into that structure once, and each Newton iteration subtracts the
+pit-edge terms in place and factorises in the kept order.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -35,7 +35,7 @@ from .mesh import BoundaryTag, MeshError, PitChain, TriMesh, cross2
 UM_TO_M = 1.0e-6
 
 
-class NewtonError(Exception):
+class NewtonError(ArithmeticError):
     """Newton iteration failed to converge; carries the residual history."""
 
     def __init__(self, message, history=None):
@@ -171,29 +171,39 @@ class JacobianPattern:
     """The free block of Newton's Jacobian as CSC structure kept across calls.
 
     It holds the free vertices (those off the Dirichlet set) in one
-    fill-reducing column order, SuperLU's MMD ordering of A^T + A, taken
-    from the first factorisation; the CSC indptr and indices of the free
-    block in that order; and the CSC slot of each cell stiffness entry.
-    Its key is the mesh's triangles and Dirichlet mask, and the pattern is
-    built again, in vertex order until it is next factorised, when a mesh
-    does not match it.  Counts its column orderings and the Newton solves
-    and iterations it served.
+    fill-reducing column order, SuperLU's MMD ordering of A^T + A for the
+    free stiffness block; the CSC indptr and indices of the free block in
+    that order; and the CSC slot of each cell stiffness entry.  Its key is
+    the mesh's triangles and Dirichlet mask, and the pattern is built
+    again when a mesh does not match it.  Counts the Newton solves and
+    iterations it served.
     """
 
     def __init__(self):
-        self.orderings = 0
         self.solves = 0
         self.iterations = 0
         self._key = None        # (triangles, Dirichlet mask) of the pattern
-        self._ordered = False
 
-    def _build(self, triangles: np.ndarray, nv: int, free: np.ndarray) -> None:
-        """Structure of the free block with its columns in the order free."""
-        self.free = free
+    def _build(self, mesh: TriMesh, fixed: np.ndarray) -> None:
+        """Order the free vertices, then lay out the free block in that order.
+
+        MMD reads structure alone, and every Jacobian on these triangles
+        has the free stiffness block's structure, as pit edges are mesh
+        edges, so one ordering serves them all.
+        """
+        free = np.flatnonzero(~fixed)
+        K_ff = assemble_stiffness(mesh)[free][:, free].tocsc()
+        # SuperLU's perm_c sends column i to position perm_c[i].  perm_c is
+        # a view that keeps the whole factor alive, and SuperLU reserves far
+        # more heap than it uses, so neither outlives this statement.
+        order = np.argsort(splu(K_ff, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}).perm_c)
+        self.free = free = free[order]
         n = len(free)
-        self._pos = np.full(nv, -1, dtype=np.int64)
+        self._pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
         self._pos[free] = np.arange(n)
-        rows, cols = (self._pos[i] for i in _corner_pairs(triangles))
+        rows, cols = (self._pos[i] for i in _corner_pairs(mesh.triangles))
         keep = (rows >= 0) & (cols >= 0)
         # column-major keys sort like CSC entries
         self._keys, inverse = np.unique(cols[keep] * n + rows[keep],
@@ -205,6 +215,7 @@ class JacobianPattern:
         self._indptr = np.searchsorted(
             self._keys, np.arange(n + 1) * n).astype(np.int32)
         self._indices = (self._keys % n).astype(np.int32)
+        self._key = (mesh.triangles.copy(), fixed.copy())
 
     def stiffness(self, mesh: TriMesh, fixed: np.ndarray) -> sp.csc_matrix:
         """K on the free vertices of mesh, rows and columns in self.free order.
@@ -215,32 +226,11 @@ class JacobianPattern:
         if self._key is None or not (
                 np.array_equal(mesh.triangles, self._key[0])
                 and np.array_equal(fixed, self._key[1])):
-            self._build(mesh.triangles, mesh.n_vertices, np.flatnonzero(~fixed))
-            self._key = (mesh.triangles.copy(), fixed.copy())
-            self._ordered = False
+            self._build(mesh, fixed)
         data = np.bincount(self._slot, weights=_cell_stiffness(mesh).ravel(),
                            minlength=len(self._keys) + 1)[:-1]
         n = len(self.free)
         return sp.csc_matrix((data, self._indices, self._indptr), shape=(n, n))
-
-    def factorise(self, jac: sp.csc_matrix):
-        """SuperLU factor of an SPD matrix with the pattern's structure.
-
-        Diagonal pivots keep the column order.  The first factorisation of
-        a pattern orders the columns itself and rebuilds the pattern in that
-        order, which later matrices must then follow.
-        """
-        if self._ordered:
-            return splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
-        lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        # SuperLU's perm_c sends column i to position perm_c[i]
-        self._build(self._key[0], len(self._pos),
-                    self.free[np.argsort(lu.perm_c)])
-        self._ordered = True
-        self.orderings += 1
-        return lu
 
     def slots(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
         """(CSC slots, mask) of the vertex pairs off the Dirichlet set.
@@ -293,14 +283,13 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
         jac.data -= np.bincount(slots, weights=dB.data[keep],
                                 minlength=K.nnz)
         try:
-            # K - dB is SPD (dB <= 0 as the current is positive)
-            delta = pattern.factorise(jac).solve(-rf)
+            # K - dB is SPD (dB <= 0 as the current is positive), so
+            # diagonal pivots keep the pattern's column order
+            delta = splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve(-rf)
         except RuntimeError as err:
             raise NewtonError(f"singular linearized system: {err}", history) from err
         phi[free] += delta
-        if pattern.free is not free:
-            # the first factorisation of the pattern reordered it
-            K, free = pattern.stiffness(mesh, fixed), pattern.free
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)

@@ -386,8 +386,7 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines.append(f"relaxation: {result.factorisations} preconditioner "
                  f"factorisations in {result.minimiser_calls} minimiser calls")
     lines.append(f"potential: {result.newton_iterations} Newton iterations in "
-                 f"{result.newton_solves} solves, {result.orderings} column "
-                 f"orderings")
+                 f"{result.newton_solves} solves")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"merge events: {len(result.events)}")
     for ev in result.events:

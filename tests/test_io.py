@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pitmesh import driver, front
+from pitmesh import driver, fem, front
 from pitmesh import io as pio
 from pitmesh.crystal import Bicrystal, Crystal, Homogeneous
 from pitmesh.driver import SimulationError, TimeSeries
@@ -475,6 +475,17 @@ class TestCli:
         assert sorted(os.listdir(out_dir)) == ["snapshot_00001.vtk"]
         points, _ = read_vtk_points_and_phi(str(out_dir / "snapshot_00001.vtk"))
         assert np.array_equal(points, step_one[0])
+
+    @pytest.mark.parametrize("command", ["init-mesh", "run"])
+    def test_newton_failure_in_setup_exit_code_2(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # the initial potential solve fails before the run's first step
+        monkeypatch.setattr(fem, "_MAX_ITERS", 0)
+        cfg = write(tmp_path, "small.cfg", "target_h = 2.5\npit_nodes = 15\n")
+        assert self.run_cli(command, cfg, "-o", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: Newton did not converge ")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("damage", ["truncate", "vertex_index",
                                         "node_number", "unknown_tag",
