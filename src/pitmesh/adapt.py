@@ -22,6 +22,12 @@ mmpde_step call without a StiffnessFactor gets K factorised afresh from
 its starting mesh; a smoothing sequence shares one StiffnessFactor over
 its flows and a run passes one to every call, and K is factorised again
 only when the free-vertex set changes or the cell energy densities drift.
+The shared factor also carries the last call's displacement and its
+curvature pairs: the pit front moves about as far each step, so the mesh
+follows it smoothly and its last motion predicts the next.  A call repeats
+that displacement on its free coordinates when the result passes the line
+search's test against x^n, and it starts L-BFGS with the carried pairs; a
+refactorisation drops them, as their K^-1 y belong to the old K.
 Each search direction is tried at unit length, the quasi-Newton step that
 K^-1 already scales, and backtracks until the energy does not rise and no
 cell inverts; both energy terms blow up as an element degenerates, so an
@@ -104,12 +110,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 class _ElementFunctional:
     """Energy and gradient over elements with a frozen per-cell monitor m.
 
-    Per cell with edge matrix E = [x1-x0, x2-x0], J = E^-1, A2 = det(E)
-    and monitor M = m I:
-        I_K = c1 * A2 * T^gamma + c2 * A2^(1-gamma),  T = tr(J J^T)/m
+    Per cell with edge matrix E = [x1-x0, x2-x0], A2 = det(E) and monitor
+    M = m I:
+        I_K = c1 * A2 * T^gamma + c2 * A2^(1-gamma),  T = tr(E^-1 E^-T)/m
     with c1 = theta m/2 and c2 = (1-2 theta) 2^(gamma-1) m^(1-gamma).
-    Gradients use d det(E)/dE = A2 J^T and dT/dE = -2 J^T B, B = J J^T/m.
-    The 2x2 algebra is written out component-wise for speed.
+    For a 2x2 E, T = |E|_F^2 / (m A2^2) and dA2/dE = cof(E), so
+        dI_K/dE = [(1-2 gamma) align + (1-gamma) equi] cof(E)
+                  + (2 gamma align A2 / |E|_F^2) E
+    with align = c1 T^gamma and equi = c2 A2^-gamma.
     """
 
     def __init__(self, triangles: np.ndarray, cell_metric: np.ndarray,
@@ -136,34 +144,28 @@ class _ElementFunctional:
         divided by its A2: c1 T^gamma + c2 A2^-gamma.
         """
         corners = np.take(x.ravel(), self._flat)
-        (e00, e01), (e10, e11) = corners[:, 1:] - corners[:, :1]
+        edges = corners[:, 1:] - corners[:, :1]
+        (e00, e01), (e10, e11) = edges
         a2 = e00 * e11 - e01 * e10
         if np.any(a2 <= 0.0):
             return None
-        inv = 1.0 / a2
-        j00, j01 = e11 * inv, -e01 * inv
-        j10, j11 = -e10 * inv, e00 * inv
-        # B = J J^T / m (symmetric), T = tr(B), dT/dE = -2 J^T B
-        b00 = (j00 * j00 + j01 * j01) * self.inv_m
-        b01 = (j00 * j10 + j01 * j11) * self.inv_m
-        b11 = (j10 * j10 + j11 * j11) * self.inv_m
-        tr = b00 + b11
+        norm2 = np.einsum("ckt,ckt->t", edges, edges)
         g = self.gamma
-        tr_g1 = tr ** (g - 1.0)
-        align = self.c1 * tr * tr_g1        # c1 T^gamma
-        equi = self.c2 * a2 ** -g           # c2 A2^-gamma
+        align = self.c1 * (norm2 * self.inv_m / (a2 * a2)) ** g
+        equi = self.c2 * a2 ** -g
         density = align + equi
         energy = _dot(a2, density)
 
-        coef_a = align + (1.0 - g) * equi
-        coef_w = -2.0 * g * self.c1 * a2 * tr_g1
-        # dA2/dE entries are (e11, -e10; -e01, e00); ge is laid out like
-        # the corners, and corner 0 takes minus the sum of corners 1 and 2
+        coef_c = (1.0 - 2.0 * g) * align + (1.0 - g) * equi
+        coef_e = 2.0 * g * align * a2 / norm2
+        # ge is laid out like the corners, and corner 0 takes minus the sum
+        # of corners 1 and 2
         ge = np.empty_like(corners)
-        ge[0, 1] = coef_a * e11 + coef_w * (j00 * b00 + j10 * b01)
-        ge[0, 2] = coef_w * (j00 * b01 + j10 * b11) - coef_a * e10
-        ge[1, 1] = coef_w * (j01 * b00 + j11 * b01) - coef_a * e01
-        ge[1, 2] = coef_a * e00 + coef_w * (j01 * b01 + j11 * b11)
+        np.multiply(coef_e, edges, out=ge[:, 1:])
+        ge[0, 1] += coef_c * e11
+        ge[0, 2] -= coef_c * e10
+        ge[1, 1] -= coef_c * e01
+        ge[1, 2] += coef_c * e00
         np.add(ge[:, 1], ge[:, 2], out=ge[:, 0])
         np.negative(ge[:, 0], out=ge[:, 0])
         grad = np.bincount(self._flat.ravel(), weights=ge.ravel(),
@@ -191,6 +193,7 @@ class MmpdeResult:
     substeps: int            # L-BFGS iterations
     stopped: str             # "stationary" | "substep-cap"
     max_displacement: float
+    predicted: bool          # started from x^n plus the last call's motion
 
 
 # Mesh relaxation settings (the upstream formulation names no solver).
@@ -210,16 +213,19 @@ _REFACTOR_RATIO = 1.5
 
 
 class StiffnessFactor:
-    """The preconditioner of mmpde_step: v -> K^-1 v, kept across calls.
+    """The relaxation state mmpde_step keeps across calls.
 
-    K is the P1 stiffness matrix with each cell weighted by its energy
-    density, restricted per coordinate to the vertices free in that
-    coordinate; constrained entries map to zero.  K is factorised again
-    only when the mesh topology or free-vertex set changes, or when some
-    cell's energy density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO]
-    times its value at the last factorisation.  A stale K is still SPD, so
-    it stays a valid preconditioner.  Counts its factorisations and the
-    minimiser calls it served.
+    It holds the preconditioner v -> K^-1 v, the last call's displacement
+    and that call's L-BFGS curvature pairs.  K is the P1 stiffness matrix
+    with each cell weighted by its energy density, restricted per
+    coordinate to the vertices free in that coordinate; constrained
+    entries map to zero.  K is factorised again only when the mesh
+    topology or free-vertex set changes, or when some cell's energy
+    density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value
+    at the last factorisation.  A stale K is still SPD, so it stays a
+    valid preconditioner.  A refactorisation drops the pairs, whose K^-1 y
+    belongs to the old K; a new topology drops the displacement too.
+    Counts its factorisations and the minimiser calls it served.
 
     Each block of K is ordered by reverse Cuthill-McKee and factorised by
     banded Cholesky.  The band factor is a plain array of its own size; a
@@ -233,13 +239,18 @@ class StiffnessFactor:
         self._key = None        # (triangles, free) of the factor
         self._density = None    # cell energy densities at factorisation
         self._apply = None
+        self.motion = None      # the last call's x_final - x^n, (nv, 2)
+        self.pairs = []         # its L-BFGS pairs (s, y, K^-1 y, 1/s'y)
 
     def preconditioner(self, mesh: TriMesh, density: np.ndarray,
                        free: np.ndarray) -> Callable:
         """v -> K^-1 v for flat (2 nv,) vectors, refactorised if stale."""
         self.minimiser_calls += 1
-        if self._apply is not None \
-                and np.array_equal(mesh.triangles, self._key[0]) \
+        same_mesh = self._key is not None \
+            and np.array_equal(mesh.triangles, self._key[0])
+        if not same_mesh:
+            self.motion = None
+        if self._apply is not None and same_mesh \
                 and np.array_equal(free, self._key[1]) \
                 and np.max(np.abs(np.log(density / self._density))) \
                 <= np.log(_REFACTOR_RATIO):
@@ -247,6 +258,7 @@ class StiffnessFactor:
         # drop the old factor first: building the new one beside it raises
         # peak memory
         self._apply = None
+        self.pairs = []
         stiffness = assemble_stiffness(mesh, density)
         blocks = []
         for c in range(2):
@@ -316,8 +328,12 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     the first one included, is tried at unit length and halved until the
     energy does not rise and no cell inverts.  L-BFGS stops once the
     largest projected gradient entry of that sum is below the stationarity
-    tolerance.  factor keeps the minimiser's preconditioner across calls;
-    without one it is factorised afresh.
+    tolerance, which is set from the gradient at x^n.  factor keeps the
+    preconditioner, the last call's motion and its L-BFGS pairs across
+    calls.  L-BFGS starts from the pairs, and from x^n plus that motion on
+    the free coordinates if x^n is not stationary and that start passes
+    the line search's test.  Without a factor, K is factorised afresh and
+    L-BFGS starts at x^n with no pairs.
     """
     fn = _functional(mesh, metric, p)
     roles = vertex_roles(mesh)
@@ -338,7 +354,11 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         return out[0] + 0.5 * _dot(pulled.ravel(), shift.ravel()), \
             out[1] + pulled
 
-    x = x0.copy()
+    def descends(out: Optional[tuple], current: float) -> bool:
+        """The line search's test: no cell inverts, the sum does not rise."""
+        return out is not None and \
+            out[0] <= current + 1e-12 * max(1.0, abs(current))
+
     current, grad, density = _evaluate_mesh(fn, mesh)
     g = grad * free
     # an explicit grad_tol is an exact threshold; the default combines the
@@ -348,9 +368,19 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     if factor is None:
         factor = StiffnessFactor()
     precond = factor.preconditioner(mesh, density, free)
+
+    x = x0.copy()
+    predicted = False
+    if factor.motion is not None and float(np.max(np.abs(g))) >= stop_tol:
+        # predicted start: the last call's motion again
+        trial = x0 + free * factor.motion
+        out = evaluate(trial)
+        if descends(out, current):
+            x, (current, grad), predicted = trial, out, True
+            g = grad * free
     kg = precond(g.ravel())
 
-    history = []          # L-BFGS pairs (s, y, K^-1 y, 1/s'y), oldest first
+    history = factor.pairs   # L-BFGS pairs (s, y, K^-1 y, 1/s'y), oldest first
     stopped = "substep-cap"
     n_done = 0
     for _ in range(max_substeps):
@@ -369,8 +399,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         for _ in range(40):
             trial = x + taken * d
             out = evaluate(trial)
-            if out is not None and \
-                    out[0] <= current + 1e-12 * max(1.0, abs(current)):
+            if descends(out, current):
                 break
             taken *= 0.5
         else:
@@ -389,8 +418,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         n_done += 1
 
     moved = x - x0
+    factor.motion = moved
     max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
-    return MmpdeResult(x, n_done, stopped, max_disp)
+    return MmpdeResult(x, n_done, stopped, max_disp, predicted)
 
 
 @dataclass

@@ -118,6 +118,10 @@ class RunResult:
     # they served; counts only, so a kept result holds no factor
     factorisations: int
     minimiser_calls: int
+    # the steps' relaxation iterations, and the steps that took the
+    # predicted start
+    relaxation_iterations: int
+    predicted_starts: int
     # Newton iterations and potential solves; counts only, as above
     newton_iterations: int
     newton_solves: int
@@ -175,14 +179,18 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     completed step's mesh, chains and phi, and an exception from any
     module within a step aborts the run with a SimulationError carrying
     that copy, whatever the failing call left half done.  One
-    StiffnessFactor serves every mesh relaxation of the run, and one
-    JacobianPattern every potential solve.
+    StiffnessFactor serves every mesh relaxation of the run, and with it
+    each relaxation starts from the last one's motion; one JacobianPattern
+    serves every potential solve.
     """
     factor = adapt.StiffnessFactor()
     pattern = fem.JacobianPattern()
     init = init_mesh(config, factor, pattern)
-    # the loop moves its own copies in place; init keeps the starting state
-    mesh = init.mesh.copy()
+    # the loop moves its own copies in place; init keeps the starting state.
+    # The triangulation never changes within a run (a merge only retags
+    # edges), so the two meshes share it and a kept result holds it once
+    mesh = TriMesh(init.mesh.vertices.copy(), init.mesh.triangles,
+                   init.mesh.edge_nodes, init.mesh.edge_tags.copy())
     chains = [c.copy() for c in init.chains]
     phi = init.phi
 
@@ -198,6 +206,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     t = 0.0
     step = 0
     prev_area = sum(front.pit_area(mesh, c) for c in chains)
+    relaxation_iterations = predicted_starts = 0
     while fparams.t_end - t > 1e-9 * fparams.dt:
         step += 1
         # newton_solve never writes into phi, so it needs no copy
@@ -207,6 +216,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
                                      factor=factor)
             mesh.vertices = moved.positions
+            relaxation_iterations += moved.substeps
+            predicted_starts += moved.predicted
 
             phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
                                    config.electro, guess=phi,
@@ -248,8 +259,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                               step, mesh, chains, phi)
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
-                     factor.minimiser_calls, pattern.iterations,
-                     pattern.solves)
+                     factor.minimiser_calls, relaxation_iterations,
+                     predicted_starts, pattern.iterations, pattern.solves)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -384,7 +384,10 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
                  f"converged={smooth.converged}; mmpde iterations and stop "
                  f"per flow: {flows}")
     lines.append(f"relaxation: {result.factorisations} preconditioner "
-                 f"factorisations in {result.minimiser_calls} minimiser calls")
+                 f"factorisations in {result.minimiser_calls} minimiser calls; "
+                 f"{result.relaxation_iterations} iterations and "
+                 f"{result.predicted_starts} predicted starts in "
+                 f"{result.steps} steps")
     lines.append(f"potential: {result.newton_iterations} Newton iterations in "
                  f"{result.newton_solves} solves")
     lines.append(f"steps completed: {result.steps}")

@@ -327,6 +327,65 @@ class TestMmpdeStep:
         assert res.stopped == "stationary"
         assert res.substeps <= 100
 
+    def test_stationary_start_ignores_the_kept_motion(self):
+        # a call that starts stationary returns x^n, as without a factor,
+        # even where the kept motion would pass the line search
+        mesh = make_rect_mesh(8, 8)
+        p = AdaptParams(mu1=0.0)
+        metric = np.ones(mesh.n_vertices)
+        relaxed = mesh.copy()
+        relaxed.vertices = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                                      max_substeps=5000,
+                                      grad_tol=1e-10).positions
+        factor = adapt.StiffnessFactor()
+        mmpde_step(relaxed, metric, p, dt_interval=0.5, factor=factor)
+        factor.motion = 1e-9 * np.random.default_rng(2).normal(
+            size=mesh.vertices.shape)
+        res = mmpde_step(relaxed, metric, p, dt_interval=0.5, factor=factor)
+        assert (res.substeps, res.stopped, res.predicted) == \
+            (0, "stationary", False)
+        assert np.array_equal(res.positions, relaxed.vertices)
+
+    @pytest.mark.parametrize("bad", ["inverts", "rises"])
+    def test_predicted_start_not_taken_when_it_fails_the_line_search(
+            self, pit_mesh, bad):
+        # a kept motion that inverts a cell or raises the objective is
+        # dropped, and the call relaxes exactly as a fresh one from x^n
+        mesh, chains, _ = pit_mesh
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        factor = adapt.StiffnessFactor()
+        # a call that stops at once keeps a zero motion and no pairs
+        mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=0,
+                   factor=factor)
+        assert not factor.pairs
+        roles = vertex_roles(mesh)
+        free = np.ones((mesh.n_vertices, 2))
+        free[roles.pinned] = 0.0
+        free[roles.slide_x, 1] = 0.0
+        free[roles.slide_y, 0] = 0.0
+        if bad == "inverts":
+            # mirror every vertex in x: the free ones cross the pinned ones
+            motion = np.column_stack((-2.0 * mesh.vertices[:, 0],
+                                      np.zeros(mesh.n_vertices)))
+        else:
+            # a short step uphill
+            g = grad_energy(mesh, metric, p) * free
+            motion = 1e-3 * g / np.abs(g).max()
+        trial = mesh.copy()
+        trial.vertices = mesh.vertices + free * motion
+        if bad == "inverts":
+            assert trial.signed_areas().min() < 0.0
+        else:
+            assert trial.signed_areas().min() > 0.0
+            assert energy(trial, metric, p) > energy(mesh, metric, p)
+        factor.motion = motion
+        res = mmpde_step(mesh, metric, p, dt_interval=0.5, factor=factor)
+        fresh = mmpde_step(mesh, metric, p, dt_interval=0.5)
+        assert not res.predicted and not fresh.predicted
+        assert res.substeps == fresh.substeps > 0
+        assert np.array_equal(res.positions, fresh.positions)
+
     def test_vanishing_tau_over_dt_gives_the_minimiser(self):
         # the step minimises I + tau/(2 dt) |x - x_n|^2_{P^-1}, so its gap
         # to the energy minimum (dt = inf) is O(tau/dt): about 2.5e-3 um
@@ -538,6 +597,53 @@ class TestLbfgsDirection:
         assert max(worst) <= 1e-12
         # one K^-1 solve per iteration and one for the starting gradient
         assert len(applies) == res.substeps + 1
+
+
+    def test_carried_pairs_never_outlive_their_factor(self, pit_mesh,
+                                                      monkeypatch):
+        # a second call on the same factor starts from the first call's
+        # pairs; a third, whose densities have drifted out of the band,
+        # refactorises K and starts without them.  Every direction matches
+        # the two-solve recursion under the K current at its call
+        mesh, chains, _ = pit_mesh
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        kept = []
+        real_preconditioner = adapt.StiffnessFactor.preconditioner
+
+        def recorded_preconditioner(self, *args):
+            kept.append(real_preconditioner(self, *args))
+            return kept[-1]
+
+        real_direction = adapt._lbfgs_direction
+        lengths = []
+        worst = []
+
+        def checked(g, kg, history):
+            d = real_direction(g, kg, history)
+            ref = lbfgs_direction_two_solves(
+                g, kept[-1], [(s, y) for s, y, _, _ in history])
+            worst.append(np.abs(d - ref).max() / np.abs(ref).max())
+            lengths.append(len(history))
+            return d
+
+        monkeypatch.setattr(adapt.StiffnessFactor, "preconditioner",
+                            recorded_preconditioner)
+        monkeypatch.setattr(adapt, "_lbfgs_direction", checked)
+        factor = adapt.StiffnessFactor()
+        calls = []
+        for scale in (1.0, 1.0, 4.0):
+            # the densities scale as m^(1 - gamma): a fourfold monitor
+            # halves them
+            mmpde_step(mesh, scale * metric, p, dt_interval=0.5,
+                       max_substeps=6, factor=factor)
+            calls.append(len(lengths))
+        assert factor.factorisations == 2
+        assert max(worst) <= 1e-12
+        # the second call's first direction uses the first call's pairs;
+        # the third call's first direction is plain -K^-1 g
+        assert lengths[calls[0]] > 1
+        assert lengths[calls[1]] == 1
 
 
 class TestSmoothing:

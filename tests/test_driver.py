@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -8,8 +9,10 @@ from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
 from pitmesh.front import FrontError
 from pitmesh.io import write_summary
-from pitmesh.mesh import face_and_vertex_normals, validate
+from pitmesh.mesh import face_and_vertex_normals, validate, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
+
+from oracles import grad_energy
 
 
 def small_config(**kwargs):
@@ -23,10 +26,36 @@ def small_config(**kwargs):
 
 
 @pytest.fixture(scope="module")
-def short_run():
+def recorded_run():
+    """A short run, with each step's relaxation recorded.
+
+    Returns the run's result and, per step, the mesh the relaxation
+    started from, its monitor, its result, and the result of a fresh call
+    (no kept factor) on the same mesh and monitor.
+    """
+    steps = []
+    real = adapt.mmpde_step
+
+    def recorded(mesh, metric, p, dt_interval, **kwargs):
+        res = real(mesh, metric, p, dt_interval, **kwargs)
+        if np.isfinite(dt_interval):
+            fresh = real(mesh, metric, p, dt_interval)
+            # the run moves the front within the returned positions
+            kept = dataclasses.replace(res, positions=res.positions.copy())
+            steps.append((mesh.copy(), metric, kept, fresh))
+        return res
+
     cfg = small_config()
     cfg.front.t_end = 6.0  # enough rows for the power-law fitter
-    return run(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "mmpde_step", recorded)
+        result = run(cfg)
+    return result, steps
+
+
+@pytest.fixture(scope="module")
+def short_run(recorded_run):
+    return recorded_run[0]
 
 
 class TestInitMesh:
@@ -111,6 +140,8 @@ class TestRun:
         fresh = init_mesh(small_config())
         assert np.array_equal(init.mesh.vertices, fresh.mesh.vertices)
         assert not np.array_equal(init.mesh.vertices, short_run.mesh.vertices)
+        # a run never changes the triangulation, so the result holds it once
+        assert short_run.mesh.triangles is init.mesh.triangles
         path = tmp_path / "summary.txt"
         write_summary(str(path), small_config(), short_run, {})
         lines = [ln for ln in path.read_text().splitlines()
@@ -138,8 +169,60 @@ class TestRun:
         write_summary(str(path), small_config(), short_run, {})
         lines = [ln for ln in path.read_text().splitlines()
                  if ln.startswith("relaxation:")]
-        assert lines == [f"relaxation: {factorisations} preconditioner "
-                         f"factorisations in {calls} minimiser calls"]
+        assert lines == [
+            f"relaxation: {factorisations} preconditioner factorisations in "
+            f"{calls} minimiser calls; {short_run.relaxation_iterations} "
+            f"iterations and {short_run.predicted_starts} predicted starts "
+            f"in {short_run.steps} steps"]
+
+    def test_counts_each_steps_relaxation(self, recorded_run):
+        result, steps = recorded_run
+        assert len(steps) == result.steps
+        assert result.relaxation_iterations == \
+            sum(res.substeps for _, _, res, _ in steps)
+        assert result.predicted_starts == \
+            sum(res.predicted for _, _, res, _ in steps) > 0
+
+    def test_later_steps_take_half_the_iterations_of_a_fresh_start(
+            self, recorded_run):
+        # the front moves about as far each step, so once its motion has
+        # settled the kept motion and pairs leave a step at most half the
+        # iterations of a fresh call; the first steps follow the front's
+        # start-up and are not checked
+        _, steps = recorded_run
+        later = steps[len(steps) // 2:]
+        assert all(res.predicted for _, _, res, _ in later)
+        assert all(2 * res.substeps <= fresh.substeps
+                   for _, _, res, fresh in later)
+
+    def test_predicted_start_keeps_the_relative_tolerance(self, recorded_run):
+        # the stationarity tolerance comes from the gradient at x^n, not at
+        # the predicted start: each step ends with its projected gradient
+        # below 1e-3 times that at x^n
+        _, steps = recorded_run
+        p = small_config().adapt
+        dt = small_config().front.dt
+        ratios = []
+        for mesh, metric, res, _ in steps:
+            if not res.predicted:
+                continue
+            roles = vertex_roles(mesh)
+            free = np.ones((mesh.n_vertices, 2))
+            free[roles.pinned] = 0.0
+            free[roles.slide_x, 1] = 0.0
+            free[roles.slide_y, 0] = 0.0
+            pull = (p.tau / dt / adapt.vertex_p_scaling(metric))[:, None]
+            moved = mesh.copy()
+            moved.vertices = res.positions
+            g_end = (grad_energy(moved, metric, p)
+                     + pull * (res.positions - mesh.vertices)) * free
+            g_start = grad_energy(mesh, metric, p) * free
+            assert res.stopped == "stationary"
+            # below 1e-4 the absolute floor _GRAD_TOL sets the tolerance
+            if np.abs(g_start).max() > 1e-4:
+                ratios.append(np.abs(g_end).max() / np.abs(g_start).max())
+        assert len(ratios) >= len(steps) // 2
+        assert max(ratios) < 1e-3
 
     def test_summary_reports_newton_work(self, monkeypatch, tmp_path,
                                          splu_specs):
