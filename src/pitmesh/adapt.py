@@ -22,6 +22,10 @@ mmpde_step call without a StiffnessFactor gets K factorised afresh from
 its starting mesh; a smoothing sequence shares one StiffnessFactor over
 its flows and a run passes one to every call, and K is factorised again
 only when the free-vertex set changes or the cell energy densities drift.
+Each free block's band order and the map from cell stiffness entries to
+its band storage depend on the triangulation and the free set alone, so
+they are kept until those change; a refactorisation only refills the
+bands and factorises them.
 The shared factor also carries the last call's displacement and its
 curvature pairs: the pit front moves about as far each step, so the mesh
 follows it smoothly and its last motion predicts the next.  A call repeats
@@ -43,11 +47,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import cho_solve_banded
 
-from .fem import assemble_stiffness
+from .fem import BandLayout, _cell_stiffness
 from .mesh import (MeshError, PitChain, TriMesh, min_distance_to_pit,
                    vertex_roles)
 
@@ -227,7 +229,11 @@ class StiffnessFactor:
     belongs to the old K; a new topology drops the displacement too.
     Counts its factorisations and the minimiser calls it served.
 
-    Each block of K is ordered by reverse Cuthill-McKee and factorised by
+    Each free block of K has a fem.BandLayout: its reverse Cuthill-McKee
+    order and the band slot of every cell stiffness entry.  The layouts
+    depend only on the triangulation and the free set, so they are built
+    again only when those change; a refactorisation fills each band from
+    the weighted cell stiffness by one bincount and factorises it by
     banded Cholesky.  The band factor is a plain array of its own size; a
     SuperLU factor reserves heap for its fill estimate, about 15 times
     what it touches, and kept across calls that reserve fragments the heap.
@@ -236,7 +242,8 @@ class StiffnessFactor:
     def __init__(self):
         self.factorisations = 0
         self.minimiser_calls = 0
-        self._key = None        # (triangles, free) of the factor
+        self._key = None        # (triangles, free) of the layouts
+        self._layouts = []      # (coordinate, BandLayout) per free block
         self._density = None    # cell energy densities at factorisation
         self._apply = None
         self.motion = None      # the last call's x_final - x^n, (nv, 2)
@@ -250,8 +257,8 @@ class StiffnessFactor:
             and np.array_equal(mesh.triangles, self._key[0])
         if not same_mesh:
             self.motion = None
-        if self._apply is not None and same_mesh \
-                and np.array_equal(free, self._key[1]) \
+        same_layout = same_mesh and np.array_equal(free, self._key[1])
+        if self._apply is not None and same_layout \
                 and np.max(np.abs(np.log(density / self._density))) \
                 <= np.log(_REFACTOR_RATIO):
             return self._apply
@@ -259,21 +266,13 @@ class StiffnessFactor:
         # peak memory
         self._apply = None
         self.pairs = []
-        stiffness = assemble_stiffness(mesh, density)
-        blocks = []
-        for c in range(2):
-            idx = np.flatnonzero(free[:, c])
-            if len(idx):
-                block = stiffness[idx][:, idx]
-                order = reverse_cuthill_mckee(block, symmetric_mode=True)
-                idx = idx[order]
-                upper = sp.triu(block[order][:, order], format="coo")
-                width = int(np.max(upper.col - upper.row))
-                # Fortran order lets LAPACK factorise the band in place
-                band = np.zeros((width + 1, len(idx)), order="F")
-                band[width + upper.row - upper.col, upper.col] = upper.data
-                blocks.append((c, idx,
-                               cholesky_banded(band, overwrite_ab=True)))
+        entries = _cell_stiffness(mesh, density).ravel()
+        if not same_layout:
+            self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c])))
+                             for c in range(2) if np.any(free[:, c])]
+            self._key = (mesh.triangles.copy(), free)
+        blocks = [(c, layout.order, layout.factor(entries))
+                  for c, layout in self._layouts]
 
         def apply(v: np.ndarray) -> np.ndarray:
             v = v.reshape(-1, 2)
@@ -284,7 +283,6 @@ class StiffnessFactor:
             return out.ravel()
 
         self._apply = apply
-        self._key = (mesh.triangles.copy(), free)
         self._density = density
         self.factorisations += 1
         return apply

@@ -215,7 +215,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             metric = adapt.monitor_mackenzie(mesh, chains, config.adapt)
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
                                      factor=factor)
-            mesh.vertices = moved.positions
+            # the front moves chain vertices in place; the result keeps its own
+            mesh.vertices = moved.positions.copy()
             relaxation_iterations += moved.substeps
             predicted_starts += moved.predicted
 

@@ -13,6 +13,12 @@ MMD order of the free stiffness block.  Each solve fills the stiffness
 into that structure once, and each Newton iteration subtracts the
 pit-edge terms in place and factorises in the kept order.
 
+A BandLayout does the same for one diagonal block of a weighted
+stiffness matrix in banded Cholesky form, the mesh relaxation's
+preconditioner: it keeps the block's band order and the band slot of
+each cell stiffness entry, so a refactorisation is one fill and one
+cholesky_banded call.
+
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
 meters so that phi comes out in volts.
@@ -25,6 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import electrochem
@@ -91,6 +99,42 @@ def _corner_pairs(triangles: np.ndarray) -> tuple:
     shape = (3, 3, len(triangles))
     return (np.broadcast_to(t[:, None], shape).ravel(),
             np.broadcast_to(t[None, :], shape).ravel())
+
+
+class BandLayout:
+    """Upper band storage of one diagonal block of a P1 stiffness matrix.
+
+    Built once for a block of vertices on a triangulation, it holds the
+    block's reverse Cuthill-McKee order, its bandwidth in that order and
+    the slot of each flattened _cell_stiffness entry in LAPACK's upper
+    band storage (width + 1, n), Fortran order.  Entries off the block or
+    below the diagonal go to a last, dropped slot.  RCM reads structure
+    alone, so one layout serves every cell weighting on the triangulation.
+    """
+
+    def __init__(self, mesh: TriMesh, block: np.ndarray):
+        K = assemble_stiffness(mesh)[block][:, block]
+        self.order = block[reverse_cuthill_mckee(K, symmetric_mode=True)]
+        n = len(block)
+        pos = np.full(mesh.n_vertices, -1)
+        pos[self.order] = np.arange(n)
+        rows, cols = (pos[i] for i in _corner_pairs(mesh.triangles))
+        keep = (rows >= 0) & (rows <= cols)
+        self.width = width = int(np.max(np.where(keep, cols - rows, 0)))
+        self._size = (width + 1) * n
+        # entry (r, c) sits at [width + r - c, c] of the band
+        self._slot = np.where(keep, width + rows + cols * width, self._size)
+
+    def band(self, entries: np.ndarray) -> np.ndarray:
+        """The block's upper band from flat _cell_stiffness entries."""
+        band = np.bincount(self._slot, weights=entries,
+                           minlength=self._size + 1)[:-1]
+        return band.reshape((self.width + 1, -1), order="F")
+
+    def factor(self, entries: np.ndarray) -> np.ndarray:
+        """Upper Cholesky band of the block; LinAlgError if not SPD."""
+        # Fortran order lets LAPACK factorise the band in place
+        return cholesky_banded(self.band(entries), overwrite_ab=True)
 
 
 def assemble_stiffness(mesh: TriMesh,

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
@@ -93,6 +95,23 @@ def solve_dirichlet(mesh: TriMesh, g: Callable) -> np.ndarray:
     rhs = -K[free][:, bnd] @ phi[bnd]
     phi[free] = splu(K[free][:, free].tocsc()).solve(rhs)
     return phi
+
+
+def band_by_assembly(mesh: TriMesh, weight: np.ndarray,
+                     block: np.ndarray) -> tuple:
+    """One block of the weighted stiffness matrix in upper band storage.
+
+    Assembles K, slices the block, orders it by reverse Cuthill-McKee and
+    scatters its upper triangle into LAPACK's (width + 1, n) band.
+    Returns the block's vertices in that order and the band.
+    """
+    K = assemble_stiffness(mesh, weight)[block][:, block]
+    order = reverse_cuthill_mckee(K, symmetric_mode=True)
+    upper = sp.triu(K[order][:, order], format="coo")
+    width = int(np.max(upper.col - upper.row))
+    band = np.zeros((width + 1, len(block)))
+    band[width + upper.row - upper.col, upper.col] = upper.data
+    return block[order], band
 
 
 def lbfgs_direction_two_solves(g: np.ndarray, precond: Callable,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitmesh import adapt
+from pitmesh import adapt, fem
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            mmpde_step, monitor_mackenzie, smooth_mesh,
                            vertex_p_scaling)
@@ -11,8 +11,9 @@ from pitmesh.fem import assemble_stiffness
 from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import (energy, grad_energy, lbfgs_direction_two_solves,
-                     make_rect_mesh, solve_equidistribution_1d)
+from oracles import (band_by_assembly, energy, grad_energy,
+                     lbfgs_direction_two_solves, make_rect_mesh,
+                     solve_equidistribution_1d)
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +482,16 @@ class TestStiffnessFactor:
         free[mesh.edge_nodes.ravel()] = 0.0
         return mesh, np.ones(mesh.n_triangles), free
 
+    @staticmethod
+    def free_blocks(mesh):
+        """mmpde_step's free mask of a pit mesh."""
+        roles = vertex_roles(mesh)
+        free = np.ones((mesh.n_vertices, 2))
+        free[roles.pinned] = 0.0
+        free[roles.slide_x, 1] = 0.0
+        free[roles.slide_y, 0] = 0.0
+        return free
+
     def test_reused_while_densities_stay_in_band(self):
         mesh, density, free = self.problem()
         factor = adapt.StiffnessFactor()
@@ -504,7 +515,15 @@ class TestStiffnessFactor:
         assert factor.preconditioner(mesh, drifted, free) is not apply
         assert factor.factorisations == 2
 
-    def test_refactorised_when_free_set_changes(self):
+    def test_refactorised_when_free_set_changes(self, monkeypatch):
+        layouts = []
+        real = fem.BandLayout
+
+        def recorded(mesh, block):
+            layouts.append(block)
+            return real(mesh, block)
+
+        monkeypatch.setattr(adapt, "BandLayout", recorded)
         mesh, density, free = self.problem()
         factor = adapt.StiffnessFactor()
         factor.preconditioner(mesh, density, free)
@@ -512,10 +531,51 @@ class TestStiffnessFactor:
         pinned[np.flatnonzero(free[:, 0])[0]] = 0.0
         factor.preconditioner(mesh, density, pinned)
         assert factor.factorisations == 2
+        # the changed free set gets its own layouts, one per block
+        assert len(layouts) == 4
+        assert [len(b) + 1 for b in layouts[2:]] == \
+            [len(b) for b in layouts[:2]]
         v = np.ones(2 * mesh.n_vertices)
         out = factor.preconditioner(mesh, density, pinned)(v)
         assert np.all(out.reshape(-1, 2)[pinned == 0.0] == 0.0)
         assert factor.factorisations == 2
+        assert len(layouts) == 4
+
+    def test_layout_built_once_over_density_refactorisations(self, pit_mesh,
+                                                             monkeypatch):
+        # the band order reads structure alone, so density-driven
+        # refactorisations reuse it
+        calls = []
+        real = fem.reverse_cuthill_mckee
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
+        mesh = pit_mesh[0]
+        free = self.free_blocks(mesh)
+        density = np.ones(mesh.n_triangles)
+        factor = adapt.StiffnessFactor()
+        for ratio in (1.0, 2.0, 4.0, 8.0):
+            factor.preconditioner(mesh, ratio * density, free)
+        assert factor.factorisations == 4
+        assert len(calls) == 2
+
+    def test_band_matches_assembled_reference(self, pit_mesh):
+        mesh = pit_mesh[0]
+        rng = np.random.default_rng(5)
+        density = rng.uniform(0.1, 10.0, mesh.n_triangles)
+        entries = fem._cell_stiffness(mesh, density).ravel()
+        free = self.free_blocks(mesh)
+        for c in range(2):
+            block = np.flatnonzero(free[:, c])
+            layout = fem.BandLayout(mesh, block)
+            order, band = band_by_assembly(mesh, density, block)
+            assert np.array_equal(layout.order, order)
+            got = layout.band(entries)
+            assert got.shape == band.shape
+            assert np.max(np.abs(got - band)) <= 1e-14 * np.max(np.abs(band))
 
     def test_inverts_each_free_block(self):
         mesh = make_rect_mesh(7, 5)

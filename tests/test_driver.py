@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 
 import numpy as np
@@ -40,9 +39,7 @@ def recorded_run():
         res = real(mesh, metric, p, dt_interval, **kwargs)
         if np.isfinite(dt_interval):
             fresh = real(mesh, metric, p, dt_interval)
-            # the run moves the front within the returned positions
-            kept = dataclasses.replace(res, positions=res.positions.copy())
-            steps.append((mesh.copy(), metric, kept, fresh))
+            steps.append((mesh.copy(), metric, res, fresh))
         return res
 
     cfg = small_config()
@@ -174,6 +171,23 @@ class TestRun:
             f"{calls} minimiser calls; {short_run.relaxation_iterations} "
             f"iterations and {short_run.predicted_starts} predicted starts "
             f"in {short_run.steps} steps"]
+
+    def test_kept_relaxation_results_outlive_their_step(self, monkeypatch):
+        # the front moves chain vertices in the run's mesh after each
+        # relaxation; a result a caller keeps must not move with them
+        kept = []
+        real = adapt.mmpde_step
+
+        def keeping(*args, **kwargs):
+            res = real(*args, **kwargs)
+            kept.append((res, res.positions.copy()))
+            return res
+
+        monkeypatch.setattr(adapt, "mmpde_step", keeping)
+        result = run(small_config())
+        assert len(kept) > result.steps
+        for res, returned in kept:
+            assert np.array_equal(res.positions, returned)
 
     def test_counts_each_steps_relaxation(self, recorded_run):
         result, steps = recorded_run
