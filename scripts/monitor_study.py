@@ -21,6 +21,7 @@ from pitmesh.meshgen import build_initial_mesh
 
 
 def near_pit_min_edge(mesh, chains, radius=2.0):
+    """Shortest edge with no end on a chain and its midpoint within radius of a pit."""
     edges = mesh.unique_edges()
     on_chain = np.zeros(mesh.n_vertices, dtype=bool)
     for chain in chains:
@@ -32,7 +33,13 @@ def near_pit_min_edge(mesh, chains, radius=2.0):
 
 
 def half_excess_radius(mesh, initial, chains):
-    """(radius, peak excess); radius is None when no vertex was drawn in."""
+    """Width of the band of vertices that smoothing drew towards the pit.
+
+    E(r) = N(r) - N0(r) is the count of vertices within pit distance r of
+    the smoothed mesh minus that of the unsmoothed one. Returns the smallest
+    r at which E reaches half its maximum, and that maximum; the radius is
+    None when smoothing drew no vertices in (max E <= 0).
+    """
     d = np.sort(min_distance_to_pit(mesh.vertices, chains, mesh))
     d0 = np.sort(min_distance_to_pit(initial.vertices, chains, initial))
     r = np.union1d(d, d0)

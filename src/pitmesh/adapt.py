@@ -50,8 +50,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded
 
 from .fem import BandLayout, _cell_stiffness
-from .mesh import (MeshError, PitChain, TriMesh, min_distance_to_pit,
-                   vertex_roles)
+from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
+                   min_distance_to_pit, vertex_roles)
 
 logger = logging.getLogger("pitmesh.adapt")
 
@@ -78,14 +78,17 @@ class AdaptParams:
 
 
 def monitor_mackenzie(mesh: TriMesh, chains: Sequence[PitChain],
-                      p: AdaptParams) -> np.ndarray:
+                      p: AdaptParams,
+                      nearest: Optional[NearestSegments] = None) -> np.ndarray:
     """Distance-based monitor M(x) = (1 + mu1/sqrt(mu2^2 d^2 + 1)) I.
 
     M is isotropic, so it is carried as its scalar factor m, one value per
     vertex, (nv,).  Without any chains (plain rectangle meshes) m is one.
+    nearest, if given, keeps the vertices' nearest pit segments from call
+    to call; the monitor is the same bit for bit.
     """
     if chains and p.mu1 > 0.0:
-        d = min_distance_to_pit(mesh.vertices, chains, mesh)
+        d = min_distance_to_pit(mesh.vertices, chains, mesh, nearest)
         return 1.0 + p.mu1 / np.sqrt(p.mu2 ** 2 * d ** 2 + 1.0)
     return np.ones(mesh.n_vertices)
 

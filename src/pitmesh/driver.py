@@ -23,7 +23,8 @@ from .adapt import AdaptParams
 from .crystal import Homogeneous, MaterialSpec, VcorrParams
 from .electrochem import ElectroParams
 from .front import FrontParams
-from .mesh import MeshError, TriMesh, validate, validate_chain
+from .mesh import (MeshError, NearestSegments, TriMesh, validate,
+                   validate_chain)
 from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 logger = logging.getLogger("pitmesh.driver")
@@ -156,14 +157,20 @@ def diagnostics(mesh: TriMesh, chains) -> tuple:
     return depth, width
 
 
-def _check_state(mesh: TriMesh, chains, step: int) -> float:
+def _check_state(mesh: TriMesh, chains, step: int, untested) -> float:
+    """Smallest cell area; raises MeshError on an inverted cell or a bad chain.
+
+    Only the chains in untested, those whose current positions no
+    crossing test has seen, get validate_chain's crossing test.
+    """
     areas = mesh.signed_areas()
     min_area = float(np.min(areas))
     if min_area <= 0.0:
         raise MeshError(f"inverted element at step {step}: "
                         f"cell {int(np.argmin(areas))}, area {min_area:g}")
     for chain in chains:
-        problems = validate_chain(mesh, chain)
+        problems = validate_chain(
+            mesh, chain, crossings=any(chain is c for c in untested))
         if problems:
             raise MeshError(f"step {step}: " + "; ".join(problems))
     return min_area
@@ -181,10 +188,13 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     that copy, whatever the failing call left half done.  One
     StiffnessFactor serves every mesh relaxation of the run, and with it
     each relaxation starts from the last one's motion; one JacobianPattern
-    serves every potential solve.
+    serves every potential solve; one NearestSegments serves every step's
+    monitor.  advance_pit tests each chain for self-crossings, so the
+    state check repeats that test only on a chain a merge has changed.
     """
     factor = adapt.StiffnessFactor()
     pattern = fem.JacobianPattern()
+    nearest = NearestSegments()
     init = init_mesh(config, factor, pattern)
     # the loop moves its own copies in place; init keeps the starting state.
     # The triangulation never changes within a run (a merge only retags
@@ -198,7 +208,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     d0, w0 = diagnostics(mesh, chains)
     series.append(0.0, d0, w0)
     events = []
-    min_area_seen = _check_state(mesh, chains, 0)
+    min_area_seen = _check_state(mesh, chains, 0, chains)
     if step_hook:
         step_hook(0, 0.0, mesh, chains, phi)
 
@@ -212,7 +222,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
         # newton_solve never writes into phi, so it needs no copy
         good = (mesh.copy(), [c.copy() for c in chains], phi)
         try:
-            metric = adapt.monitor_mackenzie(mesh, chains, config.adapt)
+            metric = adapt.monitor_mackenzie(mesh, chains, config.adapt,
+                                             nearest)
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
                                      factor=factor)
             # the front moves chain vertices in place; the result keeps its own
@@ -233,13 +244,17 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             for chain, (vn, normals) in zip(chains, speeds):
                 front.advance_pit(mesh, chain, vn, normals, dt)
 
+            untested = []
             cand = front.detect_merge(mesh, chains, fparams)
             if cand is not None:
                 chains, event = front.merge_pits(mesh, chains, cand)
                 event.step = step
                 events.append(event)
+                # the merge moved two vertices of the chain holding its apex
+                untested = [c for c in chains if event.apex_vertex in c.vertices]
 
-            min_area_seen = min(min_area_seen, _check_state(mesh, chains, step))
+            min_area_seen = min(min_area_seen,
+                                _check_state(mesh, chains, step, untested))
             area = sum(front.pit_area(mesh, c) for c in chains)
             if area < prev_area - 1e-9:
                 raise MeshError(f"pit area decreased at step {step}: "

@@ -17,6 +17,13 @@ import numpy as np
 _CHAIN_Y_TOL = 1e-9
 # points per block of nearest_segment_distances
 _DISTANCE_BLOCK = 256
+# NearestSegments: segments on either side of a point's nearest one that
+# a later call computes, the share of points failing the bound above
+# which it takes a new reference (one in _KEPT_REFRESH), and its rounding
+# margin relative to the largest coordinate
+_KEPT_WINDOW = 2
+_KEPT_REFRESH = 8
+_KEPT_SLACK = 1e-9
 
 
 class MeshError(Exception):
@@ -153,16 +160,12 @@ class VertexRoles:
 
 
 def vertex_roles(mesh: TriMesh) -> VertexRoles:
-    nv = mesh.n_vertices
-    on = {tag: np.zeros(nv, dtype=bool) for tag in BoundaryTag}
-    for tag in BoundaryTag:
-        sel = mesh.edge_tags == tag
-        on[tag][mesh.edge_nodes[sel].ravel()] = True
-    rect = [on[BoundaryTag.TOP], on[BoundaryTag.LEFT],
-            on[BoundaryTag.RIGHT], on[BoundaryTag.BOTTOM]]
-    n_rect_tags = sum(m.astype(np.int8) for m in rect)
-    corners = n_rect_tags >= 2
-    pinned = on[BoundaryTag.PIT] | corners
+    # on[tag, v]: vertex v ends an edge tagged tag, set by one scatter
+    on = np.zeros((len(BoundaryTag), mesh.n_vertices), dtype=bool)
+    on[np.repeat(mesh.edge_tags, 2), mesh.edge_nodes.ravel()] = True
+    rect = on[[BoundaryTag.TOP, BoundaryTag.LEFT, BoundaryTag.RIGHT,
+               BoundaryTag.BOTTOM]]
+    pinned = on[BoundaryTag.PIT] | (rect.sum(axis=0) >= 2)
     slide_x = (on[BoundaryTag.TOP] | on[BoundaryTag.BOTTOM]) & ~pinned
     slide_y = (on[BoundaryTag.LEFT] | on[BoundaryTag.RIGHT]) & ~pinned
     return VertexRoles(pinned, slide_x, slide_y)
@@ -202,26 +205,35 @@ def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
     return face, vert
 
 
-def _segment_offsets(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Per-segment direction (dx, dy) and direction over squared length.
+def _segment_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-segment rows (6, n_segs) for _squared_distances.
 
-    A segment whose squared length is zero or subnormal is a point: its
-    1/l2 would overflow, so it takes 1 in its place.
+    The rows are the start (ax, ay), the direction (dx, dy) and the
+    direction over squared length (ux, uy).  A segment whose squared
+    length is zero or subnormal is a point: its 1/l2 would overflow, so it
+    takes 1 in its place.
     """
     dx = b[:, 0] - a[:, 0]
     dy = b[:, 1] - a[:, 1]
     l2 = dx * dx + dy * dy
     inv_l2 = 1.0 / np.where(l2 >= np.finfo(float).tiny, l2, 1.0)
-    return dx, dy, dx * inv_l2, dy * inv_l2
+    return np.stack((a[:, 0], a[:, 1], dx, dy, dx * inv_l2, dy * inv_l2))
 
 
-def _squared_distances(points: np.ndarray, a: np.ndarray, dx: np.ndarray,
-                       dy: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to each segment, (n_points, n_segs)."""
-    # per-coordinate (n_points, n_segs) offsets from each segment start,
-    # reduced in place to the offsets from the nearest segment point
-    wx = points[:, 0, None] - a[:, 0]
-    wy = points[:, 1, None] - a[:, 1]
+def _squared_distances(px: np.ndarray, py: np.ndarray, ax: np.ndarray,
+                       ay: np.ndarray, dx: np.ndarray, dy: np.ndarray,
+                       ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Squared distance from points to segments.
+
+    Either px, py are point columns (n, 1) and the segment rows of
+    _segment_table are (n_segs,), every point against every segment, or
+    px, py are (n,) and the rows (w, n), each point against its own w
+    segments.  Each pair takes the same arithmetic either way.
+    """
+    # offsets from each segment start, reduced in place to the offsets
+    # from the nearest segment point
+    wx = px - ax
+    wy = py - ay
     t = wx * ux
     tmp = wy * uy
     t += tmp
@@ -236,8 +248,29 @@ def _squared_distances(points: np.ndarray, a: np.ndarray, dx: np.ndarray,
 
 def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to each segment, (n_points, n_segs)."""
-    sq = _squared_distances(points, a, *_segment_offsets(a, b))
+    sq = _squared_distances(points[:, 0, None], points[:, 1, None],
+                            *_segment_table(a, b))
     return np.sqrt(sq, out=sq)
+
+
+def _nearest_squared(points: np.ndarray, table: np.ndarray,
+                     kept: Optional["NearestSegments"] = None) -> np.ndarray:
+    """Squared distance from each point to its nearest segment, (n_points,).
+
+    The per-pair arithmetic runs over blocks of points small enough for
+    the (rows, n_segs) temporaries to stay in cache.  With kept, each
+    block's rows are also recorded there as its reference.
+    """
+    out = np.empty(len(points))
+    for start in range(0, len(points), _DISTANCE_BLOCK):
+        stop = start + _DISTANCE_BLOCK
+        sq = _squared_distances(points[start:stop, 0, None],
+                                points[start:stop, 1, None], *table)
+        if kept is None:
+            sq.min(axis=1, out=out[start:stop])
+        else:
+            out[start:stop] = kept._record(start, sq)
+    return out
 
 
 def nearest_segment_distances(points: np.ndarray, a: np.ndarray,
@@ -245,24 +278,118 @@ def nearest_segment_distances(points: np.ndarray, a: np.ndarray,
     """Distance from each point to its nearest segment, (n_points,).
 
     Equal bit for bit to ``point_segment_distances(...).min(axis=1)``:
-    the same per-pair arithmetic runs over blocks of points small enough
-    for the (rows, n_segs) temporaries to stay in cache, and since sqrt is
+    the same per-pair arithmetic runs blockwise, and since sqrt is
     monotone the minimum is taken over squared distances.
     """
-    offsets = _segment_offsets(a, b)
-    out = np.empty(len(points))
-    for start in range(0, len(points), _DISTANCE_BLOCK):
-        stop = start + _DISTANCE_BLOCK
-        _squared_distances(points[start:stop], a, *offsets).min(
-            axis=1, out=out[start:stop])
+    out = _nearest_squared(points, _segment_table(a, b))
     return np.sqrt(out, out=out)
 
 
+class NearestSegments:
+    """Each point's nearest segment, kept from call to call.
+
+    A reference call is the dense kernel.  Beside the distances it records
+    each point's window, the _KEPT_WINDOW segments on either side of its
+    nearest one (shifted inwards at the ends), each point's distance to
+    the nearest segment outside its window (the runner-up), and the
+    positions of the points and the segment ends.
+
+    A later call computes each point's distance to its window alone.  A
+    point-to-segment distance moves by at most |p - p_ref| when the point
+    moves, and by at most the larger of its two end moves when the
+    segment does.  So every segment outside the window is still at least
+    runner_up - |p - p_ref| - drift away, drift the largest end move of
+    any segment.  A window minimum at most that, less a margin for
+    rounding, is the point's distance; points that fail the test get
+    their dense rows.  That holds for any points and segments of the
+    reference's shapes, so a call equals nearest_segment_distances bit
+    for bit.  A call takes a new reference when the point or segment
+    count has changed, or when more than 1/_KEPT_REFRESH of its points
+    fail the test.  The state is O(points + segments).
+    """
+
+    def __init__(self):
+        self.points = None      # (n, 2) points at the reference
+        self.a = self.b = None  # (m, 2) segment ends at the reference
+        self.window = None      # (w, n) segment indices of each window
+        self.runner_up = None   # (n,) distance outside the window
+        self.scale = 0.0        # largest coordinate at the reference
+        self.references = 0     # reference calls
+        self.dense_rows = 0     # rows that failed the test
+
+    def distances(self, points: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+        """nearest_segment_distances(points, a, b), from the kept state."""
+        table = _segment_table(a, b)
+        if (self.points is None or self.points.shape != points.shape
+                or self.a.shape != a.shape):
+            return self._reference(points, a, b, table)
+        sq = _squared_distances(points[:, 0], points[:, 1],
+                                *np.take(table, self.window, axis=1)).min(axis=0)
+        dist = np.sqrt(sq, out=sq)
+        moved = points - self.points
+        moved = np.hypot(moved[:, 0], moved[:, 1])
+        drift = max(_largest_move(a, self.a), _largest_move(b, self.b))
+        scale = max(self.scale, _largest_coordinate(points, a, b))
+        # a NaN anywhere fails the test
+        fail = ~(dist <= self.runner_up - moved
+                 - (drift + _KEPT_SLACK * max(scale, 1.0)))
+        n_fail = int(np.count_nonzero(fail))
+        if n_fail * _KEPT_REFRESH > len(points):
+            return self._reference(points, a, b, table)
+        if n_fail:
+            self.dense_rows += n_fail
+            rows = _nearest_squared(points[fail], table)
+            dist[fail] = np.sqrt(rows, out=rows)
+        return dist
+
+    def _reference(self, points, a, b, table) -> np.ndarray:
+        n, m = len(points), len(a)
+        self.window = np.empty((min(2 * _KEPT_WINDOW + 1, m), n),
+                               dtype=np.intp)
+        self.runner_up = np.empty(n)
+        out = _nearest_squared(points, table, self)
+        np.sqrt(self.runner_up, out=self.runner_up)
+        self.points = points.copy()
+        self.a, self.b = a.copy(), b.copy()
+        self.scale = _largest_coordinate(points, a, b)
+        self.references += 1
+        return np.sqrt(out, out=out)
+
+    def _record(self, start: int, sq: np.ndarray) -> np.ndarray:
+        """Record the reference of one block of rows; returns their minima.
+
+        sq is the block's (rows, n_segs) squared distances, overwritten.
+        """
+        rows = np.arange(len(sq))
+        nearest = sq.argmin(axis=1)
+        best = sq[rows, nearest]
+        width = len(self.window)
+        first = np.clip(nearest - _KEPT_WINDOW, 0, sq.shape[1] - width)
+        window = first[:, None] + np.arange(width)
+        self.window[:, start:start + len(sq)] = window.T
+        sq[rows[:, None], window] = np.inf
+        sq.min(axis=1, out=self.runner_up[start:start + len(sq)])
+        return best
+
+
+def _largest_move(now: np.ndarray, ref: np.ndarray) -> float:
+    d = now - ref
+    return float(np.max(np.hypot(d[:, 0], d[:, 1]), initial=0.0))
+
+
+def _largest_coordinate(*arrays: np.ndarray) -> float:
+    return max(float(np.max(np.abs(x), initial=0.0)) for x in arrays)
+
+
 def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
-                        mesh: TriMesh) -> np.ndarray:
+                        mesh: TriMesh,
+                        kept: Optional[NearestSegments] = None) -> np.ndarray:
     """Minimum point-to-segment distance to any pit boundary.
 
     Accepts a single point (2,) or a stack (n,2); returns matching shape.
+    With kept, the call starts from the nearest segments that state keeps
+    and updates it; the distances are the same bit for bit.
     """
     if not chains:
         raise MeshError("min_distance_to_pit needs at least one chain")
@@ -272,8 +399,11 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
         p = chain.positions(mesh)
         segs_a.append(p[:-1])
         segs_b.append(p[1:])
-    dist = nearest_segment_distances(pts, np.concatenate(segs_a),
-                                     np.concatenate(segs_b))
+    a, b = np.concatenate(segs_a), np.concatenate(segs_b)
+    if kept is None:
+        dist = nearest_segment_distances(pts, a, b)
+    else:
+        dist = kept.distances(pts, a, b)
     if np.ndim(points) == 1:
         return dist[0]
     return dist
@@ -329,11 +459,14 @@ def polyline_self_intersects(p: np.ndarray) -> bool:
     return len(polyline_crossings(p)) > 0
 
 
-def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
+def validate_chain(mesh: TriMesh, chain: PitChain,
+                   crossings: bool = True) -> list:
     """Check PitChain invariants; returns a list of problem strings.
 
     Every PIT edge that touches a chain vertex counts as the chain's own,
     so a vertex shared with another chain shows up as a surplus edge.
+    crossings=False leaves out the self-crossing test, for a chain whose
+    current positions have passed it already.
     """
     problems = []
     p = chain.positions(mesh)
@@ -343,14 +476,17 @@ def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
     # the post-merge apex may sit exactly on y=0 until it corrodes down
     if np.any(interior_y > _CHAIN_Y_TOL):
         problems.append(f"pit {chain.pit_id}: interior vertex above y=0")
-    if polyline_self_intersects(p):
+    if crossings and polyline_self_intersects(p):
         problems.append(f"pit {chain.pit_id}: chain self-intersects")
+    # one int64 key per undirected edge, lower vertex first
+    base = np.int64(mesh.n_vertices)
     pit_edges = mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT]
-    touching = np.isin(pit_edges, chain.vertices).any(axis=1)
-    tagged = {(min(u, v), max(u, v)) for u, v in pit_edges[touching]}
-    for u, v in zip(chain.vertices[:-1], chain.vertices[1:]):
-        if (min(u, v), max(u, v)) not in tagged:
-            problems.append(f"pit {chain.pit_id}: edge ({u},{v}) not tagged Pit")
+    pit_edges = pit_edges[np.isin(pit_edges, chain.vertices).any(axis=1)]
+    tagged = np.unique(pit_edges.min(axis=1) * base + pit_edges.max(axis=1))
+    u, v = chain.vertices[:-1], chain.vertices[1:]
+    untagged = ~np.isin(np.minimum(u, v) * base + np.maximum(u, v), tagged)
+    for a, b in zip(u[untagged], v[untagged]):
+        problems.append(f"pit {chain.pit_id}: edge ({a},{b}) not tagged Pit")
     if len(tagged) != chain.n_vertices - 1:
         problems.append(f"pit {chain.pit_id}: tagged edge count {len(tagged)} "
                         f"!= chain edge count {chain.n_vertices - 1}")

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
 from pitmesh.fem import assemble_stiffness
-from pitmesh.mesh import BoundaryTag, MeshError, TriMesh, cross2
+from pitmesh.mesh import BoundaryTag, MeshError, TriMesh, VertexRoles, cross2
 
 
 def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
@@ -190,6 +190,21 @@ def all_pairs_crossings(p: np.ndarray) -> np.ndarray:
     d4 = cross2(s, b[i] - a[j])
     hit = (d1 * d2 < 0) & (d3 * d4 < 0)
     return np.column_stack((i[hit], j[hit]))
+
+
+def vertex_roles_by_tag(mesh: TriMesh) -> VertexRoles:
+    """pitmesh.mesh.vertex_roles with one mask per tag, built tag by tag."""
+    nv = mesh.n_vertices
+    on = {tag: np.zeros(nv, dtype=bool) for tag in BoundaryTag}
+    for tag in BoundaryTag:
+        on[tag][mesh.edge_nodes[mesh.edge_tags == tag].ravel()] = True
+    rect = [on[BoundaryTag.TOP], on[BoundaryTag.LEFT],
+            on[BoundaryTag.RIGHT], on[BoundaryTag.BOTTOM]]
+    corners = sum(m.astype(np.int8) for m in rect) >= 2
+    pinned = on[BoundaryTag.PIT] | corners
+    slide_x = (on[BoundaryTag.TOP] | on[BoundaryTag.BOTTOM]) & ~pinned
+    slide_y = (on[BoundaryTag.LEFT] | on[BoundaryTag.RIGHT]) & ~pinned
+    return VertexRoles(pinned, slide_x, slide_y)
 
 
 def read_vtk_points_and_phi(path: str):

@@ -6,6 +6,10 @@ full-length corrosion runs are shared session fixtures, so the whole
 suite costs a handful of 120 s simulations.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,11 +18,32 @@ from pitmesh.crystal import (Bicrystal, Crystal, VcorrParams,
                              orientation_from_axes, vcorr_many)
 from pitmesh.driver import (SimConfig, fit_power_law, fit_power_law_arrays,
                             init_mesh, run)
-from pitmesh.mesh import min_distance_to_pit, validate
+from pitmesh.mesh import validate
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (energy, grad_energy, l2_error, make_rect_mesh,
                      solve_dirichlet, solve_equidistribution_1d)
+
+MONITOR_STUDY_PY = (Path(__file__).resolve().parent.parent / "scripts"
+                    / "monitor_study.py")
+
+
+def load_monitor_study():
+    """Import scripts/monitor_study.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("monitor_study",
+                                                  MONITOR_STUDY_PY)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+# criterion 10's statistics, shared with the parameter study script
+MONITOR_STUDY = load_monitor_study()
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -266,36 +291,6 @@ class TestCriterion9:
                 f"tail {['%.3g' % v for v in tail]}")
 
 
-def _near_pit_interior_min_edge(mesh, chains, radius=2.0):
-    edges = mesh.unique_edges()
-    on_chain = np.zeros(mesh.n_vertices, dtype=bool)
-    for chain in chains:
-        on_chain[chain.vertices] = True
-    edges = edges[~(on_chain[edges[:, 0]] | on_chain[edges[:, 1]])]
-    mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    d = min_distance_to_pit(mid, chains, mesh)
-    return float(mesh.edge_lengths(edges)[d <= radius].min())
-
-
-def _half_excess_radius(mesh, initial, chains):
-    """Width of the band of vertices that smoothing drew towards the pit.
-
-    E(r) = N(r) - N0(r) is the count of vertices within pit distance r of
-    the smoothed mesh minus that of the unsmoothed one. Returns the smallest
-    r at which E reaches half its maximum, and that maximum; the radius is
-    None when smoothing drew no vertices in (max E <= 0).
-    """
-    d = np.sort(min_distance_to_pit(mesh.vertices, chains, mesh))
-    d0 = np.sort(min_distance_to_pit(initial.vertices, chains, initial))
-    r = np.union1d(d, d0)
-    excess = (np.searchsorted(d, r, side="right")
-              - np.searchsorted(d0, r, side="right"))
-    peak = int(excess.max())
-    if peak <= 0:
-        return None, peak
-    return float(r[np.argmax(excess >= 0.5 * peak)]), peak
-
-
 class TestCriterion10:
     def test_monitor_parameter_trends(self):
         mins = []
@@ -303,7 +298,8 @@ class TestCriterion10:
             cfg = acceptance_config()
             cfg.adapt.mu1 = mu1
             result = init_mesh(cfg)
-            mins.append(_near_pit_interior_min_edge(result.mesh, result.chains))
+            mins.append(MONITOR_STUDY.near_pit_min_edge(result.mesh,
+                                                        result.chains))
         mono1 = all(b <= a * (1 + 1e-9) for a, b in zip(mins, mins[1:]))
 
         radii, peaks = [], []
@@ -313,8 +309,8 @@ class TestCriterion10:
             result = init_mesh(cfg)
             initial, _, _ = build_initial_mesh(cfg.domain, cfg.pits,
                                                cfg.target_h, cfg.seed)
-            radius, peak = _half_excess_radius(result.mesh, initial,
-                                               result.chains)
+            radius, peak = MONITOR_STUDY.half_excess_radius(
+                result.mesh, initial, result.chains)
             radii.append(radius)
             peaks.append(peak)
         mono2 = (None not in radii

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pitmesh import adapt, driver, fem, front
+from pitmesh import mesh as mesh_module
 from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
 from pitmesh.front import FrontError
@@ -53,6 +54,50 @@ def recorded_run():
 @pytest.fixture(scope="module")
 def short_run(recorded_run):
     return recorded_run[0]
+
+
+def merge_config():
+    """Two coarse pits that merge at step 12; the run goes one step past it."""
+    cfg = small_config(target_h=1.5)
+    cfg.pits.centers = (-5.5, 5.5)
+    cfg.front.merge_gap_tol = 0.6
+    cfg.electro.sigma_c = 10.0
+    cfg.front.t_end = 6.5
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def merge_run():
+    """The merge run, recorded.
+
+    Returns the run's result; per step, each monitor the run used beside
+    the monitor without kept nearest segments; the run's NearestSegments;
+    and per step the crossing tests it made and its chain count.
+    """
+    monitors, kept, crossings, steps = [], [], [0], []
+    real_monitor = adapt.monitor_mackenzie
+    real_crossings = mesh_module.polyline_crossings
+
+    def monitor(mesh, chains, p, nearest=None):
+        m = real_monitor(mesh, chains, p, nearest)
+        if nearest is not None:
+            kept[:] = [nearest]
+            monitors.append((m, real_monitor(mesh, chains, p)))
+        return m
+
+    def counted(p):
+        crossings[0] += 1
+        return real_crossings(p)
+
+    def hook(step, t, mesh, chains, phi):
+        steps.append((crossings[0], len(chains)))
+        crossings[0] = 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "monitor_mackenzie", monitor)
+        mp.setattr(mesh_module, "polyline_crossings", counted)
+        result = run(merge_config(), step_hook=hook)
+    return result, monitors, kept[0], steps
 
 
 class TestInitMesh:
@@ -301,12 +346,6 @@ class TestRun:
         assert t[1] < 50.0
 
     def test_merge_step_is_an_ordinary_step(self, monkeypatch):
-        # two coarse pits merge at step 12; the run goes one step past it
-        cfg = small_config(target_h=1.5)
-        cfg.pits.centers = (-5.5, 5.5)
-        cfg.front.merge_gap_tol = 0.6
-        cfg.electro.sigma_c = 10.0
-        cfg.front.t_end = 6.5
         smooths = []
         real = adapt.smooth_mesh
 
@@ -315,7 +354,7 @@ class TestRun:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(adapt, "smooth_mesh", counted)
-        result = run(cfg)
+        result = run(merge_config())
         assert [event.step for event in result.events] == [12]
         assert validate(result.mesh).ok
         # no smoothing follows the merge: the initial smoothing's flows and
@@ -323,6 +362,37 @@ class TestRun:
         assert len(smooths) == 1
         assert result.minimiser_calls == \
             len(result.init.smooth.trace) + result.steps
+
+    def test_kept_nearest_segments_give_the_stateless_monitor(self, merge_run):
+        result, monitors, kept, _ = merge_run
+        assert [event.step for event in result.events] == [12]
+        assert len(monitors) == result.steps
+        for used, stateless in monitors:
+            assert np.array_equal(used, stateless)
+        # the first step takes a reference, and so does the step after the
+        # merge, which adds a segment; most steps take none
+        assert 2 <= kept.references < result.steps // 2
+
+    def test_run_without_kept_nearest_segments_is_the_same(self, merge_run,
+                                                           monkeypatch):
+        monkeypatch.setattr(driver, "NearestSegments", lambda: None)
+        stateless = run(merge_config())
+        result = merge_run[0]
+        for kept_column, column in zip(result.series.arrays(),
+                                       stateless.series.arrays()):
+            assert np.array_equal(kept_column, column)
+        assert np.array_equal(result.mesh.vertices, stateless.mesh.vertices)
+
+    def test_one_crossing_test_per_chain_and_state(self, merge_run):
+        # step 0 tests the initial chains; a step tests each chain it
+        # advances, and a merge step also the merged chain
+        result, _, _, steps = merge_run
+        merge_step = result.events[0].step
+        assert steps[0] == (2, 2)
+        for step in range(1, len(steps)):
+            tests = steps[step][0]
+            advanced = steps[step - 1][1]
+            assert tests == advanced + (step == merge_step)
 
 
 def forced_absorption_config(monkeypatch):

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pitmesh.mesh import (BoundaryTag, MeshError, PitChain, TriMesh,
-                          chains_from_tags, face_and_vertex_normals,
-                          min_distance_to_pit, nearest_segment_distances,
-                          point_segment_distances, polyline_crossings,
-                          polyline_self_intersects, validate, validate_chain,
-                          vertex_roles)
+from pitmesh import front
+from pitmesh.front import FrontParams, detect_merge, merge_pits, update_corners
+from pitmesh.mesh import (_KEPT_SLACK, BoundaryTag, MeshError,
+                          NearestSegments, PitChain, TriMesh, chains_from_tags,
+                          face_and_vertex_normals, min_distance_to_pit,
+                          nearest_segment_distances, point_segment_distances,
+                          polyline_crossings, polyline_self_intersects,
+                          validate, validate_chain, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import affine_map, all_pairs_crossings, make_rect_mesh
+from oracles import (affine_map, all_pairs_crossings, make_rect_mesh,
+                     vertex_roles_by_tag)
 
 
 def single_triangle(v0, v1, v2):
@@ -193,6 +196,107 @@ class TestMinDistance:
         assert abs(dp - dq) <= np.hypot(*(p - q)) + 1e-12
 
 
+def random_chain(rng, n_vertices, x0):
+    """A polyline wandering rightwards from (x0, 0) below y = 0."""
+    steps = np.column_stack((rng.uniform(0.1, 1.0, n_vertices - 1),
+                             rng.normal(0.0, 0.8, n_vertices - 1)))
+    return np.vstack(([x0, 0.0], [x0, 0.0] + np.cumsum(steps, axis=0)))
+
+
+def segments(chains):
+    """Segment starts and ends of the polylines, in list order."""
+    return (np.concatenate([c[:-1] for c in chains]),
+            np.concatenate([c[1:] for c in chains]))
+
+
+_DRIFTS = ("still", "small", "large", "grow", "shrink", "reorder")
+
+
+class TestNearestSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 300),
+           st.lists(st.sampled_from(_DRIFTS), min_size=1, max_size=10))
+    def test_every_call_equals_the_dense_kernel(self, seed, n_chains,
+                                                n_points, drifts):
+        rng = np.random.default_rng(seed)
+        chains = [random_chain(rng, int(rng.integers(2, 30)), x)
+                  for x in np.linspace(-12.0, 6.0, n_chains)]
+        points = rng.uniform((-15.0, -12.0), (15.0, 4.0), (n_points, 2))
+        kept = NearestSegments()
+        for drift in ("still",) + tuple(drifts):
+            if drift in ("small", "large"):
+                size = 1e-3 if drift == "small" else 1.0
+                points = points + rng.normal(0.0, size, points.shape)
+                chains = [c + rng.normal(0.0, size / 2, c.shape)
+                          for c in chains]
+            elif drift == "grow":
+                k = int(rng.integers(len(chains)))
+                chains[k] = np.vstack((chains[k], chains[k][-1] + (0.5, -0.3)))
+            elif drift == "shrink":
+                k = int(rng.integers(len(chains)))
+                if len(chains[k]) > 2:
+                    chains[k] = chains[k][:-1]
+            elif drift == "reorder":
+                chains = chains[1:] + chains[:1]
+            a, b = segments(chains)
+            got = kept.distances(points, a, b)
+            assert np.array_equal(got, nearest_segment_distances(points, a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]),
+           st.floats(0.0, 2.0 * np.pi))
+    def test_drift_on_the_acceptance_margin(self, seed, f, angle):
+        rng = np.random.default_rng(seed)
+        chains = [random_chain(rng, 20, -10.0), random_chain(rng, 12, 2.0)]
+        a, b = segments(chains)
+        points = rng.uniform((-15.0, -12.0), (15.0, 4.0), (200, 2))
+        kept = NearestSegments()
+        d = kept.distances(points, a, b)
+        gap = kept.runner_up - d
+        i = int(np.argmin(gap))
+        assume(1e-3 < gap[i] < np.inf)
+        # moving points and segments by v moves each by |v|, so point i's
+        # test reads d_i <= d_i + gap_i - 2 |v| - slack: f = 1 lands on
+        # the margin, and every other point's gap is at least gap_i
+        slack = _KEPT_SLACK * max(kept.scale + gap[i], 1.0)
+        v = 0.5 * f * (gap[i] - slack) * np.array([np.cos(angle),
+                                                   np.sin(angle)])
+        work = (kept.references, kept.dense_rows)
+        got = kept.distances(points + v, a + v, b + v)
+        assert np.array_equal(
+            got, nearest_segment_distances(points + v, a + v, b + v))
+        if f < 1.0:
+            assert (kept.references, kept.dense_rows) == work
+        elif f > 1.0:
+            assert (kept.references, kept.dense_rows) != work
+
+    def test_window_covers_a_short_chain(self):
+        # four segments fit one window: no runner-up, and any drift passes
+        chain = random_chain(np.random.default_rng(1), 5, -2.0)
+        points = np.random.default_rng(2).uniform(-5.0, 5.0, (50, 2))
+        kept = NearestSegments()
+        kept.distances(points, *segments([chain]))
+        assert np.all(kept.runner_up == np.inf)
+        moved = chain + 3.0
+        got = kept.distances(points - 2.0, *segments([moved]))
+        assert np.array_equal(
+            got, nearest_segment_distances(points - 2.0, *segments([moved])))
+        assert (kept.references, kept.dense_rows) == (1, 0)
+
+    def test_min_distance_to_pit_with_kept_state(self):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-6.0, 6.0), nodes=21),
+            target_h=2.0, seed=0)
+        kept = NearestSegments()
+        for shift in (0.0, 0.01, 0.02):
+            mesh.vertices[chains[0].vertices[1:-1], 1] -= shift
+            assert np.array_equal(
+                min_distance_to_pit(mesh.vertices, chains, mesh, kept),
+                min_distance_to_pit(mesh.vertices, chains, mesh))
+        assert kept.references == 1
+
+
 class TestValidate:
     def test_valid_mesh_empty_report(self):
         mesh = make_rect_mesh(4, 3)
@@ -265,6 +369,28 @@ class TestRolesAndChains:
             idx = np.argmin(np.hypot(d[:, 0] - corner[0], d[:, 1] - corner[1]))
             assert roles.pinned[idx]
 
+    def test_roles_match_the_per_tag_masks(self, monkeypatch):
+        initial, _, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                           target_h=2.0, seed=0)
+        merged, twins, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-5.2, 5.2), nodes=31),
+            target_h=1.2, seed=0)
+        merge_pits(merged, twins,
+                   detect_merge(merged, twins, FrontParams(merge_gap_tol=0.5)))
+        # a steep wall sends the left corner past its surface neighbour
+        absorbed, (chain,), _ = build_initial_mesh(
+            DomainSpec(), PitSpec(nodes=41), target_h=1.2, seed=0)
+        monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
+        absorbed.vertices[chain.vertices[1]] = \
+            absorbed.vertices[chain.vertices[0]] + (-0.35, -0.25)
+        n_before = chain.n_vertices
+        update_corners(absorbed, chain)
+        assert chain.n_vertices > n_before
+        for mesh in (initial, merged, absorbed):
+            got, want = vertex_roles(mesh), vertex_roles_by_tag(mesh)
+            for mask in ("pinned", "slide_x", "slide_y"):
+                assert np.array_equal(getattr(got, mask), getattr(want, mask))
+
     def test_chains_from_tags_roundtrip(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(),
                                              PitSpec(centers=(-6.0, 6.0), nodes=21),
@@ -295,6 +421,24 @@ class TestRolesAndChains:
         for chain in (left, right):
             assert any("tagged edge count" in msg
                        for msg in validate_chain(mesh, chain))
+
+    def test_validate_chain_reports_untagged_edge(self):
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                             target_h=2.0, seed=0)
+        u, v = chains[0].vertices[3:5]
+        edge = np.isin(mesh.edge_nodes, [u, v]).all(axis=1)
+        mesh.edge_tags[edge] = BoundaryTag.BOTTOM
+        assert validate_chain(mesh, chains[0]) == [
+            f"pit 0: edge ({u},{v}) not tagged Pit",
+            "pit 0: tagged edge count 19 != chain edge count 20"]
+
+    def test_validate_chain_crossing_test_can_be_left_out(self):
+        # segment 2 crosses segment 0 at (4/3, -4/3)
+        mesh, chain = chain_mesh([(0.0, 0.0), (2.0, -2.0), (2.0, -1.0),
+                                  (0.0, -2.0), (-1.0, 0.0)])
+        crossing = "pit 0: chain self-intersects"
+        assert crossing in validate_chain(mesh, chain)
+        assert crossing not in validate_chain(mesh, chain, crossings=False)
 
     def test_chains_numbered_by_left_corner(self):
         mesh, chains, _ = build_initial_mesh(
