@@ -28,16 +28,19 @@ they are kept until those change; a refactorisation only refills the
 bands and factorises them.
 The shared factor also carries the last call's displacement and its
 curvature pairs: the pit front moves about as far each step, so the mesh
-follows it smoothly and its last motion predicts the next.  A call repeats
-that displacement on its free coordinates when the result passes the line
-search's test against x^n, and it starts L-BFGS with the carried pairs; a
-refactorisation drops them, as their K^-1 y belong to the old K.
+follows it smoothly and its last motion predicts the next.  A call over a
+finite interval repeats that displacement on its free coordinates when the
+result passes the line search's test against x^n, and every call starts
+L-BFGS with the carried pairs; a refactorisation drops them, as their
+K^-1 y belong to the old K.
 Each search direction is tried at unit length, the quasi-Newton step that
 K^-1 already scales, and backtracks until the energy does not rise and no
 cell inverts; both energy terms blow up as an element degenerates, so an
 accepted step can never invert a cell.
 Mesh smoothing repeats the minimisation under a monitor rebuilt at the
-moved vertices until the mesh stops moving.
+moved vertices until the mesh stops moving.  Its flows run over an
+infinite interval and try no predicted start: each moves less than the
+one before, so repeating the last motion overshoots.
 """
 
 from __future__ import annotations
@@ -331,10 +334,12 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     largest projected gradient entry of that sum is below the stationarity
     tolerance, which is set from the gradient at x^n.  factor keeps the
     preconditioner, the last call's motion and its L-BFGS pairs across
-    calls.  L-BFGS starts from the pairs, and from x^n plus that motion on
-    the free coordinates if x^n is not stationary and that start passes
-    the line search's test.  Without a factor, K is factorised afresh and
-    L-BFGS starts at x^n with no pairs.
+    calls.  L-BFGS starts from the pairs, and, for a finite dt_interval,
+    from x^n plus that motion on the free coordinates if x^n is not
+    stationary and that start passes the line search's test.  Every call
+    records its motion, so a step after smoothing tries the last flow's.
+    Without a factor, K is factorised afresh and L-BFGS starts at x^n
+    with no pairs.
     """
     fn = _functional(mesh, metric, p)
     roles = vertex_roles(mesh)
@@ -372,7 +377,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
 
     x = x0.copy()
     predicted = False
-    if factor.motion is not None and float(np.max(np.abs(g))) >= stop_tol:
+    if factor.motion is not None and np.isfinite(dt_interval) \
+            and float(np.max(np.abs(g))) >= stop_tol:
         # predicted start: the last call's motion again
         trial = x0 + free * factor.motion
         out = evaluate(trial)

@@ -137,16 +137,11 @@ class BandLayout:
         return cholesky_banded(self.band(entries), overwrite_ab=True)
 
 
-def assemble_stiffness(mesh: TriMesh,
-                       weight: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """P1 stiffness matrix; constants span its null space.
-
-    With a per-cell weight (nt,), each cell's contribution is scaled by
-    it, giving the stiffness of -div(w grad u) for piecewise-constant w.
-    """
+def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
+    """P1 stiffness matrix; constants span its null space."""
     rows, cols = _corner_pairs(mesh.triangles)
     n = mesh.n_vertices
-    K = sp.coo_matrix((_cell_stiffness(mesh, weight).ravel(), (rows, cols)),
+    K = sp.coo_matrix((_cell_stiffness(mesh).ravel(), (rows, cols)),
                       shape=(n, n))
     return K.tocsr()
 

@@ -379,8 +379,8 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     toward its first chain neighbor.  Vertex and cell counts are untouched;
     the gap edge is retagged as pit boundary, and the chains are renumbered
     from 0 in left-corner order.  Raises FrontError if the move would
-    invert a cell; the two moved vertices then stay moved, and driver.run
-    keeps the last good state.
+    invert a cell or the merged chain self-intersects; the two moved
+    vertices then stay moved, and driver.run keeps the last good state.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]
@@ -413,11 +413,15 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
             f"merging pits {left.pit_id} and {right.pit_id} would invert "
             f"cells {np.where(~areas_ok)[0][:5].tolist()}; "
             "use a smaller merge_gap_tol")
+    joined = np.concatenate((left.vertices, right.vertices))
+    if polyline_self_intersects(pos[joined]):
+        raise FrontError(
+            f"merging pits {left.pit_id} and {right.pit_id} would make "
+            "the merged chain self-intersect")
 
     mesh.edge_tags[cand.edge_index] = BoundaryTag.PIT
     merged = PitChain(
-        left.pit_id,
-        np.concatenate((left.vertices, right.vertices)).astype(np.int32),
+        left.pit_id, joined,
         apex_pos=len(left.vertices) - 1 if apex_id == rc else len(left.vertices))
 
     new_chains = [c for i, c in enumerate(chains)

@@ -387,13 +387,13 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
                         kept: Optional[NearestSegments] = None) -> np.ndarray:
     """Minimum point-to-segment distance to any pit boundary.
 
-    Accepts a single point (2,) or a stack (n,2); returns matching shape.
+    Takes a stack of points (n, 2) and returns their (n,) distances.
     With kept, the call starts from the nearest segments that state keeps
     and updates it; the distances are the same bit for bit.
     """
     if not chains:
         raise MeshError("min_distance_to_pit needs at least one chain")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
     segs_a, segs_b = [], []
     for chain in chains:
         p = chain.positions(mesh)
@@ -401,12 +401,8 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
         segs_b.append(p[1:])
     a, b = np.concatenate(segs_a), np.concatenate(segs_b)
     if kept is None:
-        dist = nearest_segment_distances(pts, a, b)
-    else:
-        dist = kept.distances(pts, a, b)
-    if np.ndim(points) == 1:
-        return dist[0]
-    return dist
+        return nearest_segment_distances(pts, a, b)
+    return kept.distances(pts, a, b)
 
 
 def _box_overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -459,14 +455,14 @@ def polyline_self_intersects(p: np.ndarray) -> bool:
     return len(polyline_crossings(p)) > 0
 
 
-def validate_chain(mesh: TriMesh, chain: PitChain,
-                   crossings: bool = True) -> list:
+def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
     """Check PitChain invariants; returns a list of problem strings.
 
+    Checks the corners on y = 0, the interior below it and the Pit tags.
     Every PIT edge that touches a chain vertex counts as the chain's own,
     so a vertex shared with another chain shows up as a surplus edge.
-    crossings=False leaves out the self-crossing test, for a chain whose
-    current positions have passed it already.
+    Self-crossings are not checked here: each front function that moves
+    chain vertices tests the chains it moved.
     """
     problems = []
     p = chain.positions(mesh)
@@ -476,8 +472,6 @@ def validate_chain(mesh: TriMesh, chain: PitChain,
     # the post-merge apex may sit exactly on y=0 until it corrodes down
     if np.any(interior_y > _CHAIN_Y_TOL):
         problems.append(f"pit {chain.pit_id}: interior vertex above y=0")
-    if crossings and polyline_self_intersects(p):
-        problems.append(f"pit {chain.pit_id}: chain self-intersects")
     # one int64 key per undirected edge, lower vertex first
     base = np.int64(mesh.n_vertices)
     pit_edges = mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT]

@@ -7,13 +7,12 @@ from pitmesh import adapt, fem
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            mmpde_step, monitor_mackenzie, smooth_mesh,
                            vertex_p_scaling)
-from pitmesh.fem import assemble_stiffness
 from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (band_by_assembly, energy, grad_energy,
                      lbfgs_direction_two_solves, make_rect_mesh,
-                     solve_equidistribution_1d)
+                     solve_equidistribution_1d, weighted_stiffness)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ class TestMonitor:
         mesh.vertices[:] = np.array([[x, y] for x in (0, 2, 4)
                                      for y in (0, 0.5, 1.0)])
         p = AdaptParams()
-        d = min_distance_to_pit(np.array([0.0, 1.0]), [chain], mesh)
+        d = min_distance_to_pit(np.array([[0.0, 1.0]]), [chain], mesh)[0]
         assert d == pytest.approx(1.0)
         metric = monitor_mackenzie(mesh, [chain], p)
         idx = np.where((mesh.vertices[:, 1] == 1.0)
@@ -585,7 +584,7 @@ class TestStiffnessFactor:
         free[mesh.edge_nodes.ravel(), 1] = 0.0
         free[0] = 0.0
         x = rng.normal(size=free.shape) * free
-        stiffness = assemble_stiffness(mesh, density)
+        stiffness = weighted_stiffness(mesh, density)
         kx = np.column_stack([stiffness @ x[:, c] for c in range(2)])
         apply = adapt.StiffnessFactor().preconditioner(mesh, density, free)
         assert np.allclose(apply(kx.ravel()), x.ravel(), rtol=0, atol=1e-12)

@@ -384,11 +384,11 @@ class TestRun:
         assert np.array_equal(result.mesh.vertices, stateless.mesh.vertices)
 
     def test_one_crossing_test_per_chain_and_state(self, merge_run):
-        # step 0 tests the initial chains; a step tests each chain it
-        # advances, and a merge step also the merged chain
+        # the initial chains, monotone in x, get no test; a step tests
+        # each chain it advances, and a merge step also the merged chain
         result, _, _, steps = merge_run
         merge_step = result.events[0].step
-        assert steps[0] == (2, 2)
+        assert steps[0] == (0, 2)
         for step in range(1, len(steps)):
             tests = steps[step][0]
             advanced = steps[step - 1][1]

@@ -8,13 +8,13 @@ from pitmesh import front
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams
 from pitmesh.front import (APPROACH_FACTOR, FrontError, FrontParams,
-                           advance_pit, capped_dt, chain_velocities,
-                           detect_merge, line_intersection, merge_pits,
-                           pit_area, track_apex, update_corners)
+                           MergeCandidate, advance_pit, capped_dt,
+                           chain_velocities, detect_merge, line_intersection,
+                           merge_pits, pit_area, track_apex, update_corners)
 from pitmesh.front import _apply_limited, _extrapolate_to_surface
-from pitmesh.mesh import (PitChain, TriMesh, face_and_vertex_normals,
-                          point_segment_distances, polyline_crossings,
-                          validate, validate_chain)
+from pitmesh.mesh import (BoundaryTag, PitChain, TriMesh,
+                          face_and_vertex_normals, point_segment_distances,
+                          polyline_crossings, validate, validate_chain)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
@@ -328,6 +328,21 @@ class TestMergePits:
         merged_chains, _ = merge_pits(mesh, chains, cand)
         depth, width = diagnostics(mesh, merged_chains)
         assert width > 15.0  # both 10-wide pits plus part of the gap
+
+    def test_self_intersecting_merged_chain_raises(self):
+        # each chain is simple, but the right pit's wall dips under the
+        # left pit's far-reaching vertex (2.5, -4); every cell of the fan
+        # keeps its orientation, so only the crossing test can object
+        from test_mesh import chain_mesh
+        mesh, _ = chain_mesh([(-10.0, 0.0), (2.5, -4.0), (-1.0, 0.0),
+                              (1.0, 0.0), (3.0, -6.0), (4.0, 0.0)])
+        gap = 2
+        mesh.edge_tags[gap] = BoundaryTag.TOP
+        chains = [PitChain(0, [0, 1, 2]), PitChain(1, [3, 4, 5])]
+        with pytest.raises(FrontError, match="self-intersect"):
+            merge_pits(mesh, chains, MergeCandidate(gap, 0, 1, 2.0))
+        assert np.all(mesh.signed_areas() > 0.0)
+        assert mesh.edge_tags[gap] == BoundaryTag.TOP
 
 
 class TestApex:
