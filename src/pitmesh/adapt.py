@@ -235,14 +235,15 @@ class StiffnessFactor:
     belongs to the old K; a new topology drops the displacement too.
     Counts its factorisations and the minimiser calls it served.
 
-    Each free block of K has a fem.BandLayout: its reverse Cuthill-McKee
-    order and the band slot of every cell stiffness entry.  The layouts
-    depend only on the triangulation and the free set, so they are built
-    again only when those change; a refactorisation fills each band from
-    the weighted cell stiffness by one bincount and factorises it by
-    banded Cholesky.  The band factor is a plain array of its own size; a
-    SuperLU factor reserves heap for its fill estimate, about 15 times
-    what it touches, and kept across calls that reserve fragments the heap.
+    Each free block of K has a fem.BandLayout: its order, in sweeps from
+    the left side wall, and the band slot of every cell stiffness entry.
+    The layouts depend only on the triangulation and the free set, so they
+    are built again only when those change; a refactorisation fills each
+    band from the weighted cell stiffness by one bincount and factorises
+    it by banded Cholesky.  The band factor is a plain array of its own
+    size; a SuperLU factor reserves heap for its fill estimate, about 15
+    times what it touches, and kept across calls that reserve fragments
+    the heap.
     """
 
     def __init__(self):
@@ -277,7 +278,7 @@ class StiffnessFactor:
             self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c])))
                              for c in range(2) if np.any(free[:, c])]
             self._key = (mesh.triangles.copy(), free)
-        blocks = [(c, layout.order, layout.factor(entries))
+        blocks = [(c, layout.order, layout.factor(layout.band(entries)))
                   for c, layout in self._layouts]
 
         def apply(v: np.ndarray) -> np.ndarray:

@@ -3,21 +3,21 @@
 Laplace's equation in the electrolyte with phi = 0 on the top boundary,
 zero-flux sides and bottom, and the Butler-Volmer current as a nonlinear
 Robin-type flux on pit edges.  The resulting nonlinear system is solved
-with Newton's method on a direct sparse factorization.
+with Newton's method on a banded Cholesky factorization.
+
+A BandLayout holds one diagonal block of a P1 stiffness matrix in
+LAPACK's upper band storage: the block's order, its bandwidth and the
+band slot of each cell stiffness entry, so a factorisation is one fill
+and one cholesky_banded call.  The order sweeps the mesh from its left
+side wall, one breadth-first level of the mesh graph after another.  It
+reads structure alone, so one layout serves every cell weighting on a
+triangulation.  The mesh relaxation's preconditioner blocks and the free
+block of Newton's Jacobian use it.
 
 The triangulation and the Dirichlet set stay fixed over a run, so a
-JacobianPattern keeps the sparsity structure of the Jacobian's free
-block, its fill-reducing column order and the map from cell stiffness
-entries to its storage.  The pattern is built once, already in SuperLU's
-MMD order of the free stiffness block.  Each solve fills the stiffness
-into that structure once, and each Newton iteration subtracts the
-pit-edge terms in place and factorises in the kept order.
-
-A BandLayout does the same for one diagonal block of a weighted
-stiffness matrix in banded Cholesky form, the mesh relaxation's
-preconditioner: it keeps the block's band order and the band slot of
-each cell stiffness entry, so a refactorisation is one fill and one
-cholesky_banded call.
+JacobianPattern keeps the layout of the Jacobian's free block.  Each
+Newton iteration fills the band from the cell stiffness, subtracts the
+pit-edge terms in place and factorises it.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -31,14 +31,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import dijkstra
+# Unused here: the benchmark's layer tracer (bench/layers.py) wraps
+# fem.splu, and tests/test_layers.py asserts that every traced name
+# resolves, so fem exports it until the trace is dropped.
 from scipy.sparse.linalg import splu
 
 from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams, OverflowGuardError
 from .mesh import BoundaryTag, MeshError, PitChain, TriMesh, cross2
+
+__all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
+           "BandLayout", "assemble_stiffness", "boundary_residual_and_jacobian",
+           "dirichlet_mask", "JacobianPattern", "newton_solve", "splu"]
 
 UM_TO_M = 1.0e-6
 
@@ -52,9 +59,9 @@ class NewtonError(ArithmeticError):
 
 
 # Newton converges once the residual norm is at most _ABS_TOL plus _REL_TOL
-# times the first residual norm.  The sparse-LU rounding floor can sit above
-# _ABS_TOL on merged-pit systems, so convergence also accepts a drop
-# relative to the first residual.
+# times the first residual norm.  The rounding floor of the factorised
+# solve can sit above _ABS_TOL on merged-pit systems, so convergence also
+# accepts a drop relative to the first residual.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-4
 _MAX_ITERS = 25
@@ -101,24 +108,46 @@ def _corner_pairs(triangles: np.ndarray) -> tuple:
             np.broadcast_to(t[None, :], shape).ravel())
 
 
+def side_wall_levels(mesh: TriMesh) -> np.ndarray:
+    """Breadth-first level of each vertex in the mesh graph, (nv,).
+
+    Level 0 is every vertex on the left side wall (x = x_min), level k
+    the vertices k mesh edges from it.  The domain is wider than it is
+    deep, so these level sets run across its short side.
+    """
+    t = mesh.triangles
+    n = mesh.n_vertices
+    # the positive edge graph: the stiffness matrix's negative
+    # off-diagonals would make dijkstra warn
+    graph = sp.coo_matrix((np.ones(t.size), (t.ravel(),
+                                              np.roll(t, 1, axis=1).ravel())),
+                          shape=(n, n)).tocsr()
+    x = mesh.vertices[:, 0]
+    return dijkstra(graph, directed=False, indices=np.flatnonzero(x == x.min()),
+                    unweighted=True, min_only=True)
+
+
 class BandLayout:
     """Upper band storage of one diagonal block of a P1 stiffness matrix.
 
     Built once for a block of vertices on a triangulation, it holds the
-    block's reverse Cuthill-McKee order, its bandwidth in that order and
-    the slot of each flattened _cell_stiffness entry in LAPACK's upper
-    band storage (width + 1, n), Fortran order.  Entries off the block or
-    below the diagonal go to a last, dropped slot.  RCM reads structure
-    alone, so one layout serves every cell weighting on the triangulation.
+    block's order, by side_wall_levels and then by y; its bandwidth in
+    that order; and the slot of each flattened _cell_stiffness entry in
+    LAPACK's upper band storage (width + 1, n), Fortran order.  Entries off
+    the block or below the diagonal go to a last, dropped slot.  The
+    levels are taken on the whole mesh, so a block without the side wall,
+    such as the vertices free in x, is ordered the same way.  The order
+    reads structure alone, so one layout serves every cell weighting on
+    the triangulation.
     """
 
     def __init__(self, mesh: TriMesh, block: np.ndarray):
-        K = assemble_stiffness(mesh)[block][:, block]
-        self.order = block[reverse_cuthill_mckee(K, symmetric_mode=True)]
+        levels = side_wall_levels(mesh)[block]
+        self.order = block[np.lexsort((mesh.vertices[block, 1], levels))]
         n = len(block)
-        pos = np.full(mesh.n_vertices, -1)
-        pos[self.order] = np.arange(n)
-        rows, cols = (pos[i] for i in _corner_pairs(mesh.triangles))
+        self._pos = np.full(mesh.n_vertices, -1)
+        self._pos[self.order] = np.arange(n)
+        rows, cols = (self._pos[i] for i in _corner_pairs(mesh.triangles))
         keep = (rows >= 0) & (rows <= cols)
         self.width = width = int(np.max(np.where(keep, cols - rows, 0)))
         self._size = (width + 1) * n
@@ -131,10 +160,25 @@ class BandLayout:
                            minlength=self._size + 1)[:-1]
         return band.reshape((self.width + 1, -1), order="F")
 
-    def factor(self, entries: np.ndarray) -> np.ndarray:
-        """Upper Cholesky band of the block; LinAlgError if not SPD."""
+    def subtract_edges(self, band: np.ndarray, blocks: tuple) -> None:
+        """Subtract edge 2x2 blocks (a, b, jaa, jab, jbb) from band in place.
+
+        Each (a[k], b[k]) must be a mesh edge, so the block lies in the
+        band; entries off the block are dropped.
+        """
+        a, b, jaa, jab, jbb = blocks
+        pa, pb = self._pos[a], self._pos[b]
+        rows = np.concatenate([pa, pb, np.minimum(pa, pb)])
+        cols = np.concatenate([pa, pb, np.maximum(pa, pb)])
+        keep = rows >= 0
+        np.subtract.at(band, (self.width + rows[keep] - cols[keep], cols[keep]),
+                       np.concatenate([jaa, jbb, jab])[keep])
+
+    @staticmethod
+    def factor(band: np.ndarray) -> np.ndarray:
+        """Upper Cholesky band of a band from band(); LinAlgError if not SPD."""
         # Fortran order lets LAPACK factorise the band in place
-        return cholesky_banded(self.band(entries), overwrite_ab=True)
+        return cholesky_banded(band, overwrite_ab=True)
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -151,12 +195,16 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
                                    vc_params: VcorrParams, eparams: ElectroParams):
     """Pit-flux load vector b_k = int i(phi)/sigma_c * N_k ds and d b/d phi.
 
-    V_corr is evaluated at each quadrature point from its position and the
-    edge's outward face normal.  Edge lengths are converted to meters.
+    d b/d phi comes as the 2x2 blocks of the pit edges, (a, b, jaa, jab,
+    jbb): edge k from vertex a[k] to b[k] adds jaa[k] at (a, a), jab[k] at
+    (a, b) and (b, a), and jbb[k] at (b, b).  V_corr is evaluated at each
+    quadrature point from its position and the edge's outward face normal.
+    Edge lengths are converted to meters.
     """
     nv = mesh.n_vertices
     if not chains:
-        return np.zeros(nv), sp.coo_matrix((nv, nv))
+        none = np.zeros(0, dtype=np.int64)
+        return np.zeros(nv), (none, none, np.zeros(0), np.zeros(0), np.zeros(0))
     a_idx = np.concatenate([ch.vertices[:-1] for ch in chains])
     b_idx = np.concatenate([ch.vertices[1:] for ch in chains])
     pa = mesh.vertices[a_idx]
@@ -192,10 +240,7 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     jaa = np.sum(weight * dcur * na * na, axis=1)
     jab = np.sum(weight * dcur * na * nb, axis=1)
     jbb = np.sum(weight * dcur * nb * nb, axis=1)
-    rows = np.concatenate([a_idx, a_idx, b_idx, b_idx])
-    cols = np.concatenate([a_idx, b_idx, a_idx, b_idx])
-    vals = np.concatenate([jaa, jab, jab, jbb])
-    return res, sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv))
+    return res, (a_idx, b_idx, jaa, jab, jbb)
 
 
 def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
@@ -207,13 +252,12 @@ def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
 
 
 class JacobianPattern:
-    """The free block of Newton's Jacobian as CSC structure kept across calls.
+    """The BandLayout of Newton's Jacobian block, kept across calls.
 
-    It holds the free vertices (those off the Dirichlet set) in one
-    fill-reducing column order, SuperLU's MMD ordering of A^T + A for the
-    free stiffness block; the CSC indptr and indices of the free block in
-    that order; and the CSC slot of each cell stiffness entry.  Its key is
-    the mesh's triangles and Dirichlet mask, and the pattern is built
+    Its block is the free vertices, those off the Dirichlet set.  Every
+    Jacobian on these triangles has the free stiffness block's structure,
+    as pit edges are mesh edges, so one layout serves them all.  Its key
+    is the mesh's triangles and Dirichlet mask, and the layout is built
     again when a mesh does not match it.  Counts the Newton solves and
     iterations it served.
     """
@@ -221,65 +265,17 @@ class JacobianPattern:
     def __init__(self):
         self.solves = 0
         self.iterations = 0
-        self._key = None        # (triangles, Dirichlet mask) of the pattern
+        self.layout = None
+        self._key = None        # (triangles, Dirichlet mask) of the layout
 
-    def _build(self, mesh: TriMesh, fixed: np.ndarray) -> None:
-        """Order the free vertices, then lay out the free block in that order.
-
-        MMD reads structure alone, and every Jacobian on these triangles
-        has the free stiffness block's structure, as pit edges are mesh
-        edges, so one ordering serves them all.
-        """
-        free = np.flatnonzero(~fixed)
-        K_ff = assemble_stiffness(mesh)[free][:, free].tocsc()
-        # SuperLU's perm_c sends column i to position perm_c[i].  perm_c is
-        # a view that keeps the whole factor alive, and SuperLU reserves far
-        # more heap than it uses, so neither outlives this statement.
-        order = np.argsort(splu(K_ff, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True}).perm_c)
-        self.free = free = free[order]
-        n = len(free)
-        self._pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
-        self._pos[free] = np.arange(n)
-        rows, cols = (self._pos[i] for i in _corner_pairs(mesh.triangles))
-        keep = (rows >= 0) & (cols >= 0)
-        # column-major keys sort like CSC entries
-        self._keys, inverse = np.unique(cols[keep] * n + rows[keep],
-                                        return_inverse=True)
-        # entries of Dirichlet rows or columns go to a last, dropped slot
-        self._slot = np.full(rows.size, len(self._keys))
-        self._slot[keep] = inverse
-        # int32, the index type scipy and SuperLU keep for these sizes
-        self._indptr = np.searchsorted(
-            self._keys, np.arange(n + 1) * n).astype(np.int32)
-        self._indices = (self._keys % n).astype(np.int32)
-        self._key = (mesh.triangles.copy(), fixed.copy())
-
-    def stiffness(self, mesh: TriMesh, fixed: np.ndarray) -> sp.csc_matrix:
-        """K on the free vertices of mesh, rows and columns in self.free order.
-
-        A mesh whose triangles or Dirichlet mask fixed differ from the
-        pattern's gets a new pattern.
-        """
+    def layout_for(self, mesh: TriMesh, fixed: np.ndarray) -> BandLayout:
+        """The layout of mesh's free block, built anew if the key differs."""
         if self._key is None or not (
                 np.array_equal(mesh.triangles, self._key[0])
                 and np.array_equal(fixed, self._key[1])):
-            self._build(mesh, fixed)
-        data = np.bincount(self._slot, weights=_cell_stiffness(mesh).ravel(),
-                           minlength=len(self._keys) + 1)[:-1]
-        n = len(self.free)
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=(n, n))
-
-    def slots(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """(CSC slots, mask) of the vertex pairs off the Dirichlet set.
-
-        Every pair must couple two vertices of one cell.
-        """
-        n = len(self.free)
-        r, c = self._pos[rows], self._pos[cols]
-        keep = (r >= 0) & (c >= 0)
-        return np.searchsorted(self._keys, c[keep] * n + r[keep]), keep
+            self.layout = BandLayout(mesh, np.flatnonzero(~fixed))
+            self._key = (mesh.triangles.copy(), fixed.copy())
+        return self.layout
 
 
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
@@ -288,8 +284,8 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
                  pattern: Optional[JacobianPattern] = None) -> NewtonResult:
     """Solve K phi = b(phi) with phi = 0 on the top boundary.
 
-    pattern keeps the Jacobian's structure and column ordering across
-    calls; without one they are built afresh.
+    pattern keeps the Jacobian's band layout across calls; without one
+    it is built afresh.
     """
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
@@ -298,16 +294,18 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     if pattern is None:
         pattern = JacobianPattern()
     pattern.solves += 1
-    K = pattern.stiffness(mesh, fixed)
-    free = pattern.free
+    layout = pattern.layout_for(mesh, fixed)
+    free = layout.order
+    entries = _cell_stiffness(mesh).ravel()
+    rows, cols = _corner_pairs(mesh.triangles)
 
     history = []
     for it in range(_MAX_ITERS + 1):
         b, dB = boundary_residual_and_jacobian(
             mesh, chains, phi, material, vc_params, eparams)
-        # phi is zero on the Dirichlet set, so K's free block gives the
-        # free rows of K phi
-        rf = K @ phi[free] - b[free]
+        # phi is zero on the Dirichlet set, so no lift enters the free rows
+        rf = (np.bincount(rows, weights=entries * phi[cols], minlength=nv)
+              - b)[free]
         norm = float(np.linalg.norm(rf))
         history.append(norm)
         tol = _ABS_TOL + _REL_TOL * history[0]
@@ -316,19 +314,15 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
             return NewtonResult(phi, it, norm, history)
         if it == _MAX_ITERS:
             break
-        # pit edges are mesh edges, so dB lies inside K's pattern
-        slots, keep = pattern.slots(dB.row, dB.col)
-        jac = K.copy()
-        jac.data -= np.bincount(slots, weights=dB.data[keep],
-                                minlength=K.nnz)
+        band = layout.band(entries)
+        # pit edges are mesh edges, so dB lies inside the band
+        layout.subtract_edges(band, dB)
         try:
-            # K - dB is SPD (dB <= 0 as the current is positive), so
-            # diagonal pivots keep the pattern's column order
-            delta = splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).solve(-rf)
-        except RuntimeError as err:
+            # K - dB is SPD, as dB <= 0 where the current is positive
+            chol = layout.factor(band)
+        except np.linalg.LinAlgError as err:
             raise NewtonError(f"singular linearized system: {err}", history) from err
-        phi[free] += delta
+        phi[free] += cho_solve_banded((chol, False), -rf, check_finite=False)
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)

@@ -4,14 +4,20 @@ from pitmesh import fem
 
 
 @pytest.fixture
-def splu_specs(monkeypatch):
-    """The permc_spec of every fem.splu call, in call order."""
-    specs = []
-    real = fem.splu
+def band_calls(monkeypatch):
+    """fem's BandLayout builds ("layout") and cholesky_banded calls
+    ("factor"), in call order."""
+    calls = []
+    real_layout, real_factor = fem.BandLayout, fem.cholesky_banded
 
-    def recorder(matrix, permc_spec, **kwargs):
-        specs.append(permc_spec)
-        return real(matrix, permc_spec=permc_spec, **kwargs)
+    def layout(mesh, block):
+        calls.append("layout")
+        return real_layout(mesh, block)
 
-    monkeypatch.setattr(fem, "splu", recorder)
-    return specs
+    def factor(band, **kwargs):
+        calls.append("factor")
+        return real_factor(band, **kwargs)
+
+    monkeypatch.setattr(fem, "BandLayout", layout)
+    monkeypatch.setattr(fem, "cholesky_banded", factor)
+    return calls

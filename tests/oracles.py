@@ -3,6 +3,7 @@
 Not used by the corrosion model itself, so they live with the tests.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -10,7 +11,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
@@ -109,17 +109,51 @@ def band_by_assembly(mesh: TriMesh, weight: np.ndarray,
                      block: np.ndarray) -> tuple:
     """One block of the weighted stiffness matrix in upper band storage.
 
-    Assembles K, slices the block, orders it by reverse Cuthill-McKee and
+    Assembles K, orders the block by side_wall_order, slices it and
     scatters its upper triangle into LAPACK's (width + 1, n) band.
     Returns the block's vertices in that order and the band.
     """
-    K = weighted_stiffness(mesh, weight)[block][:, block]
-    order = reverse_cuthill_mckee(K, symmetric_mode=True)
-    upper = sp.triu(K[order][:, order], format="coo")
+    order = side_wall_order(mesh, block)
+    K = weighted_stiffness(mesh, weight)[order][:, order]
+    upper = sp.triu(K, format="coo")
     width = int(np.max(upper.col - upper.row))
     band = np.zeros((width + 1, len(block)))
     band[width + upper.row - upper.col, upper.col] = upper.data
-    return block[order], band
+    return order, band
+
+
+def side_wall_order(mesh: TriMesh, block: np.ndarray) -> np.ndarray:
+    """The block's vertices by breadth-first level from the left side wall, then y.
+
+    A queue-driven search over the triangle edges of the whole mesh, from
+    every vertex at the smallest x.
+    """
+    neighbours = [set() for _ in range(mesh.n_vertices)]
+    for tri in mesh.triangles:
+        for k in range(3):
+            neighbours[tri[k]].add(tri[k - 1])
+            neighbours[tri[k - 1]].add(tri[k])
+    x = mesh.vertices[:, 0]
+    level = np.full(mesh.n_vertices, -1)
+    queue = deque(np.flatnonzero(x == x.min()))
+    level[list(queue)] = 0
+    while queue:
+        v = queue.popleft()
+        for w in neighbours[v]:
+            if level[w] < 0:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return np.array(sorted(block, key=lambda v: (level[v],
+                                                 mesh.vertices[v, 1])))
+
+
+def edge_jacobian(n: int, blocks: tuple) -> np.ndarray:
+    """The dense (n, n) matrix of pit-edge 2x2 blocks (a, b, jaa, jab, jbb)."""
+    a, b, jaa, jab, jbb = blocks
+    out = np.zeros((n, n))
+    for i, j, values in ((a, a, jaa), (a, b, jab), (b, a, jab), (b, b, jbb)):
+        np.add.at(out, (i, j), values)
+    return out
 
 
 def lbfgs_direction_two_solves(g: np.ndarray, precond: Callable,

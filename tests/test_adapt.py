@@ -545,13 +545,13 @@ class TestStiffnessFactor:
         # the band order reads structure alone, so density-driven
         # refactorisations reuse it
         calls = []
-        real = fem.reverse_cuthill_mckee
+        real = fem.side_wall_levels
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
+        monkeypatch.setattr(fem, "side_wall_levels", counted)
         mesh = pit_mesh[0]
         free = self.free_blocks(mesh)
         density = np.ones(mesh.n_triangles)

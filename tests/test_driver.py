@@ -7,6 +7,7 @@ from pitmesh import adapt, driver, fem, front
 from pitmesh import mesh as mesh_module
 from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
+from pitmesh.fem import BandLayout
 from pitmesh.front import FrontError
 from pitmesh.io import write_summary
 from pitmesh.mesh import face_and_vertex_normals, validate, vertex_roles
@@ -284,9 +285,9 @@ class TestRun:
         assert max(ratios) < 1e-3
 
     def test_summary_reports_newton_work(self, monkeypatch, tmp_path,
-                                         splu_specs):
-        # one Jacobian pattern, and so one column ordering, serves the
-        # initial solve and every step's solve
+                                         band_calls):
+        # one Jacobian band layout serves the initial solve and every
+        # step's solve, and each Newton iteration factorises it once
         iterations = []
         real = fem.newton_solve
 
@@ -297,11 +298,14 @@ class TestRun:
 
         monkeypatch.setattr(fem, "newton_solve", counted)
         result = run(small_config())
-        assert splu_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * sum(iterations)
+        assert band_calls.count("layout") == 1
+        # the relaxation's preconditioner factorises its two blocks
+        assert band_calls.count("factor") \
+            == sum(iterations) + 2 * result.factorisations
         assert result.newton_solves == len(iterations) == result.steps + 1
         assert result.newton_iterations == sum(iterations) > 0
         gc.collect()
-        assert not any(isinstance(obj, fem.JacobianPattern)
+        assert not any(isinstance(obj, (fem.JacobianPattern, BandLayout))
                        for obj in gc.get_objects())
         path = tmp_path / "summary.txt"
         write_summary(str(path), small_config(), result, {})

@@ -1,16 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
 from pitmesh import fem
-from pitmesh.fem import (JacobianPattern, NewtonError, assemble_stiffness,
-                         boundary_residual_and_jacobian, newton_solve)
-from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh
+from pitmesh.driver import SimConfig, init_mesh
+from pitmesh.fem import (BandLayout, JacobianPattern, NewtonError,
+                         assemble_stiffness, boundary_residual_and_jacobian,
+                         newton_solve)
+from pitmesh.front import FrontParams, detect_merge, merge_pits
+from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import l2_error, make_rect_mesh, solve_dirichlet
+from oracles import (edge_jacobian, l2_error, make_rect_mesh, side_wall_order,
+                     solve_dirichlet)
 
 
 def reference_triangle():
@@ -99,7 +105,8 @@ class TestBoundaryTerm:
         expected = i0 * (length * 1e-6) / (2.0 * ep.sigma_c)
         assert res[0] == pytest.approx(expected, rel=1e-12)
         assert res[1] == pytest.approx(expected, rel=1e-12)
-        assert abs(jac).max() < 1e-14  # alpha ~ 0 kills the phi coupling
+        # alpha ~ 0 kills the phi coupling
+        assert np.abs(np.concatenate(jac[2:])).max() < 1e-14
 
     def test_jacobian_matches_finite_differences(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
@@ -110,7 +117,7 @@ class TestBoundaryTerm:
         rng = np.random.default_rng(0)
         phi = rng.uniform(0.0, 0.01, mesh.n_vertices)
         res0, jac = boundary_residual_and_jacobian(mesh, chains, phi, mat, vc, ep)
-        jac = jac.toarray()
+        jac = edge_jacobian(mesh.n_vertices, jac)
         eps = 1e-7
         cols = np.unique(np.concatenate([c.vertices for c in chains]))
         worst = 0.0
@@ -131,7 +138,7 @@ class TestBoundaryTerm:
             mesh, [], np.zeros(mesh.n_vertices), Homogeneous(-0.24),
             VcorrParams(), ElectroParams())
         assert np.all(res == 0.0)
-        assert jac.nnz == 0
+        assert [len(part) for part in jac] == [0] * 5
 
     def test_overflow_names_edge(self):
         mesh, chain = pit_edge_mesh(1.0)
@@ -265,14 +272,14 @@ class TestJacobianPattern:
                                   target_h=1.5, seed=0)[:2]
 
     def test_kept_pattern_on_moved_mesh_matches_fresh_solve(self, pit_case,
-                                                            splu_specs):
+                                                            band_calls):
         mesh, chains = pit_case
         pattern = JacobianPattern()
         first = newton_solve(mesh, chains, *self.args, pattern=pattern)
         moved = moved_interior(mesh, 1)
         kept = newton_solve(moved, chains, *self.args, guess=first.phi,
                             pattern=pattern)
-        assert splu_specs.count("MMD_AT_PLUS_A") == 1
+        assert band_calls.count("layout") == 1
         fresh = newton_solve(moved, chains, *self.args, guess=first.phi)
         assert np.abs(kept.phi - fresh.phi).max() \
             <= 1e-12 * np.abs(fresh.phi).max()
@@ -280,20 +287,20 @@ class TestJacobianPattern:
         assert pattern.solves == 2
         assert pattern.iterations == first.iterations + kept.iterations
 
-    def test_relabelled_mesh_rebuilds_the_pattern(self, pit_case, splu_specs):
-        # same vertex count, other triangles: the kept structure would
+    def test_relabelled_mesh_rebuilds_the_pattern(self, pit_case, band_calls):
+        # same vertex count, other triangles: the kept layout would
         # scatter the stiffness into the wrong entries
         mesh, chains = pit_case
         mesh2, chains2, _ = relabelled(mesh, chains, 11)
         pattern = JacobianPattern()
         newton_solve(mesh, chains, *self.args, pattern=pattern)
         kept = newton_solve(mesh2, chains2, *self.args, pattern=pattern)
-        assert splu_specs.count("MMD_AT_PLUS_A") == 2
+        assert band_calls.count("layout") == 2
         fresh = newton_solve(mesh2, chains2, *self.args)
         assert np.abs(kept.phi - fresh.phi).max() \
             <= 1e-12 * np.abs(fresh.phi).max()
 
-    def test_dirichlet_mask_is_part_of_the_key(self, pit_case, splu_specs):
+    def test_dirichlet_mask_is_part_of_the_key(self, pit_case, band_calls):
         mesh, chains = pit_case
         pattern = JacobianPattern()
         newton_solve(mesh, chains, *self.args, pattern=pattern)
@@ -301,38 +308,105 @@ class TestJacobianPattern:
         left = np.flatnonzero(retagged.edge_tags == BoundaryTag.LEFT)
         retagged.edge_tags[left] = BoundaryTag.TOP
         kept = newton_solve(retagged, chains, *self.args, pattern=pattern)
-        assert splu_specs.count("MMD_AT_PLUS_A") == 2
+        assert band_calls.count("layout") == 2
         fresh = newton_solve(retagged, chains, *self.args)
         assert np.array_equal(kept.phi, fresh.phi)
 
-    def test_factorisations_after_the_ordering_are_natural(self, pit_case,
-                                                           splu_specs):
-        # the pattern is ordered once, when it is built, and every Newton
-        # factorisation keeps that order
+    def test_one_factorisation_per_newton_iteration(self, pit_case,
+                                                    band_calls):
+        # the layout is built once, and each Newton iteration factorises
+        # its band once
         mesh, chains = pit_case
         pattern = JacobianPattern()
         iterations = 0
         for seed in range(3):
             iterations += newton_solve(moved_interior(mesh, seed), chains,
                                        *self.args, pattern=pattern).iterations
-        assert splu_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * iterations
+        assert iterations > 0
+        assert band_calls == ["layout"] + ["factor"] * iterations
 
-    def test_kept_order_fills_in_as_superlu_own(self, pit_case):
-        # the stiffness in the kept order, factorised in place, fills in as
-        # SuperLU's own MMD ordering of it in vertex order does
+    def test_band_holds_the_free_stiffness_block(self, pit_case):
         mesh, _ = pit_case
         fixed = fem.dirichlet_mask(mesh)
+        layout = JacobianPattern().layout_for(mesh, fixed)
         free = np.flatnonzero(~fixed)
-        K_ff = assemble_stiffness(mesh)[free][:, free].tocsc()
-        options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        own = splu(K_ff, permc_spec="MMD_AT_PLUS_A", **options)
+        assert np.array_equal(layout.order, side_wall_order(mesh, free))
+        K = assemble_stiffness(mesh)[layout.order][:, layout.order].toarray()
+        assert np.abs(np.triu(K, layout.width + 1)).max() == 0.0
+        expected = np.zeros((layout.width + 1, len(free)))
+        for d in range(layout.width + 1):
+            expected[layout.width - d, d:] = np.diag(K, d)
+        band = layout.band(fem._cell_stiffness(mesh).ravel())
+        assert np.abs(band - expected).max() <= 1e-14 * np.abs(K).max()
+
+
+class TestBandNewton:
+    args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
+
+    @pytest.fixture(scope="class")
+    def merged_case(self):
+        mesh, chains, _ = build_initial_mesh(
+            DomainSpec(), PitSpec(centers=(-5.2, 5.2), nodes=31),
+            target_h=1.2, seed=0)
+        cand = detect_merge(mesh, chains, FrontParams(merge_gap_tol=0.5))
+        merged, _ = merge_pits(mesh, chains, cand)
+        assert len(merged) == 1
+        return mesh, merged
+
+    def test_step_matches_dense_solve(self, merged_case, monkeypatch):
+        # Newton's first step from a guess solves (K - dB) delta = -r on
+        # the free block
+        mesh, chains = merged_case
+        guess = 0.9 * newton_solve(mesh, chains, *self.args).phi
+        steps = []
+        real = fem.cho_solve_banded
+
+        def recorded(factor, rhs, **kwargs):
+            steps.append(real(factor, rhs, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(fem, "cho_solve_banded", recorded)
         pattern = JacobianPattern()
-        K = pattern.stiffness(mesh, fixed)
-        assert np.array_equal(np.sort(pattern.free), free)
-        assert not np.array_equal(pattern.free, free)
-        order = np.searchsorted(free, pattern.free)
-        assert abs(K - K_ff[order][:, order]).max() \
-            <= 1e-12 * abs(K_ff).max()
-        kept = splu(K, permc_spec="NATURAL", **options)
-        assert kept.L.nnz + kept.U.nnz == own.L.nnz + own.U.nnz
-        assert np.array_equal(kept.perm_c, np.arange(len(free)))
+        newton_solve(mesh, chains, *self.args, guess=guess, pattern=pattern)
+        assert steps
+        free = np.flatnonzero(~fem.dirichlet_mask(mesh))
+        K = assemble_stiffness(mesh).toarray()
+        b, blocks = boundary_residual_and_jacobian(mesh, chains, guess,
+                                                   *self.args)
+        jac = K - edge_jacobian(mesh.n_vertices, blocks)
+        delta = np.linalg.solve(jac[free][:, free], -(K @ guess - b)[free])
+        step = np.zeros(mesh.n_vertices)
+        step[pattern.layout.order] = steps[0]
+        assert np.abs(step[free] - delta).max() <= 1e-12 * np.abs(delta).max()
+
+    def test_non_spd_jacobian_raises_newton_error(self, merged_case,
+                                                  monkeypatch):
+        mesh, chains = merged_case
+        real = fem.boundary_residual_and_jacobian
+
+        def indefinite(*args):
+            b, (ia, ib, jaa, jab, jbb) = real(*args)
+            return b, (ia, ib, jaa + 1e6, jab, jbb)
+
+        monkeypatch.setattr(fem, "boundary_residual_and_jacobian", indefinite)
+        with pytest.raises(NewtonError, match="^singular linearized system"):
+            newton_solve(mesh, chains, *self.args)
+
+
+def test_band_no_wider_than_rcm_and_built_without_warnings():
+    # the Newton block and both relaxation blocks of the smoothed initial
+    # homogeneous mesh
+    mesh = init_mesh(SimConfig()).mesh
+    roles = vertex_roles(mesh)
+    free_x = ~(roles.pinned | roles.slide_y)
+    free_y = ~(roles.pinned | roles.slide_x)
+    K = assemble_stiffness(mesh)
+    for mask in (~fem.dirichlet_mask(mesh), free_x, free_y):
+        block = np.flatnonzero(mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layout = BandLayout(mesh, block)
+        K_b = K[block][:, block]
+        order = reverse_cuthill_mckee(K_b, symmetric_mode=True)
+        upper = K_b[order][:, order].tocoo()
+        assert layout.width <= np.max(upper.col - upper.row)
