@@ -3,7 +3,7 @@
 Laplace's equation in the electrolyte with phi = 0 on the top boundary,
 zero-flux sides and bottom, and the Butler-Volmer current as a nonlinear
 Robin-type flux on pit edges.  The resulting nonlinear system is solved
-with Newton's method on a banded Cholesky factorization.
+with Newton's method on a kept banded Cholesky factorization.
 
 A BandLayout holds one diagonal block of a P1 stiffness matrix in
 LAPACK's upper band storage: the block's order, its bandwidth and the
@@ -15,9 +15,16 @@ triangulation.  The mesh relaxation's preconditioner blocks and the free
 block of Newton's Jacobian use it.
 
 The triangulation and the Dirichlet set stay fixed over a run, so a
-JacobianPattern keeps the layout of the Jacobian's free block.  Each
-Newton iteration fills the band from the cell stiffness, subtracts the
-pit-edge terms in place and factorises it.
+JacobianPattern keeps the structure of the Jacobian's free block: its
+layout and its CSR structure in layout order.  It also keeps the last
+band Cholesky factor.  The Jacobian changes little from one Newton step
+to the next, and from one mesh step to the next, so each Newton step
+solves by conjugate gradients preconditioned by that factor (an inexact
+Newton method: Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995; Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+1996).  Only when there is no factor, or the iterations break down or
+miss their target within _PCG_MAX_ITERS, does a step fill the band,
+subtract the pit-edge terms in place, factorise it and keep the factor.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -41,7 +48,7 @@ from scipy.sparse.linalg import splu
 from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams, OverflowGuardError
-from .mesh import BoundaryTag, MeshError, PitChain, TriMesh, cross2
+from .mesh import BoundaryTag, MeshError, PitChain, TriMesh
 
 __all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
            "BandLayout", "assemble_stiffness", "boundary_residual_and_jacobian",
@@ -65,6 +72,9 @@ class NewtonError(ArithmeticError):
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-4
 _MAX_ITERS = 25
+# conjugate-gradient iterations a Newton step may take on a kept factor
+# before it factorises the Jacobian instead
+_PCG_MAX_ITERS = 6
 # two-point Gauss-Legendre rule on [-1, 1] for the pit-edge flux integrals
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(2)
 
@@ -84,20 +94,24 @@ def _cell_stiffness(mesh: TriMesh,
     Entry [i, j, k] couples corners i and j of cell k.  With a per-cell
     weight (nt,), each cell's entries are scaled by it.
     """
-    t = mesh.triangles
-    v = mesh.vertices
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    area2 = cross2(p1 - p0, p2 - p0)
+    t = mesh.triangles.T
+    x = mesh.vertices[:, 0][t]
+    y = mesh.vertices[:, 1][t]
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     if np.any(area2 <= 0.0):
         cell = int(np.argmin(area2))
         raise MeshError(f"stiffness assembly: inverted cell {cell}")
     # hat-function gradients: grad(lambda_i) = (b_i, c_i) / area2
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]])
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]])
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
     scale = 1.0 / (2.0 * area2)
     if weight is not None:
         scale = scale * weight
-    return (b[:, None] * b[None, :] + c[:, None] * c[None, :]) * scale
+    out = np.empty((3, 3, t.shape[1]))
+    np.multiply(b[:, None], b[None, :], out=out)
+    out += c[:, None] * c[None, :]
+    out *= scale
+    return out
 
 
 def _corner_pairs(triangles: np.ndarray) -> tuple:
@@ -252,30 +266,105 @@ def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
 
 
 class JacobianPattern:
-    """The BandLayout of Newton's Jacobian block, kept across calls.
+    """Newton's Jacobian structure and last factor, kept across calls.
 
     Its block is the free vertices, those off the Dirichlet set.  Every
     Jacobian on these triangles has the free stiffness block's structure,
-    as pit edges are mesh edges, so one layout serves them all.  Its key
-    is the mesh's triangles and Dirichlet mask, and the layout is built
-    again when a mesh does not match it.  Counts the Newton solves and
-    iterations it served.
+    as pit edges are mesh edges, so one structure serves them all: the
+    block's BandLayout, and its CSR structure in the layout's order with
+    the slot of each flattened _cell_stiffness entry.  Its key is the
+    mesh's triangles and Dirichlet mask; a mesh that does not match gets a
+    new structure and drops the factor.  factor is the upper band Cholesky
+    factor of the last Jacobian factorised, which preconditions the
+    Jacobians after it.  Counts the Newton solves and iterations it
+    served.
     """
 
     def __init__(self):
         self.solves = 0
         self.iterations = 0
         self.layout = None
+        self.factor = None
         self._key = None        # (triangles, Dirichlet mask) of the layout
+        self._keys = None       # row * n + column of each stored entry
+        self._indptr = self._indices = self._slot = None
 
     def layout_for(self, mesh: TriMesh, fixed: np.ndarray) -> BandLayout:
         """The layout of mesh's free block, built anew if the key differs."""
         if self._key is None or not (
                 np.array_equal(mesh.triangles, self._key[0])
                 and np.array_equal(fixed, self._key[1])):
-            self.layout = BandLayout(mesh, np.flatnonzero(~fixed))
+            self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed))
             self._key = (mesh.triangles.copy(), fixed.copy())
+            self.factor = None
+            n = len(layout.order)
+            rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
+            keep = (rows >= 0) & (cols >= 0)
+            # sorted keys are the CSR order: by row, then by column
+            self._keys, inverse = np.unique(rows[keep] * n + cols[keep],
+                                            return_inverse=True)
+            self._slot = np.full(len(rows), len(self._keys))
+            self._slot[keep] = inverse
+            self._indices = (self._keys % n).astype(np.int32)
+            self._indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(self._keys // n, minlength=n)))
+            ).astype(np.int32)
         return self.layout
+
+    def stiffness(self, entries: np.ndarray) -> sp.csr_matrix:
+        """The free stiffness block in layout order, from flat entries.
+
+        entries are _cell_stiffness's, flattened; those off the block are
+        dropped.
+        """
+        nnz = len(self._keys)
+        data = np.bincount(self._slot, weights=entries, minlength=nnz + 1)[:nnz]
+        n = len(self.layout.order)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+
+    def jacobian(self, K: sp.csr_matrix, blocks: tuple) -> sp.csr_matrix:
+        """K minus the edge 2x2 blocks (a, b, jaa, jab, jbb).
+
+        The blocks come as BandLayout.subtract_edges takes them; entries
+        off the block are dropped.
+        """
+        a, b, jaa, jab, jbb = blocks
+        pa, pb = self.layout._pos[a], self.layout._pos[b]
+        rows = np.concatenate([pa, pb, pa, pb])
+        cols = np.concatenate([pa, pb, pb, pa])
+        keep = (rows >= 0) & (cols >= 0)
+        J = K.copy()
+        slots = np.searchsorted(self._keys, rows[keep] * K.shape[0] + cols[keep])
+        np.subtract.at(J.data, slots, np.concatenate([jaa, jbb, jab, jab])[keep])
+        return J
+
+
+def _pcg(J: sp.csr_matrix, rhs: np.ndarray, factor: np.ndarray,
+         target: float) -> Optional[np.ndarray]:
+    """Solve J x = rhs by conjugate gradients preconditioned by a band factor.
+
+    Starts from x = 0 and stops once the recurred residual norm is at most
+    target.  None when that takes more than _PCG_MAX_ITERS iterations, or
+    on a direction with p'Jp <= 0, as when J is not SPD.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = rz_last = None
+    for _ in range(_PCG_MAX_ITERS):
+        z = cho_solve_banded((factor, False), r, check_finite=False)
+        rz = r @ z
+        p = z if p is None else z + (rz / rz_last) * p
+        q = J @ p
+        curvature = p @ q
+        if not curvature > 0.0:
+            return None
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= target:
+            return x
+        rz_last = rz
+    return None
 
 
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
@@ -284,8 +373,13 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
                  pattern: Optional[JacobianPattern] = None) -> NewtonResult:
     """Solve K phi = b(phi) with phi = 0 on the top boundary.
 
-    pattern keeps the Jacobian's band layout across calls; without one
-    it is built afresh.
+    pattern keeps the Jacobian's structure and last factor across calls;
+    without one they are built afresh.  Each Newton step solves
+    (K - dB) delta = -r by conjugate gradients preconditioned by the kept
+    factor, to a residual of min(0.1 tol, 0.1 |r|^2 / |r_0|), where tol is
+    the convergence tolerance and r_0 the first residual.  Without a kept
+    factor, or when those iterations break down or miss that target, it
+    factorises the Jacobian, keeps the factor and solves directly.
     """
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
@@ -297,15 +391,14 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     layout = pattern.layout_for(mesh, fixed)
     free = layout.order
     entries = _cell_stiffness(mesh).ravel()
-    rows, cols = _corner_pairs(mesh.triangles)
+    K = pattern.stiffness(entries)
 
     history = []
     for it in range(_MAX_ITERS + 1):
         b, dB = boundary_residual_and_jacobian(
             mesh, chains, phi, material, vc_params, eparams)
         # phi is zero on the Dirichlet set, so no lift enters the free rows
-        rf = (np.bincount(rows, weights=entries * phi[cols], minlength=nv)
-              - b)[free]
+        rf = K @ phi[free] - b[free]
         norm = float(np.linalg.norm(rf))
         history.append(norm)
         tol = _ABS_TOL + _REL_TOL * history[0]
@@ -314,15 +407,24 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
             return NewtonResult(phi, it, norm, history)
         if it == _MAX_ITERS:
             break
-        band = layout.band(entries)
-        # pit edges are mesh edges, so dB lies inside the band
-        layout.subtract_edges(band, dB)
-        try:
-            # K - dB is SPD, as dB <= 0 where the current is positive
-            chol = layout.factor(band)
-        except np.linalg.LinAlgError as err:
-            raise NewtonError(f"singular linearized system: {err}", history) from err
-        phi[free] += cho_solve_banded((chol, False), -rf, check_finite=False)
+        step = None
+        if pattern.factor is not None:
+            # the forcing term keeps the convergence superlinear
+            target = min(0.1 * tol, 0.1 * norm ** 2 / history[0])
+            step = _pcg(pattern.jacobian(K, dB), -rf, pattern.factor, target)
+        if step is None:
+            band = layout.band(entries)
+            # pit edges are mesh edges, so dB lies inside the band
+            layout.subtract_edges(band, dB)
+            try:
+                # K - dB is SPD, as dB <= 0 where the current is positive
+                pattern.factor = layout.factor(band)
+            except np.linalg.LinAlgError as err:
+                raise NewtonError(f"singular linearized system: {err}",
+                                  history) from err
+            step = cho_solve_banded((pattern.factor, False), -rf,
+                                    check_finite=False)
+        phi[free] += step
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "
         f"residual history {['%.3e' % h for h in history]}", history)

@@ -7,6 +7,10 @@ length, a near-uniform square lattice fills the interior, and a Delaunay
 triangulation is clipped to the domain polygon.  The triangulation must
 reproduce every polygon edge; anything else raises MeshGenError.
 
+Lattice points and cell centroids at y >= 0 lie in the rectangle, so the
+clipping tests only those below y = 0, against the pit edges alone and in
+fixed-size blocks: memory grows linearly with the mesh.
+
 A short bottom segment between two pits is kept as a single edge (no
 interior nodes): pit corners are pinned during mesh motion, so nodes
 placed in a closing gap could never leave it, and the merge procedure
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .mesh import (BoundaryTag, PitChain, TriMesh, nearest_segment_distances,
-                   validate)
+from .mesh import (_DISTANCE_BLOCK, BoundaryTag, PitChain, TriMesh,
+                   nearest_segment_distances, validate)
 
 logger = logging.getLogger("pitmesh.meshgen")
 
@@ -103,16 +107,31 @@ def _pit_chain_points(center: float, width: float, depth: float, n: int) -> np.n
     return np.column_stack((x, y))
 
 
-def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd rule point-in-polygon test, vectorized over points."""
-    x = points[:, 0, None]
-    y = points[:, 1, None]
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(poly[:, 0], -1), np.roll(poly[:, 1], -1)
-    crosses = (y1 <= y) != (y2 <= y)
+def points_in_domain(points: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """Whether each point lies in the domain whose pit edges run a -> b.
+
+    The points are lattice points or triangle centroids, which lie within
+    the rectangle's sides and below its top, so a point at y >= 0 is in
+    the rectangle.  Below y = 0 no rectangle edge crosses a horizontal
+    line, so the even-odd rule counts the pit edges crossing the ray to
+    each point's right.  The count runs blockwise, so memory stays
+    linear in the points.
+    """
+    inside = points[:, 1] >= 0.0
+    below = np.flatnonzero(~inside)
+    x1, y1 = a[:, 0], a[:, 1]
+    y2 = b[:, 1]
+    dx = b[:, 0] - x1
     denom = np.where(y2 != y1, y2 - y1, 1.0)
-    x_hit = x1 + (y - y1) * (x2 - x1) / denom
-    return (np.sum(crosses & (x < x_hit), axis=1) % 2).astype(bool)
+    for start in range(0, len(below), _DISTANCE_BLOCK):
+        idx = below[start:start + _DISTANCE_BLOCK]
+        x = points[idx, 0, None]
+        y = points[idx, 1, None]
+        crosses = (y1 <= y) != (y2 <= y)
+        x_hit = x1 + (y - y1) * dx / denom
+        inside[idx] = np.count_nonzero(crosses & (x < x_hit), axis=1) % 2 == 1
+    return inside
 
 
 def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
@@ -182,14 +201,15 @@ def _polygon(domain: DomainSpec, pits: PitSpec, h: float):
 
 
 def _interior_lattice(domain: DomainSpec, pits: PitSpec, poly: np.ndarray,
-                      h: float, seed: int, gap_edges) -> np.ndarray:
+                      pit_edges: tuple, h: float, seed: int,
+                      gap_edges) -> np.ndarray:
     rng = np.random.default_rng(seed)
     xs = np.arange(domain.xmin + 0.6 * h, domain.xmax - 0.55 * h, h)
     ys = np.arange(-pits.depth + 0.6 * h, domain.height - 0.55 * h, h)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack((gx.ravel(), gy.ravel()))
     pts += rng.uniform(-0.01 * h, 0.01 * h, size=pts.shape)
-    pts = pts[points_in_polygon(pts, poly)]
+    pts = pts[points_in_domain(pts, *pit_edges)]
     dist = nearest_segment_distances(pts, poly, np.roll(poly, -1, axis=0))
     pts = pts[dist >= 0.55 * h]
     # a bare gap edge only stays in the Delaunay triangulation if its
@@ -208,13 +228,16 @@ def build_initial_mesh(domain: DomainSpec, pits: PitSpec, target_h: float = 0.7,
     if target_h <= 0.0:
         raise ValueError("target_h must be positive")
     poly, edge_tags, chain_ranges, gap_edges = _polygon(domain, pits, target_h)
-    interior = _interior_lattice(domain, pits, poly, target_h, seed, gap_edges)
+    pit = edge_tags == BoundaryTag.PIT
+    pit_edges = (poly[pit], np.roll(poly, -1, axis=0)[pit])
+    interior = _interior_lattice(domain, pits, poly, pit_edges, target_h, seed,
+                                 gap_edges)
     points = np.vstack((poly, interior))
 
     tri = Delaunay(points)
     cells = tri.simplices.astype(np.int32)
     cent = points[cells].mean(axis=1)
-    cells = cells[points_in_polygon(cent, poly)]
+    cells = cells[points_in_domain(cent, *pit_edges)]
 
     n_poly = len(poly)
     loop = np.column_stack(

@@ -122,6 +122,18 @@ def band_by_assembly(mesh: TriMesh, weight: np.ndarray,
     return order, band
 
 
+def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd rule point-in-polygon test, dense over points x edges."""
+    x = points[:, 0, None]
+    y = points[:, 1, None]
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(poly[:, 0], -1), np.roll(poly[:, 1], -1)
+    crosses = (y1 <= y) != (y2 <= y)
+    denom = np.where(y2 != y1, y2 - y1, 1.0)
+    x_hit = x1 + (y - y1) * (x2 - x1) / denom
+    return (np.sum(crosses & (x < x_hit), axis=1) % 2).astype(bool)
+
+
 def side_wall_order(mesh: TriMesh, block: np.ndarray) -> np.ndarray:
     """The block's vertices by breadth-first level from the left side wall, then y.
 

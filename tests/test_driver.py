@@ -287,21 +287,27 @@ class TestRun:
     def test_summary_reports_newton_work(self, monkeypatch, tmp_path,
                                          band_calls):
         # one Jacobian band layout serves the initial solve and every
-        # step's solve, and each Newton iteration factorises it once
+        # step's solve, and a kept factor serves many Newton iterations
         iterations = []
+        newton_factors = []
         real = fem.newton_solve
 
         def counted(*args, **kwargs):
+            before = band_calls.count("factor")
             res = real(*args, **kwargs)
             iterations.append(res.iterations)
+            newton_factors.append(band_calls.count("factor") - before)
             return res
 
         monkeypatch.setattr(fem, "newton_solve", counted)
         result = run(small_config())
         assert band_calls.count("layout") == 1
+        # the initial solve starts without a factor
+        assert newton_factors[0] >= 1
+        assert sum(newton_factors) < sum(iterations)
         # the relaxation's preconditioner factorises its two blocks
         assert band_calls.count("factor") \
-            == sum(iterations) + 2 * result.factorisations
+            == sum(newton_factors) + 2 * result.factorisations
         assert result.newton_solves == len(iterations) == result.steps + 1
         assert result.newton_iterations == sum(iterations) > 0
         gc.collect()

@@ -271,21 +271,80 @@ class TestJacobianPattern:
         return build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
                                   target_h=1.5, seed=0)[:2]
 
-    def test_kept_pattern_on_moved_mesh_matches_fresh_solve(self, pit_case,
-                                                            band_calls):
+    def test_one_factorisation_serves_solves_on_moved_meshes(self, pit_case,
+                                                             band_calls):
+        # the first solve factorises once; its factor preconditions the
+        # later iterations and the solves on slightly moved meshes
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        phi = None
+        iterations = 0
+        for seed in range(3):
+            res = newton_solve(moved_interior(mesh, seed), chains, *self.args,
+                               guess=phi, pattern=pattern)
+            phi = res.phi
+            iterations += res.iterations
+        assert iterations > 3
+        assert band_calls == ["layout", "factor"]
+        assert pattern.solves == 3
+        assert pattern.iterations == iterations
+
+    def test_kept_factor_solve_meets_the_convergence_test(self, pit_case,
+                                                          band_calls):
+        # the residual of a solve that took no factorisation, recomputed
+        # from the assembled stiffness matrix
         mesh, chains = pit_case
         pattern = JacobianPattern()
         first = newton_solve(mesh, chains, *self.args, pattern=pattern)
         moved = moved_interior(mesh, 1)
+        before = len(band_calls)
         kept = newton_solve(moved, chains, *self.args, guess=first.phi,
                             pattern=pattern)
-        assert band_calls.count("layout") == 1
+        assert band_calls[before:] == []
+        assert kept.iterations >= 1
+        free = ~fem.dirichlet_mask(moved)
+        b, _ = boundary_residual_and_jacobian(moved, chains, kept.phi,
+                                              *self.args)
+        r = (assemble_stiffness(moved) @ kept.phi - b)[free]
+        assert np.linalg.norm(r) <= fem._ABS_TOL + fem._REL_TOL * kept.history[0]
         fresh = newton_solve(moved, chains, *self.args, guess=first.phi)
         assert np.abs(kept.phi - fresh.phi).max() \
-            <= 1e-12 * np.abs(fresh.phi).max()
-        assert len(kept.history) == len(fresh.history)
-        assert pattern.solves == 2
-        assert pattern.iterations == first.iterations + kept.iterations
+            <= 1e-6 * np.abs(fresh.phi).max()
+
+    def test_far_moved_mesh_refactorises(self, pit_case, band_calls):
+        # twice as deep: the kept factor no longer preconditions well
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
+        kept = pattern.factor
+        stretched = mesh.copy()
+        stretched.vertices[:, 1] *= 2.0
+        newton_solve(stretched, chains, *self.args, guess=first.phi,
+                     pattern=pattern)
+        assert band_calls.count("layout") == 1
+        assert band_calls.count("factor") >= 2
+        assert pattern.factor is not kept
+
+    @pytest.mark.parametrize("change", ["relabel", "dirichlet"])
+    def test_new_structure_drops_the_factor(self, pit_case, band_calls,
+                                            change):
+        # the solve on a relabelled mesh or a new Dirichlet set factorises
+        # before any conjugate-gradient step, as a fresh solve does
+        mesh, chains = pit_case
+        if change == "relabel":
+            other, other_chains, _ = relabelled(mesh, chains, 11)
+        else:
+            other, other_chains = mesh.copy(), chains
+            left = np.flatnonzero(other.edge_tags == BoundaryTag.LEFT)
+            other.edge_tags[left] = BoundaryTag.TOP
+        pattern = JacobianPattern()
+        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        assert pattern.factor is not None
+        del band_calls[:]
+        kept = newton_solve(other, other_chains, *self.args, pattern=pattern)
+        assert band_calls[:2] == ["layout", "factor"]
+        fresh = newton_solve(other, other_chains, *self.args)
+        assert np.array_equal(kept.phi, fresh.phi)
 
     def test_relabelled_mesh_rebuilds_the_pattern(self, pit_case, band_calls):
         # same vertex count, other triangles: the kept layout would
@@ -312,19 +371,6 @@ class TestJacobianPattern:
         fresh = newton_solve(retagged, chains, *self.args)
         assert np.array_equal(kept.phi, fresh.phi)
 
-    def test_one_factorisation_per_newton_iteration(self, pit_case,
-                                                    band_calls):
-        # the layout is built once, and each Newton iteration factorises
-        # its band once
-        mesh, chains = pit_case
-        pattern = JacobianPattern()
-        iterations = 0
-        for seed in range(3):
-            iterations += newton_solve(moved_interior(mesh, seed), chains,
-                                       *self.args, pattern=pattern).iterations
-        assert iterations > 0
-        assert band_calls == ["layout"] + ["factor"] * iterations
-
     def test_band_holds_the_free_stiffness_block(self, pit_case):
         mesh, _ = pit_case
         fixed = fem.dirichlet_mask(mesh)
@@ -338,6 +384,27 @@ class TestJacobianPattern:
             expected[layout.width - d, d:] = np.diag(K, d)
         band = layout.band(fem._cell_stiffness(mesh).ravel())
         assert np.abs(band - expected).max() <= 1e-14 * np.abs(K).max()
+
+    def test_csr_holds_the_free_jacobian_block(self, pit_case):
+        # the CSR structure in layout order, filled with the stiffness
+        # and then with the Jacobian of a pit-flux term
+        mesh, chains = pit_case
+        fixed = fem.dirichlet_mask(mesh)
+        pattern = JacobianPattern()
+        order = pattern.layout_for(mesh, fixed).order
+        K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
+        dense = assemble_stiffness(mesh).toarray()
+        scale = np.abs(dense).max()
+        assert np.abs(K.toarray() - dense[order][:, order]).max() \
+            <= 1e-14 * scale
+        phi = np.random.default_rng(0).uniform(0.0, 0.01, mesh.n_vertices)
+        _, blocks = boundary_residual_and_jacobian(mesh, chains, phi,
+                                                   *self.args)
+        jac = dense - edge_jacobian(mesh.n_vertices, blocks)
+        J = pattern.jacobian(K, blocks)
+        assert J.nnz == K.nnz
+        assert np.abs(J.toarray() - jac[order][:, order]).max() \
+            <= 1e-14 * scale
 
 
 class TestBandNewton:
@@ -391,6 +458,33 @@ class TestBandNewton:
         monkeypatch.setattr(fem, "boundary_residual_and_jacobian", indefinite)
         with pytest.raises(NewtonError, match="^singular linearized system"):
             newton_solve(mesh, chains, *self.args)
+
+    def test_non_spd_jacobian_with_a_kept_factor_raises_newton_error(
+            self, merged_case, monkeypatch):
+        # the kept factor is SPD, but the Jacobian it preconditions is not:
+        # conjugate gradients break down and the refactorisation fails
+        mesh, chains = merged_case
+        pattern = JacobianPattern()
+        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        assert pattern.factor is not None
+        real = fem.boundary_residual_and_jacobian
+        real_pcg = fem._pcg
+        steps = []
+
+        def indefinite(*args):
+            b, (ia, ib, jaa, jab, jbb) = real(*args)
+            return b, (ia, ib, jaa + 1e6, jab, jbb)
+
+        def recorded(*args):
+            steps.append(real_pcg(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(fem, "boundary_residual_and_jacobian", indefinite)
+        monkeypatch.setattr(fem, "_pcg", recorded)
+        moved = moved_interior(mesh, 2, 0.01)
+        with pytest.raises(NewtonError, match="^singular linearized system"):
+            newton_solve(moved, chains, *self.args, pattern=pattern)
+        assert steps == [None]
 
 
 def test_band_no_wider_than_rcm_and_built_without_warnings():
