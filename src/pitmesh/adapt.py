@@ -16,12 +16,17 @@ weighted by its energy density and restricted per coordinate to the free
 vertices.  Each iteration applies K^-1 once, to the new gradient, and
 each curvature pair keeps K^-1 y beside it.  K carries the coupling
 between neighbouring vertices that a diagonal scaling misses, so the
-iteration count stays nearly flat as the mesh is refined.  K leaves out the proximal term's diagonal (tau/dt)/P_i,
-so it does not depend on dt; the curvature pairs take that term up.  An
-mmpde_step call without a StiffnessFactor gets K factorised afresh from
-its starting mesh; a smoothing sequence shares one StiffnessFactor over
-its flows and a run passes one to every call, and K is factorised again
-only when the free-vertex set changes or the cell energy densities drift.
+iteration count stays nearly flat as the mesh is refined.  K leaves out
+the proximal term's diagonal (tau/dt)/P_i, so it does not depend on dt;
+the curvature pairs take that term up.  The direction comes from the
+compact form of the L-BFGS matrix (Byrd, Nocedal and Schnabel 1994): two
+products of the stacked pairs with a vector and two small triangular
+solves, in place of the two-loop recursion's 4m dot products and axpys.
+An mmpde_step call without a StiffnessFactor gets K factorised afresh
+from its starting mesh; a smoothing sequence shares one StiffnessFactor
+over its flows and a run passes one to every call, and K is factorised
+again only when the free-vertex set changes or the cell energy densities
+drift.
 Each free block's band order and the map from cell stiffness entries to
 its band storage depend on the triangulation and the free set alone, so
 they are kept until those change; a refactorisation only refills the
@@ -40,7 +45,11 @@ accepted step can never invert a cell.
 Mesh smoothing repeats the minimisation under a monitor rebuilt at the
 moved vertices until the mesh stops moving.  Its flows run over an
 infinite interval and try no predicted start: each moves less than the
-one before, so repeating the last motion overshoots.
+one before, so repeating the last motion overshoots.  Each flow stops at
+the tolerance relative to its own starting gradient, as a step's does:
+the next monitor rebuild moves the target further than an exact flow
+would gain (the forcing-term argument of Eisenstat and Walker 1996), and
+flows near the fixed point still reach the absolute floor.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dtrtrs
 
-from .fem import BandLayout, _cell_stiffness
+from .fem import BandLayout, _cell_stiffness, side_wall_levels
 from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
                    min_distance_to_pit, vertex_roles)
 
@@ -237,6 +247,7 @@ class StiffnessFactor:
 
     Each free block of K has a fem.BandLayout: its order, in sweeps from
     the left side wall, and the band slot of every cell stiffness entry.
+    Both blocks take their order from one side_wall_levels of the mesh.
     The layouts depend only on the triangulation and the free set, so they
     are built again only when those change; a refactorisation fills each
     band from the weighted cell stiffness by one bincount and factorises
@@ -254,7 +265,7 @@ class StiffnessFactor:
         self._density = None    # cell energy densities at factorisation
         self._apply = None
         self.motion = None      # the last call's x_final - x^n, (nv, 2)
-        self.pairs = []         # its L-BFGS pairs (s, y, K^-1 y, 1/s'y)
+        self.pairs = CurvaturePairs()   # its L-BFGS pairs
 
     def preconditioner(self, mesh: TriMesh, density: np.ndarray,
                        free: np.ndarray) -> Callable:
@@ -272,10 +283,12 @@ class StiffnessFactor:
         # drop the old factor first: building the new one beside it raises
         # peak memory
         self._apply = None
-        self.pairs = []
+        self.pairs.clear()
         entries = _cell_stiffness(mesh, density).ravel()
         if not same_layout:
-            self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c])))
+            levels = side_wall_levels(mesh)
+            self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c]),
+                                            levels))
                              for c in range(2) if np.any(free[:, c])]
             self._key = (mesh.triangles.copy(), free)
         blocks = [(c, layout.order, layout.factor(layout.band(entries)))
@@ -295,27 +308,84 @@ class StiffnessFactor:
         return apply
 
 
-def _lbfgs_direction(g: np.ndarray, kg: np.ndarray, history: list) -> np.ndarray:
-    """-H g by the two-loop recursion, with H0 = gamma K^-1.
+class CurvaturePairs:
+    """The newest _LBFGS_HISTORY L-BFGS curvature pairs, in compact form.
 
-    kg is K^-1 g, flat; gamma = s'y / y'K^-1 y from the newest pair.  g is
-    (nv, 2), and history holds flat tuples (s, y, K^-1 y, 1/s'y), oldest
-    first.  The first loop only subtracts multiples of y from g, so K^-1 q
-    follows from kg and the stored K^-1 y without a solve.
+    With H0 = gamma K^-1, the L-BFGS inverse Hessian of the pairs
+    (s_i, y_i) is (Byrd, Nocedal and Schnabel, Math. Prog. 63, 1994)
+        H g = gamma K^-1 g + S p - gamma K^-1 Y u,
+        u = R^-1 S'g,  p = R^-T ((D + gamma Y'K^-1 Y) u - gamma Y'K^-1 g),
+    with the pairs as the columns of S and Y, oldest first, R the upper
+    triangle of S'Y and D its diagonal; gamma = s'y / y'K^-1 y of the
+    newest pair.  K is symmetric, so y enters only through K^-1 y:
+    Y'K^-1 g = (K^-1 Y)'g.  A pair therefore keeps s and K^-1 y alone, as
+    two interleaved rows of one (2m, n) array, and a direction takes one
+    product of the live rows with g, one with its coefficients, and two
+    m x m triangular solves.  R, D and Y'K^-1 Y are kept oldest first and
+    updated by one product of the rows with each new y.  Once all m pairs
+    are live, a new pair takes the rows of the oldest.
     """
-    q = g.ravel().copy()
-    r = kg.copy()
-    alphas = []
-    for s, y, ky, rho in reversed(history):
-        a = rho * _dot(s, q)
-        q -= a * y
-        r -= a * ky
-        alphas.append(a)
-    s, y, ky, _ = history[-1]
-    r *= _dot(s, y) / _dot(y, ky)
-    for (s, y, _, rho), a in zip(history, reversed(alphas)):
-        r += (a - rho * _dot(y, r)) * s
-    return -r.reshape(g.shape)
+
+    def __init__(self):
+        m = _LBFGS_HISTORY
+        self.count = 0          # live pairs
+        self._start = 0         # row pair of the oldest, nonzero once full
+        self._rows = None       # (2m, n): s, K^-1 y of each pair
+        self._order = None      # row pair of each live pair, oldest first
+        self._r = np.zeros((m, m))     # s_i'y_j for i <= j, oldest first
+        self._yky = np.zeros((m, m))   # y_i'K^-1 y_j, oldest first
+        self._gamma = 0.0
+        self._middle = None     # D + gamma Y'K^-1 Y
+
+    def __len__(self) -> int:
+        return self.count
+
+    def clear(self) -> None:
+        self.count = self._start = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray, ky: np.ndarray) -> None:
+        """Keep the flat pair (s, y), ky = K^-1 y, unless s'y <= 0."""
+        sy = _dot(s, y)
+        if not sy > 0.0:
+            return
+        m = _LBFGS_HISTORY
+        if self._rows is None or self._rows.shape[1] != s.size:
+            self._rows = np.empty((2 * m, s.size))
+            self.clear()
+        if self.count == m:
+            slot = self._start
+            self._start = (slot + 1) % m
+            self._r[:-1, :-1] = self._r[1:, 1:]
+            self._yky[:-1, :-1] = self._yky[1:, 1:]
+        else:
+            slot = self.count
+            self.count += 1
+        n = self.count
+        self._rows[2 * slot] = s
+        self._rows[2 * slot + 1] = ky
+        self._order = (self._start + np.arange(n)) % m
+        col = (self._rows[:2 * n] @ y).reshape(n, 2)[self._order]
+        self._r[:n, n - 1] = col[:, 0]
+        self._r[n - 1, n - 1] = sy
+        self._yky[:n, n - 1] = self._yky[n - 1, :n] = col[:, 1]
+        self._gamma = sy / self._yky[n - 1, n - 1]
+        self._middle = self._gamma * self._yky[:n, :n]
+        self._middle[np.diag_indices(n)] += np.diag(self._r)[:n]
+
+    def direction(self, g: np.ndarray, kg: np.ndarray) -> np.ndarray:
+        """-H g for a flat g, from kg = K^-1 g; needs a live pair."""
+        n = self.count
+        rows = self._rows[:2 * n]
+        sg, kyg = (rows @ g).reshape(n, 2)[self._order].T
+        r = self._r[:n, :n]
+        u = dtrtrs(r, sg)[0]
+        p = dtrtrs(r, self._middle @ u - self._gamma * kyg, trans=1)[0]
+        coef = np.empty((n, 2))   # per row pair, in row order
+        coef[self._order, 0] = p
+        coef[self._order, 1] = -self._gamma * u
+        d = coef.ravel() @ rows
+        d += self._gamma * kg
+        return np.negative(d, out=d)
 
 
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
@@ -388,7 +458,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             g = grad * free
     kg = precond(g.ravel())
 
-    history = factor.pairs   # L-BFGS pairs (s, y, K^-1 y, 1/s'y), oldest first
+    history = factor.pairs
     stopped = "substep-cap"
     n_done = 0
     for _ in range(max_substeps):
@@ -396,7 +466,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
             stopped = "stationary"
             break
         if history:
-            d = _lbfgs_direction(g, kg, history)
+            d = history.direction(g.ravel(), kg).reshape(g.shape)
             if _dot(d.ravel(), g.ravel()) >= 0.0:
                 history.clear()
         if not history:
@@ -417,11 +487,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         g_new = grad * free
         # the one K^-1 solve of the iteration
         kg_new = precond(g_new.ravel())
-        dx, dg = (trial - x).ravel(), (g_new - g).ravel()
-        sy = _dot(dx, dg)
-        if sy > 0.0:
-            history.append((dx, dg, kg_new - kg, 1.0 / sy))
-            del history[:-_LBFGS_HISTORY]
+        history.push((trial - x).ravel(), (g_new - g).ravel(), kg_new - kg)
         x, g, kg = trial, g_new, kg_new
         n_done += 1
 
@@ -442,28 +508,31 @@ class SmoothResult:
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
-                factor: Optional[StiffnessFactor] = None) -> SmoothResult:
+                factor: Optional[StiffnessFactor] = None,
+                nearest: Optional[NearestSegments] = None) -> SmoothResult:
     """Relax the mesh against its own monitor until it settles.
 
     Each iteration rebuilds the monitor at the current vertex positions and
-    runs the flow to stationarity under that frozen metric; the loop stops
+    runs the flow under that frozen metric to mmpde_step's stationarity
+    tolerance, relative to the flow's starting gradient; the loop stops
     when the summed vertex displacement drops below _SMOOTHING_TOL, or
     after _SMOOTHING_MAX_ITERS iterations.
     Returns the smoothed mesh, the per-iteration displacement trace and
     each flow's stop reason and iteration count.  Every flow's mmpde_step
-    shares factor, a fresh one if none is given.
+    shares factor, a fresh one if none is given; every monitor shares
+    nearest, if given.
     """
     if factor is None:
         factor = StiffnessFactor()
     work = mesh.copy()
     out = SmoothResult(work)
     for it in range(_SMOOTHING_MAX_ITERS):
-        metric = monitor_mackenzie(work, chains, p)
-        # run the flow to absolute stationarity: the outer loop then sees
-        # only the metric-update fixed point, not integrator leftovers
+        metric = monitor_mackenzie(work, chains, p, nearest)
+        # an inexact flow is enough: the next rebuild moves the target
+        # further than an exact one would gain, and the outer stop still
+        # reads the displacement of a flow that starts near stationarity
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
-                         max_substeps=_SMOOTHING_SUBSTEPS, grad_tol=_GRAD_TOL,
-                         factor=factor)
+                         max_substeps=_SMOOTHING_SUBSTEPS, factor=factor)
         if res.stopped == "substep-cap":
             logger.warning("smoothing iteration %d: flow stopped at its "
                            "%d-substep cap before stationarity",

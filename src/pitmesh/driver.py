@@ -130,16 +130,19 @@ class RunResult:
 
 def init_mesh(config: SimConfig,
               factor: Optional[adapt.StiffnessFactor] = None,
-              pattern: Optional[fem.JacobianPattern] = None) -> InitResult:
+              pattern: Optional[fem.JacobianPattern] = None,
+              nearest: Optional[NearestSegments] = None) -> InitResult:
     """Build the domain mesh and smooth it against the pit monitor.
 
-    The smoothing flows share factor, a fresh one if none is given, and
-    the potential solve uses pattern.
+    The smoothing flows share factor, a fresh one if none is given, its
+    monitors share nearest, if given, and the potential solve uses
+    pattern.
     """
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed)
-    smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor)
+    smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor,
+                               nearest=nearest)
     phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
                            config.electro, pattern=pattern).phi
     return InitResult(smooth.mesh, chains, phi, smooth)
@@ -183,15 +186,16 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     that copy, whatever the failing call left half done.  One
     StiffnessFactor serves every mesh relaxation of the run, and with it
     each relaxation starts from the last one's motion; one JacobianPattern
-    serves every potential solve; one NearestSegments serves every step's
-    monitor.  The front functions test the chains they move for
-    self-crossings (advance_pit each advanced chain, merge_pits the merged
-    one), so the state check leaves that test to them.
+    serves every potential solve; one NearestSegments serves every
+    monitor, the initial smoothing's included.  The front functions test
+    the chains they move for self-crossings (advance_pit each advanced
+    chain, merge_pits the merged one), so the state check leaves that
+    test to them.
     """
     factor = adapt.StiffnessFactor()
     pattern = fem.JacobianPattern()
     nearest = NearestSegments()
-    init = init_mesh(config, factor, pattern)
+    init = init_mesh(config, factor, pattern, nearest)
     # the loop moves its own copies in place; init keeps the starting state.
     # The triangulation never changes within a run (a merge only retags
     # edges), so the two meshes share it and a kept result holds it once

@@ -148,15 +148,16 @@ class BandLayout:
     block's order, by side_wall_levels and then by y; its bandwidth in
     that order; and the slot of each flattened _cell_stiffness entry in
     LAPACK's upper band storage (width + 1, n), Fortran order.  Entries off
-    the block or below the diagonal go to a last, dropped slot.  The
-    levels are taken on the whole mesh, so a block without the side wall,
-    such as the vertices free in x, is ordered the same way.  The order
-    reads structure alone, so one layout serves every cell weighting on
-    the triangulation.
+    the block or below the diagonal go to a last, dropped slot.  levels
+    are side_wall_levels(mesh), taken on the whole mesh, so a block
+    without the side wall, such as the vertices free in x, is ordered the
+    same way, and blocks of one mesh share them.  The order reads
+    structure alone, so one layout serves every cell weighting on the
+    triangulation.
     """
 
-    def __init__(self, mesh: TriMesh, block: np.ndarray):
-        levels = side_wall_levels(mesh)[block]
+    def __init__(self, mesh: TriMesh, block: np.ndarray, levels: np.ndarray):
+        levels = levels[block]
         self.order = block[np.lexsort((mesh.vertices[block, 1], levels))]
         n = len(block)
         self._pos = np.full(mesh.n_vertices, -1)
@@ -294,7 +295,8 @@ class JacobianPattern:
         if self._key is None or not (
                 np.array_equal(mesh.triangles, self._key[0])
                 and np.array_equal(fixed, self._key[1])):
-            self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed))
+            self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed),
+                                              side_wall_levels(mesh))
             self._key = (mesh.triangles.copy(), fixed.copy())
             self.factor = None
             n = len(layout.order)

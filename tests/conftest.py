@@ -10,9 +10,9 @@ def band_calls(monkeypatch):
     calls = []
     real_layout, real_factor = fem.BandLayout, fem.cholesky_banded
 
-    def layout(mesh, block):
+    def layout(mesh, block, levels):
         calls.append("layout")
-        return real_layout(mesh, block)
+        return real_layout(mesh, block, levels)
 
     def factor(band, **kwargs):
         calls.append("factor")

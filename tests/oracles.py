@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
+from pitmesh import adapt
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
 from pitmesh.fem import _cell_stiffness, _corner_pairs, assemble_stiffness
 from pitmesh.mesh import BoundaryTag, MeshError, TriMesh, VertexRoles, cross2
@@ -187,6 +188,56 @@ def lbfgs_direction_two_solves(g: np.ndarray, precond: Callable,
     for (s, y), a in zip(pairs, reversed(alphas)):
         r = r + (a - (y @ r) / (s @ y)) * s
     return -r.reshape(g.shape)
+
+
+def lbfgs_direction_two_loop(g: np.ndarray, kg: np.ndarray,
+                             pairs: list) -> np.ndarray:
+    """-H g by the two-loop recursion with H0 = gamma K^-1 and one solve.
+
+    kg is K^-1 g; gamma = s'y / y'K^-1 y from the newest pair.  g and kg
+    are flat, and pairs holds flat (s, y, K^-1 y), oldest first.  The
+    first loop only subtracts multiples of y from g, so K^-1 q follows
+    from kg and the stored K^-1 y without a solve.
+    """
+    q = g.copy()
+    r = kg.copy()
+    alphas = []
+    for s, y, ky in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q -= a * y
+        r -= a * ky
+        alphas.append(a)
+    s, y, ky = pairs[-1]
+    r *= (s @ y) / (y @ ky)
+    for (s, y, _), a in zip(pairs, reversed(alphas)):
+        r += (a - (y @ r) / (s @ y)) * s
+    return -r
+
+
+def smooth_mesh_exact_flows(mesh: TriMesh, chains: list,
+                            p: AdaptParams) -> tuple:
+    """adapt.smooth_mesh with every flow run to the absolute floor _GRAD_TOL.
+
+    The same monitor rebuilds, outer stop and shared StiffnessFactor, but
+    each flow stops only once its projected gradient is below _GRAD_TOL,
+    whatever gradient it started from.  Returns the smoothed vertices,
+    the displacement sum of each iteration and each flow's iterations.
+    """
+    factor = adapt.StiffnessFactor()
+    work = mesh.copy()
+    trace, iters = [], []
+    for _ in range(adapt._SMOOTHING_MAX_ITERS):
+        metric = adapt.monitor_mackenzie(work, chains, p)
+        res = adapt.mmpde_step(work, metric, p, dt_interval=np.inf,
+                               max_substeps=adapt._SMOOTHING_SUBSTEPS,
+                               grad_tol=adapt._GRAD_TOL, factor=factor)
+        moved = res.positions - work.vertices
+        trace.append(float(np.sum(np.hypot(moved[:, 0], moved[:, 1]))))
+        iters.append(res.substeps)
+        work.vertices = res.positions
+        if trace[-1] < adapt._SMOOTHING_TOL:
+            break
+    return work.vertices, trace, iters
 
 
 def l2_error(mesh: TriMesh, phi: np.ndarray, exact: Callable) -> float:

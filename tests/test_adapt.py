@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitmesh import adapt, fem
+from pitmesh import adapt, fem, io
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            mmpde_step, monitor_mackenzie, smooth_mesh,
                            vertex_p_scaling)
@@ -11,7 +13,8 @@ from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (band_by_assembly, energy, grad_energy,
-                     lbfgs_direction_two_solves, make_rect_mesh,
+                     lbfgs_direction_two_loop, lbfgs_direction_two_solves,
+                     make_rect_mesh, smooth_mesh_exact_flows,
                      solve_equidistribution_1d, weighted_stiffness)
 
 
@@ -518,9 +521,9 @@ class TestStiffnessFactor:
         layouts = []
         real = fem.BandLayout
 
-        def recorded(mesh, block):
+        def recorded(mesh, block, levels):
             layouts.append(block)
-            return real(mesh, block)
+            return real(mesh, block, levels)
 
         monkeypatch.setattr(adapt, "BandLayout", recorded)
         mesh, density, free = self.problem()
@@ -543,7 +546,8 @@ class TestStiffnessFactor:
     def test_layout_built_once_over_density_refactorisations(self, pit_mesh,
                                                              monkeypatch):
         # the band order reads structure alone, so density-driven
-        # refactorisations reuse it
+        # refactorisations reuse it, and the x and y blocks share one
+        # breadth-first sweep
         calls = []
         real = fem.side_wall_levels
 
@@ -552,6 +556,7 @@ class TestStiffnessFactor:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fem, "side_wall_levels", counted)
+        monkeypatch.setattr(adapt, "side_wall_levels", counted)
         mesh = pit_mesh[0]
         free = self.free_blocks(mesh)
         density = np.ones(mesh.n_triangles)
@@ -559,7 +564,7 @@ class TestStiffnessFactor:
         for ratio in (1.0, 2.0, 4.0, 8.0):
             factor.preconditioner(mesh, ratio * density, free)
         assert factor.factorisations == 4
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_band_matches_assembled_reference(self, pit_mesh):
         mesh = pit_mesh[0]
@@ -569,7 +574,7 @@ class TestStiffnessFactor:
         free = self.free_blocks(mesh)
         for c in range(2):
             block = np.flatnonzero(free[:, c])
-            layout = fem.BandLayout(mesh, block)
+            layout = fem.BandLayout(mesh, block, fem.side_wall_levels(mesh))
             order, band = band_by_assembly(mesh, density, block)
             assert np.array_equal(layout.order, order)
             got = layout.band(entries)
@@ -590,25 +595,108 @@ class TestStiffnessFactor:
         assert np.allclose(apply(kx.ravel()), x.ravel(), rtol=0, atol=1e-12)
 
 
+def checked_directions(monkeypatch, kept, turn=lambda k: False):
+    """Check every CurvaturePairs direction against the two-solve recursion.
+
+    Each CurvaturePairs gets a plain list of its newest _LBFGS_HISTORY
+    pairs with s'y > 0, emptied by clear.  Every direction is compared
+    with lbfgs_direction_two_solves of that list under the preconditioner
+    kept[-1].  Returns one (pairs, relative difference) record per
+    direction; the k-th direction is turned uphill when turn(k).
+    """
+    pairs = {}
+    records = []
+    real_push = adapt.CurvaturePairs.push
+    real_clear = adapt.CurvaturePairs.clear
+    real_direction = adapt.CurvaturePairs.direction
+
+    def push(self, s, y, ky):
+        real_push(self, s, y, ky)
+        if s @ y > 0.0:
+            mine = pairs.setdefault(id(self), [])
+            mine.append((s.copy(), y.copy()))
+            del mine[:-adapt._LBFGS_HISTORY]
+
+    def clear(self):
+        real_clear(self)
+        pairs[id(self)] = []
+
+    def direction(self, g, kg):
+        d = real_direction(self, g, kg)
+        mine = pairs[id(self)]
+        assert len(self) == len(mine)
+        ref = lbfgs_direction_two_solves(g, kept[-1], mine)
+        records.append((len(mine), np.abs(d - ref).max() / np.abs(ref).max()))
+        return -d if turn(len(records)) else d
+
+    monkeypatch.setattr(adapt.CurvaturePairs, "push", push)
+    monkeypatch.setattr(adapt.CurvaturePairs, "clear", clear)
+    monkeypatch.setattr(adapt.CurvaturePairs, "direction", direction)
+    return records
+
+
 class TestLbfgsDirection:
-    def test_one_solve_matches_two_solve_recursion(self):
-        rng = np.random.default_rng(5)
-        n = 40
+    @staticmethod
+    def problem(n=40, seed=5):
+        """An SPD K, an SPD model Hessian and a gradient."""
+        rng = np.random.default_rng(seed)
         b = rng.normal(size=(n, n))
         K = b @ b.T + n * np.eye(n)
         hessian = rng.normal(size=(n, n))
         hessian = hessian @ hessian.T + np.eye(n)
-        pairs = []
+        return rng, K, hessian, rng.normal(size=n)
+
+    def test_one_solve_matches_two_solve_recursion(self):
+        rng, K, hessian, g = self.problem()
+        pairs = adapt.CurvaturePairs()
+        ref_pairs = []
         for _ in range(8):
-            s = rng.normal(size=n)
-            pairs.append((s, hessian @ s))
-        history = [(s, y, np.linalg.solve(K, y), 1.0 / (s @ y))
-                   for s, y in pairs]
-        g = rng.normal(size=(n // 2, 2))
-        d = adapt._lbfgs_direction(g, np.linalg.solve(K, g.ravel()), history)
+            s = rng.normal(size=len(g))
+            y = hessian @ s
+            pairs.push(s, y, np.linalg.solve(K, y))
+            ref_pairs.append((s, y))
+        d = pairs.direction(g, np.linalg.solve(K, g))
         ref = lbfgs_direction_two_solves(
-            g, lambda v: np.linalg.solve(K, v), pairs)
+            g, lambda v: np.linalg.solve(K, v), ref_pairs)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_compact_form_matches_the_two_loop_recursion(self):
+        # histories of 1 to 8 pairs, then older pairs dropped for newer
+        # ones, a pair skipped for its curvature, and a cleared history
+        rng, K, hessian, g = self.problem()
+        kg = np.linalg.solve(K, g)
+        pairs = adapt.CurvaturePairs()
+        history = []
+
+        def push(s, y):
+            pairs.push(s, y, np.linalg.solve(K, y))
+            if s @ y > 0.0:
+                history.append((s, y, np.linalg.solve(K, y)))
+                del history[:-adapt._LBFGS_HISTORY]
+
+        def check():
+            assert len(pairs) == len(history)
+            d = pairs.direction(g, kg)
+            ref = lbfgs_direction_two_loop(g, kg, history)
+            assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        for _ in range(11):
+            s = rng.normal(size=len(g))
+            push(s, hessian @ s)
+            check()
+        assert len(pairs) == 8
+        s = rng.normal(size=len(g))
+        push(s, -hessian @ s)
+        push(s, np.zeros(len(g)))
+        assert len(pairs) == 8
+        check()
+        pairs.clear()
+        history.clear()
+        assert not pairs
+        for _ in range(3):
+            s = rng.normal(size=len(g))
+            push(s, hessian @ s)
+            check()
 
     def test_one_solve_per_iteration_across_a_history_reset(self, pit_mesh,
                                                             monkeypatch):
@@ -631,32 +719,20 @@ class TestLbfgsDirection:
                 return apply(v)
             return counted
 
-        real_direction = adapt._lbfgs_direction
-        lengths = []
-        worst = []
-
-        def checked(g, kg, history):
-            d = real_direction(g, kg, history)
-            ref = lbfgs_direction_two_solves(
-                g, kept[-1], [(s, y) for s, y, _, _ in history])
-            worst.append(np.abs(d - ref).max() / np.abs(ref).max())
-            lengths.append(len(history))
-            # the third direction is turned uphill, which clears the history
-            return -d if len(lengths) == 3 else d
-
         monkeypatch.setattr(adapt.StiffnessFactor, "preconditioner",
                             counted_preconditioner)
-        monkeypatch.setattr(adapt, "_lbfgs_direction", checked)
+        # the third direction is turned uphill, which clears the history
+        records = checked_directions(monkeypatch, kept, lambda k: k == 3)
         res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
                          max_substeps=12)
         assert res.substeps == 12
+        lengths = [n for n, _ in records]
         # the history restarts from one pair after the reset
         assert lengths[:4] == [1, 2, 3, 1]
         assert len(lengths) >= 8
-        assert max(worst) <= 1e-12
+        assert max(worst for _, worst in records) <= 1e-12
         # one K^-1 solve per iteration and one for the starting gradient
         assert len(applies) == res.substeps + 1
-
 
     def test_carried_pairs_never_outlive_their_factor(self, pit_mesh,
                                                       monkeypatch):
@@ -674,21 +750,9 @@ class TestLbfgsDirection:
             kept.append(real_preconditioner(self, *args))
             return kept[-1]
 
-        real_direction = adapt._lbfgs_direction
-        lengths = []
-        worst = []
-
-        def checked(g, kg, history):
-            d = real_direction(g, kg, history)
-            ref = lbfgs_direction_two_solves(
-                g, kept[-1], [(s, y) for s, y, _, _ in history])
-            worst.append(np.abs(d - ref).max() / np.abs(ref).max())
-            lengths.append(len(history))
-            return d
-
         monkeypatch.setattr(adapt.StiffnessFactor, "preconditioner",
                             recorded_preconditioner)
-        monkeypatch.setattr(adapt, "_lbfgs_direction", checked)
+        records = checked_directions(monkeypatch, kept)
         factor = adapt.StiffnessFactor()
         calls = []
         for scale in (1.0, 1.0, 4.0):
@@ -696,13 +760,13 @@ class TestLbfgsDirection:
             # halves them
             mmpde_step(mesh, scale * metric, p, dt_interval=0.5,
                        max_substeps=6, factor=factor)
-            calls.append(len(lengths))
+            calls.append(len(records))
         assert factor.factorisations == 2
-        assert max(worst) <= 1e-12
+        assert max(worst for _, worst in records) <= 1e-12
         # the second call's first direction uses the first call's pairs;
         # the third call's first direction is plain -K^-1 g
-        assert lengths[calls[0]] > 1
-        assert lengths[calls[1]] == 1
+        assert records[calls[0]][0] > 1
+        assert records[calls[1]][0] == 1
 
 
 class TestSmoothing:
@@ -755,6 +819,32 @@ class TestSmoothing:
         own = smooth_mesh(mesh, chains, p)
         assert np.array_equal(own.mesh.vertices, kept.mesh.vertices)
         assert own.flow_iters == kept.flow_iters
+
+    @pytest.mark.parametrize("case", ["criterion9"] + [
+        f"{name}-{seed}" for name in ("homog", "twopit") for seed in range(3)])
+    def test_relative_flows_reach_the_exact_flows_fixed_point(self, case):
+        # flows stopped relative to their own start end where flows run to
+        # the absolute floor end, in about as many rebuilds and far fewer
+        # iterations
+        if case == "criterion9":
+            # the acceptance suite's smoothing-convergence mesh
+            domain, pits, target_h, seed = DomainSpec(), PitSpec(nodes=45), \
+                0.7, 0
+        else:
+            name, seed = case.split("-")
+            bench = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+            cfg = io.parse_config(str(bench / f"{name}.cfg"))
+            domain, pits, target_h, seed = cfg.domain, cfg.pits, \
+                cfg.target_h, int(seed)
+        mesh, chains, _ = build_initial_mesh(domain, pits, target_h, seed)
+        p = AdaptParams()
+        result = smooth_mesh(mesh, chains, p)
+        exact, trace, iters = smooth_mesh_exact_flows(mesh, chains, p)
+        assert result.converged
+        gap = result.mesh.vertices - exact
+        assert np.max(np.hypot(gap[:, 0], gap[:, 1])) <= 1e-6
+        assert abs(len(result.trace) - len(trace)) <= 1
+        assert sum(result.flow_iters) <= 0.7 * sum(iters)
 
     def test_equidistribution_spread_tightens(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),

@@ -71,9 +71,10 @@ def merge_config():
 def merge_run():
     """The merge run, recorded.
 
-    Returns the run's result; per step, each monitor the run used beside
-    the monitor without kept nearest segments; the run's NearestSegments;
-    and per step the crossing tests it made and its chain count.
+    Returns the run's result; each monitor the run used, the initial
+    smoothing's included, beside the monitor without kept nearest
+    segments; the run's NearestSegments; and per step the crossing tests
+    it made and its chain count.
     """
     monitors, kept, crossings, steps = [], [], [0], []
     real_monitor = adapt.monitor_mackenzie
@@ -374,13 +375,14 @@ class TestRun:
             len(result.init.smooth.trace) + result.steps
 
     def test_kept_nearest_segments_give_the_stateless_monitor(self, merge_run):
+        # the initial smoothing's monitors and every step's
         result, monitors, kept, _ = merge_run
         assert [event.step for event in result.events] == [12]
-        assert len(monitors) == result.steps
+        assert len(monitors) == len(result.init.smooth.trace) + result.steps
         for used, stateless in monitors:
             assert np.array_equal(used, stateless)
-        # the first step takes a reference, and so does the step after the
-        # merge, which adds a segment; most steps take none
+        # the first smoothing monitor takes a reference, and so does the
+        # step after the merge, which adds a segment; most monitors take none
         assert 2 <= kept.references < result.steps // 2
 
     def test_run_without_kept_nearest_segments_is_the_same(self, merge_run,

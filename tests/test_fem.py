@@ -499,7 +499,7 @@ def test_band_no_wider_than_rcm_and_built_without_warnings():
         block = np.flatnonzero(mask)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            layout = BandLayout(mesh, block)
+            layout = BandLayout(mesh, block, fem.side_wall_levels(mesh))
         K_b = K[block][:, block]
         order = reverse_cuthill_mckee(K_b, symmetric_mode=True)
         upper = K_b[order][:, order].tocoo()
