@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Paired step timings of two pitmesh checkouts in one process.
+
+Imports each checkout's src/pitmesh under its own package name, then runs
+one bench/workloads/ config through driver.run on both, pass by pass.
+Pass k uses jitter seed seed + k on both sides, and the side that runs
+first alternates from pass to pass.  Each pass records its set-up time
+(run start to the step-0 hook), its step times (hook to hook) and its
+whole time.  Runs of one revision in separate processes spread more than
+the gains this is meant to see, so only pairs from one process compare.
+
+Prints one line per pass and then, for step p50, step p90, set-up and
+pass time, the median and quartiles of the per-pass ratios change /
+parent and the passes the change won.  A pass whose final depth, width,
+step count or smallest cell area differ between the two sides is
+flagged; the outputs are meant to be bit-identical.  The last line is
+the summary as JSON.  Reads bench/workloads/ only and writes nothing:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/ab_steps.py PARENT CHANGE \\
+        --workload homog --pairs 28
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import logging
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread pins)
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+SIDES = ("parent", "change")
+
+
+def load_checkout(root: str, name: str):
+    """root/src/pitmesh imported as package name, with driver and io."""
+    src = Path(root).resolve() / "src" / "pitmesh"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.driver")
+    importlib.import_module(f"{name}.io")
+    return package
+
+
+def timed_pass(package, config_path: Path, jitter: int) -> dict:
+    """One driver.run of the config at a jitter seed, timed at its hooks."""
+    config = package.io.parse_config(str(config_path))
+    config.seed = jitter
+    stamps = []
+    start = time.perf_counter()
+    result = package.driver.run(
+        config, step_hook=lambda *args: stamps.append(time.perf_counter()))
+    end = time.perf_counter()
+    steps = 1e3 * np.diff(stamps)
+    return {"setup_s": stamps[0] - start, "pass_s": end - start,
+            "p50": float(np.percentile(steps, 50)),
+            "p90": float(np.percentile(steps, 90)),
+            "outputs": (result.series.depth[-1], result.series.width[-1],
+                        result.steps, result.min_area_seen)}
+
+
+def summary(ratios: list) -> dict:
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"median": statistics.median(ratios), "q1": q1, "q3": q3,
+            "change_wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the changed checkout")
+    parser.add_argument("--workload", default="homog",
+                        help="bench/workloads/<name>.cfg (default homog)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="jitter seed of the first pass")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    config_path = WORKLOADS / f"{args.workload}.cfg"
+    if not config_path.is_file():
+        parser.error(f"no workload config {config_path}")
+    # both sides log the same warnings; keep them off the report
+    logging.getLogger("pitmesh").setLevel(logging.ERROR)
+    packages = {side: load_checkout(root, f"pitmesh_{side}")
+                for side, root in zip(SIDES, (args.parent, args.change))}
+    for package in packages.values():
+        logging.getLogger(package.__name__).setLevel(logging.ERROR)
+
+    keys = ("p50", "p90", "setup_s", "pass_s")
+    ratios = {key: [] for key in keys}
+    differing = []
+    for k in range(args.pairs):
+        jitter = args.seed + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        got = {side: timed_pass(packages[side], config_path, jitter)
+               for side in order}
+        for key in keys:
+            ratios[key].append(got["change"][key] / got["parent"][key])
+        same = got["parent"]["outputs"] == got["change"]["outputs"]
+        if not same:
+            differing.append(jitter)
+        print(f"pass {k} seed {jitter} {order[0]} first: step p50 "
+              f"{got['parent']['p50']:.3f} -> {got['change']['p50']:.3f} ms, "
+              f"p90 {got['parent']['p90']:.3f} -> {got['change']['p90']:.3f} ms"
+              + ("" if same else "  OUTPUTS DIFFER"), flush=True)
+    result = {"workload": args.workload, "pairs": args.pairs,
+              "first_seed": args.seed,
+              "ratios": {key: summary(ratios[key]) for key in keys},
+              "outputs_differ_at_seeds": differing}
+    for key in keys:
+        s = result["ratios"][key]
+        print(f"{key:8s} change/parent {s['median']:.3f} "
+              f"(IQR {s['q1']:.3f}-{s['q3']:.3f}), change won "
+              f"{s['change_wins']}/{s['pairs']}")
+    print(json.dumps(result))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,7 @@ bandwidth of their fem.BandLayout, the median wall time of one
 fem.newton_solve call, and the Jacobian factorisations and
 conjugate-gradient iterations per call, with the run's own wall time
 beside it.  The counts come from wrapping fem.cholesky_banded and
-fem.cho_solve_banded: each factorisation is followed by one direct solve,
+fem.band_solve: each factorisation is followed by one direct solve,
 and each conjugate-gradient iteration makes one preconditioner solve.  Pin
 BLAS to one thread, as the benchmark does, to compare timings:
 
@@ -39,7 +39,7 @@ def newton_timed(target_h: float, t_end: float) -> dict:
     # relaxation factorises through fem.cholesky_banded too
     work = {"inside": False, "factor": 0, "solve": 0}
     real, real_factor, real_solve = (fem.newton_solve, fem.cholesky_banded,
-                                     fem.cho_solve_banded)
+                                     fem.band_solve)
 
     def timed(*args, **kwargs):
         work["inside"] = True
@@ -60,14 +60,14 @@ def newton_timed(target_h: float, t_end: float) -> dict:
         work["solve"] += 1
         return real_solve(*args, **kwargs)
 
-    fem.newton_solve, fem.cholesky_banded, fem.cho_solve_banded = (
+    fem.newton_solve, fem.cholesky_banded, fem.band_solve = (
         timed, factor, solve)
     try:
         start = time.perf_counter()
         result = run(cfg)
         wall = time.perf_counter() - start
     finally:
-        fem.newton_solve, fem.cholesky_banded, fem.cho_solve_banded = (
+        fem.newton_solve, fem.cholesky_banded, fem.band_solve = (
             real, real_factor, real_solve)
     layout = layouts[-1]
     calls = len(times)

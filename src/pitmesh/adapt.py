@@ -59,12 +59,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
 from scipy.linalg.lapack import dtrtrs
 
-from .fem import BandLayout, _cell_stiffness, side_wall_levels
-from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
-                   min_distance_to_pit, vertex_roles)
+from .fem import BandLayout, _cell_stiffness, band_solve, side_wall_levels
+from .mesh import (MeshError, NearestSegments, PitChain, TriMesh, boundary_key,
+                   corner_index, matches_boundary_key, min_distance_to_pit,
+                   vertex_roles)
 
 logger = logging.getLogger("pitmesh.adapt")
 
@@ -108,7 +108,10 @@ def monitor_mackenzie(mesh: TriMesh, chains: Sequence[PitChain],
 
 def element_metrics(mesh: TriMesh, metric: np.ndarray) -> np.ndarray:
     """Cell monitor values m_K as the mean of the three vertex values."""
-    return metric[mesh.triangles].mean(axis=1)
+    # the sum in corner order, as metric[mesh.triangles].mean(axis=1)
+    # takes it, from one gather
+    m0, m1, m2 = np.take(metric, mesh.triangles.T)
+    return (m0 + m1 + m2) / 3.0
 
 
 def vertex_p_scaling(metric: np.ndarray) -> np.ndarray:
@@ -138,15 +141,11 @@ class _ElementFunctional:
     with align = c1 T^gamma and equi = c2 A2^-gamma.
     """
 
-    def __init__(self, triangles: np.ndarray, cell_metric: np.ndarray,
+    def __init__(self, corners: np.ndarray, cell_metric: np.ndarray,
                  theta: float, gamma: float):
-        self.triangles = triangles
-        # index of coordinate c of corner k of each cell in the flattened
-        # (nv, 2) positions, laid out (c, k, cell): one take gathers every
-        # corner coordinate and one bincount scatters the gradient back
-        self._flat = np.ascontiguousarray(
-            2 * triangles.T[None, :, :].astype(np.intp)
-            + np.arange(2)[:, None, None])
+        # mesh.corner_index of the triangles: one take gathers every corner
+        # coordinate and one bincount scatters the gradient back
+        self._flat = corners
         self.gamma = gamma
         if np.any(cell_metric <= 0.0):
             raise MeshError("non-positive monitor value")
@@ -189,12 +188,6 @@ class _ElementFunctional:
         grad = np.bincount(self._flat.ravel(), weights=ge.ravel(),
                            minlength=x.size)
         return energy, grad.reshape(x.shape), density
-
-
-def _functional(mesh: TriMesh, metric: np.ndarray,
-                p: AdaptParams) -> _ElementFunctional:
-    return _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                              p.theta, p.gamma)
 
 
 def _evaluate_mesh(fn: _ElementFunctional, mesh: TriMesh) -> tuple:
@@ -245,6 +238,11 @@ class StiffnessFactor:
     belongs to the old K; a new topology drops the displacement too.
     Counts its factorisations and the minimiser calls it served.
 
+    It also keeps, for structure, the mesh's corner gather index and its
+    free mask, which read the triangles and the boundary tags alone; both
+    are rebuilt when the triangles, edge nodes or edge tags change, as a
+    corner absorption or a merge retags edges.
+
     Each free block of K has a fem.BandLayout: its order, in sweeps from
     the left side wall, and the band slot of every cell stiffness entry.
     Both blocks take their order from one side_wall_levels of the mesh.
@@ -254,18 +252,38 @@ class StiffnessFactor:
     it by banded Cholesky.  The band factor is a plain array of its own
     size; a SuperLU factor reserves heap for its fill estimate, about 15
     times what it touches, and kept across calls that reserve fragments
-    the heap.
+    the heap.  Every solve with a band factor is one fem.band_solve.
     """
 
     def __init__(self):
         self.factorisations = 0
         self.minimiser_calls = 0
+        self._boundary = None   # mesh.boundary_key of _structure
+        self._structure = None  # (corner index, free mask)
         self._key = None        # (triangles, free) of the layouts
         self._layouts = []      # (coordinate, BandLayout) per free block
         self._density = None    # cell energy densities at factorisation
         self._apply = None
         self.motion = None      # the last call's x_final - x^n, (nv, 2)
         self.pairs = CurvaturePairs()   # its L-BFGS pairs
+
+    def structure(self, mesh: TriMesh) -> tuple:
+        """(corner index, free mask) of mesh, kept while its boundary is.
+
+        The free mask, (nv, 2), is one where a coordinate may move:
+        interior vertices move freely, top/bottom vertices slide in x,
+        left/right vertices in y, and pit-chain vertices and rectangle
+        corners are pinned.
+        """
+        if not matches_boundary_key(mesh, self._boundary):
+            roles = vertex_roles(mesh)
+            free = np.ones((mesh.n_vertices, 2))
+            free[roles.pinned] = 0.0
+            free[roles.slide_x, 1] = 0.0
+            free[roles.slide_y, 0] = 0.0
+            self._structure = (corner_index(mesh.triangles), free)
+            self._boundary = boundary_key(mesh)
+        return self._structure
 
     def preconditioner(self, mesh: TriMesh, density: np.ndarray,
                        free: np.ndarray) -> Callable:
@@ -291,16 +309,15 @@ class StiffnessFactor:
                                             levels))
                              for c in range(2) if np.any(free[:, c])]
             self._key = (mesh.triangles.copy(), free)
-        blocks = [(c, layout.order, layout.factor(layout.band(entries)))
+        # each block's entries of flat (2 nv,) vectors, in its order
+        blocks = [(2 * layout.order + c, layout.factor(layout.band(entries)))
                   for c, layout in self._layouts]
 
         def apply(v: np.ndarray) -> np.ndarray:
-            v = v.reshape(-1, 2)
             out = np.zeros_like(v)
-            for c, idx, chol in blocks:
-                out[idx, c] = cho_solve_banded((chol, False), v[idx, c],
-                                               check_finite=False)
-            return out.ravel()
+            for flat, chol in blocks:
+                out[flat] = band_solve(chol, v[flat])
+            return out
 
         self._apply = apply
         self._density = density
@@ -412,12 +429,11 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     Without a factor, K is factorised afresh and L-BFGS starts at x^n
     with no pairs.
     """
-    fn = _functional(mesh, metric, p)
-    roles = vertex_roles(mesh)
-    free = np.ones((mesh.n_vertices, 2))
-    free[roles.pinned] = 0.0
-    free[roles.slide_x, 1] = 0.0
-    free[roles.slide_y, 0] = 0.0
+    if factor is None:
+        factor = StiffnessFactor()
+    corners, free = factor.structure(mesh)
+    fn = _ElementFunctional(corners, element_metrics(mesh, metric), p.theta,
+                            p.gamma)
     x0 = mesh.vertices
     # proximal weight (tau/dt)/P_i per coordinate; 0 for an infinite dt
     pull = (p.tau / dt_interval / vertex_p_scaling(metric))[:, None]
@@ -442,8 +458,6 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
         else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
-    if factor is None:
-        factor = StiffnessFactor()
     precond = factor.preconditioner(mesh, density, free)
 
     x = x0.copy()

@@ -23,8 +23,7 @@ from .adapt import AdaptParams
 from .crystal import Homogeneous, MaterialSpec, VcorrParams
 from .electrochem import ElectroParams
 from .front import FrontParams
-from .mesh import (MeshError, NearestSegments, TriMesh, validate,
-                   validate_chain)
+from .mesh import MeshError, NearestSegments, TriMesh, validate
 from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 logger = logging.getLogger("pitmesh.driver")
@@ -160,18 +159,26 @@ def diagnostics(mesh: TriMesh, chains) -> tuple:
     return depth, width
 
 
-def _check_state(mesh: TriMesh, chains, step: int) -> float:
-    """Smallest cell area; raises MeshError on an inverted cell or a bad chain."""
+def _check_state(mesh: TriMesh, chains, step: int,
+                 prev_area: float) -> tuple:
+    """(smallest cell area, total pit area) after a step.
+
+    Raises MeshError on an inverted cell, or when the pit area fell below
+    prev_area.  These are the state check's only tests: the front
+    functions check the chain invariants they can break (corners on
+    y = 0, interior below it, Pit tags, no self-crossing) on the chains
+    they move or retag.
+    """
     areas = mesh.signed_areas()
     min_area = float(np.min(areas))
-    if min_area <= 0.0:
+    if not min_area > 0.0:
         raise MeshError(f"inverted element at step {step}: "
                         f"cell {int(np.argmin(areas))}, area {min_area:g}")
-    for chain in chains:
-        problems = validate_chain(mesh, chain)
-        if problems:
-            raise MeshError(f"step {step}: " + "; ".join(problems))
-    return min_area
+    area = sum(front.pit_area(mesh, c) for c in chains)
+    if area < prev_area - 1e-9:
+        raise MeshError(f"pit area decreased at step {step}: "
+                        f"{prev_area:g} -> {area:g}")
+    return min_area, area
 
 
 def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
@@ -187,10 +194,13 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     StiffnessFactor serves every mesh relaxation of the run, and with it
     each relaxation starts from the last one's motion; one JacobianPattern
     serves every potential solve; one NearestSegments serves every
-    monitor, the initial smoothing's included.  The front functions test
-    the chains they move for self-crossings (advance_pit each advanced
-    chain, merge_pits the merged one), so the state check leaves that
-    test to them.
+    monitor, the initial smoothing's included.  The state check after
+    each step keeps only the area tests: every cell stays positive and the
+    pit area does not shrink.  The front functions check the chain
+    invariants on the chains they move or retag: advance_pit the interior
+    below y = 0 and no self-crossing, update_corners the corners on y = 0
+    and the tags of an absorption, merge_pits the merged chain's tags and
+    crossings.
     """
     factor = adapt.StiffnessFactor()
     pattern = fem.JacobianPattern()
@@ -208,19 +218,21 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     d0, w0 = diagnostics(mesh, chains)
     series.append(0.0, d0, w0)
     events = []
-    min_area_seen = _check_state(mesh, chains, 0)
+    min_area_seen, prev_area = _check_state(mesh, chains, 0, -np.inf)
     if step_hook:
         step_hook(0, 0.0, mesh, chains, phi)
 
     fparams = config.front
     t = 0.0
     step = 0
-    prev_area = sum(front.pit_area(mesh, c) for c in chains)
     relaxation_iterations = predicted_starts = 0
     while fparams.t_end - t > 1e-9 * fparams.dt:
         step += 1
-        # newton_solve never writes into phi, so it needs no copy
-        good = (mesh.copy(), [c.copy() for c in chains], phi)
+        # newton_solve never writes into phi, so it needs no copy, and
+        # the triangulation and edge nodes never change within a run
+        good = (TriMesh(mesh.vertices.copy(), mesh.triangles, mesh.edge_nodes,
+                        mesh.edge_tags.copy()),
+                [c.copy() for c in chains], phi)
         try:
             metric = adapt.monitor_mackenzie(mesh, chains, config.adapt,
                                              nearest)
@@ -250,12 +262,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                 event.step = step
                 events.append(event)
 
-            min_area_seen = min(min_area_seen, _check_state(mesh, chains, step))
-            area = sum(front.pit_area(mesh, c) for c in chains)
-            if area < prev_area - 1e-9:
-                raise MeshError(f"pit area decreased at step {step}: "
-                                f"{prev_area:g} -> {area:g}")
-            prev_area = area
+            min_area, prev_area = _check_state(mesh, chains, step, prev_area)
+            min_area_seen = min(min_area_seen, min_area)
         except Exception as err:
             raise SimulationError(f"step {step} (t={t:.4g}s): {err}",
                                   step - 1, *good) from err

@@ -8,23 +8,27 @@ with Newton's method on a kept banded Cholesky factorization.
 A BandLayout holds one diagonal block of a P1 stiffness matrix in
 LAPACK's upper band storage: the block's order, its bandwidth and the
 band slot of each cell stiffness entry, so a factorisation is one fill
-and one cholesky_banded call.  The order sweeps the mesh from its left
+and one cholesky_banded call, and band_solve solves with the factor by
+one call of LAPACK's dpbtrs.  The order sweeps the mesh from its left
 side wall, one breadth-first level of the mesh graph after another.  It
 reads structure alone, so one layout serves every cell weighting on a
 triangulation.  The mesh relaxation's preconditioner blocks and the free
 block of Newton's Jacobian use it.
 
 The triangulation and the Dirichlet set stay fixed over a run, so a
-JacobianPattern keeps the structure of the Jacobian's free block: its
-layout and its CSR structure in layout order.  It also keeps the last
-band Cholesky factor.  The Jacobian changes little from one Newton step
-to the next, and from one mesh step to the next, so each Newton step
-solves by conjugate gradients preconditioned by that factor (an inexact
-Newton method: Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995; Eisenstat and Walker, SIAM J. Sci. Comput. 17,
-1996).  Only when there is no factor, or the iterations break down or
-miss their target within _PCG_MAX_ITERS, does a step fill the band,
-subtract the pit-edge terms in place, factorise it and keep the factor.
+JacobianPattern keeps the structure of the Jacobian's free block: the
+Dirichlet mask, the layout, the corner gather index of the cell
+stiffness, and the stiffness block K and Jacobian J as CSR matrices in
+layout order, whose data each Newton call refills in place.  It also
+keeps the last band Cholesky factor.  The Jacobian changes little from
+one Newton step to the next, and from one mesh step to the next, so each
+Newton step solves by conjugate gradients preconditioned by that factor
+(an inexact Newton method: Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995; Eisenstat and Walker, SIAM J. Sci.
+Comput. 17, 1996).  Only when there is no factor, or the iterations
+break down or miss their target within _PCG_MAX_ITERS, does a step fill
+the band, subtract the pit-edge terms in place, factorise it and keep
+the factor.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -38,8 +42,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import dijkstra
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 # Unused here: the benchmark's layer tracer (bench/layers.py) wraps
 # fem.splu, and tests/test_layers.py asserts that every traced name
 # resolves, so fem exports it until the trace is dropped.
@@ -48,11 +52,13 @@ from scipy.sparse.linalg import splu
 from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams, OverflowGuardError
-from .mesh import BoundaryTag, MeshError, PitChain, TriMesh
+from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, boundary_key,
+                   corner_index, matches_boundary_key)
 
 __all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
-           "BandLayout", "assemble_stiffness", "boundary_residual_and_jacobian",
-           "dirichlet_mask", "JacobianPattern", "newton_solve", "splu"]
+           "BandLayout", "band_solve", "assemble_stiffness",
+           "boundary_residual_and_jacobian", "dirichlet_mask",
+           "JacobianPattern", "newton_solve", "splu"]
 
 UM_TO_M = 1.0e-6
 
@@ -87,27 +93,33 @@ class NewtonResult:
     history: list = field(default_factory=list)
 
 
-def _cell_stiffness(mesh: TriMesh,
-                    weight: Optional[np.ndarray] = None) -> np.ndarray:
+def _cell_stiffness(mesh: TriMesh, weight: Optional[np.ndarray] = None,
+                    corners: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell P1 stiffness entries, (3, 3, nt).
 
     Entry [i, j, k] couples corners i and j of cell k.  With a per-cell
-    weight (nt,), each cell's entries are scaled by it.
+    weight (nt,), each cell's entries are scaled by it.  corners is
+    mesh.corner_index of the triangles, built here if not given.
     """
-    t = mesh.triangles.T
-    x = mesh.vertices[:, 0][t]
-    y = mesh.vertices[:, 1][t]
-    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    if corners is None:
+        corners = corner_index(mesh.triangles)
+    x, y = np.take(mesh.vertices.ravel(), corners)
+    # hat-function gradients: grad(lambda_i) = (b_i, c_i) / area2, with
+    # b_i = y_{i+1} - y_{i+2} and c_i = x_{i+2} - x_{i+1}
+    b = np.empty_like(x)
+    c = np.empty_like(x)
+    for i in range(3):
+        np.subtract(y[i - 2], y[i - 1], out=b[i])
+        np.subtract(x[i - 1], x[i - 2], out=c[i])
+    # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as c_2 b_1 - b_2 c_1
+    area2 = c[2] * b[1] - b[2] * c[1]
     if np.any(area2 <= 0.0):
         cell = int(np.argmin(area2))
         raise MeshError(f"stiffness assembly: inverted cell {cell}")
-    # hat-function gradients: grad(lambda_i) = (b_i, c_i) / area2
-    b = y[[1, 2, 0]] - y[[2, 0, 1]]
-    c = x[[2, 0, 1]] - x[[1, 2, 0]]
     scale = 1.0 / (2.0 * area2)
     if weight is not None:
         scale = scale * weight
-    out = np.empty((3, 3, t.shape[1]))
+    out = np.empty((3, 3, x.shape[1]))
     np.multiply(b[:, None], b[None, :], out=out)
     out += c[:, None] * c[None, :]
     out *= scale
@@ -127,18 +139,27 @@ def side_wall_levels(mesh: TriMesh) -> np.ndarray:
 
     Level 0 is every vertex on the left side wall (x = x_min), level k
     the vertices k mesh edges from it.  The domain is wider than it is
-    deep, so these level sets run across its short side.
+    deep, so these level sets run across its short side.  Each level is
+    one product of the edge graph with the last level's indicator.
     """
     t = mesh.triangles
     n = mesh.n_vertices
-    # the positive edge graph: the stiffness matrix's negative
-    # off-diagonals would make dijkstra warn
-    graph = sp.coo_matrix((np.ones(t.size), (t.ravel(),
-                                              np.roll(t, 1, axis=1).ravel())),
-                          shape=(n, n)).tocsr()
+    # the edge graph, one entry each way per cell edge
+    a, b = t.ravel(), np.roll(t, 1, axis=1).ravel()
+    graph = sp.csr_matrix((np.ones(2 * t.size), (np.concatenate((a, b)),
+                                                  np.concatenate((b, a)))),
+                          shape=(n, n))
     x = mesh.vertices[:, 0]
-    return dijkstra(graph, directed=False, indices=np.flatnonzero(x == x.min()),
-                    unweighted=True, min_only=True)
+    levels = np.full(n, np.inf)
+    reached = x == x.min()
+    new = reached
+    level = 0
+    while np.any(new):
+        levels[new] = level
+        level += 1
+        new = (graph @ new.astype(np.float64) > 0.0) & ~reached
+        reached |= new
+    return levels
 
 
 class BandLayout:
@@ -196,6 +217,19 @@ class BandLayout:
         return cholesky_banded(band, overwrite_ab=True)
 
 
+def band_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs from the upper band Cholesky factor of A.
+
+    chol comes from BandLayout.factor.  LAPACK's dpbtrs called directly:
+    scipy's cho_solve_banded adds its argument checks to every call, and
+    the relaxation and Newton solve many times with one factor.
+    """
+    x, info = dpbtrs(chol, rhs)
+    if info != 0:
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+    return x
+
+
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """P1 stiffness matrix; constants span its null space."""
     rows, cols = _corner_pairs(mesh.triangles)
@@ -248,9 +282,12 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     dcur = -eparams.alpha * eparams.zf_rt * cur
 
     weight = (0.5 * lengths * UM_TO_M)[:, None] * w[None, :] / eparams.sigma_c
-    res = np.zeros(nv)
-    np.add.at(res, a_idx, np.sum(weight * cur * na[None, :], axis=1))
-    np.add.at(res, b_idx, np.sum(weight * cur * nb[None, :], axis=1))
+    # bincount adds in index order, all edge starts before all edge ends
+    res = np.bincount(np.concatenate((a_idx, b_idx)),
+                      weights=np.concatenate(
+                          (np.sum(weight * cur * na[None, :], axis=1),
+                           np.sum(weight * cur * nb[None, :], axis=1))),
+                      minlength=nv)
 
     jaa = np.sum(weight * dcur * na * na, axis=1)
     jab = np.sum(weight * dcur * na * nb, axis=1)
@@ -272,13 +309,17 @@ class JacobianPattern:
     Its block is the free vertices, those off the Dirichlet set.  Every
     Jacobian on these triangles has the free stiffness block's structure,
     as pit edges are mesh edges, so one structure serves them all: the
-    block's BandLayout, and its CSR structure in the layout's order with
-    the slot of each flattened _cell_stiffness entry.  Its key is the
-    mesh's triangles and Dirichlet mask; a mesh that does not match gets a
-    new structure and drops the factor.  factor is the upper band Cholesky
-    factor of the last Jacobian factorised, which preconditions the
-    Jacobians after it.  Counts the Newton solves and iterations it
-    served.
+    block's BandLayout, the corner gather index of _cell_stiffness, and
+    the stiffness block K and Jacobian J as CSR matrices in the layout's
+    order, with the slot in their data of each flattened _cell_stiffness
+    entry.  stiffness and jacobian refill K and J in place.  fixed, the
+    Dirichlet mask, is kept while the mesh's triangles, edge nodes and
+    edge tags match the ones it was read from; the structure is kept while
+    the triangles and the Dirichlet mask match, and a mesh that does not
+    match gets a new structure and drops the factor.  factor is the upper
+    band Cholesky factor of the last Jacobian factorised, which
+    preconditions the Jacobians after it.  Counts the Newton solves and
+    iterations it served.
     """
 
     def __init__(self):
@@ -286,56 +327,75 @@ class JacobianPattern:
         self.iterations = 0
         self.layout = None
         self.factor = None
+        self.fixed = None       # Dirichlet mask of the kept boundary
+        self.corners = None     # mesh.corner_index of the triangles
+        self._boundary = None   # mesh.boundary_key that fixed comes from
         self._key = None        # (triangles, Dirichlet mask) of the layout
         self._keys = None       # row * n + column of each stored entry
-        self._indptr = self._indices = self._slot = None
+        self._slot = None
+        self._K = self._J = None
 
-    def layout_for(self, mesh: TriMesh, fixed: np.ndarray) -> BandLayout:
-        """The layout of mesh's free block, built anew if the key differs."""
-        if self._key is None or not (
-                np.array_equal(mesh.triangles, self._key[0])
-                and np.array_equal(fixed, self._key[1])):
-            self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed),
-                                              side_wall_levels(mesh))
-            self._key = (mesh.triangles.copy(), fixed.copy())
-            self.factor = None
-            n = len(layout.order)
-            rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
-            keep = (rows >= 0) & (cols >= 0)
-            # sorted keys are the CSR order: by row, then by column
-            self._keys, inverse = np.unique(rows[keep] * n + cols[keep],
-                                            return_inverse=True)
-            self._slot = np.full(len(rows), len(self._keys))
-            self._slot[keep] = inverse
-            self._indices = (self._keys % n).astype(np.int32)
-            self._indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(self._keys // n, minlength=n)))
-            ).astype(np.int32)
-        return self.layout
+    def layout_for(self, mesh: TriMesh) -> BandLayout:
+        """The layout of mesh's free block.
+
+        The Dirichlet mask is read again when mesh's triangles, edge nodes
+        or edge tags differ from the kept ones, and the structure is built
+        anew, dropping the factor, when its triangles or mask differ.
+        """
+        if matches_boundary_key(mesh, self._boundary):
+            return self.layout
+        self.fixed = fixed = dirichlet_mask(mesh)
+        self._boundary = boundary_key(mesh)
+        if self._key is not None and np.array_equal(mesh.triangles,
+                                                    self._key[0]) \
+                and np.array_equal(fixed, self._key[1]):
+            return self.layout
+        self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed),
+                                          side_wall_levels(mesh))
+        self._key = (self._boundary[0], fixed)
+        self.factor = None
+        self.corners = corner_index(mesh.triangles)
+        n = len(layout.order)
+        rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
+        keep = (rows >= 0) & (cols >= 0)
+        # sorted keys are the CSR order: by row, then by column
+        self._keys, inverse = np.unique(rows[keep] * n + cols[keep],
+                                        return_inverse=True)
+        self._slot = np.full(len(rows), len(self._keys))
+        self._slot[keep] = inverse
+        indices = (self._keys % n).astype(np.int32)
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._keys // n, minlength=n)))
+        ).astype(np.int32)
+        self._K, self._J = (
+            sp.csr_matrix((np.zeros(len(self._keys)), indices, indptr),
+                          shape=(n, n)) for _ in range(2))
+        return layout
 
     def stiffness(self, entries: np.ndarray) -> sp.csr_matrix:
         """The free stiffness block in layout order, from flat entries.
 
         entries are _cell_stiffness's, flattened; those off the block are
-        dropped.
+        dropped.  Refills and returns the kept K.
         """
         nnz = len(self._keys)
-        data = np.bincount(self._slot, weights=entries, minlength=nnz + 1)[:nnz]
-        n = len(self.layout.order)
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        self._K.data[:] = np.bincount(self._slot, weights=entries,
+                                      minlength=nnz + 1)[:nnz]
+        return self._K
 
     def jacobian(self, K: sp.csr_matrix, blocks: tuple) -> sp.csr_matrix:
         """K minus the edge 2x2 blocks (a, b, jaa, jab, jbb).
 
         The blocks come as BandLayout.subtract_edges takes them; entries
-        off the block are dropped.
+        off the block are dropped.  Refills and returns the kept J.
         """
         a, b, jaa, jab, jbb = blocks
         pa, pb = self.layout._pos[a], self.layout._pos[b]
         rows = np.concatenate([pa, pb, pa, pb])
         cols = np.concatenate([pa, pb, pb, pa])
         keep = (rows >= 0) & (cols >= 0)
-        J = K.copy()
+        J = self._J
+        np.copyto(J.data, K.data)
         slots = np.searchsorted(self._keys, rows[keep] * K.shape[0] + cols[keep])
         np.subtract.at(J.data, slots, np.concatenate([jaa, jbb, jab, jab])[keep])
         return J
@@ -353,7 +413,7 @@ def _pcg(J: sp.csr_matrix, rhs: np.ndarray, factor: np.ndarray,
     r = rhs.copy()
     p = rz_last = None
     for _ in range(_PCG_MAX_ITERS):
-        z = cho_solve_banded((factor, False), r, check_finite=False)
+        z = band_solve(factor, r)
         rz = r @ z
         p = z if p is None else z + (rz / rz_last) * p
         q = J @ p
@@ -385,14 +445,13 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     """
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
-    fixed = dirichlet_mask(mesh)
-    phi[fixed] = 0.0
     if pattern is None:
         pattern = JacobianPattern()
     pattern.solves += 1
-    layout = pattern.layout_for(mesh, fixed)
+    layout = pattern.layout_for(mesh)
+    phi[pattern.fixed] = 0.0
     free = layout.order
-    entries = _cell_stiffness(mesh).ravel()
+    entries = _cell_stiffness(mesh, corners=pattern.corners).ravel()
     K = pattern.stiffness(entries)
 
     history = []
@@ -424,8 +483,7 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
             except np.linalg.LinAlgError as err:
                 raise NewtonError(f"singular linearized system: {err}",
                                   history) from err
-            step = cho_solve_banded((pattern.factor, False), -rf,
-                                    check_finite=False)
+            step = band_solve(pattern.factor, -rf)
         phi[free] += step
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "

@@ -20,7 +20,8 @@ import numpy as np
 from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams
-from .mesh import (BoundaryTag, PitChain, TriMesh, cross2,
+from .mesh import (BoundaryTag, PitChain, TriMesh, chain_corner_problems,
+                   chain_interior_problems, chain_tag_problems, cross2,
                    face_and_vertex_normals, point_segment_distances,
                    polyline_self_intersects)
 
@@ -38,6 +39,12 @@ _CORNER_CLOSE_FACTOR = 1.5
 
 class FrontError(Exception):
     """Front advancement produced invalid geometry."""
+
+
+def _raise_problems(problems: list, context: str) -> None:
+    """FrontError naming every chain problem found, if there are any."""
+    if problems:
+        raise FrontError(context + "; ".join(problems))
 
 
 @dataclass
@@ -93,9 +100,10 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     the full step, which keep each APPROACH_FACTOR of its distance to every
     chain segment not incident to it; a step within capped_dt moves them
     in full, and one far longer than the pit edges stalls.  Corners and
-    the apex move after that, so raises FrontError if the chain then
-    self-intersects or a corner cannot be re-seated; the mesh and chain
-    may then be partly advanced, and driver.run keeps the last good state.
+    the apex move after that, so raises FrontError if an interior vertex
+    then sits above y = 0, the chain self-intersects or a corner cannot be
+    re-seated; the mesh and chain may then be partly advanced, and
+    driver.run keeps the last good state.
     """
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
@@ -113,6 +121,7 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     update_corners(mesh, chain)
     if chain.apex_pos is not None:
         _advance_apex(mesh, chain, old_neighbors)
+    _raise_problems(chain_interior_problems(mesh, chain), "advance: ")
     if polyline_self_intersects(chain.positions(mesh)):
         raise FrontError(
             f"pit {chain.pit_id}: chain self-intersects after advance; "
@@ -221,10 +230,13 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
     inside the pit and the surface vertex becomes the corner at the
     intersection (its bottom edge is retagged as pit boundary).  A surface
     vertex that already ends a PIT edge belongs to the facing pit and is
-    never absorbed: that raises FrontError.
+    never absorbed: that raises FrontError.  So does a corner it leaves off
+    y = 0 or at no finite x, and, after an absorption, a chain edge it
+    leaves untagged.
     """
     edge_len = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
     tol = _CORNER_CLOSE_FACTOR * float(np.mean(edge_len))
+    absorbed = False
     for side in ("left", "right"):
         if side == "left":
             corner = chain.vertices[0]
@@ -251,6 +263,7 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
         mesh.vertices[neighbor] = (x_int, 0.0)
         mesh.vertices[corner] = 0.5 * (p1 + np.array([x_int, 0.0]))
         _retag_to_pit(mesh, int(corner), neighbor)
+        absorbed = True
         if side == "left":
             chain.vertices = np.concatenate(([neighbor], chain.vertices)).astype(np.int32)
             if chain.apex_pos is not None:
@@ -259,6 +272,10 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
             chain.vertices = np.concatenate((chain.vertices, [neighbor])).astype(np.int32)
         logger.info("pit %d: %s corner absorbed surface vertex %d",
                     chain.pit_id, side, neighbor)
+    problems = chain_corner_problems(mesh, chain)
+    if absorbed:
+        problems += chain_tag_problems(mesh, chain)
+    _raise_problems(problems, "corner update: ")
 
 
 def line_intersection(a1, a2, b1, b2):
@@ -379,8 +396,9 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     toward its first chain neighbor.  Vertex and cell counts are untouched;
     the gap edge is retagged as pit boundary, and the chains are renumbered
     from 0 in left-corner order.  Raises FrontError if the move would
-    invert a cell or the merged chain self-intersects; the two moved
-    vertices then stay moved, and driver.run keeps the last good state.
+    invert a cell, the merged chain self-intersects or the retag leaves a
+    merged chain edge untagged; the mesh then keeps the moves and the
+    retag, and driver.run keeps the last good state.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]
@@ -423,6 +441,8 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     merged = PitChain(
         left.pit_id, joined,
         apex_pos=len(left.vertices) - 1 if apex_id == rc else len(left.vertices))
+    _raise_problems(chain_tag_problems(mesh, merged),
+                    f"merging pits {left.pit_id} and {right.pit_id}: ")
 
     new_chains = [c for i, c in enumerate(chains)
                   if i not in (cand.left_chain, cand.right_chain)]

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# validate_chain's tolerance on the y = 0 surface, micrometers
+# the chain checks' tolerance on the y = 0 surface, micrometers
 _CHAIN_Y_TOL = 1e-9
 # points per block of nearest_segment_distances
 _DISTANCE_BLOCK = 256
@@ -80,6 +80,19 @@ class PitChain:
         return PitChain(self.pit_id, self.vertices.copy(), self.apex_pos)
 
 
+def corner_index(triangles: np.ndarray) -> np.ndarray:
+    """Flat index of every cell corner coordinate, (2, 3, nt).
+
+    Entry [c, k, t] indexes coordinate c of corner k of cell t in the
+    raveled (nv, 2) positions, so one np.take gathers every corner of
+    every cell and one np.bincount scatters per-corner values back.
+    """
+    out = np.empty((2, 3, len(triangles)), dtype=np.intp)
+    np.multiply(triangles.T, 2, out=out[0])
+    np.add(out[0], 1, out=out[1])
+    return out
+
+
 @dataclass
 class TriMesh:
     """Triangulation with tagged boundary edges.
@@ -109,10 +122,9 @@ class TriMesh:
         return len(self.triangles)
 
     def signed_areas(self) -> np.ndarray:
-        p0 = self.vertices[self.triangles[:, 0]]
-        p1 = self.vertices[self.triangles[:, 1]]
-        p2 = self.vertices[self.triangles[:, 2]]
-        return 0.5 * cross2(p1 - p0, p2 - p0)
+        (x0, x1, x2), (y0, y1, y2) = np.take(self.vertices.ravel(),
+                                             corner_index(self.triangles))
+        return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
     def orient_ccw(self) -> int:
         """Swap two indices of every clockwise cell; returns the flip count."""
@@ -148,6 +160,23 @@ class TriMesh:
     def copy(self) -> "TriMesh":
         return TriMesh(self.vertices.copy(), self.triangles.copy(),
                        self.edge_nodes.copy(), self.edge_tags.copy())
+
+
+def boundary_key(mesh: TriMesh) -> tuple:
+    """Copies of what fixes every vertex's boundary role in mesh.
+
+    The triangles, edge nodes and edge tags.  Run-lived solver state keeps
+    masks derived from these beside the key, and rebuilds them on a mesh
+    for which matches_boundary_key fails.
+    """
+    return mesh.triangles.copy(), mesh.edge_nodes.copy(), mesh.edge_tags.copy()
+
+
+def matches_boundary_key(mesh: TriMesh, key: Optional[tuple]) -> bool:
+    """True if mesh's triangles, edge nodes and edge tags equal key's."""
+    return key is not None and all(
+        np.array_equal(now, kept) for now, kept in
+        zip((mesh.triangles, mesh.edge_nodes, mesh.edge_tags), key))
 
 
 @dataclass
@@ -455,23 +484,29 @@ def polyline_self_intersects(p: np.ndarray) -> bool:
     return len(polyline_crossings(p)) > 0
 
 
-def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
-    """Check PitChain invariants; returns a list of problem strings.
+def chain_corner_problems(mesh: TriMesh, chain: PitChain) -> list:
+    """A problem string unless both chain corners sit on y = 0 at a finite x."""
+    p = mesh.vertices[chain.vertices[[0, -1]]]
+    if np.all(np.isfinite(p[:, 0]) & (np.abs(p[:, 1]) <= _CHAIN_Y_TOL)):
+        return []
+    return [f"pit {chain.pit_id}: corner not on y=0"]
 
-    Checks the corners on y = 0, the interior below it and the Pit tags.
+
+def chain_interior_problems(mesh: TriMesh, chain: PitChain) -> list:
+    """A problem string for each interior chain vertex above y = 0."""
+    y = mesh.vertices[chain.vertices[1:-1], 1]
+    # the post-merge apex may sit exactly on y=0 until it corrodes down
+    above = chain.vertices[1:-1][~(y <= _CHAIN_Y_TOL)]
+    return [f"pit {chain.pit_id}: interior vertex {v} above y=0" for v in above]
+
+
+def chain_tag_problems(mesh: TriMesh, chain: PitChain) -> list:
+    """Problem strings for chain edges not tagged Pit and surplus Pit edges.
+
     Every PIT edge that touches a chain vertex counts as the chain's own,
     so a vertex shared with another chain shows up as a surplus edge.
-    Self-crossings are not checked here: each front function that moves
-    chain vertices tests the chains it moved.
     """
     problems = []
-    p = chain.positions(mesh)
-    if abs(p[0, 1]) > _CHAIN_Y_TOL or abs(p[-1, 1]) > _CHAIN_Y_TOL:
-        problems.append(f"pit {chain.pit_id}: corner not on y=0")
-    interior_y = p[1:-1, 1]
-    # the post-merge apex may sit exactly on y=0 until it corrodes down
-    if np.any(interior_y > _CHAIN_Y_TOL):
-        problems.append(f"pit {chain.pit_id}: interior vertex above y=0")
     # one int64 key per undirected edge, lower vertex first
     base = np.int64(mesh.n_vertices)
     pit_edges = mesh.edge_nodes[mesh.edge_tags == BoundaryTag.PIT]
@@ -485,6 +520,19 @@ def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
         problems.append(f"pit {chain.pit_id}: tagged edge count {len(tagged)} "
                         f"!= chain edge count {chain.n_vertices - 1}")
     return problems
+
+
+def validate_chain(mesh: TriMesh, chain: PitChain) -> list:
+    """Check PitChain invariants; returns a list of problem strings.
+
+    Checks the corners on y = 0, the interior below it and the Pit tags.
+    Self-crossings are not checked here: each front function that moves
+    chain vertices tests the chains it moved, and checks the parts of
+    these invariants that it can break.
+    """
+    return (chain_corner_problems(mesh, chain)
+            + chain_interior_problems(mesh, chain)
+            + chain_tag_problems(mesh, chain))
 
 
 @dataclass

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from pitmesh import fem
+from pitmesh import fem, io
+from pitmesh.driver import init_mesh
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 @pytest.fixture
@@ -21,3 +26,12 @@ def band_calls(monkeypatch):
     monkeypatch.setattr(fem, "BandLayout", layout)
     monkeypatch.setattr(fem, "cholesky_banded", factor)
     return calls
+
+
+@pytest.fixture(scope="session")
+def bench_starts():
+    """The smoothed starting state (driver.InitResult) of each benchmark
+    workload, homog and twopit, at jitter seed 0."""
+    return {name: init_mesh(io.parse_config(str(BENCH_WORKLOADS
+                                                 / f"{name}.cfg")))
+            for name in ("homog", "twopit")}

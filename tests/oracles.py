@@ -11,12 +11,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from pitmesh import adapt
 from pitmesh.adapt import AdaptParams, _ElementFunctional, element_metrics
 from pitmesh.fem import _cell_stiffness, _corner_pairs, assemble_stiffness
-from pitmesh.mesh import BoundaryTag, MeshError, TriMesh, VertexRoles, cross2
+from pitmesh.mesh import (BoundaryTag, MeshError, TriMesh, VertexRoles,
+                          corner_index, cross2)
 
 
 def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
@@ -62,8 +64,8 @@ def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
 
 def _energy_and_gradient(mesh: TriMesh, metric: np.ndarray,
                          p: AdaptParams) -> tuple:
-    fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                            p.theta, p.gamma)
+    fn = _ElementFunctional(corner_index(mesh.triangles),
+                            element_metrics(mesh, metric), p.theta, p.gamma)
     out = fn.evaluate(mesh.vertices)
     if out is None:
         cell = int(np.argmin(mesh.signed_areas()))
@@ -121,6 +123,53 @@ def band_by_assembly(mesh: TriMesh, weight: np.ndarray,
     band = np.zeros((width + 1, len(block)))
     band[width + upper.row - upper.col, upper.col] = upper.data
     return order, band
+
+
+def signed_areas_by_fancy_index(mesh: TriMesh) -> np.ndarray:
+    """TriMesh.signed_areas from three fancy-indexed corner arrays."""
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    p1 = mesh.vertices[mesh.triangles[:, 1]]
+    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    return 0.5 * cross2(p1 - p0, p2 - p0)
+
+
+def cell_stiffness_by_fancy_index(mesh: TriMesh,
+                                  weight: np.ndarray = None) -> np.ndarray:
+    """pitmesh.fem._cell_stiffness from fancy-indexed corner coordinates."""
+    t = mesh.triangles.T
+    x = mesh.vertices[:, 0][t]
+    y = mesh.vertices[:, 1][t]
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    if np.any(area2 <= 0.0):
+        raise MeshError(f"stiffness assembly: inverted cell "
+                        f"{int(np.argmin(area2))}")
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
+    scale = 1.0 / (2.0 * area2)
+    if weight is not None:
+        scale = scale * weight
+    out = np.empty((3, 3, t.shape[1]))
+    np.multiply(b[:, None], b[None, :], out=out)
+    out += c[:, None] * c[None, :]
+    out *= scale
+    return out
+
+
+def element_metrics_by_mean(mesh: TriMesh, metric: np.ndarray) -> np.ndarray:
+    """pitmesh.adapt.element_metrics as the row mean of the corner values."""
+    return metric[mesh.triangles].mean(axis=1)
+
+
+def side_wall_levels_by_dijkstra(mesh: TriMesh) -> np.ndarray:
+    """pitmesh.fem.side_wall_levels by scipy's unweighted dijkstra."""
+    t = mesh.triangles
+    n = mesh.n_vertices
+    graph = sp.coo_matrix((np.ones(t.size), (t.ravel(),
+                                              np.roll(t, 1, axis=1).ravel())),
+                          shape=(n, n)).tocsr()
+    x = mesh.vertices[:, 0]
+    return dijkstra(graph, directed=False, indices=np.flatnonzero(x == x.min()),
+                    unweighted=True, min_only=True)
 
 
 def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:

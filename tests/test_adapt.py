@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitmesh import adapt, fem, io
+from pitmesh import adapt, fem, front, io
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            mmpde_step, monitor_mackenzie, smooth_mesh,
                            vertex_p_scaling)
-from pitmesh.mesh import MeshError, TriMesh, min_distance_to_pit, vertex_roles
+from pitmesh.mesh import (MeshError, TriMesh, corner_index, min_distance_to_pit,
+                          vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (band_by_assembly, energy, grad_energy,
@@ -119,15 +120,15 @@ class TestEnergy:
     def test_evaluate_none_on_one_inverted_cell(self):
         mesh = make_rect_mesh(3, 3)
         metric = np.ones(mesh.n_vertices)
-        fn = _ElementFunctional(mesh.triangles, element_metrics(mesh, metric),
-                                1.0 / 3.0, 1.5)
+        fn = _ElementFunctional(corner_index(mesh.triangles),
+                                element_metrics(mesh, metric), 1.0 / 3.0, 1.5)
         value, grad, _ = fn.evaluate(mesh.vertices)
         assert value == pytest.approx(energy(mesh, metric, AdaptParams()))
         assert grad.shape == mesh.vertices.shape
         flipped = mesh.triangles.copy()
         flipped[4] = flipped[4][[0, 2, 1]]
-        fn = _ElementFunctional(flipped, element_metrics(mesh, metric),
-                                1.0 / 3.0, 1.5)
+        fn = _ElementFunctional(corner_index(flipped),
+                                element_metrics(mesh, metric), 1.0 / 3.0, 1.5)
         assert fn.evaluate(mesh.vertices) is None
 
 
@@ -580,6 +581,27 @@ class TestStiffnessFactor:
             got = layout.band(entries)
             assert got.shape == band.shape
             assert np.max(np.abs(got - band)) <= 1e-14 * np.max(np.abs(band))
+
+    def test_kept_free_mask_follows_a_retag(self, pit_mesh):
+        # absorbing a surface vertex retags its bottom edge as Pit in
+        # place; the next relaxation on the same factor pins that vertex
+        mesh, chains, _ = pit_mesh
+        mesh = mesh.copy()
+        p = AdaptParams()
+        metric = monitor_mackenzie(mesh, chains, p)
+        factor = adapt.StiffnessFactor()
+        corner = chains[0].left_corner
+        neighbor = front._bottom_neighbor(mesh, corner)
+        res = mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=20,
+                         factor=factor)
+        assert res.positions[neighbor, 0] != mesh.vertices[neighbor, 0]
+        assert factor.structure(mesh)[1][neighbor].tolist() == [1.0, 0.0]
+        front._retag_to_pit(mesh, corner, neighbor)
+        res = mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=20,
+                         factor=factor)
+        assert np.array_equal(res.positions[neighbor],
+                              mesh.vertices[neighbor])
+        assert factor.structure(mesh)[1][neighbor].tolist() == [0.0, 0.0]
 
     def test_inverts_each_free_block(self):
         mesh = make_rect_mesh(7, 5)

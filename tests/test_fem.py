@@ -6,17 +6,20 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
-from pitmesh import fem
+from pitmesh import adapt, fem
 from pitmesh.driver import SimConfig, init_mesh
 from pitmesh.fem import (BandLayout, JacobianPattern, NewtonError,
                          assemble_stiffness, boundary_residual_and_jacobian,
                          newton_solve)
 from pitmesh.front import FrontParams, detect_merge, merge_pits
-from pitmesh.mesh import BoundaryTag, MeshError, PitChain, TriMesh, vertex_roles
+from pitmesh.mesh import (BoundaryTag, MeshError, PitChain, TriMesh,
+                          corner_index, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
-from oracles import (edge_jacobian, l2_error, make_rect_mesh, side_wall_order,
-                     solve_dirichlet)
+from oracles import (cell_stiffness_by_fancy_index, edge_jacobian,
+                     element_metrics_by_mean, l2_error, make_rect_mesh,
+                     side_wall_levels_by_dijkstra, side_wall_order,
+                     signed_areas_by_fancy_index, solve_dirichlet)
 
 
 def reference_triangle():
@@ -371,10 +374,62 @@ class TestJacobianPattern:
         fresh = newton_solve(retagged, chains, *self.args)
         assert np.array_equal(kept.phi, fresh.phi)
 
+    def test_kept_matrices_refilled_in_place(self, pit_case):
+        # one K and one J serve every call on the triangulation; refilled
+        # from a moved mesh they equal those of a fresh pattern on the same
+        # layout (which reads the positions it was built on), and Newton
+        # from the same factor reaches the same phi bit for bit
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
+        K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
+        _, blocks = boundary_residual_and_jacobian(mesh, chains, first.phi,
+                                                   *self.args)
+        J = pattern.jacobian(K, blocks)
+        factor = pattern.factor
+        moved = moved_interior(mesh, 1)
+        kept = newton_solve(moved, chains, *self.args, guess=first.phi,
+                            pattern=pattern)
+        assert pattern.factor is factor
+        entries = fem._cell_stiffness(moved).ravel()
+        _, blocks = boundary_residual_and_jacobian(moved, chains, kept.phi,
+                                                   *self.args)
+        assert pattern.stiffness(entries) is K
+        assert pattern.jacobian(K, blocks) is J
+        fresh = JacobianPattern()
+        fresh.layout_for(mesh)
+        fresh_K = fresh.stiffness(entries)
+        assert fresh_K is not K
+        assert np.array_equal(fresh_K.data, K.data)
+        assert np.array_equal(fresh.jacobian(fresh_K, blocks).data, J.data)
+        fresh.factor = factor
+        again = newton_solve(moved, chains, *self.args, guess=first.phi,
+                             pattern=fresh)
+        assert np.array_equal(again.phi, kept.phi)
+
+    def test_dirichlet_mask_kept_until_the_boundary_changes(self, pit_case):
+        # the mask is read again only when triangles, edge nodes or edge
+        # tags change; a retag that leaves the Dirichlet set keeps the
+        # layout and the factor
+        mesh, chains = pit_case
+        pattern = JacobianPattern()
+        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        fixed, layout, factor = pattern.fixed, pattern.layout, pattern.factor
+        assert np.array_equal(fixed, fem.dirichlet_mask(mesh))
+        pattern.layout_for(moved_interior(mesh, 1))
+        assert pattern.fixed is fixed
+        retagged = mesh.copy()
+        bottom = np.flatnonzero(retagged.edge_tags == BoundaryTag.BOTTOM)[0]
+        retagged.edge_tags[bottom] = BoundaryTag.PIT
+        assert pattern.layout_for(retagged) is layout
+        assert pattern.fixed is not fixed
+        assert np.array_equal(pattern.fixed, fixed)
+        assert pattern.factor is factor
+
     def test_band_holds_the_free_stiffness_block(self, pit_case):
         mesh, _ = pit_case
         fixed = fem.dirichlet_mask(mesh)
-        layout = JacobianPattern().layout_for(mesh, fixed)
+        layout = JacobianPattern().layout_for(mesh)
         free = np.flatnonzero(~fixed)
         assert np.array_equal(layout.order, side_wall_order(mesh, free))
         K = assemble_stiffness(mesh)[layout.order][:, layout.order].toarray()
@@ -389,9 +444,8 @@ class TestJacobianPattern:
         # the CSR structure in layout order, filled with the stiffness
         # and then with the Jacobian of a pit-flux term
         mesh, chains = pit_case
-        fixed = fem.dirichlet_mask(mesh)
         pattern = JacobianPattern()
-        order = pattern.layout_for(mesh, fixed).order
+        order = pattern.layout_for(mesh).order
         K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
         dense = assemble_stiffness(mesh).toarray()
         scale = np.abs(dense).max()
@@ -426,13 +480,13 @@ class TestBandNewton:
         mesh, chains = merged_case
         guess = 0.9 * newton_solve(mesh, chains, *self.args).phi
         steps = []
-        real = fem.cho_solve_banded
+        real = fem.band_solve
 
-        def recorded(factor, rhs, **kwargs):
-            steps.append(real(factor, rhs, **kwargs))
+        def recorded(factor, rhs):
+            steps.append(real(factor, rhs))
             return steps[-1]
 
-        monkeypatch.setattr(fem, "cho_solve_banded", recorded)
+        monkeypatch.setattr(fem, "band_solve", recorded)
         pattern = JacobianPattern()
         newton_solve(mesh, chains, *self.args, guess=guess, pattern=pattern)
         assert steps
@@ -504,3 +558,51 @@ def test_band_no_wider_than_rcm_and_built_without_warnings():
         order = reverse_cuthill_mckee(K_b, symmetric_mode=True)
         upper = K_b[order][:, order].tocoo()
         assert layout.width <= np.max(upper.col - upper.row)
+
+
+class TestCornerGather:
+    """The flat-index corner gathers against fancy-indexed references."""
+
+    @pytest.mark.parametrize("name", ["homog", "twopit"])
+    def test_bit_identical_on_the_benchmark_meshes(self, bench_starts, name):
+        mesh = bench_starts[name].mesh
+        rng = np.random.default_rng(7)
+        assert np.array_equal(mesh.signed_areas(),
+                              signed_areas_by_fancy_index(mesh))
+        weight = rng.uniform(0.5, 2.0, mesh.n_triangles)
+        assert np.array_equal(fem._cell_stiffness(mesh),
+                              cell_stiffness_by_fancy_index(mesh))
+        assert np.array_equal(fem._cell_stiffness(mesh, weight),
+                              cell_stiffness_by_fancy_index(mesh, weight))
+        metric = rng.lognormal(0.0, 2.0, mesh.n_vertices)
+        assert np.array_equal(adapt.element_metrics(mesh, metric),
+                              element_metrics_by_mean(mesh, metric))
+
+    def test_kept_indices_follow_cells_flipped_in_place(self):
+        # orient_ccw flips cells in the triangles array itself, so state
+        # keyed on that array's identity would keep a stale gather
+        mesh = make_rect_mesh(5, 4)
+        mesh.triangles[::3] = mesh.triangles[::3][:, [0, 2, 1]]
+        factor = adapt.StiffnessFactor()
+        pattern = JacobianPattern()
+        stale = factor.structure(mesh)[0].copy()
+        pattern.layout_for(mesh)
+        assert mesh.orient_ccw() == len(mesh.triangles[::3])
+        corners = factor.structure(mesh)[0]
+        assert not np.array_equal(corners, stale)
+        assert np.array_equal(corners, corner_index(mesh.triangles))
+        pattern.layout_for(mesh)
+        assert np.array_equal(pattern.corners, corners)
+        assert np.array_equal(mesh.signed_areas(),
+                              signed_areas_by_fancy_index(mesh))
+        assert np.all(mesh.signed_areas() > 0.0)
+        assert np.array_equal(fem._cell_stiffness(mesh, corners=corners),
+                              cell_stiffness_by_fancy_index(mesh))
+
+
+@pytest.mark.parametrize("name", ["homog", "twopit"])
+def test_side_wall_levels_equal_dijkstra(bench_starts, name):
+    mesh = bench_starts[name].mesh
+    levels = fem.side_wall_levels(mesh)
+    assert np.array_equal(levels, side_wall_levels_by_dijkstra(mesh))
+    assert np.isfinite(levels).all()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pitmesh import driver
 from pitmesh import electrochem as ec
 from pitmesh import front
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
@@ -401,3 +402,73 @@ class TestInvariants:
 
     def test_line_intersection_parallel_none(self):
         assert line_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
+
+
+def surface_pit_mesh(chain_points, margin=1.0):
+    """A hand-built pit: chain_points from corner to corner, a surface
+    vertex margin beyond each corner on bottom edges, and a fan of cells
+    to a vertex above.  Returns the mesh and the chain (vertices 1..n)."""
+    pts = np.asarray(chain_points, dtype=float)
+    n = len(pts)
+    left = pts[0] - (margin, 0.0)
+    right = pts[-1] + (margin, 0.0)
+    top = (pts[:, 0].mean(), 10.0)
+    verts = np.vstack((left, pts, right, top))
+    apex = n + 2
+    tris = [[i, i + 1, apex] for i in range(n + 1)]
+    edges = [[0, 1]] + [[i, i + 1] for i in range(1, n)] + [[n, n + 1]]
+    tags = [BoundaryTag.BOTTOM] + [BoundaryTag.PIT] * (n - 1) \
+        + [BoundaryTag.BOTTOM]
+    mesh = TriMesh(verts, np.array(tris), np.array(edges), np.array(tags))
+    mesh.orient_ccw()
+    return mesh, PitChain(0, np.arange(1, n + 1))
+
+
+class TestChainChecks:
+    """Each front function checks the chain invariants it can break.
+
+    driver._check_state keeps only its area tests, so these states pass
+    it; the front functions name them instead.
+    """
+
+    SHALLOW = [(-3.0, 0.0), (-2.0, -0.5), (-1.0, -0.5), (0.0, -0.5),
+               (1.0, -0.5), (2.0, -0.5), (3.0, 0.0)]
+
+    def test_advance_names_an_interior_vertex_above_the_surface(self):
+        # the middle vertex is pushed up 1 um; the limiter lets it rise
+        # 0.6 of that, to y = 0.1
+        mesh, chain = surface_pit_mesh(self.SHALLOW)
+        normals = np.tile([0.0, -1.0], (chain.n_vertices, 1))
+        normals[3] = (0.0, 1.0)
+        vn = np.zeros(chain.n_vertices)
+        vn[3] = 2.0
+        with pytest.raises(FrontError,
+                           match=rf"pit 0: interior vertex {chain.vertices[3]} "
+                                 r"above y=0"):
+            advance_pit(mesh, chain, vn, normals, 0.5)
+        assert mesh.vertices[chain.vertices[3], 1] > 0.0
+        min_area, _ = driver._check_state(mesh, [chain], 1, -np.inf)
+        assert min_area > 0.0
+
+    def test_corner_update_names_a_corner_off_the_surface(self):
+        # a vertex lost to NaN extrapolates the wall to no point of y = 0
+        mesh, chain = surface_pit_mesh(self.SHALLOW)
+        mesh.vertices[chain.vertices[1], 0] = np.nan
+        with pytest.raises(FrontError, match="pit 0: corner not on y=0"):
+            update_corners(mesh, chain)
+
+    def test_merge_names_an_untagged_chain_edge(self):
+        # a stale candidate names an edge other than the gap, so the gap
+        # edge joining the chains keeps its surface tag
+        from test_mesh import chain_mesh
+        mesh, _ = chain_mesh([(-6.0, 0.0), (-3.0, -3.0), (-1.0, 0.0),
+                              (1.0, 0.0), (3.0, -3.0), (6.0, 0.0)])
+        gap = 2
+        mesh.edge_tags[gap] = BoundaryTag.BOTTOM
+        chains = [PitChain(0, [0, 1, 2]), PitChain(1, [3, 4, 5])]
+        with pytest.raises(FrontError, match=r"merging pits 0 and 1: "
+                                             r"pit 0: edge \(2,3\) not tagged"):
+            merge_pits(mesh, chains, MergeCandidate(0, 0, 1, 2.0))
+        assert mesh.edge_tags[gap] == BoundaryTag.BOTTOM
+        min_area, _ = driver._check_state(mesh, chains, 1, -np.inf)
+        assert min_area > 0.0
