@@ -18,6 +18,11 @@ the summary as JSON.  Reads bench/workloads/ only and writes nothing:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/ab_steps.py PARENT CHANGE \\
         --workload homog --pairs 28
+
+With --setup each pass stops at the step-0 hook, as bench/run.py's
+set-up top-ups do, so a pair costs two set-ups rather than two runs; the
+summary then has the set-up ratios alone, and a pair whose smoothed mesh
+or step-0 phi differ between the sides is flagged.
 """
 
 import argparse
@@ -53,6 +58,30 @@ def load_checkout(root: str, name: str):
     return package
 
 
+class _SetupDone(Exception):
+    """Raised from the step-0 hook to end a set-up-only pass."""
+
+
+def setup_pass(package, config_path: Path, jitter: int) -> dict:
+    """driver.run of the config at a jitter seed, up to its step-0 hook."""
+    config = package.io.parse_config(str(config_path))
+    config.seed = jitter
+    got = {}
+    start = time.perf_counter()
+
+    def hook(step, t, mesh, chains, phi):
+        got["setup_s"] = time.perf_counter() - start
+        got["outputs"] = (mesh.vertices.tobytes(), mesh.triangles.tobytes(),
+                          phi.tobytes())
+        raise _SetupDone
+
+    try:
+        package.driver.run(config, step_hook=hook)
+    except _SetupDone:
+        return got
+    raise RuntimeError("driver.run returned without calling the step-0 hook")
+
+
 def timed_pass(package, config_path: Path, jitter: int) -> dict:
     """One driver.run of the config at a jitter seed, timed at its hooks."""
     config = package.io.parse_config(str(config_path))
@@ -85,6 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="jitter seed of the first pass")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--setup", action="store_true",
+                        help="time set-ups alone, each pass stopped at step 0")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -98,25 +129,31 @@ def main(argv=None) -> int:
     for package in packages.values():
         logging.getLogger(package.__name__).setLevel(logging.ERROR)
 
-    keys = ("p50", "p90", "setup_s", "pass_s")
+    keys = ("setup_s",) if args.setup else ("p50", "p90", "setup_s", "pass_s")
+    run_pass = setup_pass if args.setup else timed_pass
     ratios = {key: [] for key in keys}
     differing = []
     for k in range(args.pairs):
         jitter = args.seed + k
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        got = {side: timed_pass(packages[side], config_path, jitter)
+        got = {side: run_pass(packages[side], config_path, jitter)
                for side in order}
         for key in keys:
             ratios[key].append(got["change"][key] / got["parent"][key])
         same = got["parent"]["outputs"] == got["change"]["outputs"]
         if not same:
             differing.append(jitter)
-        print(f"pass {k} seed {jitter} {order[0]} first: step p50 "
-              f"{got['parent']['p50']:.3f} -> {got['change']['p50']:.3f} ms, "
-              f"p90 {got['parent']['p90']:.3f} -> {got['change']['p90']:.3f} ms"
+        parent, change = got["parent"], got["change"]
+        if args.setup:
+            times = (f"set-up {1e3 * parent['setup_s']:.2f} -> "
+                     f"{1e3 * change['setup_s']:.2f} ms")
+        else:
+            times = (f"step p50 {parent['p50']:.3f} -> {change['p50']:.3f} ms, "
+                     f"p90 {parent['p90']:.3f} -> {change['p90']:.3f} ms")
+        print(f"pass {k} seed {jitter} {order[0]} first: {times}"
               + ("" if same else "  OUTPUTS DIFFER"), flush=True)
     result = {"workload": args.workload, "pairs": args.pairs,
-              "first_seed": args.seed,
+              "first_seed": args.seed, "setup_only": args.setup,
               "ratios": {key: summary(ratios[key]) for key in keys},
               "outputs_differ_at_seeds": differing}
     for key in keys:

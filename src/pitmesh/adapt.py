@@ -61,7 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .fem import BandLayout, _cell_stiffness, band_solve, side_wall_levels
+from .fem import BandLayout, SideWallLevels, _cell_stiffness, band_solve
 from .mesh import (MeshError, NearestSegments, PitChain, TriMesh, boundary_key,
                    corner_index, matches_boundary_key, min_distance_to_pit,
                    vertex_roles)
@@ -245,7 +245,9 @@ class StiffnessFactor:
 
     Each free block of K has a fem.BandLayout: its order, in sweeps from
     the left side wall, and the band slot of every cell stiffness entry.
-    Both blocks take their order from one side_wall_levels of the mesh.
+    Both blocks take their order from one side_wall_levels of the mesh,
+    kept in levels, a SideWallLevels a run shares with Newton, or one of
+    its own.
     The layouts depend only on the triangulation and the free set, so they
     are built again only when those change; a refactorisation fills each
     band from the weighted cell stiffness by one bincount and factorises
@@ -255,7 +257,8 @@ class StiffnessFactor:
     the heap.  Every solve with a band factor is one fem.band_solve.
     """
 
-    def __init__(self):
+    def __init__(self, levels: Optional[SideWallLevels] = None):
+        self.levels = SideWallLevels() if levels is None else levels
         self.factorisations = 0
         self.minimiser_calls = 0
         self._boundary = None   # mesh.boundary_key of _structure
@@ -304,7 +307,7 @@ class StiffnessFactor:
         self.pairs.clear()
         entries = _cell_stiffness(mesh, density).ravel()
         if not same_layout:
-            levels = side_wall_levels(mesh)
+            levels = self.levels.of(mesh)
             self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c]),
                                             levels))
                              for c in range(2) if np.any(free[:, c])]

@@ -193,17 +193,19 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     that copy, whatever the failing call left half done.  One
     StiffnessFactor serves every mesh relaxation of the run, and with it
     each relaxation starts from the last one's motion; one JacobianPattern
-    serves every potential solve; one NearestSegments serves every
-    monitor, the initial smoothing's included.  The state check after
-    each step keeps only the area tests: every cell stays positive and the
-    pit area does not shrink.  The front functions check the chain
-    invariants on the chains they move or retag: advance_pit the interior
-    below y = 0 and no self-crossing, update_corners the corners on y = 0
-    and the tags of an absorption, merge_pits the merged chain's tags and
-    crossings.
+    serves every potential solve, and the two share one SideWallLevels,
+    so a run sweeps its triangulation's levels once; one NearestSegments
+    serves every monitor, the initial smoothing's included.  The state
+    check after each step keeps only the area tests: every cell stays
+    positive and the pit area does not shrink.  The front functions check
+    the chain invariants on the chains they move or retag: advance_pit the
+    interior below y = 0 and no self-crossing, update_corners the corners
+    on y = 0 and the tags of an absorption, merge_pits the merged chain's
+    tags and crossings.
     """
-    factor = adapt.StiffnessFactor()
-    pattern = fem.JacobianPattern()
+    levels = fem.SideWallLevels()
+    factor = adapt.StiffnessFactor(levels)
+    pattern = fem.JacobianPattern(levels)
     nearest = NearestSegments()
     init = init_mesh(config, factor, pattern, nearest)
     # the loop moves its own copies in place; init keeps the starting state.

@@ -13,7 +13,8 @@ one call of LAPACK's dpbtrs.  The order sweeps the mesh from its left
 side wall, one breadth-first level of the mesh graph after another.  It
 reads structure alone, so one layout serves every cell weighting on a
 triangulation.  The mesh relaxation's preconditioner blocks and the free
-block of Newton's Jacobian use it.
+block of Newton's Jacobian use it, and a run's layouts share the levels
+of one sweep through a SideWallLevels.
 
 The triangulation and the Dirichlet set stay fixed over a run, so a
 JacobianPattern keeps the structure of the Jacobian's free block: the
@@ -28,7 +29,8 @@ Nonlinear Equations, SIAM 1995; Eisenstat and Walker, SIAM J. Sci.
 Comput. 17, 1996).  Only when there is no factor, or the iterations
 break down or miss their target within _PCG_MAX_ITERS, does a step fill
 the band, subtract the pit-edge terms in place, factorise it and keep
-the factor.
+the factor.  Only phi changes within a solve, so the pit edges' V_corr
+and quadrature weights (PitEdges) are computed once a solve.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -56,9 +58,9 @@ from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, boundary_key,
                    corner_index, matches_boundary_key)
 
 __all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
-           "BandLayout", "band_solve", "assemble_stiffness",
-           "boundary_residual_and_jacobian", "dirichlet_mask",
-           "JacobianPattern", "newton_solve", "splu"]
+           "SideWallLevels", "BandLayout", "band_solve", "assemble_stiffness",
+           "PitEdges", "pit_edges", "boundary_residual_and_jacobian",
+           "dirichlet_mask", "JacobianPattern", "newton_solve", "splu"]
 
 UM_TO_M = 1.0e-6
 
@@ -162,6 +164,32 @@ def side_wall_levels(mesh: TriMesh) -> np.ndarray:
     return levels
 
 
+class SideWallLevels:
+    """side_wall_levels of a triangulation, swept once for its users.
+
+    The levels read the triangles and the left side wall's vertices
+    alone, so the relaxation's layouts and Newton's of one run can share
+    one sweep: of(mesh) sweeps again only when mesh's triangles or
+    side-wall vertices differ from the last sweep's.  A merge or a corner
+    absorption retags edges and leaves both, so it takes no sweep.
+    """
+
+    def __init__(self):
+        self._key = None    # (triangles, side-wall vertices) of the sweep
+        self._levels = None
+
+    def of(self, mesh: TriMesh) -> np.ndarray:
+        """side_wall_levels(mesh), from the kept sweep when it matches."""
+        x = mesh.vertices[:, 0]
+        wall = np.flatnonzero(x == x.min())
+        if self._key is None or not (
+                np.array_equal(mesh.triangles, self._key[0])
+                and np.array_equal(wall, self._key[1])):
+            self._levels = side_wall_levels(mesh)
+            self._key = (mesh.triangles.copy(), wall)
+        return self._levels
+
+
 class BandLayout:
     """Upper band storage of one diagonal block of a P1 stiffness matrix.
 
@@ -239,21 +267,34 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     return K.tocsr()
 
 
-def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
-                                   phi: np.ndarray, material: MaterialSpec,
-                                   vc_params: VcorrParams, eparams: ElectroParams):
-    """Pit-flux load vector b_k = int i(phi)/sigma_c * N_k ds and d b/d phi.
+@dataclass
+class PitEdges:
+    """The part of the pit-flux integrals that reads the mesh alone.
 
-    d b/d phi comes as the 2x2 blocks of the pit edges, (a, b, jaa, jab,
-    jbb): edge k from vertex a[k] to b[k] adds jaa[k] at (a, a), jab[k] at
-    (a, b) and (b, a), and jbb[k] at (b, b).  V_corr is evaluated at each
-    quadrature point from its position and the edge's outward face normal.
-    Edge lengths are converted to meters.
+    Edge k of the pit chains runs from vertex a[k] to b[k]; vc holds
+    V_corr at its quadrature points, (ne, nq), from their positions and
+    the edge's outward face normal; weight holds the quadrature weights
+    times the edge's half length in meters over sigma_c, (ne, nq).  Only
+    phi changes within a Newton solve, so one PitEdges serves each of its
+    iterations.
     """
-    nv = mesh.n_vertices
+    n_vertices: int
+    eparams: ElectroParams
+    a: np.ndarray
+    b: np.ndarray
+    vc: np.ndarray
+    weight: np.ndarray
+
+
+def pit_edges(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
+              vc_params: VcorrParams, eparams: ElectroParams) -> PitEdges:
+    """The pit edges' V_corr and quadrature weights on mesh."""
+    nq = len(_GAUSS_XI)
+    # with no chains there are no edges to concatenate
     if not chains:
         none = np.zeros(0, dtype=np.int64)
-        return np.zeros(nv), (none, none, np.zeros(0), np.zeros(0), np.zeros(0))
+        return PitEdges(mesh.n_vertices, eparams, none, none,
+                        np.zeros((0, nq)), np.zeros((0, nq)))
     a_idx = np.concatenate([ch.vertices[:-1] for ch in chains])
     b_idx = np.concatenate([ch.vertices[1:] for ch in chains])
     pa = mesh.vertices[a_idx]
@@ -263,17 +304,31 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
     if np.any(lengths <= 0.0):
         raise MeshError("zero-length pit edge in boundary integral")
     normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
-
-    xi, w = _GAUSS_XI, _GAUSS_W
-    na = 0.5 * (1.0 - xi)              # hat value of edge start, (nq,)
-    nb = 0.5 * (1.0 + xi)
+    # hat values of the edge's start and end at the quadrature points
+    na, nb = 0.5 * (1.0 - _GAUSS_XI), 0.5 * (1.0 + _GAUSS_XI)
     pos = pa[:, None, :] * na[None, :, None] + pb[:, None, :] * nb[None, :, None]
-    ne, nq = len(a_idx), len(xi)
     vc = vcorr_many(material, vc_params, pos.reshape(-1, 2),
-                    np.repeat(normals, nq, axis=0)).reshape(ne, nq)
+                    np.repeat(normals, nq, axis=0)).reshape(len(a_idx), nq)
+    weight = (0.5 * lengths * UM_TO_M)[:, None] * _GAUSS_W[None, :] \
+        / eparams.sigma_c
+    return PitEdges(mesh.n_vertices, eparams, a_idx, b_idx, vc, weight)
+
+
+def boundary_residual_and_jacobian(edges: PitEdges, phi: np.ndarray):
+    """Pit-flux load vector b_k = int i(phi)/sigma_c * N_k ds and d b/d phi.
+
+    edges come from pit_edges on the mesh phi lives on.  d b/d phi comes
+    as the 2x2 blocks of the pit edges, (a, b, jaa, jab, jbb): edge k from
+    vertex a[k] to b[k] adds jaa[k] at (a, a), jab[k] at (a, b) and
+    (b, a), and jbb[k] at (b, b).
+    """
+    nv, eparams = edges.n_vertices, edges.eparams
+    a_idx, b_idx, weight = edges.a, edges.b, edges.weight
+    na, nb = 0.5 * (1.0 - _GAUSS_XI), 0.5 * (1.0 + _GAUSS_XI)
+    nq = len(na)
     phi_q = phi[a_idx][:, None] * na[None, :] + phi[b_idx][:, None] * nb[None, :]
     try:
-        cur = electrochem.current_density(eparams, vc, phi_q)
+        cur = electrochem.current_density(eparams, edges.vc, phi_q)
     except OverflowGuardError as err:
         bad = err.index // nq
         raise OverflowGuardError(
@@ -281,7 +336,6 @@ def boundary_residual_and_jacobian(mesh: TriMesh, chains: Sequence[PitChain],
             err.index) from err
     dcur = -eparams.alpha * eparams.zf_rt * cur
 
-    weight = (0.5 * lengths * UM_TO_M)[:, None] * w[None, :] / eparams.sigma_c
     # bincount adds in index order, all edge starts before all edge ends
     res = np.bincount(np.concatenate((a_idx, b_idx)),
                       weights=np.concatenate(
@@ -318,11 +372,13 @@ class JacobianPattern:
     the triangles and the Dirichlet mask match, and a mesh that does not
     match gets a new structure and drops the factor.  factor is the upper
     band Cholesky factor of the last Jacobian factorised, which
-    preconditions the Jacobians after it.  Counts the Newton solves and
-    iterations it served.
+    preconditions the Jacobians after it.  The layout's levels come from
+    levels, a SideWallLevels a run shares with its relaxation, or one of
+    its own.  Counts the Newton solves and iterations it served.
     """
 
-    def __init__(self):
+    def __init__(self, levels: Optional[SideWallLevels] = None):
+        self.levels = SideWallLevels() if levels is None else levels
         self.solves = 0
         self.iterations = 0
         self.layout = None
@@ -351,7 +407,7 @@ class JacobianPattern:
                 and np.array_equal(fixed, self._key[1]):
             return self.layout
         self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed),
-                                          side_wall_levels(mesh))
+                                          self.levels.of(mesh))
         self._key = (self._boundary[0], fixed)
         self.factor = None
         self.corners = corner_index(mesh.triangles)
@@ -453,11 +509,11 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     free = layout.order
     entries = _cell_stiffness(mesh, corners=pattern.corners).ravel()
     K = pattern.stiffness(entries)
+    edges = pit_edges(mesh, chains, material, vc_params, eparams)
 
     history = []
     for it in range(_MAX_ITERS + 1):
-        b, dB = boundary_residual_and_jacobian(
-            mesh, chains, phi, material, vc_params, eparams)
+        b, dB = boundary_residual_and_jacobian(edges, phi)
         # phi is zero on the Dirichlet set, so no lift enters the free rows
         rf = K @ phi[free] - b[free]
         norm = float(np.linalg.norm(rf))

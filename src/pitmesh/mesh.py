@@ -20,7 +20,8 @@ _DISTANCE_BLOCK = 256
 # NearestSegments: segments on either side of a point's nearest one that
 # a later call computes, the share of points failing the bound above
 # which it takes a new reference (one in _KEPT_REFRESH), and its rounding
-# margin relative to the largest coordinate
+# margin relative to the largest coordinate, which meshgen's lattice
+# clearance test also takes
 _KEPT_WINDOW = 2
 _KEPT_REFRESH = 8
 _KEPT_SLACK = 1e-9

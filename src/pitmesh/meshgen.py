@@ -9,7 +9,10 @@ reproduce every polygon edge; anything else raises MeshGenError.
 
 Lattice points and cell centroids at y >= 0 lie in the rectangle, so the
 clipping tests only those below y = 0, against the pit edges alone and in
-fixed-size blocks: memory grows linearly with the mesh.
+fixed-size blocks: memory grows linearly with the mesh.  Every bottom and
+pit edge lies at y <= 0, so the lattice's clearance from the polygon is
+measured only on the points near y = 0, a side wall or the top; the rest
+lie farther than the clearance from every edge.
 
 A short bottom segment between two pits is kept as a single edge (no
 interior nodes): pit corners are pinned during mesh motion, so nodes
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .mesh import (_DISTANCE_BLOCK, BoundaryTag, PitChain, TriMesh,
-                   nearest_segment_distances, validate)
+from .mesh import (_DISTANCE_BLOCK, _KEPT_SLACK, BoundaryTag, PitChain,
+                   TriMesh, nearest_segment_distances, validate)
 
 logger = logging.getLogger("pitmesh.meshgen")
 
@@ -210,8 +213,20 @@ def _interior_lattice(domain: DomainSpec, pits: PitSpec, poly: np.ndarray,
     pts = np.column_stack((gx.ravel(), gy.ravel()))
     pts += rng.uniform(-0.01 * h, 0.01 * h, size=pts.shape)
     pts = pts[points_in_domain(pts, *pit_edges)]
-    dist = nearest_segment_distances(pts, poly, np.roll(poly, -1, axis=0))
-    pts = pts[dist >= 0.55 * h]
+    # a point clear of y = 0, the side walls and the top by more than
+    # 0.55 h is that far from every polygon edge; the rounding margin keeps
+    # every point whose computed distance could fall below 0.55 h.  The
+    # distance kernel works point by point, so the candidates' distances
+    # equal those of a call on all the points bit for bit
+    reach = 0.55 * h + _KEPT_SLACK * max(float(np.abs(poly).max()), 1.0)
+    x, y = pts[:, 0], pts[:, 1]
+    near = np.flatnonzero((y < reach) | (y > domain.height - reach)
+                          | (x < domain.xmin + reach)
+                          | (x > domain.xmax - reach))
+    dist = nearest_segment_distances(pts[near], poly, np.roll(poly, -1, axis=0))
+    keep = np.ones(len(pts), dtype=bool)
+    keep[near] = dist >= 0.55 * h
+    pts = pts[keep]
     # a bare gap edge only stays in the Delaunay triangulation if its
     # diametral circle is empty, so clear the lattice above it
     for mid, gap in gap_edges:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pitmesh import fem, io
+from pitmesh import adapt, driver, fem, io
 from pitmesh.driver import init_mesh
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -25,6 +25,23 @@ def band_calls(monkeypatch):
 
     monkeypatch.setattr(fem, "BandLayout", layout)
     monkeypatch.setattr(fem, "cholesky_banded", factor)
+    return calls
+
+
+@pytest.fixture
+def level_sweeps(monkeypatch):
+    """Calls of fem.side_wall_levels, through every module that holds it."""
+    calls = []
+    real = fem.side_wall_levels
+
+    def counted(mesh):
+        calls.append(1)
+        return real(mesh)
+
+    for module in (adapt, driver, fem):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 

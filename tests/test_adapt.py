@@ -545,19 +545,11 @@ class TestStiffnessFactor:
         assert len(layouts) == 4
 
     def test_layout_built_once_over_density_refactorisations(self, pit_mesh,
-                                                             monkeypatch):
+                                                             level_sweeps):
         # the band order reads structure alone, so density-driven
         # refactorisations reuse it, and the x and y blocks share one
         # breadth-first sweep
-        calls = []
-        real = fem.side_wall_levels
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "side_wall_levels", counted)
-        monkeypatch.setattr(adapt, "side_wall_levels", counted)
+        calls = level_sweeps
         mesh = pit_mesh[0]
         free = self.free_blocks(mesh)
         density = np.ones(mesh.n_triangles)
@@ -582,9 +574,10 @@ class TestStiffnessFactor:
             assert got.shape == band.shape
             assert np.max(np.abs(got - band)) <= 1e-14 * np.max(np.abs(band))
 
-    def test_kept_free_mask_follows_a_retag(self, pit_mesh):
+    def test_kept_free_mask_follows_a_retag(self, pit_mesh, level_sweeps):
         # absorbing a surface vertex retags its bottom edge as Pit in
-        # place; the next relaxation on the same factor pins that vertex
+        # place; the next relaxation on the same factor pins that vertex,
+        # with new layouts on the levels of the one sweep
         mesh, chains, _ = pit_mesh
         mesh = mesh.copy()
         p = AdaptParams()
@@ -602,6 +595,8 @@ class TestStiffnessFactor:
         assert np.array_equal(res.positions[neighbor],
                               mesh.vertices[neighbor])
         assert factor.structure(mesh)[1][neighbor].tolist() == [0.0, 0.0]
+        assert factor.factorisations == 2
+        assert len(level_sweeps) == 1
 
     def test_inverts_each_free_block(self):
         mesh = make_rect_mesh(7, 5)

@@ -374,6 +374,23 @@ class TestRun:
         assert result.minimiser_calls == \
             len(result.init.smooth.trace) + result.steps
 
+    def test_one_level_sweep_a_run(self, level_sweeps):
+        # the relaxation's layouts and Newton's share the run's levels,
+        # and the merge, a retag, keeps them
+        result = run(merge_config())
+        assert [event.step for event in result.events] == [12]
+        assert len(level_sweeps) == 1
+
+    def test_calls_without_a_run_sweep_for_themselves(self, level_sweeps):
+        cfg = merge_config()
+        mesh, chains, _ = build_initial_mesh(cfg.domain, cfg.pits,
+                                             cfg.target_h, cfg.seed)
+        metric = adapt.monitor_mackenzie(mesh, chains, cfg.adapt)
+        adapt.mmpde_step(mesh, metric, cfg.adapt, cfg.front.dt)
+        assert len(level_sweeps) == 1
+        fem.newton_solve(mesh, chains, cfg.material, cfg.vcorr, cfg.electro)
+        assert len(level_sweeps) == 2
+
     def test_kept_nearest_segments_give_the_stateless_monitor(self, merge_run):
         # the initial smoothing's monitors and every step's
         result, monitors, kept, _ = merge_run

@@ -10,7 +10,7 @@ from pitmesh import adapt, fem
 from pitmesh.driver import SimConfig, init_mesh
 from pitmesh.fem import (BandLayout, JacobianPattern, NewtonError,
                          assemble_stiffness, boundary_residual_and_jacobian,
-                         newton_solve)
+                         newton_solve, pit_edges)
 from pitmesh.front import FrontParams, detect_merge, merge_pits
 from pitmesh.mesh import (BoundaryTag, MeshError, PitChain, TriMesh,
                           corner_index, vertex_roles)
@@ -28,6 +28,12 @@ def reference_triangle():
                    np.array([[0, 1], [1, 2], [2, 0]]),
                    np.array([BoundaryTag.BOTTOM, BoundaryTag.RIGHT,
                              BoundaryTag.TOP]))
+
+
+def boundary_terms(mesh, chains, phi, material, vc_params, eparams):
+    """The pit-flux load vector and edge blocks of phi on mesh."""
+    return boundary_residual_and_jacobian(
+        pit_edges(mesh, chains, material, vc_params, eparams), phi)
 
 
 def pit_edge_mesh(length):
@@ -103,7 +109,7 @@ class TestBoundaryTerm:
         vc = VcorrParams()
         import pitmesh.electrochem as ec
         i0 = float(ec.current_density(ep, -0.24, 0.0))
-        res, jac = boundary_residual_and_jacobian(
+        res, jac = boundary_terms(
             mesh, [chain], np.zeros(4), Homogeneous(-0.24), vc, ep)
         expected = i0 * (length * 1e-6) / (2.0 * ep.sigma_c)
         assert res[0] == pytest.approx(expected, rel=1e-12)
@@ -119,7 +125,7 @@ class TestBoundaryTerm:
         mat = Crystal(orientation_from_axes([1, 0, 1], [-1, 0, 1]))
         rng = np.random.default_rng(0)
         phi = rng.uniform(0.0, 0.01, mesh.n_vertices)
-        res0, jac = boundary_residual_and_jacobian(mesh, chains, phi, mat, vc, ep)
+        res0, jac = boundary_terms(mesh, chains, phi, mat, vc, ep)
         jac = edge_jacobian(mesh.n_vertices, jac)
         eps = 1e-7
         cols = np.unique(np.concatenate([c.vertices for c in chains]))
@@ -127,9 +133,9 @@ class TestBoundaryTerm:
         scale = np.abs(jac).max()
         for col in cols:
             phi[col] += eps
-            rp, _ = boundary_residual_and_jacobian(mesh, chains, phi, mat, vc, ep)
+            rp, _ = boundary_terms(mesh, chains, phi, mat, vc, ep)
             phi[col] -= 2 * eps
-            rm, _ = boundary_residual_and_jacobian(mesh, chains, phi, mat, vc, ep)
+            rm, _ = boundary_terms(mesh, chains, phi, mat, vc, ep)
             phi[col] += eps
             fd = (rp - rm) / (2 * eps)
             worst = max(worst, np.abs(fd - jac[:, col]).max() / scale)
@@ -137,7 +143,7 @@ class TestBoundaryTerm:
 
     def test_no_pits_gives_zero(self):
         mesh = make_rect_mesh(3, 3)
-        res, jac = boundary_residual_and_jacobian(
+        res, jac = boundary_terms(
             mesh, [], np.zeros(mesh.n_vertices), Homogeneous(-0.24),
             VcorrParams(), ElectroParams())
         assert np.all(res == 0.0)
@@ -147,9 +153,8 @@ class TestBoundaryTerm:
         mesh, chain = pit_edge_mesh(1.0)
         ep = ElectroParams()
         with pytest.raises(OverflowGuardError, match="pit edge"):
-            boundary_residual_and_jacobian(mesh, [chain],
-                                           np.full(4, -30.0),
-                                           Homogeneous(-0.24), VcorrParams(), ep)
+            boundary_terms(mesh, [chain], np.full(4, -30.0),
+                           Homogeneous(-0.24), VcorrParams(), ep)
         # a two-edge chain 0-1-2 with phi low only at vertex 2: the first
         # edge's exponents stay below the guard, the second's do not
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
@@ -162,8 +167,8 @@ class TestBoundaryTerm:
         chain = PitChain(0, np.array([0, 1, 2]))
         phi = np.array([0.0, 0.0, -30.0, 0.0, 0.0, 0.0])
         with pytest.raises(OverflowGuardError, match=r"on pit edge 1 \(1-2\)"):
-            boundary_residual_and_jacobian(mesh, [chain], phi,
-                                           Homogeneous(-0.24), VcorrParams(), ep)
+            boundary_terms(mesh, [chain], phi, Homogeneous(-0.24),
+                           VcorrParams(), ep)
 
 
 class TestNewton:
@@ -189,6 +194,26 @@ class TestNewton:
         rates = [np.log2(errors[k] / errors[k + 1]) for k in range(2)]
         for rate in rates:
             assert rate == pytest.approx(2.0, abs=0.1)
+
+    def test_pit_edges_once_a_solve(self, monkeypatch):
+        # only phi changes within a solve: one V_corr evaluation serves
+        # every iteration's pit-flux terms
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
+                                             target_h=1.5, seed=0)
+        calls = {"pit_edges": 0, "boundary_residual_and_jacobian": 0}
+        for name in calls:
+            real = getattr(fem, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(fem, name, counted)
+        res = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
+                           ElectroParams())
+        assert res.iterations >= 2
+        assert calls == {"pit_edges": 1,
+                         "boundary_residual_and_jacobian": res.iterations + 1}
 
     def test_superlinear_residual_history(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
@@ -306,8 +331,7 @@ class TestJacobianPattern:
         assert band_calls[before:] == []
         assert kept.iterations >= 1
         free = ~fem.dirichlet_mask(moved)
-        b, _ = boundary_residual_and_jacobian(moved, chains, kept.phi,
-                                              *self.args)
+        b, _ = boundary_terms(moved, chains, kept.phi, *self.args)
         r = (assemble_stiffness(moved) @ kept.phi - b)[free]
         assert np.linalg.norm(r) <= fem._ABS_TOL + fem._REL_TOL * kept.history[0]
         fresh = newton_solve(moved, chains, *self.args, guess=first.phi)
@@ -383,8 +407,7 @@ class TestJacobianPattern:
         pattern = JacobianPattern()
         first = newton_solve(mesh, chains, *self.args, pattern=pattern)
         K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
-        _, blocks = boundary_residual_and_jacobian(mesh, chains, first.phi,
-                                                   *self.args)
+        _, blocks = boundary_terms(mesh, chains, first.phi, *self.args)
         J = pattern.jacobian(K, blocks)
         factor = pattern.factor
         moved = moved_interior(mesh, 1)
@@ -392,8 +415,7 @@ class TestJacobianPattern:
                             pattern=pattern)
         assert pattern.factor is factor
         entries = fem._cell_stiffness(moved).ravel()
-        _, blocks = boundary_residual_and_jacobian(moved, chains, kept.phi,
-                                                   *self.args)
+        _, blocks = boundary_terms(moved, chains, kept.phi, *self.args)
         assert pattern.stiffness(entries) is K
         assert pattern.jacobian(K, blocks) is J
         fresh = JacobianPattern()
@@ -452,8 +474,7 @@ class TestJacobianPattern:
         assert np.abs(K.toarray() - dense[order][:, order]).max() \
             <= 1e-14 * scale
         phi = np.random.default_rng(0).uniform(0.0, 0.01, mesh.n_vertices)
-        _, blocks = boundary_residual_and_jacobian(mesh, chains, phi,
-                                                   *self.args)
+        _, blocks = boundary_terms(mesh, chains, phi, *self.args)
         jac = dense - edge_jacobian(mesh.n_vertices, blocks)
         J = pattern.jacobian(K, blocks)
         assert J.nnz == K.nnz
@@ -492,8 +513,7 @@ class TestBandNewton:
         assert steps
         free = np.flatnonzero(~fem.dirichlet_mask(mesh))
         K = assemble_stiffness(mesh).toarray()
-        b, blocks = boundary_residual_and_jacobian(mesh, chains, guess,
-                                                   *self.args)
+        b, blocks = boundary_terms(mesh, chains, guess, *self.args)
         jac = K - edge_jacobian(mesh.n_vertices, blocks)
         delta = np.linalg.solve(jac[free][:, free], -(K @ guess - b)[free])
         step = np.zeros(mesh.n_vertices)
@@ -505,8 +525,8 @@ class TestBandNewton:
         mesh, chains = merged_case
         real = fem.boundary_residual_and_jacobian
 
-        def indefinite(*args):
-            b, (ia, ib, jaa, jab, jbb) = real(*args)
+        def indefinite(edges, phi):
+            b, (ia, ib, jaa, jab, jbb) = real(edges, phi)
             return b, (ia, ib, jaa + 1e6, jab, jbb)
 
         monkeypatch.setattr(fem, "boundary_residual_and_jacobian", indefinite)
@@ -525,8 +545,8 @@ class TestBandNewton:
         real_pcg = fem._pcg
         steps = []
 
-        def indefinite(*args):
-            b, (ia, ib, jaa, jab, jbb) = real(*args)
+        def indefinite(edges, phi):
+            b, (ia, ib, jaa, jab, jbb) = real(edges, phi)
             return b, (ia, ib, jaa + 1e6, jab, jbb)
 
         def recorded(*args):
@@ -606,3 +626,13 @@ def test_side_wall_levels_equal_dijkstra(bench_starts, name):
     levels = fem.side_wall_levels(mesh)
     assert np.array_equal(levels, side_wall_levels_by_dijkstra(mesh))
     assert np.isfinite(levels).all()
+
+
+def test_kept_levels_equal_a_fresh_sweep(bench_starts, level_sweeps):
+    # a sweep is kept until the triangles change; the levels are always
+    # those of the mesh asked about
+    kept = fem.SideWallLevels()
+    for name in ("homog", "twopit", "homog", "homog"):
+        mesh = bench_starts[name].mesh
+        assert np.array_equal(kept.of(mesh), side_wall_levels_by_dijkstra(mesh))
+    assert len(level_sweeps) == 3
