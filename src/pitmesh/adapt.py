@@ -29,8 +29,9 @@ again only when the free-vertex set changes or the cell energy densities
 drift.
 Each free block's band order and the map from cell stiffness entries to
 its band storage depend on the triangulation and the free set alone, so
-they are kept until those change; a refactorisation only refills the
-bands and factorises them.
+they are kept until those change, which a fem.MeshStructure, shared with
+Newton in a run, decides; a refactorisation only refills the bands and
+factorises them.
 The shared factor also carries the last call's displacement and its
 curvature pairs: the pit front moves about as far each step, so the mesh
 follows it smoothly and its last motion predicts the next.  A call over a
@@ -61,10 +62,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .fem import BandLayout, SideWallLevels, _cell_stiffness, band_solve
-from .mesh import (MeshError, NearestSegments, PitChain, TriMesh, boundary_key,
-                   corner_index, matches_boundary_key, min_distance_to_pit,
-                   vertex_roles)
+from .fem import BandLayout, MeshStructure, _cell_stiffness, band_solve
+from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
+                   min_distance_to_pit)
 
 logger = logging.getLogger("pitmesh.adapt")
 
@@ -238,65 +238,45 @@ class StiffnessFactor:
     belongs to the old K; a new topology drops the displacement too.
     Counts its factorisations and the minimiser calls it served.
 
-    It also keeps, for structure, the mesh's corner gather index and its
-    free mask, which read the triangles and the boundary tags alone; both
-    are rebuilt when the triangles, edge nodes or edge tags change, as a
-    corner absorption or a merge retags edges.
-
+    What it reads from the mesh's triangles and tags, the corner gather
+    index, the side-wall levels and the free mask, comes from structure,
+    a fem.MeshStructure a run shares with Newton, or one of its own.
     Each free block of K has a fem.BandLayout: its order, in sweeps from
     the left side wall, and the band slot of every cell stiffness entry.
-    Both blocks take their order from one side_wall_levels of the mesh,
-    kept in levels, a SideWallLevels a run shares with Newton, or one of
-    its own.
     The layouts depend only on the triangulation and the free set, so they
-    are built again only when those change; a refactorisation fills each
-    band from the weighted cell stiffness by one bincount and factorises
-    it by banded Cholesky.  The band factor is a plain array of its own
+    are built again only when the structure's corners or the free mask
+    are no longer the arrays they were built from; a refactorisation
+    fills each band from the weighted cell stiffness by one bincount and
+    factorises it by banded Cholesky.  The band factor is a plain array of its own
     size; a SuperLU factor reserves heap for its fill estimate, about 15
     times what it touches, and kept across calls that reserve fragments
     the heap.  Every solve with a band factor is one fem.band_solve.
     """
 
-    def __init__(self, levels: Optional[SideWallLevels] = None):
-        self.levels = SideWallLevels() if levels is None else levels
+    def __init__(self, structure: Optional[MeshStructure] = None):
+        self.structure = MeshStructure() if structure is None else structure
         self.factorisations = 0
         self.minimiser_calls = 0
-        self._boundary = None   # mesh.boundary_key of _structure
-        self._structure = None  # (corner index, free mask)
-        self._key = None        # (triangles, free) of the layouts
+        self._corners = None    # the structure's corners and the free
+        self._free = None       # mask the layouts were built from
         self._layouts = []      # (coordinate, BandLayout) per free block
         self._density = None    # cell energy densities at factorisation
         self._apply = None
         self.motion = None      # the last call's x_final - x^n, (nv, 2)
         self.pairs = CurvaturePairs()   # its L-BFGS pairs
 
-    def structure(self, mesh: TriMesh) -> tuple:
-        """(corner index, free mask) of mesh, kept while its boundary is.
+    def preconditioner(self, mesh: TriMesh, density: np.ndarray) -> Callable:
+        """v -> K^-1 v for flat (2 nv,) vectors, refactorised if stale.
 
-        The free mask, (nv, 2), is one where a coordinate may move:
-        interior vertices move freely, top/bottom vertices slide in x,
-        left/right vertices in y, and pit-chain vertices and rectangle
-        corners are pinned.
+        K is restricted to the structure's free mask.  The structure must
+        be of mesh, as mmpde_step leaves it.
         """
-        if not matches_boundary_key(mesh, self._boundary):
-            roles = vertex_roles(mesh)
-            free = np.ones((mesh.n_vertices, 2))
-            free[roles.pinned] = 0.0
-            free[roles.slide_x, 1] = 0.0
-            free[roles.slide_y, 0] = 0.0
-            self._structure = (corner_index(mesh.triangles), free)
-            self._boundary = boundary_key(mesh)
-        return self._structure
-
-    def preconditioner(self, mesh: TriMesh, density: np.ndarray,
-                       free: np.ndarray) -> Callable:
-        """v -> K^-1 v for flat (2 nv,) vectors, refactorised if stale."""
         self.minimiser_calls += 1
-        same_mesh = self._key is not None \
-            and np.array_equal(mesh.triangles, self._key[0])
+        corners, free = self.structure.corners, self.structure.free
+        same_mesh = corners is self._corners
         if not same_mesh:
             self.motion = None
-        same_layout = same_mesh and np.array_equal(free, self._key[1])
+        same_layout = same_mesh and free is self._free
         if self._apply is not None and same_layout \
                 and np.max(np.abs(np.log(density / self._density))) \
                 <= np.log(_REFACTOR_RATIO):
@@ -305,13 +285,13 @@ class StiffnessFactor:
         # peak memory
         self._apply = None
         self.pairs.clear()
-        entries = _cell_stiffness(mesh, density).ravel()
+        entries = _cell_stiffness(mesh, density, corners).ravel()
         if not same_layout:
-            levels = self.levels.of(mesh)
+            levels = self.structure.levels
             self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c]),
                                             levels))
                              for c in range(2) if np.any(free[:, c])]
-            self._key = (mesh.triangles.copy(), free)
+            self._corners, self._free = corners, free
         # each block's entries of flat (2 nv,) vectors, in its order
         blocks = [(2 * layout.order + c, layout.factor(layout.band(entries)))
                   for c, layout in self._layouts]
@@ -434,9 +414,10 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     """
     if factor is None:
         factor = StiffnessFactor()
-    corners, free = factor.structure(mesh)
-    fn = _ElementFunctional(corners, element_metrics(mesh, metric), p.theta,
-                            p.gamma)
+    structure = factor.structure.of(mesh)
+    free = structure.free
+    fn = _ElementFunctional(structure.corners, element_metrics(mesh, metric),
+                            p.theta, p.gamma)
     x0 = mesh.vertices
     # proximal weight (tau/dt)/P_i per coordinate; 0 for an infinite dt
     pull = (p.tau / dt_interval / vertex_p_scaling(metric))[:, None]
@@ -461,7 +442,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     # absolute floor with a tolerance relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
         else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
-    precond = factor.preconditioner(mesh, density, free)
+    precond = factor.preconditioner(mesh, density)
 
     x = x0.copy()
     predicted = False

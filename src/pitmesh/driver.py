@@ -193,7 +193,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     that copy, whatever the failing call left half done.  One
     StiffnessFactor serves every mesh relaxation of the run, and with it
     each relaxation starts from the last one's motion; one JacobianPattern
-    serves every potential solve, and the two share one SideWallLevels,
+    serves every potential solve, and the two share one MeshStructure,
     so a run sweeps its triangulation's levels once; one NearestSegments
     serves every monitor, the initial smoothing's included.  The state
     check after each step keeps only the area tests: every cell stays
@@ -203,9 +203,9 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     on y = 0 and the tags of an absorption, merge_pits the merged chain's
     tags and crossings.
     """
-    levels = fem.SideWallLevels()
-    factor = adapt.StiffnessFactor(levels)
-    pattern = fem.JacobianPattern(levels)
+    structure = fem.MeshStructure()
+    factor = adapt.StiffnessFactor(structure)
+    pattern = fem.JacobianPattern(structure)
     nearest = NearestSegments()
     init = init_mesh(config, factor, pattern, nearest)
     # the loop moves its own copies in place; init keeps the starting state.

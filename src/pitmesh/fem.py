@@ -13,13 +13,14 @@ one call of LAPACK's dpbtrs.  The order sweeps the mesh from its left
 side wall, one breadth-first level of the mesh graph after another.  It
 reads structure alone, so one layout serves every cell weighting on a
 triangulation.  The mesh relaxation's preconditioner blocks and the free
-block of Newton's Jacobian use it, and a run's layouts share the levels
-of one sweep through a SideWallLevels.
+block of Newton's Jacobian use it.
 
-The triangulation and the Dirichlet set stay fixed over a run, so a
-JacobianPattern keeps the structure of the Jacobian's free block: the
-Dirichlet mask, the layout, the corner gather index of the cell
-stiffness, and the stiffness block K and Jacobian J as CSR matrices in
+A MeshStructure alone decides when a mesh's triangles or tags have
+changed, and keeps what the solvers derive from them; a run's relaxation
+and Newton share one.  The triangulation and the Dirichlet set stay
+fixed over a run, so a JacobianPattern keeps the structure of the
+Jacobian's free block: the layout, and the stiffness block K and the
+Jacobian J as CSR matrices in
 layout order, whose data each Newton call refills in place.  It also
 keeps the last band Cholesky factor.  The Jacobian changes little from
 one Newton step to the next, and from one mesh step to the next, so each
@@ -54,11 +55,11 @@ from scipy.sparse.linalg import splu
 from . import electrochem
 from .crystal import MaterialSpec, VcorrParams, vcorr_many
 from .electrochem import ElectroParams, OverflowGuardError
-from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, boundary_key,
-                   corner_index, matches_boundary_key)
+from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, corner_index,
+                   vertex_roles)
 
 __all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
-           "SideWallLevels", "BandLayout", "band_solve", "assemble_stiffness",
+           "MeshStructure", "BandLayout", "band_solve", "assemble_stiffness",
            "PitEdges", "pit_edges", "boundary_residual_and_jacobian",
            "dirichlet_mask", "JacobianPattern", "newton_solve", "splu"]
 
@@ -164,30 +165,46 @@ def side_wall_levels(mesh: TriMesh) -> np.ndarray:
     return levels
 
 
-class SideWallLevels:
-    """side_wall_levels of a triangulation, swept once for its users.
+class MeshStructure:
+    """What solver state reads from a mesh's triangles and boundary tags.
 
-    The levels read the triangles and the left side wall's vertices
-    alone, so the relaxation's layouts and Newton's of one run can share
-    one sweep: of(mesh) sweeps again only when mesh's triangles or
-    side-wall vertices differ from the last sweep's.  A merge or a corner
-    absorption retags edges and leaves both, so it takes no sweep.
+    of(mesh) compares mesh's triangles, edge nodes and edge tags with the
+    copies it keeps, by content, as TriMesh.orient_ccw flips cells in
+    place, and derives again what they change: corners (mesh.corner_index)
+    and levels (side_wall_levels) from new triangles; free, the
+    relaxation's (nv, 2) mask, one where a coordinate may move, and fixed,
+    the Dirichlet mask, each replaced by a new array only when its content
+    changes.  So state built from these arrays is current while they are
+    the same objects.  A run's relaxation and Newton share one.
     """
 
     def __init__(self):
-        self._key = None    # (triangles, side-wall vertices) of the sweep
-        self._levels = None
+        self._arrays = None     # copies of the triangles, edge nodes, tags
+        self.corners = self.levels = self.free = self.fixed = None
 
-    def of(self, mesh: TriMesh) -> np.ndarray:
-        """side_wall_levels(mesh), from the kept sweep when it matches."""
-        x = mesh.vertices[:, 0]
-        wall = np.flatnonzero(x == x.min())
-        if self._key is None or not (
-                np.array_equal(mesh.triangles, self._key[0])
-                and np.array_equal(wall, self._key[1])):
-            self._levels = side_wall_levels(mesh)
-            self._key = (mesh.triangles.copy(), wall)
-        return self._levels
+    def of(self, mesh: TriMesh) -> "MeshStructure":
+        """This structure, brought up to date with mesh."""
+        kept = self._arrays
+        new_cells = kept is None or not np.array_equal(mesh.triangles, kept[0])
+        if not new_cells and np.array_equal(mesh.edge_nodes, kept[1]) \
+                and np.array_equal(mesh.edge_tags, kept[2]):
+            return self
+        if new_cells:
+            self.corners = corner_index(mesh.triangles)
+            self.levels = side_wall_levels(mesh)
+        roles = vertex_roles(mesh)
+        free = np.ones((mesh.n_vertices, 2))
+        free[roles.pinned] = 0.0
+        free[roles.slide_x, 1] = 0.0
+        free[roles.slide_y, 0] = 0.0
+        fixed = dirichlet_mask(mesh)
+        if self.free is None or not np.array_equal(free, self.free):
+            self.free = free
+        if self.fixed is None or not np.array_equal(fixed, self.fixed):
+            self.fixed = fixed
+        self._arrays = (mesh.triangles.copy(), mesh.edge_nodes.copy(),
+                        mesh.edge_tags.copy())
+        return self
 
 
 class BandLayout:
@@ -363,30 +380,25 @@ class JacobianPattern:
     Its block is the free vertices, those off the Dirichlet set.  Every
     Jacobian on these triangles has the free stiffness block's structure,
     as pit edges are mesh edges, so one structure serves them all: the
-    block's BandLayout, the corner gather index of _cell_stiffness, and
-    the stiffness block K and Jacobian J as CSR matrices in the layout's
-    order, with the slot in their data of each flattened _cell_stiffness
-    entry.  stiffness and jacobian refill K and J in place.  fixed, the
-    Dirichlet mask, is kept while the mesh's triangles, edge nodes and
-    edge tags match the ones it was read from; the structure is kept while
-    the triangles and the Dirichlet mask match, and a mesh that does not
-    match gets a new structure and drops the factor.  factor is the upper
-    band Cholesky factor of the last Jacobian factorised, which
-    preconditions the Jacobians after it.  The layout's levels come from
-    levels, a SideWallLevels a run shares with its relaxation, or one of
-    its own.  Counts the Newton solves and iterations it served.
+    block's BandLayout, and the stiffness block K and Jacobian J as CSR
+    matrices in the layout's order, with the slot in their data of each
+    flattened _cell_stiffness entry.  stiffness and jacobian refill K and
+    J in place.  All of it is built from structure, a MeshStructure a run
+    shares with its relaxation, or one of its own, and built again, with
+    the factor dropped, when the structure's corners or Dirichlet mask
+    change.  factor is the upper band Cholesky factor of the last
+    Jacobian factorised, which preconditions the Jacobians after it.
+    Counts the Newton solves and iterations it served.
     """
 
-    def __init__(self, levels: Optional[SideWallLevels] = None):
-        self.levels = SideWallLevels() if levels is None else levels
+    def __init__(self, structure: Optional[MeshStructure] = None):
+        self.structure = MeshStructure() if structure is None else structure
         self.solves = 0
         self.iterations = 0
         self.layout = None
         self.factor = None
-        self.fixed = None       # Dirichlet mask of the kept boundary
-        self.corners = None     # mesh.corner_index of the triangles
-        self._boundary = None   # mesh.boundary_key that fixed comes from
-        self._key = None        # (triangles, Dirichlet mask) of the layout
+        self._corners = None    # the structure's corners and Dirichlet
+        self._fixed = None      # mask the layout was built from
         self._keys = None       # row * n + column of each stored entry
         self._slot = None
         self._K = self._J = None
@@ -394,23 +406,17 @@ class JacobianPattern:
     def layout_for(self, mesh: TriMesh) -> BandLayout:
         """The layout of mesh's free block.
 
-        The Dirichlet mask is read again when mesh's triangles, edge nodes
-        or edge tags differ from the kept ones, and the structure is built
-        anew, dropping the factor, when its triangles or mask differ.
+        Built anew, dropping the factor, when the structure's corners or
+        Dirichlet mask are no longer the ones it was built from.
         """
-        if matches_boundary_key(mesh, self._boundary):
+        structure = self.structure.of(mesh)
+        if structure.corners is self._corners \
+                and structure.fixed is self._fixed:
             return self.layout
-        self.fixed = fixed = dirichlet_mask(mesh)
-        self._boundary = boundary_key(mesh)
-        if self._key is not None and np.array_equal(mesh.triangles,
-                                                    self._key[0]) \
-                and np.array_equal(fixed, self._key[1]):
-            return self.layout
-        self.layout = layout = BandLayout(mesh, np.flatnonzero(~fixed),
-                                          self.levels.of(mesh))
-        self._key = (self._boundary[0], fixed)
+        self._corners, self._fixed = structure.corners, structure.fixed
+        self.layout = layout = BandLayout(
+            mesh, np.flatnonzero(~structure.fixed), structure.levels)
         self.factor = None
-        self.corners = corner_index(mesh.triangles)
         n = len(layout.order)
         rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
         keep = (rows >= 0) & (cols >= 0)
@@ -505,9 +511,9 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
         pattern = JacobianPattern()
     pattern.solves += 1
     layout = pattern.layout_for(mesh)
-    phi[pattern.fixed] = 0.0
+    phi[pattern.structure.fixed] = 0.0
     free = layout.order
-    entries = _cell_stiffness(mesh, corners=pattern.corners).ravel()
+    entries = _cell_stiffness(mesh, corners=pattern.structure.corners).ravel()
     K = pattern.stiffness(entries)
     edges = pit_edges(mesh, chains, material, vc_params, eparams)
 

@@ -163,23 +163,6 @@ class TriMesh:
                        self.edge_nodes.copy(), self.edge_tags.copy())
 
 
-def boundary_key(mesh: TriMesh) -> tuple:
-    """Copies of what fixes every vertex's boundary role in mesh.
-
-    The triangles, edge nodes and edge tags.  Run-lived solver state keeps
-    masks derived from these beside the key, and rebuilds them on a mesh
-    for which matches_boundary_key fails.
-    """
-    return mesh.triangles.copy(), mesh.edge_nodes.copy(), mesh.edge_tags.copy()
-
-
-def matches_boundary_key(mesh: TriMesh, key: Optional[tuple]) -> bool:
-    """True if mesh's triangles, edge nodes and edge tags equal key's."""
-    return key is not None and all(
-        np.array_equal(now, kept) for now, kept in
-        zip((mesh.triangles, mesh.edge_nodes, mesh.edge_tags), key))
-
-
 @dataclass
 class VertexRoles:
     """Boundary-motion constraints derived from edge tags."""

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pitmesh import adapt, driver, fem, io
+from pitmesh import fem, io
 from pitmesh.driver import init_mesh
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -30,7 +30,7 @@ def band_calls(monkeypatch):
 
 @pytest.fixture
 def level_sweeps(monkeypatch):
-    """Calls of fem.side_wall_levels, through every module that holds it."""
+    """Calls of fem.side_wall_levels; fem.MeshStructure is its one caller."""
     calls = []
     real = fem.side_wall_levels
 
@@ -38,10 +38,7 @@ def level_sweeps(monkeypatch):
         calls.append(1)
         return real(mesh)
 
-    for module in (adapt, driver, fem):
-        for name, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(fem, "side_wall_levels", counted)
     return calls
 
 

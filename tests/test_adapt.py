@@ -479,11 +479,16 @@ class TestMmpdeStep:
 
 class TestStiffnessFactor:
     @staticmethod
-    def problem():
+    def factor_of(mesh):
+        """A StiffnessFactor whose structure has read mesh, as mmpde_step
+        leaves it before asking for the preconditioner."""
+        factor = adapt.StiffnessFactor()
+        factor.structure.of(mesh)
+        return factor
+
+    def problem(self):
         mesh = make_rect_mesh(4, 4)
-        free = np.ones((mesh.n_vertices, 2))
-        free[mesh.edge_nodes.ravel()] = 0.0
-        return mesh, np.ones(mesh.n_triangles), free
+        return mesh, np.ones(mesh.n_triangles), self.factor_of(mesh)
 
     @staticmethod
     def free_blocks(mesh):
@@ -496,26 +501,24 @@ class TestStiffnessFactor:
         return free
 
     def test_reused_while_densities_stay_in_band(self):
-        mesh, density, free = self.problem()
-        factor = adapt.StiffnessFactor()
-        apply = factor.preconditioner(mesh, density, free)
+        mesh, density, factor = self.problem()
+        apply = factor.preconditioner(mesh, density)
         for ratio in (1.4, 1 / 1.4, 1.5):
             drifted = density.copy()
             drifted[5] *= ratio
-            assert factor.preconditioner(mesh, drifted, free) is apply
+            assert factor.preconditioner(mesh, drifted) is apply
         assert (factor.factorisations, factor.minimiser_calls) == (1, 4)
 
     @pytest.mark.parametrize("ratio", [1.6, 1 / 1.6])
     def test_refactorised_when_one_density_drifts(self, ratio):
-        mesh, density, free = self.problem()
-        factor = adapt.StiffnessFactor()
-        apply = factor.preconditioner(mesh, density, free)
+        mesh, density, factor = self.problem()
+        apply = factor.preconditioner(mesh, density)
         drifted = density.copy()
         drifted[5] *= ratio
-        assert factor.preconditioner(mesh, drifted, free) is not apply
+        assert factor.preconditioner(mesh, drifted) is not apply
         assert factor.factorisations == 2
         # the band is measured from the newest factorisation
-        assert factor.preconditioner(mesh, drifted, free) is not apply
+        assert factor.preconditioner(mesh, drifted) is not apply
         assert factor.factorisations == 2
 
     def test_refactorised_when_free_set_changes(self, monkeypatch):
@@ -527,19 +530,23 @@ class TestStiffnessFactor:
             return real(mesh, block, levels)
 
         monkeypatch.setattr(adapt, "BandLayout", recorded)
-        mesh, density, free = self.problem()
-        factor = adapt.StiffnessFactor()
-        factor.preconditioner(mesh, density, free)
-        pinned = free.copy()
-        pinned[np.flatnonzero(free[:, 0])[0]] = 0.0
-        factor.preconditioner(mesh, density, pinned)
+        mesh, density, factor = self.problem()
+        factor.preconditioner(mesh, density)
+        # the bottom edge from a corner tagged Pit, as a corner absorption
+        # tags it, pins the corner's bottom neighbour, which slid in x
+        corner = int(np.argmin(mesh.vertices.sum(axis=1)))
+        front._retag_to_pit(mesh, corner, front._bottom_neighbor(mesh, corner))
+        free = factor.structure.free
+        pinned = factor.structure.of(mesh).free
+        assert pinned is not free
+        factor.preconditioner(mesh, density)
         assert factor.factorisations == 2
         # the changed free set gets its own layouts, one per block
         assert len(layouts) == 4
-        assert [len(b) + 1 for b in layouts[2:]] == \
-            [len(b) for b in layouts[:2]]
+        assert [len(b) for b in layouts[2:]] == \
+            [len(layouts[0]) - 1, len(layouts[1])]
         v = np.ones(2 * mesh.n_vertices)
-        out = factor.preconditioner(mesh, density, pinned)(v)
+        out = factor.preconditioner(mesh, density)(v)
         assert np.all(out.reshape(-1, 2)[pinned == 0.0] == 0.0)
         assert factor.factorisations == 2
         assert len(layouts) == 4
@@ -547,17 +554,19 @@ class TestStiffnessFactor:
     def test_layout_built_once_over_density_refactorisations(self, pit_mesh,
                                                              level_sweeps):
         # the band order reads structure alone, so density-driven
-        # refactorisations reuse it, and the x and y blocks share one
-        # breadth-first sweep
-        calls = level_sweeps
+        # refactorisations reuse it, and the x and y blocks share the
+        # structure's one breadth-first sweep
         mesh = pit_mesh[0]
-        free = self.free_blocks(mesh)
+        factor = self.factor_of(mesh)
+        assert np.array_equal(factor.structure.free, self.free_blocks(mesh))
         density = np.ones(mesh.n_triangles)
-        factor = adapt.StiffnessFactor()
+        layouts = []
         for ratio in (1.0, 2.0, 4.0, 8.0):
-            factor.preconditioner(mesh, ratio * density, free)
+            factor.preconditioner(mesh, ratio * density)
+            layouts.append(factor._layouts)
         assert factor.factorisations == 4
-        assert len(calls) == 1
+        assert all(kept is layouts[0] for kept in layouts)
+        assert len(level_sweeps) == 1
 
     def test_band_matches_assembled_reference(self, pit_mesh):
         mesh = pit_mesh[0]
@@ -588,13 +597,13 @@ class TestStiffnessFactor:
         res = mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=20,
                          factor=factor)
         assert res.positions[neighbor, 0] != mesh.vertices[neighbor, 0]
-        assert factor.structure(mesh)[1][neighbor].tolist() == [1.0, 0.0]
+        assert factor.structure.free[neighbor].tolist() == [1.0, 0.0]
         front._retag_to_pit(mesh, corner, neighbor)
         res = mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=20,
                          factor=factor)
         assert np.array_equal(res.positions[neighbor],
                               mesh.vertices[neighbor])
-        assert factor.structure(mesh)[1][neighbor].tolist() == [0.0, 0.0]
+        assert factor.structure.free[neighbor].tolist() == [0.0, 0.0]
         assert factor.factorisations == 2
         assert len(level_sweeps) == 1
 
@@ -602,13 +611,12 @@ class TestStiffnessFactor:
         mesh = make_rect_mesh(7, 5)
         rng = np.random.default_rng(1)
         density = rng.uniform(0.5, 2.0, mesh.n_triangles)
-        free = np.ones((mesh.n_vertices, 2))
-        free[mesh.edge_nodes.ravel(), 1] = 0.0
-        free[0] = 0.0
+        factor = self.factor_of(mesh)
+        free = factor.structure.free
         x = rng.normal(size=free.shape) * free
         stiffness = weighted_stiffness(mesh, density)
         kx = np.column_stack([stiffness @ x[:, c] for c in range(2)])
-        apply = adapt.StiffnessFactor().preconditioner(mesh, density, free)
+        apply = factor.preconditioner(mesh, density)
         assert np.allclose(apply(kx.ravel()), x.ravel(), rtol=0, atol=1e-12)
 
 

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
-from pitmesh import adapt, fem
+from pitmesh import adapt, fem, front
 from pitmesh.driver import SimConfig, init_mesh
 from pitmesh.fem import (BandLayout, JacobianPattern, NewtonError,
                          assemble_stiffness, boundary_residual_and_jacobian,
@@ -291,13 +291,14 @@ def moved_interior(mesh, seed, amplitude=0.05):
     return moved
 
 
+@pytest.fixture(scope="module")
+def pit_case():
+    return build_initial_mesh(DomainSpec(), PitSpec(nodes=21), target_h=1.5,
+                              seed=0)[:2]
+
+
 class TestJacobianPattern:
     args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
-
-    @pytest.fixture(scope="class")
-    def pit_case(self):
-        return build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
-                                  target_h=1.5, seed=0)[:2]
 
     def test_one_factorisation_serves_solves_on_moved_meshes(self, pit_case,
                                                              band_calls):
@@ -355,8 +356,10 @@ class TestJacobianPattern:
     @pytest.mark.parametrize("change", ["relabel", "dirichlet"])
     def test_new_structure_drops_the_factor(self, pit_case, band_calls,
                                             change):
-        # the solve on a relabelled mesh or a new Dirichlet set factorises
-        # before any conjugate-gradient step, as a fresh solve does
+        # the solve on a relabelled mesh or a new Dirichlet set builds one
+        # new layout, since the kept one would scatter the stiffness into
+        # the wrong entries, and factorises before any conjugate-gradient
+        # step, as a fresh solve does
         mesh, chains = pit_case
         if change == "relabel":
             other, other_chains, _ = relabelled(mesh, chains, 11)
@@ -370,6 +373,7 @@ class TestJacobianPattern:
         del band_calls[:]
         kept = newton_solve(other, other_chains, *self.args, pattern=pattern)
         assert band_calls[:2] == ["layout", "factor"]
+        assert band_calls.count("layout") == 1
         fresh = newton_solve(other, other_chains, *self.args)
         assert np.array_equal(kept.phi, fresh.phi)
 
@@ -430,22 +434,25 @@ class TestJacobianPattern:
         assert np.array_equal(again.phi, kept.phi)
 
     def test_dirichlet_mask_kept_until_the_boundary_changes(self, pit_case):
-        # the mask is read again only when triangles, edge nodes or edge
-        # tags change; a retag that leaves the Dirichlet set keeps the
-        # layout and the factor
+        # the structure reads the tags again only when triangles, edge
+        # nodes or edge tags change; a retag that leaves the Dirichlet set
+        # keeps the mask, the layout and the factor
         mesh, chains = pit_case
         pattern = JacobianPattern()
         newton_solve(mesh, chains, *self.args, pattern=pattern)
-        fixed, layout, factor = pattern.fixed, pattern.layout, pattern.factor
+        structure = pattern.structure
+        fixed, free = structure.fixed, structure.free
+        layout, factor = pattern.layout, pattern.factor
         assert np.array_equal(fixed, fem.dirichlet_mask(mesh))
         pattern.layout_for(moved_interior(mesh, 1))
-        assert pattern.fixed is fixed
+        assert structure.fixed is fixed and structure.free is free
         retagged = mesh.copy()
         bottom = np.flatnonzero(retagged.edge_tags == BoundaryTag.BOTTOM)[0]
         retagged.edge_tags[bottom] = BoundaryTag.PIT
         assert pattern.layout_for(retagged) is layout
-        assert pattern.fixed is not fixed
-        assert np.array_equal(pattern.fixed, fixed)
+        # the retag was read: it pins the edge's ends in the free mask
+        assert structure.free is not free
+        assert structure.fixed is fixed
         assert pattern.factor is factor
 
     def test_band_holds_the_free_stiffness_block(self, pit_case):
@@ -603,16 +610,15 @@ class TestCornerGather:
         # keyed on that array's identity would keep a stale gather
         mesh = make_rect_mesh(5, 4)
         mesh.triangles[::3] = mesh.triangles[::3][:, [0, 2, 1]]
-        factor = adapt.StiffnessFactor()
-        pattern = JacobianPattern()
-        stale = factor.structure(mesh)[0].copy()
-        pattern.layout_for(mesh)
+        structure = fem.MeshStructure()
+        pattern = JacobianPattern(structure)
+        layout = pattern.layout_for(mesh)
+        stale = structure.corners.copy()
         assert mesh.orient_ccw() == len(mesh.triangles[::3])
-        corners = factor.structure(mesh)[0]
+        assert pattern.layout_for(mesh) is not layout
+        corners = structure.corners
         assert not np.array_equal(corners, stale)
         assert np.array_equal(corners, corner_index(mesh.triangles))
-        pattern.layout_for(mesh)
-        assert np.array_equal(pattern.corners, corners)
         assert np.array_equal(mesh.signed_areas(),
                               signed_areas_by_fancy_index(mesh))
         assert np.all(mesh.signed_areas() > 0.0)
@@ -631,8 +637,75 @@ def test_side_wall_levels_equal_dijkstra(bench_starts, name):
 def test_kept_levels_equal_a_fresh_sweep(bench_starts, level_sweeps):
     # a sweep is kept until the triangles change; the levels are always
     # those of the mesh asked about
-    kept = fem.SideWallLevels()
+    kept = fem.MeshStructure()
     for name in ("homog", "twopit", "homog", "homog"):
         mesh = bench_starts[name].mesh
-        assert np.array_equal(kept.of(mesh), side_wall_levels_by_dijkstra(mesh))
+        assert np.array_equal(kept.of(mesh).levels,
+                              side_wall_levels_by_dijkstra(mesh))
     assert len(level_sweeps) == 3
+
+
+class TestMeshStructure:
+    """One structure per mesh: each derived array is replaced only when
+    its content changes, and the levels only on new triangles."""
+
+    @staticmethod
+    def derived(structure):
+        return (structure.corners, structure.levels, structure.free,
+                structure.fixed)
+
+    def test_retag_leaving_both_masks_keeps_every_derived_array(
+            self, pit_case, level_sweeps):
+        # an inner pit edge tagged bottom: each of its ends still ends
+        # another pit edge, so stays pinned, and the Dirichlet set is the
+        # top's
+        mesh, chains = pit_case
+        mesh = mesh.copy()
+        structure = fem.MeshStructure()
+        before = self.derived(structure.of(mesh))
+        ends = sorted(chains[0].vertices[2:4])
+        edge = np.flatnonzero(np.all(np.sort(mesh.edge_nodes, axis=1) == ends,
+                                     axis=1))
+        assert mesh.edge_tags[edge].tolist() == [BoundaryTag.PIT]
+        mesh.edge_tags[edge] = BoundaryTag.BOTTOM
+        after = self.derived(structure.of(mesh))
+        assert all(now is kept for now, kept in zip(after, before))
+        assert len(level_sweeps) == 1
+
+    def test_corner_absorption_replaces_only_the_free_mask(self, pit_case,
+                                                           level_sweeps):
+        mesh, chains = pit_case
+        mesh = mesh.copy()
+        structure = fem.MeshStructure()
+        corners, levels, free, fixed = self.derived(structure.of(mesh))
+        corner = chains[0].left_corner
+        neighbor = front._bottom_neighbor(mesh, corner)
+        front._retag_to_pit(mesh, corner, neighbor)
+        structure.of(mesh)
+        assert structure.corners is corners and structure.levels is levels
+        assert structure.fixed is fixed
+        assert structure.free is not free
+        assert structure.free[neighbor].tolist() == [0.0, 0.0]
+        assert free[neighbor].tolist() == [1.0, 0.0]
+        assert len(level_sweeps) == 1
+
+    def test_new_triangles_replace_every_derived_array(self, pit_case,
+                                                      level_sweeps):
+        mesh, chains = pit_case
+        other = relabelled(mesh, chains, 11)[0]
+        structure = fem.MeshStructure()
+        before = self.derived(structure.of(mesh))
+        del level_sweeps[:]
+        after = self.derived(structure.of(other))
+        assert not any(now is kept for now, kept in zip(after, before))
+        assert np.array_equal(structure.corners,
+                              corner_index(other.triangles))
+        assert np.array_equal(structure.levels,
+                              side_wall_levels_by_dijkstra(other))
+        roles = vertex_roles(other)
+        assert np.array_equal(structure.free[:, 0] == 1.0,
+                              ~(roles.pinned | roles.slide_y))
+        assert np.array_equal(structure.free[:, 1] == 1.0,
+                              ~(roles.pinned | roles.slide_x))
+        assert np.array_equal(structure.fixed, fem.dirichlet_mask(other))
+        assert len(level_sweeps) == 1

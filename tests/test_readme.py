@@ -1,11 +1,14 @@
-"""Every solver constant README.md quotes matches the code.
+"""Every solver constant and module name README.md quotes matches the code.
 
 The README names constants as `NAME = value`.  Exactly one pitmesh module
 must bind NAME at module level, and to that value, so a constant that is
 renamed, moved into two modules or retuned cannot leave the README behind.
+It names functions and classes as `module.Name`, and each must exist in
+pitmesh.module, so a deleted or renamed one cannot either.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -37,6 +40,11 @@ def module_constants() -> dict:
 
 
 CONSTANTS = module_constants()
+MODULES = {path.stem for path in (ROOT / "src" / "pitmesh").glob("*.py")}
+# `module.Name` where module is a pitmesh module, not `np.take` or a file
+NAMED = sorted({f"{module}.{name}" for module, name in re.findall(
+    r"`([a-z_]+)\.([A-Za-z_]\w*)`",
+    (ROOT / "README.md").read_text(encoding="utf-8")) if module in MODULES})
 
 
 def test_readme_quotes_constants():
@@ -51,3 +59,14 @@ def test_quoted_constant_matches_its_definition(name, value):
     module, actual = bindings[0]
     assert actual == ast.literal_eval(value), \
         f"README quotes {name} = {value}; pitmesh.{module} has {actual!r}"
+
+
+def test_readme_names_module_objects():
+    assert NAMED
+
+
+@pytest.mark.parametrize("dotted", NAMED)
+def test_named_object_exists(dotted):
+    module, name = dotted.split(".")
+    assert hasattr(importlib.import_module(f"pitmesh.{module}"), name), \
+        f"README names {dotted}; pitmesh.{module} has no {name}"
