@@ -22,7 +22,9 @@ the summary as JSON.  Reads bench/workloads/ only and writes nothing:
 With --setup each pass stops at the step-0 hook, as bench/run.py's
 set-up top-ups do, so a pair costs two set-ups rather than two runs; the
 summary then has the set-up ratios alone, and a pair whose smoothed mesh
-or step-0 phi differ between the sides is flagged.
+or step-0 phi differ between the sides is flagged.  Each pass line and
+the summary also give each side's initial smoothing L-BFGS iterations,
+the sum of its SmoothResult.flow_iters.
 """
 
 import argparse
@@ -67,6 +69,14 @@ def setup_pass(package, config_path: Path, jitter: int) -> dict:
     config = package.io.parse_config(str(config_path))
     config.seed = jitter
     got = {}
+    smooth_mesh = package.adapt.smooth_mesh
+
+    def counted(*args, **kwargs):
+        result = smooth_mesh(*args, **kwargs)
+        got["smoothing_iters"] = sum(result.flow_iters)
+        return result
+
+    package.adapt.smooth_mesh = counted
     start = time.perf_counter()
 
     def hook(step, t, mesh, chains, phi):
@@ -79,6 +89,8 @@ def setup_pass(package, config_path: Path, jitter: int) -> dict:
         package.driver.run(config, step_hook=hook)
     except _SetupDone:
         return got
+    finally:
+        package.adapt.smooth_mesh = smooth_mesh
     raise RuntimeError("driver.run returned without calling the step-0 hook")
 
 
@@ -132,6 +144,7 @@ def main(argv=None) -> int:
     keys = ("setup_s",) if args.setup else ("p50", "p90", "setup_s", "pass_s")
     run_pass = setup_pass if args.setup else timed_pass
     ratios = {key: [] for key in keys}
+    smoothing_iters = {side: [] for side in SIDES}
     differing = []
     for k in range(args.pairs):
         jitter = args.seed + k
@@ -145,8 +158,12 @@ def main(argv=None) -> int:
             differing.append(jitter)
         parent, change = got["parent"], got["change"]
         if args.setup:
+            for side in SIDES:
+                smoothing_iters[side].append(got[side]["smoothing_iters"])
             times = (f"set-up {1e3 * parent['setup_s']:.2f} -> "
-                     f"{1e3 * change['setup_s']:.2f} ms")
+                     f"{1e3 * change['setup_s']:.2f} ms, smoothing "
+                     f"iterations {parent['smoothing_iters']} -> "
+                     f"{change['smoothing_iters']}")
         else:
             times = (f"step p50 {parent['p50']:.3f} -> {change['p50']:.3f} ms, "
                      f"p90 {parent['p90']:.3f} -> {change['p90']:.3f} ms")
@@ -156,6 +173,8 @@ def main(argv=None) -> int:
               "first_seed": args.seed, "setup_only": args.setup,
               "ratios": {key: summary(ratios[key]) for key in keys},
               "outputs_differ_at_seeds": differing}
+    if args.setup:
+        result["smoothing_iters"] = smoothing_iters
     for key in keys:
         s = result["ratios"][key]
         print(f"{key:8s} change/parent {s['median']:.3f} "

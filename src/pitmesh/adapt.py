@@ -47,10 +47,14 @@ Mesh smoothing repeats the minimisation under a monitor rebuilt at the
 moved vertices until the mesh stops moving.  Its flows run over an
 infinite interval and try no predicted start: each moves less than the
 one before, so repeating the last motion overshoots.  Each flow stops at
-the tolerance relative to its own starting gradient, as a step's does:
-the next monitor rebuild moves the target further than an exact flow
-would gain (the forcing-term argument of Eisenstat and Walker 1996), and
-flows near the fixed point still reach the absolute floor.
+a tolerance relative to its own starting gradient: the next monitor
+rebuild moves the target further than an exact flow would gain (the
+forcing terms of Eisenstat and Walker 1996).  The first flow takes a
+step's, _GRAD_RTOL; with a fixed monitor it is the whole answer.  A later
+flow need contract no further than the rebuild loop itself last did, the
+ratio of the last two displacement sums, kept within [_GRAD_RTOL,
+_SMOOTHING_RTOL]; the second flow, with no ratio yet, takes the cap.
+Flows near the fixed point still reach the absolute floor.
 """
 
 from __future__ import annotations
@@ -213,6 +217,7 @@ _MAX_SUBSTEPS = 500          # per time step
 _SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
+_SMOOTHING_RTOL = 0.05       # cap on a later smoothing flow's rtol
 _SMOOTHING_TOL = 1e-2        # smoothing stop on the displacement sum, um
 _SMOOTHING_MAX_ITERS = 40    # smoothing iterations (monitor rebuilds)
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
@@ -391,7 +396,8 @@ class CurvaturePairs:
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                dt_interval: float, max_substeps: int = _MAX_SUBSTEPS,
                grad_tol: Optional[float] = None,
-               factor: Optional[StiffnessFactor] = None) -> MmpdeResult:
+               factor: Optional[StiffnessFactor] = None,
+               rtol: float = _GRAD_RTOL) -> MmpdeResult:
     """One backward-Euler step of the flow over an interval dt_interval.
 
     Returns the minimiser of I(x) + tau/(2 dt) sum_i |x_i - x_i^n|^2 / P_i,
@@ -403,14 +409,15 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     the first one included, is tried at unit length and halved until the
     energy does not rise and no cell inverts.  L-BFGS stops once the
     largest projected gradient entry of that sum is below the stationarity
-    tolerance, which is set from the gradient at x^n.  factor keeps the
-    preconditioner, the last call's motion and its L-BFGS pairs across
-    calls.  L-BFGS starts from the pairs, and, for a finite dt_interval,
-    from x^n plus that motion on the free coordinates if x^n is not
-    stationary and that start passes the line search's test.  Every call
-    records its motion, so a step after smoothing tries the last flow's.
-    Without a factor, K is factorised afresh and L-BFGS starts at x^n
-    with no pairs.
+    tolerance: grad_tol if given, else max(_GRAD_TOL, rtol times that
+    entry at x^n).  A call that starts stationary solves nothing with
+    K^-1.  factor keeps the preconditioner, the last call's motion and its
+    L-BFGS pairs across calls.  L-BFGS starts from the pairs, and, for a
+    finite dt_interval, from x^n plus that motion on the free coordinates
+    if x^n is not stationary and that start passes the line search's
+    test.  Every call records its motion, so a step after smoothing tries
+    the last flow's.  Without a factor, K is factorised afresh and L-BFGS
+    starts at x^n with no pairs.
     """
     if factor is None:
         factor = StiffnessFactor()
@@ -439,9 +446,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     current, grad, density = _evaluate_mesh(fn, mesh)
     g = grad * free
     # an explicit grad_tol is an exact threshold; the default combines the
-    # absolute floor with a tolerance relative to the interval's start
+    # absolute floor with rtol relative to the interval's start
     stop_tol = grad_tol if grad_tol is not None \
-        else max(_GRAD_TOL, _GRAD_RTOL * float(np.max(np.abs(g))))
+        else max(_GRAD_TOL, rtol * float(np.max(np.abs(g))))
     precond = factor.preconditioner(mesh, density)
 
     x = x0.copy()
@@ -454,15 +461,17 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         if descends(out, current):
             x, (current, grad), predicted = trial, out, True
             g = grad * free
-    kg = precond(g.ravel())
 
     history = factor.pairs
     stopped = "substep-cap"
     n_done = 0
+    kg = None   # K^-1 g, solved once a first iteration needs it
     for _ in range(max_substeps):
         if float(np.max(np.abs(g))) < stop_tol:
             stopped = "stationary"
             break
+        if kg is None:
+            kg = precond(g.ravel())
         if history:
             d = history.direction(g.ravel(), kg).reshape(g.shape)
             if _dot(d.ravel(), g.ravel()) >= 0.0:
@@ -503,6 +512,7 @@ class SmoothResult:
     converged: bool = False
     flow_stops: list = field(default_factory=list)  # mmpde stop reason per iter
     flow_iters: list = field(default_factory=list)  # mmpde iterations per iter
+    flow_rtols: list = field(default_factory=list)  # mmpde rtol per iter
 
 
 def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
@@ -512,11 +522,14 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
 
     Each iteration rebuilds the monitor at the current vertex positions and
     runs the flow under that frozen metric to mmpde_step's stationarity
-    tolerance, relative to the flow's starting gradient; the loop stops
-    when the summed vertex displacement drops below _SMOOTHING_TOL, or
-    after _SMOOTHING_MAX_ITERS iterations.
+    tolerance, relative to the flow's starting gradient by rtol: _GRAD_RTOL
+    for the first flow, _SMOOTHING_RTOL for the second, and for flow k >= 3
+    the contraction d_(k-1)/d_(k-2) of the displacement sums, clamped to
+    [_GRAD_RTOL, _SMOOTHING_RTOL].  The loop stops when the summed vertex
+    displacement drops below _SMOOTHING_TOL, or after _SMOOTHING_MAX_ITERS
+    iterations.
     Returns the smoothed mesh, the per-iteration displacement trace and
-    each flow's stop reason and iteration count.  Every flow's mmpde_step
+    each flow's stop reason, iteration count and rtol.  Every flow's mmpde_step
     shares factor, a fresh one if none is given; every monitor shares
     nearest, if given.
     """
@@ -524,13 +537,15 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         factor = StiffnessFactor()
     work = mesh.copy()
     out = SmoothResult(work)
+    rtol = _GRAD_RTOL
     for it in range(_SMOOTHING_MAX_ITERS):
         metric = monitor_mackenzie(work, chains, p, nearest)
         # an inexact flow is enough: the next rebuild moves the target
         # further than an exact one would gain, and the outer stop still
         # reads the displacement of a flow that starts near stationarity
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
-                         max_substeps=_SMOOTHING_SUBSTEPS, factor=factor)
+                         max_substeps=_SMOOTHING_SUBSTEPS, factor=factor,
+                         rtol=rtol)
         if res.stopped == "substep-cap":
             logger.warning("smoothing iteration %d: flow stopped at its "
                            "%d-substep cap before stationarity",
@@ -542,9 +557,13 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         out.trace_max.append(res.max_displacement)
         out.flow_stops.append(res.stopped)
         out.flow_iters.append(res.substeps)
+        out.flow_rtols.append(rtol)
         if disp < _SMOOTHING_TOL:
             out.converged = True
             break
+        # the next flow need contract no further than the loop last did
+        rtol = _SMOOTHING_RTOL if it == 0 else min(
+            _SMOOTHING_RTOL, max(_GRAD_RTOL, disp / out.trace[-2]))
     if not out.converged:
         logger.warning("mesh smoothing hit its %d-iteration cap with "
                        "displacement %.3g", _SMOOTHING_MAX_ITERS,

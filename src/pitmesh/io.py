@@ -383,6 +383,8 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines.append(f"initial smoothing: {len(smooth.trace)} iterations, "
                  f"converged={smooth.converged}; mmpde iterations and stop "
                  f"per flow: {flows}")
+    lines.append("initial smoothing relative tolerance per flow: "
+                 + ", ".join(f"{rtol:.3g}" for rtol in smooth.flow_rtols))
     lines.append(f"relaxation: {result.factorisations} preconditioner "
                  f"factorisations in {result.minimiser_calls} minimiser calls; "
                  f"{result.relaxation_iterations} iterations and "

@@ -18,6 +18,8 @@ from oracles import (band_by_assembly, energy, grad_energy,
                      make_rect_mesh, smooth_mesh_exact_flows,
                      solve_equidistribution_1d, weighted_stiffness)
 
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
 
 @pytest.fixture(scope="module")
 def pit_mesh():
@@ -349,6 +351,35 @@ class TestMmpdeStep:
         assert (res.substeps, res.stopped, res.predicted) == \
             (0, "stationary", False)
         assert np.array_equal(res.positions, relaxed.vertices)
+
+    def test_stationary_start_solves_nothing(self, monkeypatch):
+        # a call that ends at its first stationarity test makes no K^-1
+        # solve; one that iterates makes one per iteration and one for the
+        # starting gradient
+        mesh = make_rect_mesh(8, 8)
+        p = AdaptParams(mu1=0.0)
+        metric = np.ones(mesh.n_vertices)
+        factor = adapt.StiffnessFactor()
+        solves = []
+        real_solve = adapt.band_solve
+
+        def counted(chol, v):
+            solves.append(1)
+            return real_solve(chol, v)
+
+        monkeypatch.setattr(adapt, "band_solve", counted)
+        mesh.vertices[10] += 0.01
+        moving = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                            max_substeps=3, factor=factor)
+        assert moving.substeps == 3
+        # four K^-1 solves, each one band solve per coordinate block
+        assert len(solves) == 4 * 2
+        solves.clear()
+        still = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                           grad_tol=np.inf, factor=factor)
+        assert (still.substeps, still.stopped) == (0, "stationary")
+        assert factor.minimiser_calls == 2
+        assert solves == []
 
     @pytest.mark.parametrize("bad", ["inverts", "rises"])
     def test_predicted_start_not_taken_when_it_fails_the_line_search(
@@ -845,24 +876,26 @@ class TestSmoothing:
         assert np.array_equal(own.mesh.vertices, kept.mesh.vertices)
         assert own.flow_iters == kept.flow_iters
 
-    @pytest.mark.parametrize("case", ["criterion9"] + [
+    @pytest.mark.parametrize("case", ["criterion9", "mu2-10", "mu2-20"] + [
         f"{name}-{seed}" for name in ("homog", "twopit") for seed in range(3)])
     def test_relative_flows_reach_the_exact_flows_fixed_point(self, case):
         # flows stopped relative to their own start end where flows run to
         # the absolute floor end, in about as many rebuilds and far fewer
         # iterations
-        if case == "criterion9":
-            # the acceptance suite's smoothing-convergence mesh
+        name, _, value = case.partition("-")
+        p = AdaptParams()
+        if name in ("criterion9", "mu2"):
+            # the acceptance suite's smoothing-convergence mesh, also under
+            # a monitor that decays faster away from the pit
             domain, pits, target_h, seed = DomainSpec(), PitSpec(nodes=45), \
                 0.7, 0
+            if name == "mu2":
+                p = AdaptParams(mu2=float(value))
         else:
-            name, seed = case.split("-")
-            bench = Path(__file__).resolve().parents[1] / "bench" / "workloads"
-            cfg = io.parse_config(str(bench / f"{name}.cfg"))
+            cfg = io.parse_config(str(BENCH_WORKLOADS / f"{name}.cfg"))
             domain, pits, target_h, seed = cfg.domain, cfg.pits, \
-                cfg.target_h, int(seed)
+                cfg.target_h, int(value)
         mesh, chains, _ = build_initial_mesh(domain, pits, target_h, seed)
-        p = AdaptParams()
         result = smooth_mesh(mesh, chains, p)
         exact, trace, iters = smooth_mesh_exact_flows(mesh, chains, p)
         assert result.converged
@@ -870,6 +903,37 @@ class TestSmoothing:
         assert np.max(np.hypot(gap[:, 0], gap[:, 1])) <= 1e-6
         assert abs(len(result.trace) - len(trace)) <= 1
         assert sum(result.flow_iters) <= 0.7 * sum(iters)
+
+    @pytest.mark.parametrize("name", ["homog", "twopit"])
+    def test_later_flows_stop_at_the_loops_contraction(self, name,
+                                                       monkeypatch):
+        # against later flows held to the first flow's relative tolerance,
+        # the forcing keeps the first flow, cuts the later flows'
+        # iterations and ends in about as many rebuilds
+        cfg = io.parse_config(str(BENCH_WORKLOADS / f"{name}.cfg"))
+        mesh, chains, _ = build_initial_mesh(cfg.domain, cfg.pits,
+                                             cfg.target_h, 0)
+        forced = smooth_mesh(mesh, chains, cfg.adapt)
+        monkeypatch.setattr(adapt, "_SMOOTHING_RTOL", adapt._GRAD_RTOL)
+        fixed = smooth_mesh(mesh, chains, cfg.adapt)
+        assert forced.flow_iters[0] == fixed.flow_iters[0]
+        assert sum(forced.flow_iters[1:]) <= 0.7 * sum(fixed.flow_iters[1:])
+        assert abs(len(forced.flow_iters) - len(fixed.flow_iters)) <= 1
+        assert set(fixed.flow_rtols) == {adapt._GRAD_RTOL}
+
+    def test_each_flow_records_its_forcing(self):
+        # the first flow at _GRAD_RTOL, the second at the cap, each later
+        # one at the last contraction of the displacement sum, clamped
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=45),
+                                             target_h=0.7, seed=0)
+        result = smooth_mesh(mesh, chains, AdaptParams())
+        d = result.trace
+        assert len(result.flow_rtols) == len(d) >= 4
+        assert result.flow_rtols[:2] == [adapt._GRAD_RTOL, 0.05]
+        for k in range(2, len(d)):
+            assert result.flow_rtols[k] == min(
+                0.05, max(adapt._GRAD_RTOL, d[k - 1] / d[k - 2]))
+        assert min(result.flow_rtols[2:]) < 0.05
 
     def test_equidistribution_spread_tightens(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),

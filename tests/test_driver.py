@@ -196,6 +196,18 @@ class TestRun:
                          f"converged={smooth.converged}; mmpde iterations and "
                          f"stop per flow: {flows}"]
 
+    def test_summary_reports_each_flows_tolerance(self, short_run, tmp_path):
+        path = tmp_path / "summary.txt"
+        write_summary(str(path), small_config(), short_run, {})
+        lines = path.read_text().splitlines()
+        at = next(k for k, ln in enumerate(lines)
+                  if ln.startswith("initial smoothing:"))
+        rtols = short_run.init.smooth.flow_rtols
+        assert len(rtols) == len(short_run.init.smooth.trace)
+        assert lines[at + 1] == ("initial smoothing relative tolerance per "
+                                 "flow: " + ", ".join(f"{r:.3g}" for r in rtols))
+        assert lines[at + 1].split(": ")[1].startswith("0.001, 0.05")
+
     def test_summary_reports_relaxation_factorisations(self, short_run,
                                                        tmp_path):
         # one minimiser call per smoothing flow and per step, and far fewer
