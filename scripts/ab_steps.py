@@ -11,10 +11,14 @@ the gains this is meant to see, so only pairs from one process compare.
 
 Prints one line per pass and then, for step p50, step p90, set-up and
 pass time, the median and quartiles of the per-pass ratios change /
-parent and the passes the change won.  A pass whose final depth, width,
-step count or smallest cell area differ between the two sides is
-flagged; the outputs are meant to be bit-identical.  The last line is
-the summary as JSON.  Reads bench/workloads/ only and writes nothing:
+parent and the passes the change won.  Each pass line and the summary
+also give each side's step relaxation iterations,
+RunResult.relaxation_iterations.  A pass whose final depth, width, step
+count or smallest cell area differ between the two sides is flagged,
+with the largest |depth| and |width| differences over the time series
+rows both sides have and the relative difference of the smallest area;
+the outputs are meant to be bit-identical.  The last line is the summary
+as JSON.  Reads bench/workloads/ only and writes nothing:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/ab_steps.py PARENT CHANGE \\
         --workload homog --pairs 28
@@ -107,8 +111,20 @@ def timed_pass(package, config_path: Path, jitter: int) -> dict:
     return {"setup_s": stamps[0] - start, "pass_s": end - start,
             "p50": float(np.percentile(steps, 50)),
             "p90": float(np.percentile(steps, 90)),
+            "relaxation_iters": result.relaxation_iterations,
+            "series": (result.series.depth, result.series.width),
             "outputs": (result.series.depth[-1], result.series.width[-1],
                         result.steps, result.min_area_seen)}
+
+
+def output_differences(parent: dict, change: dict) -> str:
+    """The largest depth and width differences and the smallest area's."""
+    rows = min(len(parent["series"][0]), len(change["series"][0]))
+    depth, width = (float(np.max(np.abs(np.subtract(a[:rows], b[:rows]))))
+                    for a, b in zip(parent["series"], change["series"]))
+    area = change["outputs"][3] / parent["outputs"][3] - 1.0
+    return (f"|d depth| {depth:.2g} um, |d width| {width:.2g} um, "
+            f"smallest area {area:+.2%}")
 
 
 def summary(ratios: list) -> dict:
@@ -143,8 +159,9 @@ def main(argv=None) -> int:
 
     keys = ("setup_s",) if args.setup else ("p50", "p90", "setup_s", "pass_s")
     run_pass = setup_pass if args.setup else timed_pass
+    iters_key = "smoothing_iters" if args.setup else "relaxation_iters"
     ratios = {key: [] for key in keys}
-    smoothing_iters = {side: [] for side in SIDES}
+    iters = {side: [] for side in SIDES}
     differing = []
     for k in range(args.pairs):
         jitter = args.seed + k
@@ -157,24 +174,30 @@ def main(argv=None) -> int:
         if not same:
             differing.append(jitter)
         parent, change = got["parent"], got["change"]
+        for side in SIDES:
+            iters[side].append(got[side][iters_key])
         if args.setup:
-            for side in SIDES:
-                smoothing_iters[side].append(got[side]["smoothing_iters"])
             times = (f"set-up {1e3 * parent['setup_s']:.2f} -> "
                      f"{1e3 * change['setup_s']:.2f} ms, smoothing "
                      f"iterations {parent['smoothing_iters']} -> "
                      f"{change['smoothing_iters']}")
         else:
             times = (f"step p50 {parent['p50']:.3f} -> {change['p50']:.3f} ms, "
-                     f"p90 {parent['p90']:.3f} -> {change['p90']:.3f} ms")
-        print(f"pass {k} seed {jitter} {order[0]} first: {times}"
-              + ("" if same else "  OUTPUTS DIFFER"), flush=True)
+                     f"p90 {parent['p90']:.3f} -> {change['p90']:.3f} ms, "
+                     f"relaxation iterations {parent['relaxation_iters']} -> "
+                     f"{change['relaxation_iters']}")
+        flag = ""
+        if not same:
+            flag = "  OUTPUTS DIFFER"
+            if not args.setup:
+                flag += f" ({output_differences(parent, change)})"
+        print(f"pass {k} seed {jitter} {order[0]} first: {times}{flag}",
+              flush=True)
     result = {"workload": args.workload, "pairs": args.pairs,
               "first_seed": args.seed, "setup_only": args.setup,
               "ratios": {key: summary(ratios[key]) for key in keys},
-              "outputs_differ_at_seeds": differing}
-    if args.setup:
-        result["smoothing_iters"] = smoothing_iters
+              "outputs_differ_at_seeds": differing,
+              iters_key: iters}
     for key in keys:
         s = result["ratios"][key]
         print(f"{key:8s} change/parent {s['median']:.3f} "

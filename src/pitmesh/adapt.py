@@ -32,29 +32,35 @@ its band storage depend on the triangulation and the free set alone, so
 they are kept until those change, which a fem.MeshStructure, shared with
 Newton in a run, decides; a refactorisation only refills the bands and
 factorises them.
-The shared factor also carries the last call's displacement and its
-curvature pairs: the pit front moves about as far each step, so the mesh
-follows it smoothly and its last motion predicts the next.  A call over a
-finite interval repeats that displacement on its free coordinates when the
-result passes the line search's test against x^n, and every call starts
-L-BFGS with the carried pairs; a refactorisation drops them, as their
-K^-1 y belong to the old K.
+The shared factor also carries the last step's displacement and the last
+call's curvature pairs: the pit front moves about as far each step, so
+the mesh follows it smoothly and its last motion predicts the next.  A
+call over a finite interval repeats that displacement on its free
+coordinates when the result passes the line search's test against x^n,
+and every call starts L-BFGS with the carried pairs; a refactorisation
+drops them, as their K^-1 y belong to the old K.
 Each search direction is tried at unit length, the quasi-Newton step that
 K^-1 already scales, and backtracks until the energy does not rise and no
 cell inverts; both energy terms blow up as an element degenerates, so an
 accepted step can never invert a cell.
+A call stops at a tolerance relative to its own starting gradient.  An
+inner solve need not go further than its outer loop can use (the forcing
+terms of Eisenstat and Walker 1996), and both callers have such a loop.
+A run's step relaxes under the monitor of the last step's front, so the
+mesh already lags the front by a step; each step stops at _FORCING_RTOL
+of its starting gradient, and the next step starts from that mesh and
+keeps relaxing.
 Mesh smoothing repeats the minimisation under a monitor rebuilt at the
 moved vertices until the mesh stops moving.  Its flows run over an
-infinite interval and try no predicted start: each moves less than the
-one before, so repeating the last motion overshoots.  Each flow stops at
-a tolerance relative to its own starting gradient: the next monitor
-rebuild moves the target further than an exact flow would gain (the
-forcing terms of Eisenstat and Walker 1996).  The first flow takes a
-step's, _GRAD_RTOL; with a fixed monitor it is the whole answer.  A later
-flow need contract no further than the rebuild loop itself last did, the
-ratio of the last two displacement sums, kept within [_GRAD_RTOL,
-_SMOOTHING_RTOL]; the second flow, with no ratio yet, takes the cap.
-Flows near the fixed point still reach the absolute floor.
+infinite interval, try no predicted start and record no motion: each
+moves less than the one before, so repeating the last motion overshoots,
+the first step's included.  The next monitor rebuild moves the target
+further than an exact flow would gain.  The first flow takes _GRAD_RTOL;
+with a fixed monitor it is the whole answer.  A later flow need contract
+no further than the rebuild loop itself last did, the ratio of the last
+two displacement sums, kept within [_GRAD_RTOL, _FORCING_RTOL]; the
+second flow, with no ratio yet, takes the cap.
+Calls near the fixed point still reach the absolute floor.
 """
 
 from __future__ import annotations
@@ -217,7 +223,7 @@ _MAX_SUBSTEPS = 500          # per time step
 _SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
-_SMOOTHING_RTOL = 0.05       # cap on a later smoothing flow's rtol
+_FORCING_RTOL = 0.05         # a step's rtol, and a later flow's cap
 _SMOOTHING_TOL = 1e-2        # smoothing stop on the displacement sum, um
 _SMOOTHING_MAX_ITERS = 40    # smoothing iterations (monitor rebuilds)
 # L-BFGS curvature pairs kept (Nocedal 1980); a short history suffices
@@ -231,11 +237,11 @@ _REFACTOR_RATIO = 1.5
 class StiffnessFactor:
     """The relaxation state mmpde_step keeps across calls.
 
-    It holds the preconditioner v -> K^-1 v, the last call's displacement
-    and that call's L-BFGS curvature pairs.  K is the P1 stiffness matrix
-    with each cell weighted by its energy density, restricted per
-    coordinate to the vertices free in that coordinate; constrained
-    entries map to zero.  K is factorised again only when the mesh
+    It holds the preconditioner v -> K^-1 v, the last finite-interval
+    call's displacement and the last call's L-BFGS curvature pairs.  K is
+    the P1 stiffness matrix with each cell weighted by its energy density,
+    restricted per coordinate to the vertices free in that coordinate;
+    constrained entries map to zero.  K is factorised again only when the mesh
     topology or free-vertex set changes, or when some cell's energy
     density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value
     at the last factorisation.  A stale K is still SPD, so it stays a
@@ -267,7 +273,7 @@ class StiffnessFactor:
         self._layouts = []      # (coordinate, BandLayout) per free block
         self._density = None    # cell energy densities at factorisation
         self._apply = None
-        self.motion = None      # the last call's x_final - x^n, (nv, 2)
+        self.motion = None      # the last step's x_final - x^n, (nv, 2)
         self.pairs = CurvaturePairs()   # its L-BFGS pairs
 
     def preconditioner(self, mesh: TriMesh, density: np.ndarray) -> Callable:
@@ -410,14 +416,16 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     energy does not rise and no cell inverts.  L-BFGS stops once the
     largest projected gradient entry of that sum is below the stationarity
     tolerance: grad_tol if given, else max(_GRAD_TOL, rtol times that
-    entry at x^n).  A call that starts stationary solves nothing with
-    K^-1.  factor keeps the preconditioner, the last call's motion and its
-    L-BFGS pairs across calls.  L-BFGS starts from the pairs, and, for a
-    finite dt_interval, from x^n plus that motion on the free coordinates
-    if x^n is not stationary and that start passes the line search's
-    test.  Every call records its motion, so a step after smoothing tries
-    the last flow's.  Without a factor, K is factorised afresh and L-BFGS
-    starts at x^n with no pairs.
+    entry at x^n).  A run's steps pass rtol = _FORCING_RTOL.  A call that
+    starts stationary solves nothing with K^-1.  factor keeps the
+    preconditioner, the last step's motion and the last call's L-BFGS
+    pairs across calls.  L-BFGS starts from the pairs, and, for a finite
+    dt_interval, from x^n plus that motion on the free coordinates if x^n
+    is not stationary and that start passes the line search's test.  Only
+    a finite-interval call records its motion; one over an infinite
+    interval clears it, so the first step after smoothing starts at x^n.
+    Without a factor, K is factorised afresh and L-BFGS starts at x^n with
+    no pairs.
     """
     if factor is None:
         factor = StiffnessFactor()
@@ -499,7 +507,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         n_done += 1
 
     moved = x - x0
-    factor.motion = moved
+    # a smoothing flow's motion overshoots the next flow and the first step
+    factor.motion = moved if np.isfinite(dt_interval) else None
     max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
     return MmpdeResult(x, n_done, stopped, max_disp, predicted)
 
@@ -523,15 +532,16 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
     Each iteration rebuilds the monitor at the current vertex positions and
     runs the flow under that frozen metric to mmpde_step's stationarity
     tolerance, relative to the flow's starting gradient by rtol: _GRAD_RTOL
-    for the first flow, _SMOOTHING_RTOL for the second, and for flow k >= 3
+    for the first flow, _FORCING_RTOL for the second, and for flow k >= 3
     the contraction d_(k-1)/d_(k-2) of the displacement sums, clamped to
-    [_GRAD_RTOL, _SMOOTHING_RTOL].  The loop stops when the summed vertex
+    [_GRAD_RTOL, _FORCING_RTOL].  The loop stops when the summed vertex
     displacement drops below _SMOOTHING_TOL, or after _SMOOTHING_MAX_ITERS
     iterations.
     Returns the smoothed mesh, the per-iteration displacement trace and
     each flow's stop reason, iteration count and rtol.  Every flow's mmpde_step
-    shares factor, a fresh one if none is given; every monitor shares
-    nearest, if given.
+    shares factor, a fresh one if none is given, and leaves it holding no
+    motion, so the step after smoothing starts at x^n; every monitor
+    shares nearest, if given.
     """
     if factor is None:
         factor = StiffnessFactor()
@@ -562,8 +572,8 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
             out.converged = True
             break
         # the next flow need contract no further than the loop last did
-        rtol = _SMOOTHING_RTOL if it == 0 else min(
-            _SMOOTHING_RTOL, max(_GRAD_RTOL, disp / out.trace[-2]))
+        rtol = _FORCING_RTOL if it == 0 else min(
+            _FORCING_RTOL, max(_GRAD_RTOL, disp / out.trace[-2]))
     if not out.converged:
         logger.warning("mesh smoothing hit its %d-iteration cap with "
                        "displacement %.3g", _SMOOTHING_MAX_ITERS,

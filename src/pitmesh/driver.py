@@ -3,7 +3,10 @@
 Per step: move the mesh under the current monitor, solve the potential on
 the moved mesh, advance the pit front, then handle a possible merge.  The
 monitor is rebuilt from the post-advance chains at the start of the next
-step, so the mesh lags the front by at most one step.  A merge step is no
+step, so the mesh lags the front by at most one step.  Each step's
+relaxation therefore stops at adapt._FORCING_RTOL of its starting
+gradient: solving it further gains less than that lag, and the next step
+starts from its mesh and keeps relaxing.  A merge step is no
 exception: no extra smoothing or solve follows a merge, and the next
 step's relaxation recovers the mesh around the merged pit.  Runs are fully
 deterministic for a fixed config (the only randomness is the seeded
@@ -190,9 +193,11 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     mesh.  Each step is all or nothing: the loop keeps a copy of the last
     completed step's mesh, chains and phi, and an exception from any
     module within a step aborts the run with a SimulationError carrying
-    that copy, whatever the failing call left half done.  One
-    StiffnessFactor serves every mesh relaxation of the run, and with it
-    each relaxation starts from the last one's motion; one JacobianPattern
+    that copy, whatever the failing call left half done.  Each step's
+    relaxation stops at adapt._FORCING_RTOL of its starting gradient, as
+    the mesh already lags the front by a step.  One StiffnessFactor serves
+    every mesh relaxation of the run, and with it each step after the
+    first starts from the last step's motion; one JacobianPattern
     serves every potential solve, and the two share one MeshStructure,
     so a run sweeps its triangulation's levels once; one NearestSegments
     serves every monitor, the initial smoothing's included.  The state
@@ -239,7 +244,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             metric = adapt.monitor_mackenzie(mesh, chains, config.adapt,
                                              nearest)
             moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
-                                     factor=factor)
+                                     factor=factor, rtol=adapt._FORCING_RTOL)
             # the front moves chain vertices in place; the result keeps its own
             mesh.vertices = moved.positions.copy()
             relaxation_iterations += moved.substeps

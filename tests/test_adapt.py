@@ -914,7 +914,7 @@ class TestSmoothing:
         mesh, chains, _ = build_initial_mesh(cfg.domain, cfg.pits,
                                              cfg.target_h, 0)
         forced = smooth_mesh(mesh, chains, cfg.adapt)
-        monkeypatch.setattr(adapt, "_SMOOTHING_RTOL", adapt._GRAD_RTOL)
+        monkeypatch.setattr(adapt, "_FORCING_RTOL", adapt._GRAD_RTOL)
         fixed = smooth_mesh(mesh, chains, cfg.adapt)
         assert forced.flow_iters[0] == fixed.flow_iters[0]
         assert sum(forced.flow_iters[1:]) <= 0.7 * sum(fixed.flow_iters[1:])

@@ -1,4 +1,5 @@
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
 from pitmesh.fem import BandLayout
 from pitmesh.front import FrontError
-from pitmesh.io import write_summary
+from pitmesh.io import parse_config, write_summary
 from pitmesh.mesh import face_and_vertex_normals, validate, vertex_roles
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import grad_energy
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def small_config(**kwargs):
@@ -271,7 +274,7 @@ class TestRun:
     def test_predicted_start_keeps_the_relative_tolerance(self, recorded_run):
         # the stationarity tolerance comes from the gradient at x^n, not at
         # the predicted start: each step ends with its projected gradient
-        # below 1e-3 times that at x^n
+        # below _FORCING_RTOL times that at x^n
         _, steps = recorded_run
         p = small_config().adapt
         dt = small_config().front.dt
@@ -295,7 +298,43 @@ class TestRun:
             if np.abs(g_start).max() > 1e-4:
                 ratios.append(np.abs(g_end).max() / np.abs(g_start).max())
         assert len(ratios) >= len(steps) // 2
-        assert max(ratios) < 1e-3
+        assert max(ratios) < adapt._FORCING_RTOL
+
+    def test_steps_stop_at_the_forcing_tolerance(self, monkeypatch):
+        # the mesh lags the front by a step, so a step solved to
+        # _FORCING_RTOL rather than _GRAD_RTOL of its starting gradient
+        # takes far fewer iterations and leaves the front where it was
+        cfg = parse_config(str(BENCH_WORKLOADS / "twopit.cfg"))
+        cfg.vtk_every = 0
+        forced = run(cfg)
+        real = adapt.mmpde_step
+
+        def tight(mesh, metric, p, dt_interval, **kwargs):
+            if np.isfinite(dt_interval):
+                kwargs["rtol"] = adapt._GRAD_RTOL
+            return real(mesh, metric, p, dt_interval, **kwargs)
+
+        monkeypatch.setattr(adapt, "mmpde_step", tight)
+        reference = run(cfg)
+        assert forced.relaxation_iterations \
+            <= 0.6 * reference.relaxation_iterations
+        assert forced.steps == reference.steps
+        assert len(forced.events) == len(reference.events) == 1
+        for name in ("depth", "width"):
+            assert abs(getattr(forced.series, name)[-1]
+                       - getattr(reference.series, name)[-1]) <= 1e-6
+
+    def test_first_step_does_not_replay_smoothing(self, recorded_run):
+        # a smoothing flow records no motion: each flow moves less than the
+        # one before, so its motion would overshoot the first step
+        cfg = small_config()
+        mesh, chains, _ = build_initial_mesh(cfg.domain, cfg.pits,
+                                             cfg.target_h, cfg.seed)
+        factor = adapt.StiffnessFactor()
+        adapt.smooth_mesh(mesh, chains, cfg.adapt, factor=factor)
+        assert factor.motion is None
+        _, steps = recorded_run
+        assert not steps[0][2].predicted
 
     def test_summary_reports_newton_work(self, monkeypatch, tmp_path,
                                          band_calls):
