@@ -13,7 +13,8 @@ Prints one line per pass and then, for step p50, step p90, set-up and
 pass time, the median and quartiles of the per-pass ratios change /
 parent and the passes the change won.  Each pass line and the summary
 also give each side's step relaxation iterations,
-RunResult.relaxation_iterations.  A pass whose final depth, width, step
+RunResult.relaxation_iterations, and Newton iterations,
+RunResult.newton_iterations.  A pass whose final depth, width, step
 count or smallest cell area differ between the two sides is flagged,
 with the largest |depth| and |width| differences over the time series
 rows both sides have and the relative difference of the smallest area;
@@ -112,6 +113,7 @@ def timed_pass(package, config_path: Path, jitter: int) -> dict:
             "p50": float(np.percentile(steps, 50)),
             "p90": float(np.percentile(steps, 90)),
             "relaxation_iters": result.relaxation_iterations,
+            "newton_iters": result.newton_iterations,
             "series": (result.series.depth, result.series.width),
             "outputs": (result.series.depth[-1], result.series.width[-1],
                         result.steps, result.min_area_seen)}
@@ -159,9 +161,10 @@ def main(argv=None) -> int:
 
     keys = ("setup_s",) if args.setup else ("p50", "p90", "setup_s", "pass_s")
     run_pass = setup_pass if args.setup else timed_pass
-    iters_key = "smoothing_iters" if args.setup else "relaxation_iters"
+    iters_keys = (("smoothing_iters",) if args.setup
+                  else ("relaxation_iters", "newton_iters"))
     ratios = {key: [] for key in keys}
-    iters = {side: [] for side in SIDES}
+    iters = {key: {side: [] for side in SIDES} for key in iters_keys}
     differing = []
     for k in range(args.pairs):
         jitter = args.seed + k
@@ -174,8 +177,9 @@ def main(argv=None) -> int:
         if not same:
             differing.append(jitter)
         parent, change = got["parent"], got["change"]
-        for side in SIDES:
-            iters[side].append(got[side][iters_key])
+        for key in iters_keys:
+            for side in SIDES:
+                iters[key][side].append(got[side][key])
         if args.setup:
             times = (f"set-up {1e3 * parent['setup_s']:.2f} -> "
                      f"{1e3 * change['setup_s']:.2f} ms, smoothing "
@@ -185,7 +189,8 @@ def main(argv=None) -> int:
             times = (f"step p50 {parent['p50']:.3f} -> {change['p50']:.3f} ms, "
                      f"p90 {parent['p90']:.3f} -> {change['p90']:.3f} ms, "
                      f"relaxation iterations {parent['relaxation_iters']} -> "
-                     f"{change['relaxation_iters']}")
+                     f"{change['relaxation_iters']}, Newton iterations "
+                     f"{parent['newton_iters']} -> {change['newton_iters']}")
         flag = ""
         if not same:
             flag = "  OUTPUTS DIFFER"
@@ -196,8 +201,7 @@ def main(argv=None) -> int:
     result = {"workload": args.workload, "pairs": args.pairs,
               "first_seed": args.seed, "setup_only": args.setup,
               "ratios": {key: summary(ratios[key]) for key in keys},
-              "outputs_differ_at_seeds": differing,
-              iters_key: iters}
+              "outputs_differ_at_seeds": differing, **iters}
     for key in keys:
         s = result["ratios"][key]
         print(f"{key:8s} change/parent {s['median']:.3f} "

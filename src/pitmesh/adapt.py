@@ -213,7 +213,6 @@ class MmpdeResult:
     positions: np.ndarray
     substeps: int            # L-BFGS iterations
     stopped: str             # "stationary" | "substep-cap"
-    max_displacement: float
     predicted: bool          # started from x^n plus the last call's motion
 
 
@@ -247,7 +246,7 @@ class StiffnessFactor:
     at the last factorisation.  A stale K is still SPD, so it stays a
     valid preconditioner.  A refactorisation drops the pairs, whose K^-1 y
     belongs to the old K; a new topology drops the displacement too.
-    Counts its factorisations and the minimiser calls it served.
+    Counts its factorisations.
 
     What it reads from the mesh's triangles and tags, the corner gather
     index, the side-wall levels and the free mask, comes from structure,
@@ -267,7 +266,6 @@ class StiffnessFactor:
     def __init__(self, structure: Optional[MeshStructure] = None):
         self.structure = MeshStructure() if structure is None else structure
         self.factorisations = 0
-        self.minimiser_calls = 0
         self._corners = None    # the structure's corners and the free
         self._free = None       # mask the layouts were built from
         self._layouts = []      # (coordinate, BandLayout) per free block
@@ -282,7 +280,6 @@ class StiffnessFactor:
         K is restricted to the structure's free mask.  The structure must
         be of mesh, as mmpde_step leaves it.
         """
-        self.minimiser_calls += 1
         corners, free = self.structure.corners, self.structure.free
         same_mesh = corners is self._corners
         if not same_mesh:
@@ -509,8 +506,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     moved = x - x0
     # a smoothing flow's motion overshoots the next flow and the first step
     factor.motion = moved if np.isfinite(dt_interval) else None
-    max_disp = float(np.max(np.hypot(moved[:, 0], moved[:, 1]))) if len(x) else 0.0
-    return MmpdeResult(x, n_done, stopped, max_disp, predicted)
+    return MmpdeResult(x, n_done, stopped, predicted)
 
 
 @dataclass
@@ -561,10 +557,11 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
                            "%d-substep cap before stationarity",
                            it + 1, _SMOOTHING_SUBSTEPS)
         moved = res.positions - work.vertices
-        disp = float(np.sum(np.hypot(moved[:, 0], moved[:, 1])))
+        lengths = np.hypot(moved[:, 0], moved[:, 1])
+        disp = float(np.sum(lengths))
         work.vertices = res.positions
         out.trace.append(disp)
-        out.trace_max.append(res.max_displacement)
+        out.trace_max.append(float(np.max(lengths)))
         out.flow_stops.append(res.stopped)
         out.flow_iters.append(res.substeps)
         out.flow_rtols.append(rtol)

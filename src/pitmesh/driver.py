@@ -117,17 +117,15 @@ class RunResult:
     init: InitResult      # the smoothed initial state and its record
     steps: int
     min_area_seen: float
-    # relaxation preconditioner factorisations and the minimiser calls
-    # they served; counts only, so a kept result holds no factor
+    # relaxation preconditioner factorisations; a count only, so a kept
+    # result holds no factor
     factorisations: int
-    minimiser_calls: int
     # the steps' relaxation iterations, and the steps that took the
     # predicted start
     relaxation_iterations: int
     predicted_starts: int
-    # Newton iterations and potential solves; counts only, as above
+    # Newton iterations of the initial solve and the steps' solves
     newton_iterations: int
-    newton_solves: int
 
 
 def init_mesh(config: SimConfig,
@@ -286,8 +284,8 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
                               step, mesh, chains, phi)
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
-                     factor.minimiser_calls, relaxation_iterations,
-                     predicted_starts, pattern.iterations, pattern.solves)
+                     relaxation_iterations, predicted_starts,
+                     pattern.iterations)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -19,19 +19,20 @@ A MeshStructure alone decides when a mesh's triangles or tags have
 changed, and keeps what the solvers derive from them; a run's relaxation
 and Newton share one.  The triangulation and the Dirichlet set stay
 fixed over a run, so a JacobianPattern keeps the structure of the
-Jacobian's free block: the layout, and the stiffness block K and the
-Jacobian J as CSR matrices in
-layout order, whose data each Newton call refills in place.  It also
-keeps the last band Cholesky factor.  The Jacobian changes little from
-one Newton step to the next, and from one mesh step to the next, so each
-Newton step solves by conjugate gradients preconditioned by that factor
-(an inexact Newton method: Kelley, Iterative Methods for Linear and
-Nonlinear Equations, SIAM 1995; Eisenstat and Walker, SIAM J. Sci.
-Comput. 17, 1996).  Only when there is no factor, or the iterations
-break down or miss their target within _PCG_MAX_ITERS, does a step fill
-the band, subtract the pit-edge terms in place, factorise it and keep
-the factor.  Only phi changes within a solve, so the pit edges' V_corr
-and quadrature weights (PitEdges) are computed once a solve.
+Jacobian's free block: the layout, and the stiffness block K as a CSR
+matrix in layout order, whose data each Newton call refills in place.
+It also keeps the last band Cholesky factor.  The Jacobian changes
+little from one Newton step to the next, and from one mesh step to the
+next, so each Newton step solves by conjugate gradients preconditioned
+by that factor (an inexact Newton method: Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995; Eisenstat and Walker, SIAM J.
+Sci. Comput. 17, 1996).  These need only products with the Jacobian,
+K minus the pit-edge 2x2 blocks, so none is formed (Knoll and Keyes, J.
+Comput. Phys. 193, 2004).  Only when there is no factor, or the
+iterations break down or miss their target within _PCG_MAX_ITERS, does
+a step fill the band, subtract the pit-edge terms in place, factorise it
+and keep the factor.  Only phi changes within a solve, so the pit
+edges' V_corr and quadrature weights (PitEdges) are computed once a solve.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -41,7 +42,7 @@ meters so that phi comes out in volts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,8 +93,7 @@ _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(2)
 class NewtonResult:
     phi: np.ndarray
     iterations: int
-    residual_norm: float
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)   # residual norm per iterate
 
 
 def _cell_stiffness(mesh: TriMesh, weight: Optional[np.ndarray] = None,
@@ -380,28 +380,26 @@ class JacobianPattern:
     Its block is the free vertices, those off the Dirichlet set.  Every
     Jacobian on these triangles has the free stiffness block's structure,
     as pit edges are mesh edges, so one structure serves them all: the
-    block's BandLayout, and the stiffness block K and Jacobian J as CSR
-    matrices in the layout's order, with the slot in their data of each
-    flattened _cell_stiffness entry.  stiffness and jacobian refill K and
-    J in place.  All of it is built from structure, a MeshStructure a run
-    shares with its relaxation, or one of its own, and built again, with
-    the factor dropped, when the structure's corners or Dirichlet mask
-    change.  factor is the upper band Cholesky factor of the last
-    Jacobian factorised, which preconditions the Jacobians after it.
-    Counts the Newton solves and iterations it served.
+    block's BandLayout, and the stiffness block K as a CSR matrix in the
+    layout's order, with the slot in its data of each flattened
+    _cell_stiffness entry.  stiffness refills K in place.  All of it is
+    built from structure, a MeshStructure a run shares with its
+    relaxation, or one of its own, and built again, with the factor
+    dropped, when the structure's corners or Dirichlet mask change.
+    factor is the upper band Cholesky factor of the last Jacobian
+    factorised, which preconditions the Jacobians after it.  Counts the
+    Newton iterations it served.
     """
 
     def __init__(self, structure: Optional[MeshStructure] = None):
         self.structure = MeshStructure() if structure is None else structure
-        self.solves = 0
         self.iterations = 0
         self.layout = None
         self.factor = None
         self._corners = None    # the structure's corners and Dirichlet
         self._fixed = None      # mask the layout was built from
-        self._keys = None       # row * n + column of each stored entry
         self._slot = None
-        self._K = self._J = None
+        self._K = None
 
     def layout_for(self, mesh: TriMesh) -> BandLayout:
         """The layout of mesh's free block.
@@ -420,18 +418,15 @@ class JacobianPattern:
         n = len(layout.order)
         rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
         keep = (rows >= 0) & (cols >= 0)
-        # sorted keys are the CSR order: by row, then by column
-        self._keys, inverse = np.unique(rows[keep] * n + cols[keep],
-                                        return_inverse=True)
-        self._slot = np.full(len(rows), len(self._keys))
+        # sorted keys, row * n + column, are the CSR order
+        keys, inverse = np.unique(rows[keep] * n + cols[keep],
+                                  return_inverse=True)
+        self._slot = np.full(len(rows), len(keys))
         self._slot[keep] = inverse
-        indices = (self._keys % n).astype(np.int32)
         indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self._keys // n, minlength=n)))
-        ).astype(np.int32)
-        self._K, self._J = (
-            sp.csr_matrix((np.zeros(len(self._keys)), indices, indptr),
-                          shape=(n, n)) for _ in range(2))
+            ([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+        self._K = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                                shape=(n, n))
         return layout
 
     def stiffness(self, entries: np.ndarray) -> sp.csr_matrix:
@@ -440,36 +435,42 @@ class JacobianPattern:
         entries are _cell_stiffness's, flattened; those off the block are
         dropped.  Refills and returns the kept K.
         """
-        nnz = len(self._keys)
+        nnz = len(self._K.data)
         self._K.data[:] = np.bincount(self._slot, weights=entries,
                                       minlength=nnz + 1)[:nnz]
         return self._K
 
-    def jacobian(self, K: sp.csr_matrix, blocks: tuple) -> sp.csr_matrix:
-        """K minus the edge 2x2 blocks (a, b, jaa, jab, jbb).
 
-        The blocks come as BandLayout.subtract_edges takes them; entries
-        off the block are dropped.  Refills and returns the kept J.
-        """
-        a, b, jaa, jab, jbb = blocks
-        pa, pb = self.layout._pos[a], self.layout._pos[b]
-        rows = np.concatenate([pa, pb, pa, pb])
-        cols = np.concatenate([pa, pb, pb, pa])
-        keep = (rows >= 0) & (cols >= 0)
-        J = self._J
-        np.copyto(J.data, K.data)
-        slots = np.searchsorted(self._keys, rows[keep] * K.shape[0] + cols[keep])
-        np.subtract.at(J.data, slots, np.concatenate([jaa, jbb, jab, jab])[keep])
-        return J
+def _jacobian_product(K: sp.csr_matrix, layout: BandLayout,
+                      blocks: tuple) -> Callable:
+    """p -> J p for J = K minus the edge 2x2 blocks, in layout order.
+
+    blocks come as BandLayout.subtract_edges takes them.  Edge ends must
+    be free, as pit vertices are; bincount raises on a Dirichlet end's
+    position -1.  It also sums the two blocks at an interior chain vertex.
+    """
+    a, b, jaa, jab, jbb = blocks
+    pa, pb = layout._pos[a], layout._pos[b]
+    ends = np.concatenate((pa, pb))
+    n = K.shape[0]
+
+    def product(p: np.ndarray) -> np.ndarray:
+        xa, xb = p[pa], p[pb]
+        edge = np.bincount(ends, weights=np.concatenate(
+            (jaa * xa + jab * xb, jab * xa + jbb * xb)), minlength=n)
+        return K @ p - edge
+
+    return product
 
 
-def _pcg(J: sp.csr_matrix, rhs: np.ndarray, factor: np.ndarray,
+def _pcg(product: Callable, rhs: np.ndarray, factor: np.ndarray,
          target: float) -> Optional[np.ndarray]:
     """Solve J x = rhs by conjugate gradients preconditioned by a band factor.
 
-    Starts from x = 0 and stops once the recurred residual norm is at most
-    target.  None when that takes more than _PCG_MAX_ITERS iterations, or
-    on a direction with p'Jp <= 0, as when J is not SPD.
+    J enters only through product, p -> J p.  Starts from x = 0 and stops
+    once the recurred residual norm is at most target.  None when that
+    takes more than _PCG_MAX_ITERS iterations, or on a direction with
+    p'Jp <= 0, as when J is not SPD.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -478,7 +479,7 @@ def _pcg(J: sp.csr_matrix, rhs: np.ndarray, factor: np.ndarray,
         z = band_solve(factor, r)
         rz = r @ z
         p = z if p is None else z + (rz / rz_last) * p
-        q = J @ p
+        q = product(p)
         curvature = p @ q
         if not curvature > 0.0:
             return None
@@ -509,7 +510,6 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
     if pattern is None:
         pattern = JacobianPattern()
-    pattern.solves += 1
     layout = pattern.layout_for(mesh)
     phi[pattern.structure.fixed] = 0.0
     free = layout.order
@@ -527,14 +527,15 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
         tol = _ABS_TOL + _REL_TOL * history[0]
         if norm <= tol:
             pattern.iterations += it
-            return NewtonResult(phi, it, norm, history)
+            return NewtonResult(phi, it, history)
         if it == _MAX_ITERS:
             break
         step = None
         if pattern.factor is not None:
             # the forcing term keeps the convergence superlinear
             target = min(0.1 * tol, 0.1 * norm ** 2 / history[0])
-            step = _pcg(pattern.jacobian(K, dB), -rf, pattern.factor, target)
+            step = _pcg(_jacobian_product(K, layout, dB), -rf,
+                        pattern.factor, target)
         if step is None:
             band = layout.band(entries)
             # pit edges are mesh edges, so dB lies inside the band

@@ -385,13 +385,15 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
                  f"per flow: {flows}")
     lines.append("initial smoothing relative tolerance per flow: "
                  + ", ".join(f"{rtol:.3g}" for rtol in smooth.flow_rtols))
+    # one minimiser call per flow and per step; one solve, then one a step
     lines.append(f"relaxation: {result.factorisations} preconditioner "
-                 f"factorisations in {result.minimiser_calls} minimiser calls; "
+                 f"factorisations in {len(smooth.trace) + result.steps} "
+                 f"minimiser calls; "
                  f"{result.relaxation_iterations} iterations and "
                  f"{result.predicted_starts} predicted starts in "
                  f"{result.steps} steps")
     lines.append(f"potential: {result.newton_iterations} Newton iterations in "
-                 f"{result.newton_solves} solves")
+                 f"{result.steps + 1} solves")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"merge events: {len(result.events)}")
     for ev in result.events:
