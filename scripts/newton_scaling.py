@@ -49,7 +49,7 @@ def newton_timed(target_h: float, t_end: float) -> dict:
         finally:
             work["inside"] = False
         times.append(time.perf_counter() - start)
-        layouts.append(kwargs["pattern"].layout)
+        layouts.append(kwargs["structure"].newton_layout(args[0]))
         return res
 
     def factor(*args, **kwargs):

@@ -29,9 +29,9 @@ again only when the free-vertex set changes or the cell energy densities
 drift.
 Each free block's band order and the map from cell stiffness entries to
 its band storage depend on the triangulation and the free set alone, so
-they are kept until those change, which a fem.MeshStructure, shared with
-Newton in a run, decides; a refactorisation only refills the bands and
-factorises them.
+the factor's fem.MeshStructure, shared with Newton in a run, keeps them
+until those change, each with its last factor; a refactorisation only
+refills the bands and factorises them.
 The shared factor also carries the last step's displacement and the last
 call's curvature pairs: the pit front moves about as far each step, so
 the mesh follows it smoothly and its last motion predicts the next.  A
@@ -72,7 +72,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .fem import BandLayout, MeshStructure, _cell_stiffness, band_solve
+from .fem import MeshStructure, _cell_stiffness, band_solve
 from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
                    min_distance_to_pit)
 
@@ -240,35 +240,29 @@ class StiffnessFactor:
     call's displacement and the last call's L-BFGS curvature pairs.  K is
     the P1 stiffness matrix with each cell weighted by its energy density,
     restricted per coordinate to the vertices free in that coordinate;
-    constrained entries map to zero.  K is factorised again only when the mesh
-    topology or free-vertex set changes, or when some cell's energy
-    density has left [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value
-    at the last factorisation.  A stale K is still SPD, so it stays a
-    valid preconditioner.  A refactorisation drops the pairs, whose K^-1 y
-    belongs to the old K; a new topology drops the displacement too.
+    constrained entries map to zero.  Each free block of K has a
+    fem.BandLayout, which structure, its fem.MeshStructure, builds from the
+    triangulation and the free mask and keeps until they change; a
+    layout built again has no factor.  K is factorised again only when a
+    block has no factor, or when some cell's energy density has left
+    [1/_REFACTOR_RATIO, _REFACTOR_RATIO] times its value at the last
+    factorisation.  A stale K is still SPD, so it stays a valid
+    preconditioner.  A refactorisation drops the pairs, whose K^-1 y
+    belongs to the old K; new triangles drop the displacement too.
     Counts its factorisations.
 
-    What it reads from the mesh's triangles and tags, the corner gather
-    index, the side-wall levels and the free mask, comes from structure,
-    a fem.MeshStructure a run shares with Newton, or one of its own.
-    Each free block of K has a fem.BandLayout: its order, in sweeps from
-    the left side wall, and the band slot of every cell stiffness entry.
-    The layouts depend only on the triangulation and the free set, so they
-    are built again only when the structure's corners or the free mask
-    are no longer the arrays they were built from; a refactorisation
-    fills each band from the weighted cell stiffness by one bincount and
-    factorises it by banded Cholesky.  The band factor is a plain array of its own
-    size; a SuperLU factor reserves heap for its fill estimate, about 15
-    times what it touches, and kept across calls that reserve fragments
-    the heap.  Every solve with a band factor is one fem.band_solve.
+    A refactorisation fills each block's band from the weighted cell
+    stiffness by one bincount and factorises it by banded Cholesky, onto
+    the layout.  The band factor is a plain array of its own size; a
+    SuperLU factor reserves heap for its fill estimate, about 15 times
+    what it touches, and kept across calls that reserve fragments the
+    heap.  Every solve with a band factor is one fem.band_solve.
     """
 
-    def __init__(self, structure: Optional[MeshStructure] = None):
-        self.structure = MeshStructure() if structure is None else structure
+    def __init__(self):
+        self.structure = MeshStructure()
         self.factorisations = 0
-        self._corners = None    # the structure's corners and the free
-        self._free = None       # mask the layouts were built from
-        self._layouts = []      # (coordinate, BandLayout) per free block
+        self._corners = None    # the structure's corners at the last call
         self._density = None    # cell energy densities at factorisation
         self._apply = None
         self.motion = None      # the last step's x_final - x^n, (nv, 2)
@@ -280,29 +274,25 @@ class StiffnessFactor:
         K is restricted to the structure's free mask.  The structure must
         be of mesh, as mmpde_step leaves it.
         """
-        corners, free = self.structure.corners, self.structure.free
-        same_mesh = corners is self._corners
-        if not same_mesh:
+        if self.structure.corners is not self._corners:
+            self._corners = self.structure.corners
             self.motion = None
-        same_layout = same_mesh and free is self._free
-        if self._apply is not None and same_layout \
+        layouts = self.structure.relaxation_layouts(mesh)
+        if self._apply is not None \
+                and all(layout.chol is not None for _, layout in layouts) \
                 and np.max(np.abs(np.log(density / self._density))) \
                 <= np.log(_REFACTOR_RATIO):
             return self._apply
-        # drop the old factor first: building the new one beside it raises
-        # peak memory
+        # drop the old factors first: building the new ones beside them
+        # raises peak memory
         self._apply = None
+        for _, layout in layouts:
+            layout.chol = None
         self.pairs.clear()
-        entries = _cell_stiffness(mesh, density, corners).ravel()
-        if not same_layout:
-            levels = self.structure.levels
-            self._layouts = [(c, BandLayout(mesh, np.flatnonzero(free[:, c]),
-                                            levels))
-                             for c in range(2) if np.any(free[:, c])]
-            self._corners, self._free = corners, free
+        entries = _cell_stiffness(mesh, density, self.structure.corners).ravel()
         # each block's entries of flat (2 nv,) vectors, in its order
         blocks = [(2 * layout.order + c, layout.factor(layout.band(entries)))
-                  for c, layout in self._layouts]
+                  for c, layout in layouts]
 
         def apply(v: np.ndarray) -> np.ndarray:
             out = np.zeros_like(v)
@@ -398,7 +388,6 @@ class CurvaturePairs:
 
 def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
                dt_interval: float, max_substeps: int = _MAX_SUBSTEPS,
-               grad_tol: Optional[float] = None,
                factor: Optional[StiffnessFactor] = None,
                rtol: float = _GRAD_RTOL) -> MmpdeResult:
     """One backward-Euler step of the flow over an interval dt_interval.
@@ -412,9 +401,9 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
     the first one included, is tried at unit length and halved until the
     energy does not rise and no cell inverts.  L-BFGS stops once the
     largest projected gradient entry of that sum is below the stationarity
-    tolerance: grad_tol if given, else max(_GRAD_TOL, rtol times that
-    entry at x^n).  A run's steps pass rtol = _FORCING_RTOL.  A call that
-    starts stationary solves nothing with K^-1.  factor keeps the
+    tolerance max(_GRAD_TOL, rtol times that entry at x^n).  A run's
+    steps pass rtol = _FORCING_RTOL.  A call that starts stationary
+    solves nothing with K^-1.  factor keeps the
     preconditioner, the last step's motion and the last call's L-BFGS
     pairs across calls.  L-BFGS starts from the pairs, and, for a finite
     dt_interval, from x^n plus that motion on the free coordinates if x^n
@@ -450,10 +439,8 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
 
     current, grad, density = _evaluate_mesh(fn, mesh)
     g = grad * free
-    # an explicit grad_tol is an exact threshold; the default combines the
-    # absolute floor with rtol relative to the interval's start
-    stop_tol = grad_tol if grad_tol is not None \
-        else max(_GRAD_TOL, rtol * float(np.max(np.abs(g))))
+    # the absolute floor, or rtol relative to the interval's start
+    stop_tol = max(_GRAD_TOL, rtol * float(np.max(np.abs(g))))
     precond = factor.preconditioner(mesh, density)
 
     x = x0.copy()

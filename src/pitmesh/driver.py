@@ -105,6 +105,7 @@ class InitResult:
     chains: list
     phi: np.ndarray
     smooth: adapt.SmoothResult   # the initial smoothing's record
+    newton_iterations: int       # of the potential solve
 
 
 @dataclass
@@ -130,22 +131,25 @@ class RunResult:
 
 def init_mesh(config: SimConfig,
               factor: Optional[adapt.StiffnessFactor] = None,
-              pattern: Optional[fem.JacobianPattern] = None,
               nearest: Optional[NearestSegments] = None) -> InitResult:
     """Build the domain mesh and smooth it against the pit monitor.
 
-    The smoothing flows share factor, a fresh one if none is given, its
-    monitors share nearest, if given, and the potential solve uses
-    pattern.
+    The smoothing flows share factor, a fresh one if none is given, and
+    its monitors share nearest, if given; the potential solve uses the
+    factor's structure.
     """
     config.validate()
     mesh, chains, _ = build_initial_mesh(config.domain, config.pits,
                                          config.target_h, config.seed)
+    if factor is None:
+        factor = adapt.StiffnessFactor()
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor,
                                nearest=nearest)
-    phi = fem.newton_solve(smooth.mesh, chains, config.material, config.vcorr,
-                           config.electro, pattern=pattern).phi
-    return InitResult(smooth.mesh, chains, phi, smooth)
+    solved = fem.newton_solve(smooth.mesh, chains, config.material,
+                              config.vcorr, config.electro,
+                              structure=factor.structure)
+    return InitResult(smooth.mesh, chains, solved.phi, smooth,
+                      solved.iterations)
 
 
 def diagnostics(mesh: TriMesh, chains) -> tuple:
@@ -195,22 +199,21 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     relaxation stops at adapt._FORCING_RTOL of its starting gradient, as
     the mesh already lags the front by a step.  One StiffnessFactor serves
     every mesh relaxation of the run, and with it each step after the
-    first starts from the last step's motion; one JacobianPattern
-    serves every potential solve, and the two share one MeshStructure,
-    so a run sweeps its triangulation's levels once; one NearestSegments
-    serves every monitor, the initial smoothing's included.  The state
-    check after each step keeps only the area tests: every cell stays
-    positive and the pit area does not shrink.  The front functions check
-    the chain invariants on the chains they move or retag: advance_pit the
-    interior below y = 0 and no self-crossing, update_corners the corners
-    on y = 0 and the tags of an absorption, merge_pits the merged chain's
-    tags and crossings.
+    first starts from the last step's motion; every potential solve uses
+    its MeshStructure, which keeps Newton's layout and factor beside the
+    relaxation's, so a run sweeps its triangulation's levels once; one
+    NearestSegments serves every monitor, the initial smoothing's
+    included.  The run's Newton iterations are those of every solve, the
+    initial one included.  The state check after each step keeps only the
+    area tests: every cell stays positive and the pit area does not
+    shrink.  The front functions check the chain invariants on the chains
+    they move or retag: advance_pit the interior below y = 0 and no
+    self-crossing, update_corners the corners on y = 0 and the tags of an
+    absorption, merge_pits the merged chain's tags and crossings.
     """
-    structure = fem.MeshStructure()
-    factor = adapt.StiffnessFactor(structure)
-    pattern = fem.JacobianPattern(structure)
+    factor = adapt.StiffnessFactor()
     nearest = NearestSegments()
-    init = init_mesh(config, factor, pattern, nearest)
+    init = init_mesh(config, factor, nearest)
     # the loop moves its own copies in place; init keeps the starting state.
     # The triangulation never changes within a run (a merge only retags
     # edges), so the two meshes share it and a kept result holds it once
@@ -231,6 +234,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     t = 0.0
     step = 0
     relaxation_iterations = predicted_starts = 0
+    newton_iterations = init.newton_iterations
     while fparams.t_end - t > 1e-9 * fparams.dt:
         step += 1
         # newton_solve never writes into phi, so it needs no copy, and
@@ -248,9 +252,11 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
             relaxation_iterations += moved.substeps
             predicted_starts += moved.predicted
 
-            phi = fem.newton_solve(mesh, chains, config.material, config.vcorr,
-                                   config.electro, guess=phi,
-                                   pattern=pattern).phi
+            solved = fem.newton_solve(mesh, chains, config.material,
+                                      config.vcorr, config.electro, guess=phi,
+                                      structure=factor.structure)
+            phi = solved.phi
+            newton_iterations += solved.iterations
 
             speeds = [front.chain_velocities(mesh, chain, phi, config.material,
                                              config.vcorr, config.electro)
@@ -285,7 +291,7 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     return RunResult(series, mesh, chains, phi, events, init, step,
                      min_area_seen, factor.factorisations,
                      relaxation_iterations, predicted_starts,
-                     pattern.iterations)
+                     newton_iterations)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -6,33 +6,33 @@ Robin-type flux on pit edges.  The resulting nonlinear system is solved
 with Newton's method on a kept banded Cholesky factorization.
 
 A BandLayout holds one diagonal block of a P1 stiffness matrix in
-LAPACK's upper band storage: the block's order, its bandwidth and the
-band slot of each cell stiffness entry, so a factorisation is one fill
-and one cholesky_banded call, and band_solve solves with the factor by
-one call of LAPACK's dpbtrs.  The order sweeps the mesh from its left
-side wall, one breadth-first level of the mesh graph after another.  It
-reads structure alone, so one layout serves every cell weighting on a
-triangulation.  The mesh relaxation's preconditioner blocks and the free
-block of Newton's Jacobian use it.
+LAPACK's upper band storage: the block's order, its bandwidth, the band
+slot of each cell stiffness entry and the last factor made on it, so a
+factorisation is one fill and one cholesky_banded call, and band_solve
+solves with the factor by one call of LAPACK's dpbtrs.  The order sweeps
+the mesh from its left side wall, one breadth-first level of the mesh
+graph after another.  It reads structure alone, so one layout serves
+every cell weighting on a triangulation.
 
 A MeshStructure alone decides when a mesh's triangles or tags have
-changed, and keeps what the solvers derive from them; a run's relaxation
-and Newton share one.  The triangulation and the Dirichlet set stay
-fixed over a run, so a JacobianPattern keeps the structure of the
-Jacobian's free block: the layout, and the stiffness block K as a CSR
+changed, and keeps what the solvers derive from them, their layouts
+included: one per coordinate for the mesh relaxation's preconditioner
+blocks, and one for the free block of Newton's Jacobian.  A layout built
+again starts with no factor; a run's relaxation and Newton share one
+structure.  Newton's layout also keeps the stiffness block K as a CSR
 matrix in layout order, whose data each Newton call refills in place.
-It also keeps the last band Cholesky factor.  The Jacobian changes
-little from one Newton step to the next, and from one mesh step to the
-next, so each Newton step solves by conjugate gradients preconditioned
-by that factor (an inexact Newton method: Kelley, Iterative Methods for
-Linear and Nonlinear Equations, SIAM 1995; Eisenstat and Walker, SIAM J.
-Sci. Comput. 17, 1996).  These need only products with the Jacobian,
-K minus the pit-edge 2x2 blocks, so none is formed (Knoll and Keyes, J.
-Comput. Phys. 193, 2004).  Only when there is no factor, or the
-iterations break down or miss their target within _PCG_MAX_ITERS, does
-a step fill the band, subtract the pit-edge terms in place, factorise it
-and keep the factor.  Only phi changes within a solve, so the pit
-edges' V_corr and quadrature weights (PitEdges) are computed once a solve.
+The Jacobian changes little from one Newton step to the next, and from
+one mesh step to the next, so each Newton step solves by conjugate
+gradients preconditioned by the layout's factor (an inexact Newton
+method: Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995; Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996).  These
+need only products with the Jacobian, K minus the pit-edge 2x2 blocks,
+so none is formed (Knoll and Keyes, J. Comput. Phys. 193, 2004).  Only
+when there is no factor, or the iterations break down or miss their
+target within _PCG_MAX_ITERS, does a step fill the band, subtract the
+pit-edge terms in place and factorise it.  Only phi changes within a
+solve, so the pit edges' V_corr and quadrature weights (PitEdges) are
+computed once a solve.
 
 The stiffness matrix is scale invariant in 2D, so it is assembled in
 micrometer coordinates; boundary-flux integrals convert edge lengths to
@@ -62,7 +62,7 @@ from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, corner_index,
 __all__ = ["UM_TO_M", "NewtonError", "NewtonResult", "side_wall_levels",
            "MeshStructure", "BandLayout", "band_solve", "assemble_stiffness",
            "PitEdges", "pit_edges", "boundary_residual_and_jacobian",
-           "dirichlet_mask", "JacobianPattern", "newton_solve", "splu"]
+           "dirichlet_mask", "newton_solve", "splu"]
 
 UM_TO_M = 1.0e-6
 
@@ -175,12 +175,16 @@ class MeshStructure:
     relaxation's (nv, 2) mask, one where a coordinate may move, and fixed,
     the Dirichlet mask, each replaced by a new array only when its content
     changes.  So state built from these arrays is current while they are
-    the same objects.  A run's relaxation and Newton share one.
+    the same objects.  It also keeps the BandLayouts of the relaxation's
+    free blocks and of Newton's, each built from the mesh it is first
+    asked on after the triangles or its mask change.  A run's relaxation
+    and Newton share one.
     """
 
     def __init__(self):
         self._arrays = None     # copies of the triangles, edge nodes, tags
         self.corners = self.levels = self.free = self.fixed = None
+        self._relaxation = self._newton = None
 
     def of(self, mesh: TriMesh) -> "MeshStructure":
         """This structure, brought up to date with mesh."""
@@ -192,6 +196,7 @@ class MeshStructure:
         if new_cells:
             self.corners = corner_index(mesh.triangles)
             self.levels = side_wall_levels(mesh)
+            self._relaxation = self._newton = None
         roles = vertex_roles(mesh)
         free = np.ones((mesh.n_vertices, 2))
         free[roles.pinned] = 0.0
@@ -200,11 +205,35 @@ class MeshStructure:
         fixed = dirichlet_mask(mesh)
         if self.free is None or not np.array_equal(free, self.free):
             self.free = free
+            self._relaxation = None
         if self.fixed is None or not np.array_equal(fixed, self.fixed):
             self.fixed = fixed
+            self._newton = None
         self._arrays = (mesh.triangles.copy(), mesh.edge_nodes.copy(),
                         mesh.edge_tags.copy())
         return self
+
+    def relaxation_layouts(self, mesh: TriMesh) -> list:
+        """(coordinate, BandLayout) of each coordinate with free vertices.
+
+        The structure must be of mesh.
+        """
+        if self._relaxation is None:
+            self._relaxation = [
+                (c, BandLayout(mesh, np.flatnonzero(self.free[:, c]),
+                               self.levels))
+                for c in range(2) if np.any(self.free[:, c])]
+        return self._relaxation
+
+    def newton_layout(self, mesh: TriMesh) -> "BandLayout":
+        """The BandLayout of the vertices off the Dirichlet set.
+
+        The structure must be of mesh.
+        """
+        if self._newton is None:
+            self._newton = BandLayout(mesh, np.flatnonzero(~self.fixed),
+                                      self.levels)
+        return self._newton
 
 
 class BandLayout:
@@ -219,7 +248,8 @@ class BandLayout:
     without the side wall, such as the vertices free in x, is ordered the
     same way, and blocks of one mesh share them.  The order reads
     structure alone, so one layout serves every cell weighting on the
-    triangulation.
+    triangulation.  chol is the last factor made on it, None until one
+    is.
     """
 
     def __init__(self, mesh: TriMesh, block: np.ndarray, levels: np.ndarray):
@@ -234,6 +264,8 @@ class BandLayout:
         self._size = (width + 1) * n
         # entry (r, c) sits at [width + r - c, c] of the band
         self._slot = np.where(keep, width + rows + cols * width, self._size)
+        self.chol = None
+        self._K = None          # see stiffness
 
     def band(self, entries: np.ndarray) -> np.ndarray:
         """The block's upper band from flat _cell_stiffness entries."""
@@ -255,11 +287,40 @@ class BandLayout:
         np.subtract.at(band, (self.width + rows[keep] - cols[keep], cols[keep]),
                        np.concatenate([jaa, jbb, jab])[keep])
 
-    @staticmethod
-    def factor(band: np.ndarray) -> np.ndarray:
-        """Upper Cholesky band of a band from band(); LinAlgError if not SPD."""
+    def factor(self, band: np.ndarray) -> np.ndarray:
+        """Upper Cholesky band of a band from band(), kept as chol.
+
+        LinAlgError if the band is not SPD.
+        """
         # Fortran order lets LAPACK factorise the band in place
-        return cholesky_banded(band, overwrite_ab=True)
+        self.chol = cholesky_banded(band, overwrite_ab=True)
+        return self.chol
+
+    def stiffness(self, mesh: TriMesh, entries: np.ndarray) -> sp.csr_matrix:
+        """The block of the stiffness matrix in layout order, as CSR.
+
+        entries are _cell_stiffness's on mesh's triangles, flattened;
+        those off the block are dropped.  The first call builds the
+        matrix and the slot in its data of each entry; later calls refill
+        its data in place and return it.
+        """
+        if self._K is None:
+            n = len(self.order)
+            rows, cols = (self._pos[i] for i in _corner_pairs(mesh.triangles))
+            keep = (rows >= 0) & (cols >= 0)
+            # sorted keys, row * n + column, are the CSR order
+            keys, inverse = np.unique(rows[keep] * n + cols[keep],
+                                      return_inverse=True)
+            self._csr_slot = np.full(len(rows), len(keys))
+            self._csr_slot[keep] = inverse
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+            self._K = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                                    shape=(n, n))
+        nnz = len(self._K.data)
+        self._K.data[:] = np.bincount(self._csr_slot, weights=entries,
+                                      minlength=nnz + 1)[:nnz]
+        return self._K
 
 
 def band_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -374,73 +435,6 @@ def dirichlet_mask(mesh: TriMesh) -> np.ndarray:
     return mask
 
 
-class JacobianPattern:
-    """Newton's Jacobian structure and last factor, kept across calls.
-
-    Its block is the free vertices, those off the Dirichlet set.  Every
-    Jacobian on these triangles has the free stiffness block's structure,
-    as pit edges are mesh edges, so one structure serves them all: the
-    block's BandLayout, and the stiffness block K as a CSR matrix in the
-    layout's order, with the slot in its data of each flattened
-    _cell_stiffness entry.  stiffness refills K in place.  All of it is
-    built from structure, a MeshStructure a run shares with its
-    relaxation, or one of its own, and built again, with the factor
-    dropped, when the structure's corners or Dirichlet mask change.
-    factor is the upper band Cholesky factor of the last Jacobian
-    factorised, which preconditions the Jacobians after it.  Counts the
-    Newton iterations it served.
-    """
-
-    def __init__(self, structure: Optional[MeshStructure] = None):
-        self.structure = MeshStructure() if structure is None else structure
-        self.iterations = 0
-        self.layout = None
-        self.factor = None
-        self._corners = None    # the structure's corners and Dirichlet
-        self._fixed = None      # mask the layout was built from
-        self._slot = None
-        self._K = None
-
-    def layout_for(self, mesh: TriMesh) -> BandLayout:
-        """The layout of mesh's free block.
-
-        Built anew, dropping the factor, when the structure's corners or
-        Dirichlet mask are no longer the ones it was built from.
-        """
-        structure = self.structure.of(mesh)
-        if structure.corners is self._corners \
-                and structure.fixed is self._fixed:
-            return self.layout
-        self._corners, self._fixed = structure.corners, structure.fixed
-        self.layout = layout = BandLayout(
-            mesh, np.flatnonzero(~structure.fixed), structure.levels)
-        self.factor = None
-        n = len(layout.order)
-        rows, cols = (layout._pos[i] for i in _corner_pairs(mesh.triangles))
-        keep = (rows >= 0) & (cols >= 0)
-        # sorted keys, row * n + column, are the CSR order
-        keys, inverse = np.unique(rows[keep] * n + cols[keep],
-                                  return_inverse=True)
-        self._slot = np.full(len(rows), len(keys))
-        self._slot[keep] = inverse
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(keys // n, minlength=n))))
-        self._K = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
-                                shape=(n, n))
-        return layout
-
-    def stiffness(self, entries: np.ndarray) -> sp.csr_matrix:
-        """The free stiffness block in layout order, from flat entries.
-
-        entries are _cell_stiffness's, flattened; those off the block are
-        dropped.  Refills and returns the kept K.
-        """
-        nnz = len(self._K.data)
-        self._K.data[:] = np.bincount(self._slot, weights=entries,
-                                      minlength=nnz + 1)[:nnz]
-        return self._K
-
-
 def _jacobian_product(K: sp.csr_matrix, layout: BandLayout,
                       blocks: tuple) -> Callable:
     """p -> J p for J = K minus the edge 2x2 blocks, in layout order.
@@ -495,26 +489,26 @@ def _pcg(product: Callable, rhs: np.ndarray, factor: np.ndarray,
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
                  vc_params: VcorrParams, eparams: ElectroParams,
                  guess: Optional[np.ndarray] = None,
-                 pattern: Optional[JacobianPattern] = None) -> NewtonResult:
+                 structure: Optional[MeshStructure] = None) -> NewtonResult:
     """Solve K phi = b(phi) with phi = 0 on the top boundary.
 
-    pattern keeps the Jacobian's structure and last factor across calls;
-    without one they are built afresh.  Each Newton step solves
-    (K - dB) delta = -r by conjugate gradients preconditioned by the kept
-    factor, to a residual of min(0.1 tol, 0.1 |r|^2 / |r_0|), where tol is
-    the convergence tolerance and r_0 the first residual.  Without a kept
-    factor, or when those iterations break down or miss that target, it
-    factorises the Jacobian, keeps the factor and solves directly.
+    structure keeps Newton's layout, with the Jacobian's stiffness block
+    and last factor, across calls; without one they are built afresh.
+    Each Newton step solves (K - dB) delta = -r by conjugate gradients
+    preconditioned by the layout's factor, to a residual of
+    min(0.1 tol, 0.1 |r|^2 / |r_0|), where tol is the convergence
+    tolerance and r_0 the first residual.  Without a factor, or when
+    those iterations break down or miss that target, it factorises the
+    Jacobian on the layout and solves directly.
     """
     nv = mesh.n_vertices
     phi = np.zeros(nv) if guess is None else np.array(guess, dtype=np.float64)
-    if pattern is None:
-        pattern = JacobianPattern()
-    layout = pattern.layout_for(mesh)
-    phi[pattern.structure.fixed] = 0.0
+    structure = (MeshStructure() if structure is None else structure).of(mesh)
+    layout = structure.newton_layout(mesh)
+    phi[structure.fixed] = 0.0
     free = layout.order
-    entries = _cell_stiffness(mesh, corners=pattern.structure.corners).ravel()
-    K = pattern.stiffness(entries)
+    entries = _cell_stiffness(mesh, corners=structure.corners).ravel()
+    K = layout.stiffness(mesh, entries)
     edges = pit_edges(mesh, chains, material, vc_params, eparams)
 
     history = []
@@ -526,27 +520,26 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
         history.append(norm)
         tol = _ABS_TOL + _REL_TOL * history[0]
         if norm <= tol:
-            pattern.iterations += it
             return NewtonResult(phi, it, history)
         if it == _MAX_ITERS:
             break
         step = None
-        if pattern.factor is not None:
+        if layout.chol is not None:
             # the forcing term keeps the convergence superlinear
             target = min(0.1 * tol, 0.1 * norm ** 2 / history[0])
-            step = _pcg(_jacobian_product(K, layout, dB), -rf,
-                        pattern.factor, target)
+            step = _pcg(_jacobian_product(K, layout, dB), -rf, layout.chol,
+                        target)
         if step is None:
             band = layout.band(entries)
             # pit edges are mesh edges, so dB lies inside the band
             layout.subtract_edges(band, dB)
             try:
                 # K - dB is SPD, as dB <= 0 where the current is positive
-                pattern.factor = layout.factor(band)
+                chol = layout.factor(band)
             except np.linalg.LinAlgError as err:
                 raise NewtonError(f"singular linearized system: {err}",
                                   history) from err
-            step = band_solve(pattern.factor, -rf)
+            step = band_solve(chol, -rf)
         phi[free] += step
     raise NewtonError(
         f"Newton did not converge in {_MAX_ITERS} iterations; "

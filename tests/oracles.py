@@ -279,7 +279,7 @@ def smooth_mesh_exact_flows(mesh: TriMesh, chains: list,
         metric = adapt.monitor_mackenzie(work, chains, p)
         res = adapt.mmpde_step(work, metric, p, dt_interval=np.inf,
                                max_substeps=adapt._SMOOTHING_SUBSTEPS,
-                               grad_tol=adapt._GRAD_TOL, factor=factor)
+                               rtol=0.0, factor=factor)
         moved = res.positions - work.vertices
         trace.append(float(np.sum(np.hypot(moved[:, 0], moved[:, 1]))))
         iters.append(res.substeps)

@@ -190,24 +190,26 @@ class TestGradient:
 
 
 class TestMmpdeStep:
-    def test_uniform_mesh_near_stationary(self):
+    def test_uniform_mesh_near_stationary(self, monkeypatch):
         # a uniform mesh relaxed once under the identity metric is a fixed
         # point: another step does not move it
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-10)
         mesh = make_rect_mesh(8, 8)
         p = AdaptParams(mu1=0.0)
         metric = np.ones(mesh.n_vertices)
         pre = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                         max_substeps=5000, grad_tol=1e-10)
+                         max_substeps=5000, rtol=0.0)
         relaxed = mesh.copy()
         relaxed.vertices = pre.positions
         lengths = relaxed.edge_lengths()
         assert lengths.max() / lengths.min() < 2.5  # stays near uniform
-        res = mmpde_step(relaxed, metric, p, dt_interval=0.5, grad_tol=1e-10)
+        res = mmpde_step(relaxed, metric, p, dt_interval=0.5, rtol=0.0)
         moved = res.positions - relaxed.vertices
         assert np.hypot(moved[:, 0], moved[:, 1]).max() < 1e-8
 
-    def test_monitor_pulls_nodes_toward_pit(self, fine_pit_mesh):
+    def test_monitor_pulls_nodes_toward_pit(self, fine_pit_mesh, monkeypatch):
         mesh, chains, _ = fine_pit_mesh
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-4)
         p = AdaptParams()
 
         def interior_min_edge_near_pit(m, radius=1.0):
@@ -225,7 +227,7 @@ class TestMmpdeStep:
         before = interior_min_edge_near_pit(mesh)
         metric = monitor_mackenzie(mesh, chains, p)
         res = mmpde_step(mesh, metric, p, dt_interval=0.5, max_substeps=3000,
-                         grad_tol=1e-4)
+                         rtol=0.0)
         moved = mesh.copy()
         moved.vertices = res.positions
         assert interior_min_edge_near_pit(moved) < before
@@ -270,13 +272,14 @@ class TestMmpdeStep:
         assert np.abs(dy).max() == 0.0
         assert np.abs(dx).max() == 0.0
 
-    def test_gradient_vanishes_at_stationarity(self):
+    def test_gradient_vanishes_at_stationarity(self, monkeypatch):
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-8)
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=3.0, seed=1)
         p = AdaptParams()
         metric = monitor_mackenzie(mesh, chains, p)
         res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                         max_substeps=20000, grad_tol=1e-8)
+                         max_substeps=20000, rtol=0.0)
         assert res.stopped == "stationary"
         moved = mesh.copy()
         moved.vertices = res.positions
@@ -288,36 +291,40 @@ class TestMmpdeStep:
         g[roles.slide_y, 0] = 0.0
         assert np.abs(g).max() < 1e-8
 
-    def test_minimiser_iterations_from_initial_mesh(self, pit_mesh):
-        # the stiffness-preconditioned minimiser reaches grad_tol 1e-8 from
-        # the 436-vertex initial mesh in about 50 iterations; a diagonal
-        # initial inverse Hessian takes about 270
+    def test_minimiser_iterations_from_initial_mesh(self, pit_mesh,
+                                                    monkeypatch):
+        # the stiffness-preconditioned minimiser reaches a gradient of 1e-8
+        # from the 436-vertex initial mesh in about 50 iterations; a
+        # diagonal initial inverse Hessian takes about 270
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-8)
         mesh, chains, _ = pit_mesh
         p = AdaptParams()
         metric = monitor_mackenzie(mesh, chains, p)
         res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                         max_substeps=20000, grad_tol=1e-8)
+                         max_substeps=20000, rtol=0.0)
         assert mesh.n_vertices == 436
         assert res.stopped == "stationary"
         assert res.substeps <= 100
 
-    def test_no_free_vertex_in_one_coordinate(self):
+    def test_no_free_vertex_in_one_coordinate(self, monkeypatch):
         # a one-cell-high strip: the middle vertices slide in x, and no
         # vertex is free in y, so only the x block is factorised
         mesh = make_rect_mesh(2, 1)
         mesh.vertices[[2, 3], 0] += 0.2
         p = AdaptParams(mu1=0.0)
         metric = np.ones(mesh.n_vertices)
-        res = mmpde_step(mesh, metric, p, dt_interval=np.inf, grad_tol=1e-10)
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-10)
+        res = mmpde_step(mesh, metric, p, dt_interval=np.inf, rtol=0.0)
         assert res.stopped == "stationary"
         assert np.array_equal(res.positions[:, 1], mesh.vertices[:, 1])
         moved = mesh.copy()
         moved.vertices = res.positions
         assert energy(moved, metric, p) < energy(mesh, metric, p)
 
-    def test_stale_factor_still_reaches_stationarity(self, pit_mesh):
+    def test_stale_factor_still_reaches_stationarity(self, pit_mesh,
+                                                     monkeypatch):
         # a factor built on a jittered copy is reused, not rebuilt, and
-        # still preconditions the minimiser to grad_tol 1e-8
+        # still preconditions the minimiser to a gradient of 1e-8
         mesh, chains, _ = pit_mesh
         p = AdaptParams()
         metric = monitor_mackenzie(mesh, chains, p)
@@ -328,23 +335,26 @@ class TestMmpdeStep:
         factor = adapt.StiffnessFactor()
         mmpde_step(jittered, metric, p, dt_interval=np.inf, max_substeps=1,
                    factor=factor)
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-8)
         res = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                         max_substeps=20000, grad_tol=1e-8, factor=factor)
+                         max_substeps=20000, rtol=0.0, factor=factor)
         # one factorisation over both calls
         assert factor.factorisations == 1
         assert res.stopped == "stationary"
         assert res.substeps <= 100
 
-    def test_stationary_start_ignores_the_kept_motion(self):
+    def test_stationary_start_ignores_the_kept_motion(self, monkeypatch):
         # a call that starts stationary returns x^n, as without a factor,
         # even where the kept motion would pass the line search
         mesh = make_rect_mesh(8, 8)
         p = AdaptParams(mu1=0.0)
         metric = np.ones(mesh.n_vertices)
         relaxed = mesh.copy()
-        relaxed.vertices = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                                      max_substeps=5000,
-                                      grad_tol=1e-10).positions
+        with monkeypatch.context() as floor:
+            floor.setattr(adapt, "_GRAD_TOL", 1e-10)
+            relaxed.vertices = mmpde_step(mesh, metric, p, dt_interval=np.inf,
+                                          max_substeps=5000,
+                                          rtol=0.0).positions
         factor = adapt.StiffnessFactor()
         mmpde_step(relaxed, metric, p, dt_interval=0.5, factor=factor)
         factor.motion = 1e-9 * np.random.default_rng(2).normal(
@@ -378,7 +388,7 @@ class TestMmpdeStep:
         assert len(solves) == 4 * 2
         solves.clear()
         still = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                           grad_tol=np.inf, factor=factor)
+                           rtol=np.inf, factor=factor)
         assert (still.substeps, still.stopped) == (0, "stationary")
         assert factor.factorisations == 1
         assert solves == []
@@ -423,7 +433,7 @@ class TestMmpdeStep:
         assert res.substeps == fresh.substeps > 0
         assert np.array_equal(res.positions, fresh.positions)
 
-    def test_vanishing_tau_over_dt_gives_the_minimiser(self):
+    def test_vanishing_tau_over_dt_gives_the_minimiser(self, monkeypatch):
         # the step minimises I + tau/(2 dt) |x - x_n|^2_{P^-1}, so its gap
         # to the energy minimum (dt = inf) is O(tau/dt): about 2.5e-3 um
         # at tau/dt = 2e-5, falling a hundredfold per hundredfold in tau
@@ -431,22 +441,24 @@ class TestMmpdeStep:
                                              target_h=2.5, seed=1)
         p = AdaptParams()
         metric = monitor_mackenzie(mesh, chains, p)
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-8)
         minimum = mmpde_step(mesh, metric, p, dt_interval=np.inf,
-                             max_substeps=20000, grad_tol=1e-8)
+                             max_substeps=20000, rtol=0.0)
         assert minimum.stopped == "stationary"
         gaps = []
         for tau in (1e-6, 1e-8, 1e-10):
             res = mmpde_step(mesh, metric, AdaptParams(tau=tau),
                              dt_interval=0.05, max_substeps=20000,
-                             grad_tol=1e-8)
+                             rtol=0.0)
             assert res.stopped == "stationary"
             gaps.append(float(np.abs(res.positions - minimum.positions).max()))
         assert gaps[1] < 0.1 * gaps[0] and gaps[2] < 0.1 * gaps[1]
         assert gaps[2] < 1e-6
 
-    def test_displacement_falls_as_tau_rises(self):
+    def test_displacement_falls_as_tau_rises(self, monkeypatch):
         # a larger tau weighs the proximal term more, so one step from the
         # same mesh moves it less (about 1.96, 1.82, 1.42, 0.92 um here)
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-6)
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=1)
         metric = monitor_mackenzie(mesh, chains, AdaptParams())
@@ -454,23 +466,24 @@ class TestMmpdeStep:
         for tau in (1e-6, 1e-4, 1e-3, 1e-2):
             res = mmpde_step(mesh, metric, AdaptParams(tau=tau),
                              dt_interval=0.05, max_substeps=40000,
-                             grad_tol=1e-6)
+                             rtol=0.0)
             assert res.stopped == "stationary"
             moved = res.positions - mesh.vertices
             disp.append(np.hypot(moved[:, 0], moved[:, 1]).max())
         assert all(a > b for a, b in zip(disp, disp[1:]))
 
-    def test_stationary_for_the_proximal_energy(self):
+    def test_stationary_for_the_proximal_energy(self, monkeypatch):
         # at tau/dt = 0.2 the energy gradient alone is far from zero at the
         # step's result; with the proximal gradient (tau/dt)(x - x_n)/P
-        # added, the projected sum is below grad_tol
+        # added, the projected sum is below the stationarity tolerance
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-8)
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=1)
         p = AdaptParams(tau=1e-2)
         dt = 0.05
         metric = monitor_mackenzie(mesh, chains, p)
         res = mmpde_step(mesh, metric, p, dt_interval=dt, max_substeps=20000,
-                         grad_tol=1e-8)
+                         rtol=0.0)
         assert res.stopped == "stationary"
         moved = mesh.copy()
         moved.vertices = res.positions
@@ -485,7 +498,7 @@ class TestMmpdeStep:
         assert np.abs(g[free]).max() < 1e-8
         assert np.abs(g_energy[free]).max() > 1e-3
 
-    def test_smaller_tau_closer_to_equidistribution(self):
+    def test_smaller_tau_closer_to_equidistribution(self, monkeypatch):
         # one physical step from a uniform start; the mesh with the faster
         # response time ends nearer the equidistributed state (at large tau
         # the step's proximal term tau/(2 dt)|x - x^n|^2/P holds the mesh
@@ -499,12 +512,13 @@ class TestMmpdeStep:
             w = 1.0 / (1.0 + min_distance_to_pit(mid, chains, m))
             return float(np.sum(w * np.abs(q - q.mean())) / (np.sum(w) * q.mean()))
 
+        monkeypatch.setattr(adapt, "_GRAD_TOL", 1e-6)
         results = {}
         for tau in (1e-2, 1e-6):
             p = AdaptParams(tau=tau)
             metric = monitor_mackenzie(mesh, chains, p)
             res = mmpde_step(mesh, metric, p, dt_interval=0.05,
-                             max_substeps=40000, grad_tol=1e-6)
+                             max_substeps=40000, rtol=0.0)
             moved = mesh.copy()
             moved.vertices = res.positions
             results[tau] = deviation(moved, monitor_mackenzie(moved, chains, p))
@@ -564,7 +578,7 @@ class TestStiffnessFactor:
             layouts.append(block)
             return real(mesh, block, levels)
 
-        monkeypatch.setattr(adapt, "BandLayout", recorded)
+        monkeypatch.setattr(fem, "BandLayout", recorded)
         mesh, density, factor = self.problem()
         factor.preconditioner(mesh, density)
         # the bottom edge from a corner tagged Pit, as a corner absorption
@@ -589,18 +603,24 @@ class TestStiffnessFactor:
     def test_layout_built_once_over_density_refactorisations(self, pit_mesh,
                                                              level_sweeps):
         # the band order reads structure alone, so density-driven
-        # refactorisations reuse it, and the x and y blocks share the
-        # structure's one breadth-first sweep
+        # refactorisations reuse it and put a new factor on each block,
+        # and the x and y blocks share the structure's one breadth-first
+        # sweep
         mesh = pit_mesh[0]
         factor = self.factor_of(mesh)
         assert np.array_equal(factor.structure.free, self.free_blocks(mesh))
         density = np.ones(mesh.n_triangles)
         layouts = []
+        factors = []
         for ratio in (1.0, 2.0, 4.0, 8.0):
             factor.preconditioner(mesh, ratio * density)
-            layouts.append(factor._layouts)
+            layouts.append(factor.structure.relaxation_layouts(mesh))
+            factors.append([layout.chol for _, layout in layouts[-1]])
         assert factor.factorisations == 4
         assert all(kept is layouts[0] for kept in layouts)
+        assert len(layouts[0]) == 2
+        assert all(new is not old for last, now in zip(factors, factors[1:])
+                   for old, new in zip(last, now))
         assert len(level_sweeps) == 1
 
     def test_band_matches_assembled_reference(self, pit_mesh):

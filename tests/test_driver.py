@@ -339,7 +339,8 @@ class TestRun:
     def test_summary_reports_newton_work(self, monkeypatch, tmp_path,
                                          band_calls):
         # one Jacobian band layout serves the initial solve and every
-        # step's solve, and a kept factor serves many Newton iterations
+        # step's solve, beside the relaxation's two, and a kept factor
+        # serves many Newton iterations
         iterations = []
         newton_factors = []
         real = fem.newton_solve
@@ -353,7 +354,7 @@ class TestRun:
 
         monkeypatch.setattr(fem, "newton_solve", counted)
         result = run(small_config())
-        assert band_calls.count("layout") == 1
+        assert band_calls.count("layout") == 3
         # the initial solve starts without a factor
         assert newton_factors[0] >= 1
         assert sum(newton_factors) < sum(iterations)
@@ -363,7 +364,7 @@ class TestRun:
         assert len(iterations) == result.steps + 1
         assert result.newton_iterations == sum(iterations) > 0
         gc.collect()
-        assert not any(isinstance(obj, (fem.JacobianPattern, BandLayout))
+        assert not any(isinstance(obj, (fem.MeshStructure, BandLayout))
                        for obj in gc.get_objects())
         path = tmp_path / "summary.txt"
         write_summary(str(path), small_config(), result, {})
@@ -478,6 +479,68 @@ class TestRun:
             tests = steps[step][0]
             advanced = steps[step - 1][1]
             assert tests == advanced + (step == merge_step)
+
+
+def run_recording_phi(cfg):
+    """driver.run of cfg, with the phi and chain vertices of every step."""
+    states = []
+
+    def hook(step, t, mesh, chains, phi):
+        states.append((phi.copy(),
+                       np.concatenate([c.vertices for c in chains])))
+
+    return run(cfg, step_hook=hook), states
+
+
+@pytest.mark.parametrize("name, t_end", [("homog", 12.5), ("twopit", 36.0)],
+                         ids=["homog", "twopit"])
+def test_run_lived_solver_state_changes_no_answer(monkeypatch, name, t_end):
+    # a run keeps the relaxation's factor, motion and pairs, its
+    # structure's layouts and factors, and its nearest segments across
+    # steps; with every step's relaxation, every potential solve and every
+    # monitor given fresh state instead, a run takes far more relaxation
+    # iterations but gives the same answer within about ten times the
+    # differences measured on these workloads.  The twopit run merges at
+    # step 67 of its 72
+    cfg = parse_config(str(BENCH_WORKLOADS / f"{name}.cfg"))
+    cfg.vtk_every = 0
+    cfg.front.t_end = t_end
+    kept, kept_states = run_recording_phi(cfg)
+    real_step, real_solve = adapt.mmpde_step, fem.newton_solve
+    real_monitor = adapt.monitor_mackenzie
+
+    def fresh_step(mesh, metric, p, dt_interval, **kwargs):
+        # a step's relaxation; the smoothing flows still share one factor
+        if np.isfinite(dt_interval):
+            kwargs["factor"] = None
+        return real_step(mesh, metric, p, dt_interval, **kwargs)
+
+    def fresh_solve(*args, **kwargs):
+        kwargs["structure"] = None
+        return real_solve(*args, **kwargs)
+
+    def fresh_monitor(mesh, chains, p, nearest=None):
+        return real_monitor(mesh, chains, p)
+
+    monkeypatch.setattr(adapt, "mmpde_step", fresh_step)
+    monkeypatch.setattr(fem, "newton_solve", fresh_solve)
+    monkeypatch.setattr(adapt, "monitor_mackenzie", fresh_monitor)
+    cold, cold_states = run_recording_phi(cfg)
+    assert kept.steps == cold.steps
+    assert [e.step for e in kept.events] == [e.step for e in cold.events] \
+        == ([67] if name == "twopit" else [])
+    for column in ("depth", "width"):
+        gap = np.subtract(getattr(kept.series, column),
+                          getattr(cold.series, column))
+        assert np.abs(gap).max() <= 1e-5
+    assert len(kept_states) == len(cold_states) == kept.steps + 1
+    for (phi, chain), (ref, ref_chain) in zip(kept_states, cold_states):
+        assert np.array_equal(chain, ref_chain)
+        assert np.abs(phi[chain] - ref[chain]).max() \
+            <= 2e-4 * np.abs(ref[chain]).max()
+        assert np.abs(phi - ref).max() <= 5e-3 * np.abs(ref).max()
+    assert kept.min_area_seen == pytest.approx(cold.min_area_seen, rel=5e-2)
+    assert 2 * kept.relaxation_iterations <= cold.relaxation_iterations
 
 
 def forced_absorption_config(monkeypatch):

@@ -8,7 +8,7 @@ from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
 from pitmesh import adapt, fem, front
 from pitmesh.driver import SimConfig, init_mesh
-from pitmesh.fem import (BandLayout, JacobianPattern, NewtonError,
+from pitmesh.fem import (BandLayout, MeshStructure, NewtonError,
                          assemble_stiffness, boundary_residual_and_jacobian,
                          newton_solve, pit_edges)
 from pitmesh.front import FrontParams, detect_merge, merge_pits
@@ -291,6 +291,11 @@ def moved_interior(mesh, seed, amplitude=0.05):
     return moved
 
 
+def newton_layout(structure, mesh):
+    """structure's Newton layout on mesh, brought up to date first."""
+    return structure.of(mesh).newton_layout(mesh)
+
+
 @pytest.fixture(scope="module")
 def pit_case():
     return build_initial_mesh(DomainSpec(), PitSpec(nodes=21), target_h=1.5,
@@ -309,6 +314,8 @@ def merged_case():
 
 
 class TestJacobianPattern:
+    """Newton's layout on a MeshStructure: the Jacobian's band structure,
+    its stiffness block and its last factor, kept across solves."""
     args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
 
     def test_one_factorisation_serves_solves_on_moved_meshes(self, pit_case,
@@ -316,29 +323,28 @@ class TestJacobianPattern:
         # the first solve factorises once; its factor preconditions the
         # later iterations and the solves on slightly moved meshes
         mesh, chains = pit_case
-        pattern = JacobianPattern()
+        structure = MeshStructure()
         phi = None
         iterations = 0
         for seed in range(3):
             res = newton_solve(moved_interior(mesh, seed), chains, *self.args,
-                               guess=phi, pattern=pattern)
+                               guess=phi, structure=structure)
             phi = res.phi
             iterations += res.iterations
         assert iterations > 3
         assert band_calls == ["layout", "factor"]
-        assert pattern.iterations == iterations
 
     def test_kept_factor_solve_meets_the_convergence_test(self, pit_case,
                                                           band_calls):
         # the residual of a solve that took no factorisation, recomputed
         # from the assembled stiffness matrix
         mesh, chains = pit_case
-        pattern = JacobianPattern()
-        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
+        structure = MeshStructure()
+        first = newton_solve(mesh, chains, *self.args, structure=structure)
         moved = moved_interior(mesh, 1)
         before = len(band_calls)
         kept = newton_solve(moved, chains, *self.args, guess=first.phi,
-                            pattern=pattern)
+                            structure=structure)
         assert band_calls[before:] == []
         assert kept.iterations >= 1
         free = ~fem.dirichlet_mask(moved)
@@ -352,16 +358,18 @@ class TestJacobianPattern:
     def test_far_moved_mesh_refactorises(self, pit_case, band_calls):
         # twice as deep: the kept factor no longer preconditions well
         mesh, chains = pit_case
-        pattern = JacobianPattern()
-        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
-        kept = pattern.factor
+        structure = MeshStructure()
+        first = newton_solve(mesh, chains, *self.args, structure=structure)
+        layout = newton_layout(structure, mesh)
+        kept = layout.chol
         stretched = mesh.copy()
         stretched.vertices[:, 1] *= 2.0
         newton_solve(stretched, chains, *self.args, guess=first.phi,
-                     pattern=pattern)
+                     structure=structure)
         assert band_calls.count("layout") == 1
         assert band_calls.count("factor") >= 2
-        assert pattern.factor is not kept
+        assert newton_layout(structure, stretched) is layout
+        assert layout.chol is not kept
 
     @pytest.mark.parametrize("change", ["relabel", "dirichlet"])
     def test_new_structure_drops_the_factor(self, pit_case, band_calls,
@@ -377,11 +385,12 @@ class TestJacobianPattern:
             other, other_chains = mesh.copy(), chains
             left = np.flatnonzero(other.edge_tags == BoundaryTag.LEFT)
             other.edge_tags[left] = BoundaryTag.TOP
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, pattern=pattern)
-        assert pattern.factor is not None
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, structure=structure)
+        assert newton_layout(structure, mesh).chol is not None
         del band_calls[:]
-        kept = newton_solve(other, other_chains, *self.args, pattern=pattern)
+        kept = newton_solve(other, other_chains, *self.args,
+                            structure=structure)
         assert band_calls[:2] == ["layout", "factor"]
         assert band_calls.count("layout") == 1
         fresh = newton_solve(other, other_chains, *self.args)
@@ -392,9 +401,9 @@ class TestJacobianPattern:
         # scatter the stiffness into the wrong entries
         mesh, chains = pit_case
         mesh2, chains2, _ = relabelled(mesh, chains, 11)
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, pattern=pattern)
-        kept = newton_solve(mesh2, chains2, *self.args, pattern=pattern)
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, structure=structure)
+        kept = newton_solve(mesh2, chains2, *self.args, structure=structure)
         assert band_calls.count("layout") == 2
         fresh = newton_solve(mesh2, chains2, *self.args)
         assert np.abs(kept.phi - fresh.phi).max() \
@@ -402,40 +411,42 @@ class TestJacobianPattern:
 
     def test_dirichlet_mask_is_part_of_the_key(self, pit_case, band_calls):
         mesh, chains = pit_case
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, pattern=pattern)
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, structure=structure)
         retagged = mesh.copy()
         left = np.flatnonzero(retagged.edge_tags == BoundaryTag.LEFT)
         retagged.edge_tags[left] = BoundaryTag.TOP
-        kept = newton_solve(retagged, chains, *self.args, pattern=pattern)
+        kept = newton_solve(retagged, chains, *self.args, structure=structure)
         assert band_calls.count("layout") == 2
         fresh = newton_solve(retagged, chains, *self.args)
         assert np.array_equal(kept.phi, fresh.phi)
 
     def test_kept_matrices_refilled_in_place(self, pit_case):
         # one K serves every call on the triangulation; refilled from a
-        # moved mesh it equals that of a fresh pattern on the same layout
-        # (which reads the positions it was built on), and Newton from the
+        # moved mesh it equals that of a fresh structure's layout (built
+        # on the positions the kept one was built on), and Newton from the
         # same factor reaches the same phi bit for bit
         mesh, chains = pit_case
-        pattern = JacobianPattern()
-        first = newton_solve(mesh, chains, *self.args, pattern=pattern)
-        K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
-        factor = pattern.factor
+        structure = MeshStructure()
+        first = newton_solve(mesh, chains, *self.args, structure=structure)
+        layout = newton_layout(structure, mesh)
+        K = layout.stiffness(mesh, fem._cell_stiffness(mesh).ravel())
+        factor = layout.chol
         moved = moved_interior(mesh, 1)
         kept = newton_solve(moved, chains, *self.args, guess=first.phi,
-                            pattern=pattern)
-        assert pattern.factor is factor
+                            structure=structure)
+        assert newton_layout(structure, moved) is layout
+        assert layout.chol is factor
         entries = fem._cell_stiffness(moved).ravel()
-        assert pattern.stiffness(entries) is K
-        fresh = JacobianPattern()
-        fresh.layout_for(mesh)
-        fresh_K = fresh.stiffness(entries)
+        assert layout.stiffness(moved, entries) is K
+        fresh = MeshStructure()
+        fresh_layout = newton_layout(fresh, mesh)
+        fresh_K = fresh_layout.stiffness(moved, entries)
         assert fresh_K is not K
         assert np.array_equal(fresh_K.data, K.data)
-        fresh.factor = factor
+        fresh_layout.chol = factor
         again = newton_solve(moved, chains, *self.args, guess=first.phi,
-                             pattern=fresh)
+                             structure=fresh)
         assert np.array_equal(again.phi, kept.phi)
 
     def test_dirichlet_mask_kept_until_the_boundary_changes(self, pit_case):
@@ -443,27 +454,27 @@ class TestJacobianPattern:
         # nodes or edge tags change; a retag that leaves the Dirichlet set
         # keeps the mask, the layout and the factor
         mesh, chains = pit_case
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, pattern=pattern)
-        structure = pattern.structure
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, structure=structure)
         fixed, free = structure.fixed, structure.free
-        layout, factor = pattern.layout, pattern.factor
+        layout = newton_layout(structure, mesh)
+        factor = layout.chol
         assert np.array_equal(fixed, fem.dirichlet_mask(mesh))
-        pattern.layout_for(moved_interior(mesh, 1))
+        newton_layout(structure, moved_interior(mesh, 1))
         assert structure.fixed is fixed and structure.free is free
         retagged = mesh.copy()
         bottom = np.flatnonzero(retagged.edge_tags == BoundaryTag.BOTTOM)[0]
         retagged.edge_tags[bottom] = BoundaryTag.PIT
-        assert pattern.layout_for(retagged) is layout
+        assert newton_layout(structure, retagged) is layout
         # the retag was read: it pins the edge's ends in the free mask
         assert structure.free is not free
         assert structure.fixed is fixed
-        assert pattern.factor is factor
+        assert layout.chol is factor
 
     def test_band_holds_the_free_stiffness_block(self, pit_case):
         mesh, _ = pit_case
         fixed = fem.dirichlet_mask(mesh)
-        layout = JacobianPattern().layout_for(mesh)
+        layout = newton_layout(MeshStructure(), mesh)
         free = np.flatnonzero(~fixed)
         assert np.array_equal(layout.order, side_wall_order(mesh, free))
         K = assemble_stiffness(mesh)[layout.order][:, layout.order].toarray()
@@ -482,10 +493,9 @@ class TestJacobianPattern:
         # interior chain vertex, ends two pit edges whose blocks both enter
         # its row
         mesh, chains = request.getfixturevalue(case)
-        pattern = JacobianPattern()
-        layout = pattern.layout_for(mesh)
+        layout = newton_layout(MeshStructure(), mesh)
         order = layout.order
-        K = pattern.stiffness(fem._cell_stiffness(mesh).ravel())
+        K = layout.stiffness(mesh, fem._cell_stiffness(mesh).ravel())
         dense = assemble_stiffness(mesh).toarray()
         scale = np.abs(dense).max()
         assert np.abs(K.toarray() - dense[order][:, order]).max() \
@@ -516,8 +526,9 @@ class TestBandNewton:
             return steps[-1]
 
         monkeypatch.setattr(fem, "band_solve", recorded)
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, guess=guess, pattern=pattern)
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, guess=guess,
+                     structure=structure)
         assert steps
         free = np.flatnonzero(~fem.dirichlet_mask(mesh))
         K = assemble_stiffness(mesh).toarray()
@@ -525,7 +536,7 @@ class TestBandNewton:
         jac = K - edge_jacobian(mesh.n_vertices, blocks)
         delta = np.linalg.solve(jac[free][:, free], -(K @ guess - b)[free])
         step = np.zeros(mesh.n_vertices)
-        step[pattern.layout.order] = steps[0]
+        step[newton_layout(structure, mesh).order] = steps[0]
         assert np.abs(step[free] - delta).max() <= 1e-12 * np.abs(delta).max()
 
     def test_non_spd_jacobian_raises_newton_error(self, merged_case,
@@ -546,9 +557,9 @@ class TestBandNewton:
         # the kept factor is SPD, but the Jacobian it preconditions is not:
         # conjugate gradients break down and the refactorisation fails
         mesh, chains = merged_case
-        pattern = JacobianPattern()
-        newton_solve(mesh, chains, *self.args, pattern=pattern)
-        assert pattern.factor is not None
+        structure = MeshStructure()
+        newton_solve(mesh, chains, *self.args, structure=structure)
+        assert newton_layout(structure, mesh).chol is not None
         real = fem.boundary_residual_and_jacobian
         real_pcg = fem._pcg
         steps = []
@@ -565,7 +576,7 @@ class TestBandNewton:
         monkeypatch.setattr(fem, "_pcg", recorded)
         moved = moved_interior(mesh, 2, 0.01)
         with pytest.raises(NewtonError, match="^singular linearized system"):
-            newton_solve(moved, chains, *self.args, pattern=pattern)
+            newton_solve(moved, chains, *self.args, structure=structure)
         assert steps == [None]
 
 
@@ -611,12 +622,11 @@ class TestCornerGather:
         # keyed on that array's identity would keep a stale gather
         mesh = make_rect_mesh(5, 4)
         mesh.triangles[::3] = mesh.triangles[::3][:, [0, 2, 1]]
-        structure = fem.MeshStructure()
-        pattern = JacobianPattern(structure)
-        layout = pattern.layout_for(mesh)
+        structure = MeshStructure()
+        layout = newton_layout(structure, mesh)
         stale = structure.corners.copy()
         assert mesh.orient_ccw() == len(mesh.triangles[::3])
-        assert pattern.layout_for(mesh) is not layout
+        assert newton_layout(structure, mesh) is not layout
         corners = structure.corners
         assert not np.array_equal(corners, stale)
         assert np.array_equal(corners, corner_index(mesh.triangles))
@@ -710,3 +720,61 @@ class TestMeshStructure:
                               ~(roles.pinned | roles.slide_x))
         assert np.array_equal(structure.fixed, fem.dirichlet_mask(other))
         assert len(level_sweeps) == 1
+
+    def test_relaxation_and_newton_keep_their_own_layouts(self, pit_case,
+                                                          band_calls):
+        # one structure owns the relaxation's two blocks and Newton's:
+        # factorising one leaves the others' layouts and factors, and a
+        # retag that changes only the free mask rebuilds only the
+        # relaxation's
+        mesh, chains = pit_case
+        mesh = mesh.copy()
+        factor = adapt.StiffnessFactor()
+        structure = factor.structure.of(mesh)
+        density = np.ones(mesh.n_triangles)
+        factor.preconditioner(mesh, density)
+        newton_solve(mesh, chains, *TestJacobianPattern.args,
+                     structure=structure)
+        assert band_calls[:5] == ["layout", "layout", "factor", "factor",
+                                  "layout"]
+        newton = structure.newton_layout(mesh)
+        blocks = structure.relaxation_layouts(mesh)
+        kept = [layout.chol for _, layout in blocks]
+        chol = newton.chol
+        assert chol is not None and all(c is not None for c in kept)
+
+        # a relaxation refactorisation, on densities out of the band
+        del band_calls[:]
+        factor.preconditioner(mesh, 2.0 * density)
+        assert band_calls == ["factor", "factor"]
+        assert factor.factorisations == 2
+        assert structure.newton_layout(mesh) is newton
+        assert newton.chol is chol
+        kept = [layout.chol for _, layout in blocks]
+
+        # a Newton factorisation
+        del band_calls[:]
+        newton.chol = None
+        newton_solve(mesh, chains, *TestJacobianPattern.args,
+                     structure=structure)
+        assert band_calls[0] == "factor" and "layout" not in band_calls
+        assert newton.chol is not None and newton.chol is not chol
+        chol = newton.chol
+        assert structure.relaxation_layouts(mesh) is blocks
+        assert all(layout.chol is c for (_, layout), c in zip(blocks, kept))
+
+        # a corner absorption changes the free mask alone
+        corner = chains[0].left_corner
+        front._retag_to_pit(mesh, corner, front._bottom_neighbor(mesh, corner))
+        del band_calls[:]
+        structure.of(mesh)
+        factor.preconditioner(mesh, 2.0 * density)
+        assert band_calls == ["layout", "layout", "factor", "factor"]
+        assert factor.factorisations == 3
+        assert structure.relaxation_layouts(mesh) is not blocks
+        del band_calls[:]
+        newton_solve(mesh, chains, *TestJacobianPattern.args,
+                     structure=structure)
+        assert band_calls == []
+        assert structure.newton_layout(mesh) is newton
+        assert newton.chol is chol
