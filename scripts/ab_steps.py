@@ -12,13 +12,14 @@ the gains this is meant to see, so only pairs from one process compare.
 Prints one line per pass and then, for step p50, step p90, set-up and
 pass time, the median and quartiles of the per-pass ratios change /
 parent and the passes the change won.  Each pass line and the summary
-also give each side's step relaxation iterations,
-RunResult.relaxation_iterations, and Newton iterations,
-RunResult.newton_iterations.  A pass whose final depth, width, step
-count or smallest cell area differ between the two sides is flagged,
-with the largest |depth| and |width| differences over the time series
-rows both sides have and the relative difference of the smallest area;
-the outputs are meant to be bit-identical.  The last line is the summary
+also give each side's step relaxation iterations and Newton iterations,
+the initial solve's included, summed over RunResult.records (or read
+from the RunResult counters of a checkout without records).  A pass
+whose final depth, width, step count or smallest cell area differ
+between the two sides is flagged, with the largest |depth| and |width|
+differences over the time series rows both sides have and the relative
+difference of the smallest area; the outputs are meant to be
+bit-identical.  The last line is the summary
 as JSON.  Reads bench/workloads/ only and writes nothing:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/ab_steps.py PARENT CHANGE \\
@@ -99,6 +100,17 @@ def setup_pass(package, config_path: Path, jitter: int) -> dict:
     raise RuntimeError("driver.run returned without calling the step-0 hook")
 
 
+def iteration_totals(result) -> dict:
+    """A run's step relaxation and Newton iterations."""
+    records = getattr(result, "records", None)
+    if records is None:
+        return {"relaxation_iters": result.relaxation_iterations,
+                "newton_iters": result.newton_iterations}
+    return {"relaxation_iters": sum(r.relaxation_iterations for r in records),
+            "newton_iters": result.init.newton_iterations
+            + sum(r.newton_iterations for r in records)}
+
+
 def timed_pass(package, config_path: Path, jitter: int) -> dict:
     """One driver.run of the config at a jitter seed, timed at its hooks."""
     config = package.io.parse_config(str(config_path))
@@ -112,8 +124,7 @@ def timed_pass(package, config_path: Path, jitter: int) -> dict:
     return {"setup_s": stamps[0] - start, "pass_s": end - start,
             "p50": float(np.percentile(steps, 50)),
             "p90": float(np.percentile(steps, 90)),
-            "relaxation_iters": result.relaxation_iterations,
-            "newton_iters": result.newton_iterations,
+            **iteration_totals(result),
             "series": (result.series.depth, result.series.width),
             "outputs": (result.series.depth[-1], result.series.width[-1],
                         result.steps, result.min_area_seen)}

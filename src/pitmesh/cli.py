@@ -82,20 +82,23 @@ def _cmd_run(args) -> int:
     try:
         result = driver.run(config, step_hook=hook)
     except SimulationError as err:
-        io.write_vtk(err.mesh, err.phi, artifacts.snapshot_path(err.step))
-        logger.error("run aborted; last good snapshot written to %s",
-                     artifacts.snapshot_path(err.step))
+        last = err.state
+        io.write_vtk(last.mesh, last.phi, artifacts.snapshot_path(last.step))
+        io.write_timeseries(err.series, artifacts.timeseries_path)
+        logger.error("run aborted; last good state written to %s", args.output)
         raise
+    # a merge joins two pits' widths into one: fit from the last merge on
+    first = result.events[-1].step if result.events else 0
     fits = {}
     for column in ("depth", "width"):
         try:
-            fits[column] = driver.fit_power_law(result.series, column)
+            fits[column] = driver.fit_power_law(result.series, column, first)
         except ValueError as err:
             logger.warning("skipping %s fit: %s", column, err)
     io.write_timeseries(result.series, artifacts.timeseries_path)
     io.write_mesh(result.mesh, artifacts.final_mesh_path)
     io.write_vtk(result.mesh, result.phi, artifacts.final_vtk_path)
-    io.write_summary(artifacts.summary_path, config, result, fits)
+    io.write_summary(artifacts.summary_path, config, result, fits, first)
     with open(artifacts.summary_path, "r", encoding="utf-8") as fh:
         print(fh.read(), end="")
     return 0

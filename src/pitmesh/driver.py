@@ -1,15 +1,12 @@
 """Simulation orchestration: the alternating mesh/physics loop and fits.
 
-Per step: move the mesh under the current monitor, solve the potential on
-the moved mesh, advance the pit front, then handle a possible merge.  The
-monitor is rebuilt from the post-advance chains at the start of the next
-step, so the mesh lags the front by at most one step.  Each step's
-relaxation therefore stops at adapt._FORCING_RTOL of its starting
-gradient: solving it further gains less than that lag, and the next step
-starts from its mesh and keeps relaxing.  A merge step is no
-exception: no extra smoothing or solve follows a merge, and the next
-step's relaxation recovers the mesh around the merged pit.  Runs are fully
-deterministic for a fixed config (the only randomness is the seeded
+A step moves the mesh under the monitor of the chains the step before
+advanced, solves the potential on the moved mesh, advances the front and
+handles a merge.  The mesh so lags the front by a step, and the step's
+relaxation stops at adapt._FORCING_RTOL of its starting gradient: solving
+further gains less than that lag.  No smoothing or solve follows a merge;
+the next step's relaxation recovers the mesh around the merged pit.  Runs
+are deterministic for a fixed config (the only randomness is the seeded
 triangulation jitter).
 """
 
@@ -32,19 +29,15 @@ from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 logger = logging.getLogger("pitmesh.driver")
 
 class SimulationError(Exception):
-    """A failed run, carrying the state of its last completed step.
-
-    step is the index of that step (0 for the smoothed initial state), and
-    mesh, chains and phi are its state as the step hook saw it.  The
-    message names the step that failed.
+    """A failed run, carrying the State of its last completed step, as the
+    step hook saw it, and the TimeSeries through it.  The message names
+    the step that failed.
     """
 
-    def __init__(self, message, step, mesh, chains, phi):
+    def __init__(self, message, state, series):
         super().__init__(message)
-        self.step = step
-        self.mesh = mesh
-        self.chains = chains
-        self.phi = phi
+        self.state = state
+        self.series = series
 
 
 @dataclass
@@ -109,24 +102,46 @@ class InitResult:
 
 
 @dataclass
+class State:
+    """A run's state after its step-th step, 0 for the smoothed start."""
+    mesh: TriMesh
+    chains: list
+    phi: np.ndarray      # that step's own Newton phi
+    t: float = 0.0
+    step: int = 0
+
+
+@dataclass
+class StepRecord:
+    """What one step did, in scalars only: a kept run keeps one a step."""
+    relaxation_iterations: int
+    predicted: bool               # the relaxation took the predicted start
+    newton_iterations: int
+    capped: bool                  # front.capped_dt cut dt below config dt
+    min_area: float               # the smallest cell area after the step
+    merge: Optional[front.MergeEvent] = None
+
+
+@dataclass
 class RunResult:
     series: TimeSeries
     mesh: TriMesh
     chains: list
     phi: np.ndarray
-    events: list
     init: InitResult      # the smoothed initial state and its record
-    steps: int
+    records: list         # one StepRecord a step
     min_area_seen: float
     # relaxation preconditioner factorisations; a count only, so a kept
     # result holds no factor
     factorisations: int
-    # the steps' relaxation iterations, and the steps that took the
-    # predicted start
-    relaxation_iterations: int
-    predicted_starts: int
-    # Newton iterations of the initial solve and the steps' solves
-    newton_iterations: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.records)
+
+    @property
+    def events(self) -> list:
+        return [r.merge for r in self.records if r.merge is not None]
 
 
 def init_mesh(config: SimConfig,
@@ -165,14 +180,12 @@ def diagnostics(mesh: TriMesh, chains) -> tuple:
 
 
 def _check_state(mesh: TriMesh, chains, step: int,
-                 prev_area: float) -> tuple:
-    """(smallest cell area, total pit area) after a step.
+                 prev_area: float) -> float:
+    """The smallest cell area after a step.
 
     Raises MeshError on an inverted cell, or when the pit area fell below
-    prev_area.  These are the state check's only tests: the front
-    functions check the chain invariants they can break (corners on
-    y = 0, interior below it, Pit tags, no self-crossing) on the chains
-    they move or retag.
+    prev_area.  The front functions check the chain invariants they can
+    break on the chains they move or retag.
     """
     areas = mesh.signed_areas()
     min_area = float(np.min(areas))
@@ -183,115 +196,93 @@ def _check_state(mesh: TriMesh, chains, step: int,
     if area < prev_area - 1e-9:
         raise MeshError(f"pit area decreased at step {step}: "
                         f"{prev_area:g} -> {area:g}")
-    return min_area, area
+    return min_area
+
+
+def step(state: State, config: SimConfig, factor: adapt.StiffnessFactor,
+         nearest: Optional[NearestSegments]) -> tuple:
+    """(the next State, its StepRecord): one step from state.
+
+    Never writes to state, whether it returns or raises: the front and a
+    merge move and retag the step's own vertices, edge tags and chains,
+    and the next state shares the triangulation and edge nodes, which no
+    step changes.  dt is front.capped_dt's, cut to t_end.  factor keeps
+    the relaxation's state and the solves' MeshStructure, nearest the
+    monitor's.
+    """
+    n, fparams = state.step + 1, config.front
+    prev_area = sum(front.pit_area(state.mesh, c) for c in state.chains)
+    metric = adapt.monitor_mackenzie(state.mesh, state.chains, config.adapt,
+                                     nearest)
+    moved = adapt.mmpde_step(state.mesh, metric, config.adapt, fparams.dt,
+                             factor=factor, rtol=adapt._FORCING_RTOL)
+    # the result keeps its own positions, as a caller may keep it
+    mesh = TriMesh(moved.positions.copy(), state.mesh.triangles,
+                   state.mesh.edge_nodes, state.mesh.edge_tags.copy())
+    chains = [c.copy() for c in state.chains]
+    solved = fem.newton_solve(mesh, chains, config.material, config.vcorr,
+                              config.electro, guess=state.phi,
+                              structure=factor.structure)
+
+    speeds = [front.chain_velocities(mesh, chain, solved.phi,
+                                     config.material, config.vcorr,
+                                     config.electro) for chain in chains]
+    capped = front.capped_dt(mesh, chains, speeds, fparams.dt)
+    dt = min(capped, fparams.t_end - state.t)
+    for chain, (vn, normals) in zip(chains, speeds):
+        front.advance_pit(mesh, chain, vn, normals, dt)
+
+    event = None
+    cand = front.detect_merge(mesh, chains, fparams)
+    if cand is not None:
+        chains, event = front.merge_pits(mesh, chains, cand)
+        event.step = n
+    min_area = _check_state(mesh, chains, n, prev_area)
+    return (State(mesh, chains, solved.phi, state.t + dt, n),
+            StepRecord(moved.substeps, moved.predicted, solved.iterations,
+                       capped < fparams.dt, min_area, event))
 
 
 def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
-    """Run the full alternating loop until t_end.
+    """Run steps until t_end.
 
     step_hook(step, t, mesh, chains, phi) is called after every completed
-    step (and once at t = 0) with that step's own Newton phi.  A merge
-    adds no work to its step; the next step's relaxation recovers the
-    mesh.  Each step is all or nothing: the loop keeps a copy of the last
-    completed step's mesh, chains and phi, and an exception from any
-    module within a step aborts the run with a SimulationError carrying
-    that copy, whatever the failing call left half done.  Each step's
-    relaxation stops at adapt._FORCING_RTOL of its starting gradient, as
-    the mesh already lags the front by a step.  One StiffnessFactor serves
-    every mesh relaxation of the run, and with it each step after the
-    first starts from the last step's motion; every potential solve uses
-    its MeshStructure, which keeps Newton's layout and factor beside the
-    relaxation's, so a run sweeps its triangulation's levels once; one
-    NearestSegments serves every monitor, the initial smoothing's
-    included.  The run's Newton iterations are those of every solve, the
-    initial one included.  The state check after each step keeps only the
-    area tests: every cell stays positive and the pit area does not
-    shrink.  The front functions check the chain invariants on the chains
-    they move or retag: advance_pit the interior below y = 0 and no
-    self-crossing, update_corners the corners on y = 0 and the tags of an
-    absorption, merge_pits the merged chain's tags and crossings.
+    step (and once at t = 0) with that step's state.  An exception within
+    a step aborts the run with a SimulationError carrying the state the
+    step started from.  One StiffnessFactor serves every relaxation of the
+    run, and its MeshStructure every potential solve, so a run sweeps its
+    levels once; one NearestSegments serves every monitor.
     """
     factor = adapt.StiffnessFactor()
     nearest = NearestSegments()
     init = init_mesh(config, factor, nearest)
-    # the loop moves its own copies in place; init keeps the starting state.
-    # The triangulation never changes within a run (a merge only retags
-    # edges), so the two meshes share it and a kept result holds it once
-    mesh = TriMesh(init.mesh.vertices.copy(), init.mesh.triangles,
-                   init.mesh.edge_nodes, init.mesh.edge_tags.copy())
-    chains = [c.copy() for c in init.chains]
-    phi = init.phi
-
+    state = State(init.mesh, init.chains, init.phi)
     series = TimeSeries()
-    d0, w0 = diagnostics(mesh, chains)
-    series.append(0.0, d0, w0)
-    events = []
-    min_area_seen, prev_area = _check_state(mesh, chains, 0, -np.inf)
+    series.append(0.0, *diagnostics(state.mesh, state.chains))
+    min_area_seen = _check_state(state.mesh, state.chains, 0, -np.inf)
     if step_hook:
-        step_hook(0, 0.0, mesh, chains, phi)
+        step_hook(0, 0.0, state.mesh, state.chains, state.phi)
 
     fparams = config.front
-    t = 0.0
-    step = 0
-    relaxation_iterations = predicted_starts = 0
-    newton_iterations = init.newton_iterations
-    while fparams.t_end - t > 1e-9 * fparams.dt:
-        step += 1
-        # newton_solve never writes into phi, so it needs no copy, and
-        # the triangulation and edge nodes never change within a run
-        good = (TriMesh(mesh.vertices.copy(), mesh.triangles, mesh.edge_nodes,
-                        mesh.edge_tags.copy()),
-                [c.copy() for c in chains], phi)
+    records = []
+    while fparams.t_end - state.t > 1e-9 * fparams.dt:
         try:
-            metric = adapt.monitor_mackenzie(mesh, chains, config.adapt,
-                                             nearest)
-            moved = adapt.mmpde_step(mesh, metric, config.adapt, fparams.dt,
-                                     factor=factor, rtol=adapt._FORCING_RTOL)
-            # the front moves chain vertices in place; the result keeps its own
-            mesh.vertices = moved.positions.copy()
-            relaxation_iterations += moved.substeps
-            predicted_starts += moved.predicted
-
-            solved = fem.newton_solve(mesh, chains, config.material,
-                                      config.vcorr, config.electro, guess=phi,
-                                      structure=factor.structure)
-            phi = solved.phi
-            newton_iterations += solved.iterations
-
-            speeds = [front.chain_velocities(mesh, chain, phi, config.material,
-                                             config.vcorr, config.electro)
-                      for chain in chains]
-            dt = min(front.capped_dt(mesh, chains, speeds, fparams.dt, step),
-                     fparams.t_end - t)
-
-            for chain, (vn, normals) in zip(chains, speeds):
-                front.advance_pit(mesh, chain, vn, normals, dt)
-
-            cand = front.detect_merge(mesh, chains, fparams)
-            if cand is not None:
-                chains, event = front.merge_pits(mesh, chains, cand)
-                event.step = step
-                events.append(event)
-
-            min_area, prev_area = _check_state(mesh, chains, step, prev_area)
-            min_area_seen = min(min_area_seen, min_area)
+            state, record = step(state, config, factor, nearest)
         except Exception as err:
-            raise SimulationError(f"step {step} (t={t:.4g}s): {err}",
-                                  step - 1, *good) from err
-        t += dt
-        d, w = diagnostics(mesh, chains)
-        series.append(t, d, w)
+            raise SimulationError(f"step {state.step + 1} (t={state.t:.4g}s): "
+                                  f"{err}", state, series) from err
+        records.append(record)
+        min_area_seen = min(min_area_seen, record.min_area)
+        series.append(state.t, *diagnostics(state.mesh, state.chains))
         if step_hook:
-            step_hook(step, t, mesh, chains, phi)
+            step_hook(state.step, state.t, state.mesh, state.chains, state.phi)
 
-    report = validate(mesh)
+    report = validate(state.mesh)
     if not report.ok:
         raise SimulationError(f"final mesh invalid: {report.summary()}",
-                              step, mesh, chains, phi)
-    return RunResult(series, mesh, chains, phi, events, init, step,
-                     min_area_seen, factor.factorisations,
-                     relaxation_iterations, predicted_starts,
-                     newton_iterations)
+                              state, series)
+    return RunResult(series, state.mesh, state.chains, state.phi, init,
+                     records, min_area_seen, factor.factorisations)
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower
@@ -312,9 +303,10 @@ class PowerLawFit:
     converged: bool
 
 
-def fit_power_law(series: TimeSeries, column: str = "depth") -> PowerLawFit:
-    """Fit a*t^b + c to a diagnostic column, with t shifted so t[0] = 1."""
-    t, depth, width = series.arrays()
+def fit_power_law(series: TimeSeries, column: str = "depth",
+                  first: int = 0) -> PowerLawFit:
+    """Fit a*t^b + c to a column from row first on, t shifted to 1 there."""
+    t, depth, width = (a[first:] for a in series.arrays())
     y = {"depth": depth, "width": width}[column]
     return fit_power_law_arrays(t + (1.0 - t[0]), y)
 

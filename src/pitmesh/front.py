@@ -103,7 +103,7 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     the apex move after that, so raises FrontError if an interior vertex
     then sits above y = 0, the chain self-intersects or a corner cannot be
     re-seated; the mesh and chain may then be partly advanced, and
-    driver.run keeps the last good state.
+    driver.step never writes to the state it starts from.
     """
     if chain.apex_pos is not None:
         _maybe_retire_apex(mesh, chain)
@@ -134,8 +134,8 @@ FREEZE_CLEARANCE = 1e-3  # micrometers; bunched vertices stop entirely
 _CFL_FRAC = 0.2
 
 
-def capped_dt(mesh: TriMesh, chains: Sequence[PitChain], speeds, dt: float,
-              step: int) -> float:
+def capped_dt(mesh: TriMesh, chains: Sequence[PitChain], speeds,
+              dt: float) -> float:
     """dt, capped so no front vertex sweeps over _CFL_FRAC of the smallest
     pit edge; speeds holds chain_velocities' (vn_um, normals) per chain.
     Edges below 0.1 of their chain's median (a collapsed bunch of
@@ -149,10 +149,7 @@ def capped_dt(mesh: TriMesh, chains: Sequence[PitChain], speeds, dt: float,
         seg = seg[seg >= 0.1 * np.median(seg)]
         min_edge = min(min_edge, float(np.min(seg)))
     if max_vn > 0.0:
-        cap = _CFL_FRAC * min_edge / max_vn
-        if cap < dt:
-            logger.warning("step %d: dt capped %.3g -> %.3g", step, dt, cap)
-            dt = cap
+        dt = min(dt, _CFL_FRAC * min_edge / max_vn)
     return dt
 
 
@@ -398,7 +395,7 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
     from 0 in left-corner order.  Raises FrontError if the move would
     invert a cell, the merged chain self-intersects or the retag leaves a
     merged chain edge untagged; the mesh then keeps the moves and the
-    retag, and driver.run keeps the last good state.
+    retag, and driver.step never writes to the state it starts from.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]

@@ -375,7 +375,9 @@ class RunArtifacts:
                           f"{err}") from err
 
 
-def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
+def write_summary(path: str, config: SimConfig, result, fits: dict,
+                  first: int = 0) -> None:
+    """The run's summary; fits are of the series rows from step first on."""
     lines = [resolved_summary(config), ""]
     smooth = result.init.smooth
     flows = ", ".join(f"{n} {stop}" for n, stop in
@@ -385,16 +387,21 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
                  f"per flow: {flows}")
     lines.append("initial smoothing relative tolerance per flow: "
                  + ", ".join(f"{rtol:.3g}" for rtol in smooth.flow_rtols))
+    records = result.records
     # one minimiser call per flow and per step; one solve, then one a step
     lines.append(f"relaxation: {result.factorisations} preconditioner "
                  f"factorisations in {len(smooth.trace) + result.steps} "
                  f"minimiser calls; "
-                 f"{result.relaxation_iterations} iterations and "
-                 f"{result.predicted_starts} predicted starts in "
-                 f"{result.steps} steps")
-    lines.append(f"potential: {result.newton_iterations} Newton iterations in "
+                 f"{sum(r.relaxation_iterations for r in records)} "
+                 f"iterations and {sum(r.predicted for r in records)} "
+                 f"predicted starts in {result.steps} steps")
+    newton = result.init.newton_iterations \
+        + sum(r.newton_iterations for r in records)
+    lines.append(f"potential: {newton} Newton iterations in "
                  f"{result.steps + 1} solves")
     lines.append(f"steps completed: {result.steps}")
+    lines.append(f"dt capped in {sum(r.capped for r in records)} of "
+                 f"{result.steps} steps")
     lines.append(f"merge events: {len(result.events)}")
     for ev in result.events:
         lines.append(f"  step {ev.step}: pits {ev.left_pit}+{ev.right_pit} "
@@ -404,9 +411,10 @@ def write_summary(path: str, config: SimConfig, result, fits: dict) -> None:
     lines.append(f"final t = {t[-1]:g} s, depth = {depth[-1]:.6g} um, "
                  f"width = {width[-1]:.6g} um")
     lines.append(f"smallest signed cell area seen: {result.min_area_seen:.6g}")
+    span = (f"from step {first} (t = {t[first]:g} s, shifted to 1)" if first
+            else "(t shifted to start at 1)")
     for name, fit in fits.items():
-        lines.append(
-            f"power-law fit {name}(t) = a t^b + c (t shifted to start at 1):")
+        lines.append(f"power-law fit {name}(t) = a t^b + c {span}:")
         lines.append(
             f"  a = {fit.a:.6g} +- {fit.se_a:.2g}, b = {fit.b:.6g} +- "
             f"{fit.se_b:.2g}, c = {fit.c:.6g} +- {fit.se_c:.2g}, "

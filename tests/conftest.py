@@ -1,9 +1,17 @@
-from pathlib import Path
+import os
 
-import pytest
+# one BLAS thread, as bench/run.py and scripts/ab_steps.py run: the band
+# factorisations and solves are too small for OpenBLAS's threads to pay
+# for waking them.  Set before anything loads numpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from pitmesh import fem, io
-from pitmesh.driver import init_mesh
+from pathlib import Path  # noqa: E402  (after the BLAS thread pins)
+
+import pytest  # noqa: E402
+
+from pitmesh import fem, io  # noqa: E402
+from pitmesh.driver import init_mesh  # noqa: E402
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 

@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitmesh import adapt, driver, fem, front
+from pitmesh import adapt, cli, driver, fem, front
 from pitmesh import mesh as mesh_module
 from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
                             fit_power_law, fit_power_law_arrays, init_mesh, run)
 from pitmesh.fem import BandLayout
 from pitmesh.front import FrontError
-from pitmesh.io import parse_config, write_summary
-from pitmesh.mesh import face_and_vertex_normals, validate, vertex_roles
+from pitmesh.io import parse_config, read_timeseries, write_summary
+from pitmesh.mesh import (NearestSegments, face_and_vertex_normals, validate,
+                          vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import grad_energy
@@ -58,6 +59,11 @@ def recorded_run():
 @pytest.fixture(scope="module")
 def short_run(recorded_run):
     return recorded_run[0]
+
+
+def relaxation_iterations(result):
+    """The steps' relaxation iterations of a run."""
+    return sum(r.relaxation_iterations for r in result.records)
 
 
 def merge_config():
@@ -183,7 +189,8 @@ class TestRun:
         smooth = init.smooth
         assert len(smooth.flow_stops) == len(smooth.flow_iters) == len(smooth.trace)
         assert set(smooth.flow_stops) == {"stationary"}
-        # the run moved its own copy; init keeps the smoothed start
+        # no step writes to the state it starts from, so init keeps the
+        # smoothed start
         fresh = init_mesh(small_config())
         assert np.array_equal(init.mesh.vertices, fresh.mesh.vertices)
         assert not np.array_equal(init.mesh.vertices, short_run.mesh.vertices)
@@ -230,8 +237,9 @@ class TestRun:
                  if ln.startswith("relaxation:")]
         assert lines == [
             f"relaxation: {factorisations} preconditioner factorisations in "
-            f"{calls} minimiser calls; {short_run.relaxation_iterations} "
-            f"iterations and {short_run.predicted_starts} predicted starts "
+            f"{calls} minimiser calls; {relaxation_iterations(short_run)} "
+            f"iterations and "
+            f"{sum(r.predicted for r in short_run.records)} predicted starts "
             f"in {short_run.steps} steps"]
 
     def test_kept_relaxation_results_outlive_their_step(self, monkeypatch):
@@ -253,11 +261,10 @@ class TestRun:
 
     def test_counts_each_steps_relaxation(self, recorded_run):
         result, steps = recorded_run
-        assert len(steps) == result.steps
-        assert result.relaxation_iterations == \
-            sum(res.substeps for _, _, res, _ in steps)
-        assert result.predicted_starts == \
-            sum(res.predicted for _, _, res, _ in steps) > 0
+        assert [(r.relaxation_iterations, r.predicted)
+                for r in result.records] \
+            == [(res.substeps, res.predicted) for _, _, res, _ in steps]
+        assert any(r.predicted for r in result.records)
 
     def test_later_steps_take_half_the_iterations_of_a_fresh_start(
             self, recorded_run):
@@ -316,8 +323,8 @@ class TestRun:
 
         monkeypatch.setattr(adapt, "mmpde_step", tight)
         reference = run(cfg)
-        assert forced.relaxation_iterations \
-            <= 0.6 * reference.relaxation_iterations
+        assert relaxation_iterations(forced) \
+            <= 0.6 * relaxation_iterations(reference)
         assert forced.steps == reference.steps
         assert len(forced.events) == len(reference.events) == 1
         for name in ("depth", "width"):
@@ -361,8 +368,9 @@ class TestRun:
         # the relaxation's preconditioner factorises its two blocks
         assert band_calls.count("factor") \
             == sum(newton_factors) + 2 * result.factorisations
-        assert len(iterations) == result.steps + 1
-        assert result.newton_iterations == sum(iterations) > 0
+        assert [result.init.newton_iterations] \
+            + [r.newton_iterations for r in result.records] == iterations
+        assert sum(iterations) > 0
         gc.collect()
         assert not any(isinstance(obj, (fem.MeshStructure, BandLayout))
                        for obj in gc.get_objects())
@@ -431,6 +439,31 @@ class TestRun:
         assert len(smooths) == 1
         assert len(calls) == len(result.init.smooth.trace) + result.steps
 
+    def test_fits_start_at_the_last_merge(self, tmp_path):
+        # merge_config run to 11 s: a merge joins two pits' widths into
+        # one, so pitmesh run fits the rows from the merge step on
+        cfg = tmp_path / "merge.cfg"
+        cfg.write_text("target_h = 1.5\npit_nodes = 31\n"
+                       "pit_centers = -5.5 5.5\nmerge_gap_tol = 0.6\n"
+                       "sigma_c = 10\nt_end = 11\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "-o", str(out)]) == 0
+        series = read_timeseries(str(out / "timeseries.csv"))
+        assert len(series) - 12 >= 10
+        after = TimeSeries(series.t[12:], series.depth[12:],
+                           series.width[12:])
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert "merge events: 1" in lines
+        assert lines[lines.index("merge events: 1") + 1].startswith(
+            "  step 12: pits 0+1 merged")
+        for column in ("depth", "width"):
+            fit = fit_power_law(after, column)
+            head = (f"power-law fit {column}(t) = a t^b + c from step 12 "
+                    f"(t = {series.t[12]:g} s, shifted to 1):")
+            at = lines.index(head)
+            assert f"b = {fit.b:.6g} +- {fit.se_b:.2g}," in lines[at + 1]
+            assert fit.b != fit_power_law(series, column).b
+
     def test_one_level_sweep_a_run(self, level_sweeps):
         # the relaxation's layouts and Newton's share the run's levels,
         # and the merge, a retag, keeps them
@@ -494,53 +527,48 @@ def run_recording_phi(cfg):
 
 @pytest.mark.parametrize("name, t_end", [("homog", 12.5), ("twopit", 36.0)],
                          ids=["homog", "twopit"])
-def test_run_lived_solver_state_changes_no_answer(monkeypatch, name, t_end):
+def test_run_lived_solver_state_changes_no_answer(name, t_end):
     # a run keeps the relaxation's factor, motion and pairs, its
     # structure's layouts and factors, and its nearest segments across
-    # steps; with every step's relaxation, every potential solve and every
-    # monitor given fresh state instead, a run takes far more relaxation
-    # iterations but gives the same answer within about ten times the
-    # differences measured on these workloads.  The twopit run merges at
-    # step 67 of its 72
+    # steps; with every step given a fresh factor, and so a fresh
+    # structure, and no nearest segments instead, a run takes far more
+    # relaxation iterations but gives the same answer within about ten
+    # times the differences measured on these workloads.  The twopit run
+    # merges at step 67 of its 72
     cfg = parse_config(str(BENCH_WORKLOADS / f"{name}.cfg"))
     cfg.vtk_every = 0
     cfg.front.t_end = t_end
     kept, kept_states = run_recording_phi(cfg)
-    real_step, real_solve = adapt.mmpde_step, fem.newton_solve
-    real_monitor = adapt.monitor_mackenzie
-
-    def fresh_step(mesh, metric, p, dt_interval, **kwargs):
-        # a step's relaxation; the smoothing flows still share one factor
-        if np.isfinite(dt_interval):
-            kwargs["factor"] = None
-        return real_step(mesh, metric, p, dt_interval, **kwargs)
-
-    def fresh_solve(*args, **kwargs):
-        kwargs["structure"] = None
-        return real_solve(*args, **kwargs)
-
-    def fresh_monitor(mesh, chains, p, nearest=None):
-        return real_monitor(mesh, chains, p)
-
-    monkeypatch.setattr(adapt, "mmpde_step", fresh_step)
-    monkeypatch.setattr(fem, "newton_solve", fresh_solve)
-    monkeypatch.setattr(adapt, "monitor_mackenzie", fresh_monitor)
-    cold, cold_states = run_recording_phi(cfg)
-    assert kept.steps == cold.steps
-    assert [e.step for e in kept.events] == [e.step for e in cold.events] \
+    init = init_mesh(cfg)
+    # a step never writes to its state, so each state stays as it was
+    states = [driver.State(init.mesh, init.chains, init.phi)]
+    records = []
+    while cfg.front.t_end - states[-1].t > 1e-9 * cfg.front.dt:
+        state, record = driver.step(states[-1], cfg, adapt.StiffnessFactor(),
+                                    None)
+        states.append(state)
+        records.append(record)
+    assert kept.steps == len(records)
+    assert [e.step for e in kept.events] \
+        == [r.merge.step for r in records if r.merge is not None] \
         == ([67] if name == "twopit" else [])
-    for column in ("depth", "width"):
-        gap = np.subtract(getattr(kept.series, column),
-                          getattr(cold.series, column))
-        assert np.abs(gap).max() <= 1e-5
-    assert len(kept_states) == len(cold_states) == kept.steps + 1
-    for (phi, chain), (ref, ref_chain) in zip(kept_states, cold_states):
-        assert np.array_equal(chain, ref_chain)
+    cold = [diagnostics(s.mesh, s.chains) for s in states]
+    gap = np.subtract([kept.series.depth, kept.series.width],
+                      np.transpose(cold))
+    assert np.abs(gap).max() <= 1e-5
+    assert len(kept_states) == len(states) == kept.steps + 1
+    for (phi, chain), cold_state in zip(kept_states, states):
+        ref = cold_state.phi
+        assert np.array_equal(chain, np.concatenate(
+            [c.vertices for c in cold_state.chains]))
         assert np.abs(phi[chain] - ref[chain]).max() \
             <= 2e-4 * np.abs(ref[chain]).max()
         assert np.abs(phi - ref).max() <= 5e-3 * np.abs(ref).max()
-    assert kept.min_area_seen == pytest.approx(cold.min_area_seen, rel=5e-2)
-    assert 2 * kept.relaxation_iterations <= cold.relaxation_iterations
+    cold_min_area = min([float(init.mesh.signed_areas().min())]
+                        + [r.min_area for r in records])
+    assert kept.min_area_seen == pytest.approx(cold_min_area, rel=5e-2)
+    assert 2 * relaxation_iterations(kept) \
+        <= sum(r.relaxation_iterations for r in records)
 
 
 def forced_absorption_config(monkeypatch):
@@ -553,6 +581,60 @@ def forced_absorption_config(monkeypatch):
 
 def chain_state(chains):
     return [(c.pit_id, c.vertices.tolist(), c.apex_pos) for c in chains]
+
+
+def state_key(state):
+    """What a step could write to in a State, by value."""
+    return (state.mesh.vertices.tobytes(), state.mesh.edge_tags.tobytes(),
+            chain_state(state.chains), state.phi.tobytes())
+
+
+def step_through(cfg):
+    """cfg's run by driver.step, from its smoothed start, until t_end or a
+    raise, asserting that no step writes to the state it is given.
+
+    Returns each completed step's (input State, output State, StepRecord)
+    and the error that ended the run, if any.
+    """
+    factor, nearest = adapt.StiffnessFactor(), NearestSegments()
+    init = init_mesh(cfg, factor, nearest)
+    state = driver.State(init.mesh, init.chains, init.phi)
+    steps = []
+    while cfg.front.t_end - state.t > 1e-9 * cfg.front.dt:
+        before = state_key(state)
+        try:
+            out, record = driver.step(state, cfg, factor, nearest)
+        except Exception as err:
+            assert state_key(state) == before
+            return steps, err
+        assert state_key(state) == before
+        steps.append((state, out, record))
+        state = out
+    return steps, None
+
+
+class TestStep:
+    def test_merge_step_never_writes_to_its_input(self, merge_run):
+        steps, err = step_through(merge_config())
+        assert err is None
+        before, after, record = steps[11]
+        assert (len(before.chains), len(after.chains)) == (2, 1)
+        assert record.merge.step == after.step == 12
+        assert not np.array_equal(before.mesh.edge_tags, after.mesh.edge_tags)
+        # the steps are the run's
+        result = merge_run[0]
+        assert np.array_equal(steps[-1][1].mesh.vertices, result.mesh.vertices)
+        assert [r for _, _, r in steps] == result.records
+
+    def test_absorbing_and_failing_steps_never_write_to_their_input(
+            self, monkeypatch):
+        steps, err = step_through(forced_absorption_config(monkeypatch))
+        assert len(steps) == 1
+        assert "inverted element at step 2" in str(err)
+        # step 1 absorbs surface vertices into the chain and retags them
+        before, after, _ = steps[0]
+        assert not np.array_equal(before.mesh.edge_tags, after.mesh.edge_tags)
+        assert chain_state(before.chains) != chain_state(after.chains)
 
 
 class TestFailedStep:
@@ -569,17 +651,20 @@ class TestFailedStep:
 
     def assert_carries(self, err, state):
         mesh, chains, phi = state
-        assert np.array_equal(err.mesh.vertices, mesh.vertices)
-        assert np.array_equal(err.mesh.edge_tags, mesh.edge_tags)
-        assert chain_state(err.chains) == chains
-        assert np.array_equal(err.phi, phi)
-        assert validate(err.mesh).ok
+        last = err.state
+        assert np.array_equal(last.mesh.vertices, mesh.vertices)
+        assert np.array_equal(last.mesh.edge_tags, mesh.edge_tags)
+        assert chain_state(last.chains) == chains
+        assert np.array_equal(last.phi, phi)
+        assert validate(last.mesh).ok
+        assert len(err.series) == last.step + 1
+        assert err.series.t[-1] == last.t
 
     def test_inverted_step_carries_last_completed_step(self, monkeypatch):
         err, states = self.run_failing(forced_absorption_config(monkeypatch))
         assert str(err).startswith("step 2 ")
         assert "inverted element" in str(err)
-        assert err.step == 1 == max(states)
+        assert err.state.step == 1 == max(states)
         self.assert_carries(err, states[1])
 
     def test_front_failure_carries_previous_step(self, monkeypatch):
@@ -602,7 +687,7 @@ class TestFailedStep:
         assert isinstance(err.__cause__, FrontError)
         assert str(err).startswith("step 1 ")
         assert "self-intersect" in str(err)
-        assert err.step == 0
+        assert err.state.step == 0
         self.assert_carries(err, states[0])
 
     def test_failed_run_keeps_initial_chains(self, monkeypatch):

@@ -197,7 +197,7 @@ class TestLimiter:
         mesh, chain = pit_setup
         _, normals = face_and_vertex_normals(mesh, chain)
         vn = np.random.default_rng(3).uniform(0.5, 2.0, chain.n_vertices)
-        dt = capped_dt(mesh, [chain], [(vn, normals)], 100.0, 1)
+        dt = capped_dt(mesh, [chain], [(vn, normals)], 100.0)
         assert dt < 100.0
         disp = dt * vn[:, None] * normals
         disp[[0, -1]] = 0.0
@@ -447,7 +447,7 @@ class TestChainChecks:
                                  r"above y=0"):
             advance_pit(mesh, chain, vn, normals, 0.5)
         assert mesh.vertices[chain.vertices[3], 1] > 0.0
-        min_area, _ = driver._check_state(mesh, [chain], 1, -np.inf)
+        min_area = driver._check_state(mesh, [chain], 1, -np.inf)
         assert min_area > 0.0
 
     def test_corner_update_names_a_corner_off_the_surface(self):
@@ -470,5 +470,5 @@ class TestChainChecks:
                                              r"pit 0: edge \(2,3\) not tagged"):
             merge_pits(mesh, chains, MergeCandidate(0, 0, 1, 2.0))
         assert mesh.edge_tags[gap] == BoundaryTag.BOTTOM
-        min_area, _ = driver._check_state(mesh, chains, 1, -np.inf)
+        min_area = driver._check_state(mesh, chains, 1, -np.inf)
         assert min_area > 0.0

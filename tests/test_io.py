@@ -461,9 +461,10 @@ class TestCli:
         monkeypatch.setattr(front, "_CORNER_CLOSE_FACTOR", 0.01)
         cfg = write(tmp_path, "forced.cfg", "\n".join([
             "target_h = 2.0", "pit_nodes = 15", "t_end = 2.0"]) + "\n")
-        step_one = []
+        step_one, rows = [], []
 
         def hook(step, t, mesh, chains, phi):
+            rows.append((t, *driver.diagnostics(mesh, chains)))
             if step == 1:
                 step_one.append(mesh.vertices.copy())
 
@@ -472,9 +473,14 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert self.run_cli("run", cfg, "-o", str(out_dir)) == 2
         assert capsys.readouterr().err.startswith("runtime failure: step 2 ")
-        assert sorted(os.listdir(out_dir)) == ["snapshot_00001.vtk"]
+        # the snapshot of step 1 and the time series through it
+        assert sorted(os.listdir(out_dir)) == ["snapshot_00001.vtk",
+                                               "timeseries.csv"]
         points, _ = read_vtk_points_and_phi(str(out_dir / "snapshot_00001.vtk"))
         assert np.array_equal(points, step_one[0])
+        series = pio.read_timeseries(str(out_dir / "timeseries.csv"))
+        assert len(rows) == 2
+        assert list(zip(series.t, series.depth, series.width)) == rows
 
     @pytest.mark.parametrize("command", ["init-mesh", "run"])
     def test_newton_failure_in_setup_exit_code_2(self, tmp_path, capsys,
