@@ -13,8 +13,7 @@ Prints one line per pass and then, for step p50, step p90, set-up and
 pass time, the median and quartiles of the per-pass ratios change /
 parent and the passes the change won.  Each pass line and the summary
 also give each side's step relaxation iterations and Newton iterations,
-the initial solve's included, summed over RunResult.records (or read
-from the RunResult counters of a checkout without records).  A pass
+the initial solve's included, summed over RunResult.records.  A pass
 whose final depth, width, step count or smallest cell area differ
 between the two sides is flagged, with the largest |depth| and |width|
 differences over the time series rows both sides have and the relative
@@ -102,10 +101,7 @@ def setup_pass(package, config_path: Path, jitter: int) -> dict:
 
 def iteration_totals(result) -> dict:
     """A run's step relaxation and Newton iterations."""
-    records = getattr(result, "records", None)
-    if records is None:
-        return {"relaxation_iters": result.relaxation_iterations,
-                "newton_iters": result.newton_iterations}
+    records = result.records
     return {"relaxation_iters": sum(r.relaxation_iterations for r in records),
             "newton_iters": result.init.newton_iterations
             + sum(r.newton_iterations for r in records)}

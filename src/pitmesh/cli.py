@@ -18,7 +18,7 @@ import sys
 
 from . import adapt, driver, io
 from .driver import SimulationError
-from .io import ConfigError, RunArtifacts
+from .io import ConfigError
 from .mesh import MeshError, chains_from_tags
 from .meshgen import MeshGenError
 
@@ -72,21 +72,20 @@ def _cmd_init_mesh(args) -> int:
 
 def _cmd_run(args) -> int:
     config = io.parse_config(args.config)
-    artifacts = RunArtifacts(args.output)
-    artifacts.prepare()
+    io.prepare_output(args.output)
+
+    def out(name):
+        return os.path.join(args.output, name)
 
     def hook(step, t, mesh, chains, phi):
         if config.vtk_every and step % config.vtk_every == 0:
-            io.write_vtk(mesh, phi, artifacts.snapshot_path(step))
+            io.write_vtk(mesh, phi, out(f"snapshot_{step:05d}.vtk"))
 
+    failure = None
     try:
         result = driver.run(config, step_hook=hook)
     except SimulationError as err:
-        last = err.state
-        io.write_vtk(last.mesh, last.phi, artifacts.snapshot_path(last.step))
-        io.write_timeseries(err.series, artifacts.timeseries_path)
-        logger.error("run aborted; last good state written to %s", args.output)
-        raise
+        failure, result = err, err.result
     # a merge joins two pits' widths into one: fit from the last merge on
     first = result.events[-1].step if result.events else 0
     fits = {}
@@ -95,12 +94,13 @@ def _cmd_run(args) -> int:
             fits[column] = driver.fit_power_law(result.series, column, first)
         except ValueError as err:
             logger.warning("skipping %s fit: %s", column, err)
-    io.write_timeseries(result.series, artifacts.timeseries_path)
-    io.write_mesh(result.mesh, artifacts.final_mesh_path)
-    io.write_vtk(result.mesh, result.phi, artifacts.final_vtk_path)
-    io.write_summary(artifacts.summary_path, config, result, fits, first)
-    with open(artifacts.summary_path, "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    io.write_timeseries(result.series, out("timeseries.csv"))
+    io.write_mesh(result.mesh, out("mesh_final.txt"))
+    io.write_vtk(result.mesh, result.phi, out("final.vtk"))
+    print(io.write_summary(out("summary.txt"), config, result, fits, first,
+                           failure), end="")
+    if failure is not None:
+        raise failure
     return 0
 
 

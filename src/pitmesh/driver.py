@@ -23,21 +23,20 @@ from .adapt import AdaptParams
 from .crystal import Homogeneous, MaterialSpec, VcorrParams
 from .electrochem import ElectroParams
 from .front import FrontParams
-from .mesh import MeshError, NearestSegments, TriMesh, validate
+from .mesh import MeshError, NearestSegments, TriMesh
 from .meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 logger = logging.getLogger("pitmesh.driver")
 
 class SimulationError(Exception):
-    """A failed run, carrying the State of its last completed step, as the
-    step hook saw it, and the TimeSeries through it.  The message names
-    the step that failed.
+    """A failed run, carrying the RunResult through its last completed
+    step, as the step hook saw it.  The message names the step that
+    failed.
     """
 
-    def __init__(self, message, state, series):
+    def __init__(self, message, result):
         super().__init__(message)
-        self.state = state
-        self.series = series
+        self.result = result
 
 
 @dataclass
@@ -248,10 +247,10 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
 
     step_hook(step, t, mesh, chains, phi) is called after every completed
     step (and once at t = 0) with that step's state.  An exception within
-    a step aborts the run with a SimulationError carrying the state the
-    step started from.  One StiffnessFactor serves every relaxation of the
-    run, and its MeshStructure every potential solve, so a run sweeps its
-    levels once; one NearestSegments serves every monitor.
+    a step aborts the run with a SimulationError carrying the RunResult
+    through the step before.  One StiffnessFactor serves every relaxation
+    of the run, and its MeshStructure every potential solve, so a run
+    sweeps its levels once; one NearestSegments serves every monitor.
     """
     factor = adapt.StiffnessFactor()
     nearest = NearestSegments()
@@ -265,24 +264,25 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
 
     fparams = config.front
     records = []
+    failure = None
     while fparams.t_end - state.t > 1e-9 * fparams.dt:
         try:
             state, record = step(state, config, factor, nearest)
         except Exception as err:
-            raise SimulationError(f"step {state.step + 1} (t={state.t:.4g}s): "
-                                  f"{err}", state, series) from err
+            failure = err
+            break
         records.append(record)
         min_area_seen = min(min_area_seen, record.min_area)
         series.append(state.t, *diagnostics(state.mesh, state.chains))
         if step_hook:
             step_hook(state.step, state.t, state.mesh, state.chains, state.phi)
 
-    report = validate(state.mesh)
-    if not report.ok:
-        raise SimulationError(f"final mesh invalid: {report.summary()}",
-                              state, series)
-    return RunResult(series, state.mesh, state.chains, state.phi, init,
-                     records, min_area_seen, factor.factorisations)
+    result = RunResult(series, state.mesh, state.chains, state.phi, init,
+                       records, min_area_seen, factor.factorisations)
+    if failure is not None:
+        raise SimulationError(f"step {state.step + 1} (t={state.t:.4g}s): "
+                              f"{failure}", result) from failure
+    return result
 
 
 # a Gauss-Newton step of at most this relative size that cannot lower

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -338,46 +337,23 @@ def read_timeseries(path: str) -> TimeSeries:
     return series
 
 
-@dataclass
-class RunArtifacts:
-    """Output paths for one run; all verified writable up front."""
-
-    out_dir: str
-
-    @property
-    def timeseries_path(self) -> str:
-        return os.path.join(self.out_dir, "timeseries.csv")
-
-    @property
-    def summary_path(self) -> str:
-        return os.path.join(self.out_dir, "summary.txt")
-
-    @property
-    def final_mesh_path(self) -> str:
-        return os.path.join(self.out_dir, "mesh_final.txt")
-
-    @property
-    def final_vtk_path(self) -> str:
-        return os.path.join(self.out_dir, "final.vtk")
-
-    def snapshot_path(self, step: int) -> str:
-        return os.path.join(self.out_dir, f"snapshot_{step:05d}.vtk")
-
-    def prepare(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
-        probe = os.path.join(self.out_dir, ".write_probe")
-        try:
-            with open(probe, "w", encoding="utf-8") as fh:
-                fh.write("ok")
-            os.remove(probe)
-        except OSError as err:
-            raise OSError(f"output directory {self.out_dir} not writable: "
-                          f"{err}") from err
+def prepare_output(out_dir: str) -> None:
+    """Make out_dir and check it is writable before a run starts."""
+    os.makedirs(out_dir, exist_ok=True)
+    probe = os.path.join(out_dir, ".write_probe")
+    try:
+        with open(probe, "w", encoding="utf-8") as fh:
+            fh.write("ok")
+        os.remove(probe)
+    except OSError as err:
+        raise OSError(f"output directory {out_dir} not writable: "
+                      f"{err}") from err
 
 
 def write_summary(path: str, config: SimConfig, result, fits: dict,
-                  first: int = 0) -> None:
-    """The run's summary; fits are of the series rows from step first on."""
+                  first: int = 0, failure: Optional[Exception] = None) -> str:
+    """Write the run's summary and return its text.  fits are of the series
+    rows from step first on; failure is what aborted the run, if any."""
     lines = [resolved_summary(config), ""]
     smooth = result.init.smooth
     flows = ", ".join(f"{n} {stop}" for n, stop in
@@ -399,6 +375,8 @@ def write_summary(path: str, config: SimConfig, result, fits: dict,
         + sum(r.newton_iterations for r in records)
     lines.append(f"potential: {newton} Newton iterations in "
                  f"{result.steps + 1} solves")
+    if failure is not None:
+        lines.append(f"run aborted: {failure}")
     lines.append(f"steps completed: {result.steps}")
     lines.append(f"dt capped in {sum(r.capped for r in records)} of "
                  f"{result.steps} steps")
@@ -419,5 +397,7 @@ def write_summary(path: str, config: SimConfig, result, fits: dict,
             f"  a = {fit.a:.6g} +- {fit.se_a:.2g}, b = {fit.b:.6g} +- "
             f"{fit.se_b:.2g}, c = {fit.c:.6g} +- {fit.se_c:.2g}, "
             f"R^2 = {fit.r_squared:.6f}")
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    return text

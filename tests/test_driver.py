@@ -643,28 +643,28 @@ class TestFailedStep:
         states = {}
 
         def hook(step, t, mesh, chains, phi):
-            states[step] = (mesh.copy(), chain_state(chains), phi.copy())
+            states[step] = (mesh.copy(), chain_state(chains), phi.copy(), t)
 
         with pytest.raises(SimulationError) as info:
             run(cfg, step_hook=hook)
         return info.value, states
 
     def assert_carries(self, err, state):
-        mesh, chains, phi = state
-        last = err.state
+        mesh, chains, phi, t = state
+        last = err.result
         assert np.array_equal(last.mesh.vertices, mesh.vertices)
         assert np.array_equal(last.mesh.edge_tags, mesh.edge_tags)
         assert chain_state(last.chains) == chains
         assert np.array_equal(last.phi, phi)
         assert validate(last.mesh).ok
-        assert len(err.series) == last.step + 1
-        assert err.series.t[-1] == last.t
+        assert len(last.series) == last.steps + 1
+        assert last.series.t[-1] == t
 
     def test_inverted_step_carries_last_completed_step(self, monkeypatch):
         err, states = self.run_failing(forced_absorption_config(monkeypatch))
         assert str(err).startswith("step 2 ")
         assert "inverted element" in str(err)
-        assert err.state.step == 1 == max(states)
+        assert err.result.steps == 1 == max(states)
         self.assert_carries(err, states[1])
 
     def test_front_failure_carries_previous_step(self, monkeypatch):
@@ -687,7 +687,7 @@ class TestFailedStep:
         assert isinstance(err.__cause__, FrontError)
         assert str(err).startswith("step 1 ")
         assert "self-intersect" in str(err)
-        assert err.state.step == 0
+        assert err.result.steps == 0
         self.assert_carries(err, states[0])
 
     def test_failed_run_keeps_initial_chains(self, monkeypatch):

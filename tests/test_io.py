@@ -12,7 +12,7 @@ from pitmesh import io as pio
 from pitmesh.crystal import Bicrystal, Crystal, Homogeneous
 from pitmesh.driver import SimulationError, TimeSeries
 from pitmesh.front import FrontParams, detect_merge, merge_pits
-from pitmesh.io import ConfigError, RunArtifacts, parse_config
+from pitmesh.io import ConfigError, parse_config
 from pitmesh.mesh import MeshError, chains_from_tags
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
@@ -396,15 +396,13 @@ class TestGoldenText:
 
 class TestArtifacts:
     def test_prepare_creates_and_probes(self, tmp_path):
-        art = RunArtifacts(str(tmp_path / "out"))
-        art.prepare()
-        assert os.path.isdir(art.out_dir)
-        assert art.timeseries_path.endswith("timeseries.csv")
+        out = tmp_path / "out"
+        pio.prepare_output(str(out))
+        assert os.listdir(out) == []
 
     def test_unwritable_dir_raises(self):
-        art = RunArtifacts("/proc/definitely/not/writable")
         with pytest.raises(OSError):
-            art.prepare()
+            pio.prepare_output("/proc/definitely/not/writable")
 
 
 class TestCli:
@@ -472,15 +470,23 @@ class TestCli:
             driver.run(parse_config(cfg), step_hook=hook)
         out_dir = tmp_path / "out"
         assert self.run_cli("run", cfg, "-o", str(out_dir)) == 2
-        assert capsys.readouterr().err.startswith("runtime failure: step 2 ")
-        # the snapshot of step 1 and the time series through it
-        assert sorted(os.listdir(out_dir)) == ["snapshot_00001.vtk",
-                                               "timeseries.csv"]
-        points, _ = read_vtk_points_and_phi(str(out_dir / "snapshot_00001.vtk"))
+        printed = capsys.readouterr()
+        assert printed.err.splitlines()[-1].startswith(
+            "runtime failure: step 2 ")
+        # a finished run's four files, of step 1
+        assert sorted(os.listdir(out_dir)) == ["final.vtk", "mesh_final.txt",
+                                               "summary.txt", "timeseries.csv"]
+        points, _ = read_vtk_points_and_phi(str(out_dir / "final.vtk"))
         assert np.array_equal(points, step_one[0])
+        mesh = pio.read_mesh(str(out_dir / "mesh_final.txt"))
+        assert np.array_equal(mesh.vertices, step_one[0])
         series = pio.read_timeseries(str(out_dir / "timeseries.csv"))
         assert len(rows) == 2
         assert list(zip(series.t, series.depth, series.width)) == rows
+        assert printed.out == (out_dir / "summary.txt").read_text()
+        summary = printed.out.splitlines()
+        at = summary.index("steps completed: 1")
+        assert summary[at - 1].startswith("run aborted: step 2 ")
 
     @pytest.mark.parametrize("command", ["init-mesh", "run"])
     def test_newton_failure_in_setup_exit_code_2(self, tmp_path, capsys,
