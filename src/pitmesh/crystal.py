@@ -32,32 +32,34 @@ class ZoneOrientation:
 
 @dataclass(frozen=True)
 class Homogeneous:
-    v_corr: float  # volts
+    v_corr: float = -0.24  # volts
+
+
+@dataclass(frozen=True, kw_only=True)
+class _FaceLaw:
+    """V_corr = k_const - s_const (1 - max_i |n_cd . e_i|) of a grain."""
+
+    k_const: float = -0.2297  # volts
+    s_const: float = 0.054    # volts
+
+    def __post_init__(self) -> None:
+        if self.s_const < 0.0:
+            raise ValueError(f"s_const must be >= 0, got {self.s_const}")
 
 
 @dataclass(frozen=True)
-class Crystal:
+class Crystal(_FaceLaw):
     orientation: ZoneOrientation
 
 
 @dataclass(frozen=True)
-class Bicrystal:
+class Bicrystal(_FaceLaw):
     x_interface: float  # micrometers
     left: ZoneOrientation
     right: ZoneOrientation
 
 
 MaterialSpec = Union[Homogeneous, Crystal, Bicrystal]
-
-
-@dataclass
-class VcorrParams:
-    k_const: float = -0.2297  # volts
-    s_const: float = 0.054    # volts
-
-    def validate(self) -> None:
-        if self.s_const < 0.0:
-            raise ValueError(f"s_const must be >= 0, got {self.s_const}")
 
 
 def orientation_from_axes(zone_axis, x_direction) -> ZoneOrientation:
@@ -104,8 +106,8 @@ def _orientations_for(material: MaterialSpec, positions: np.ndarray):
     return [(left, material.left), (~left, material.right)]
 
 
-def vcorr_many(material: MaterialSpec, params: VcorrParams,
-               positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def vcorr_many(material: MaterialSpec, positions: np.ndarray,
+               normals: np.ndarray) -> np.ndarray:
     """Vectorized corrosion potential for (m,2) positions and unit normals."""
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
@@ -114,5 +116,6 @@ def vcorr_many(material: MaterialSpec, params: VcorrParams,
     out = np.empty(len(positions))
     for sel, orient in _orientations_for(material, positions):
         n_cd = transform_normal(orient, normals[sel])
-        out[sel] = params.k_const - params.s_const * (1.0 - max_cube_dot(n_cd))
+        out[sel] = material.k_const \
+            - material.s_const * (1.0 - max_cube_dot(n_cd))
     return out

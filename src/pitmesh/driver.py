@@ -20,7 +20,7 @@ import numpy as np
 
 from . import adapt, fem, front
 from .adapt import AdaptParams
-from .crystal import Homogeneous, MaterialSpec, VcorrParams
+from .crystal import Homogeneous, MaterialSpec
 from .electrochem import ElectroParams
 from .front import FrontParams
 from .mesh import MeshError, NearestSegments, TriMesh
@@ -46,8 +46,7 @@ class SimConfig:
     electro: ElectroParams = field(default_factory=ElectroParams)
     adapt: AdaptParams = field(default_factory=AdaptParams)
     front: FrontParams = field(default_factory=FrontParams)
-    material: MaterialSpec = field(default_factory=lambda: Homogeneous(-0.24))
-    vcorr: VcorrParams = field(default_factory=VcorrParams)
+    material: MaterialSpec = field(default_factory=Homogeneous)
     target_h: float = 0.7        # mesh generation edge length, micrometers
     seed: int = 0
     vtk_every: int = 0           # snapshot cadence in steps, 0 = off
@@ -58,7 +57,6 @@ class SimConfig:
         self.electro.validate()
         self.adapt.validate()
         self.front.validate()
-        self.vcorr.validate()
         if self.target_h <= 0.0:
             raise ValueError("target_h must be positive")
         if self.seed < 0:
@@ -160,8 +158,7 @@ def init_mesh(config: SimConfig,
     smooth = adapt.smooth_mesh(mesh, chains, config.adapt, factor=factor,
                                nearest=nearest)
     solved = fem.newton_solve(smooth.mesh, chains, config.material,
-                              config.vcorr, config.electro,
-                              structure=factor.structure)
+                              config.electro, structure=factor.structure)
     return InitResult(smooth.mesh, chains, solved.phi, smooth,
                       solved.iterations)
 
@@ -219,13 +216,12 @@ def step(state: State, config: SimConfig, factor: adapt.StiffnessFactor,
     mesh = TriMesh(moved.positions.copy(), state.mesh.triangles,
                    state.mesh.edge_nodes, state.mesh.edge_tags.copy())
     chains = [c.copy() for c in state.chains]
-    solved = fem.newton_solve(mesh, chains, config.material, config.vcorr,
-                              config.electro, guess=state.phi,
-                              structure=factor.structure)
+    solved = fem.newton_solve(mesh, chains, config.material, config.electro,
+                              guess=state.phi, structure=factor.structure)
 
     speeds = [front.chain_velocities(mesh, chain, solved.phi,
-                                     config.material, config.vcorr,
-                                     config.electro) for chain in chains]
+                                     config.material, config.electro)
+              for chain in chains]
     capped = front.capped_dt(mesh, chains, speeds, fparams.dt)
     dt = min(capped, fparams.t_end - state.t)
     for chain, (vn, normals) in zip(chains, speeds):

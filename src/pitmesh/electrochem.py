@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 EXP_GUARD = 700.0  # exp() overflows just above 709
+FARADAY = 96485.0     # C/mol
+GAS_CONSTANT = 8.315  # J/(mol K)
 
 
 class OverflowGuardError(ArithmeticError):
@@ -29,8 +31,6 @@ class OverflowGuardError(ArithmeticError):
 @dataclass
 class ElectroParams:
     z: float = 2.19           # average charge number
-    F: float = 96485.0        # Faraday constant, C/mol
-    R: float = 8.315          # gas constant, J/(mol K)
     T: float = 298.15         # temperature, K
     V_app: float = -0.14      # applied potential, V
     A_diss: float = 4.0       # dissolution affinity, mol/(cm^2 s)
@@ -39,7 +39,7 @@ class ElectroParams:
     sigma_c: float = 1.0      # electrolyte conductivity, S/m (not reported)
 
     def validate(self) -> None:
-        for name in ("z", "F", "R", "T", "A_diss", "c_solid", "sigma_c"):
+        for name in ("z", "T", "A_diss", "c_solid", "sigma_c"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.alpha <= 1.0:
@@ -58,7 +58,7 @@ class ElectroParams:
     @property
     def zf_rt(self) -> float:
         """z F / (R T), 1/volt."""
-        return self.z * self.F / (self.R * self.T)
+        return self.z * FARADAY / (GAS_CONSTANT * self.T)
 
 
 def overpotential(p: ElectroParams, v_corr, phi):
@@ -80,7 +80,7 @@ def _exponent(p: ElectroParams, v_corr, phi):
 
 def current_density(p: ElectroParams, v_corr, phi):
     """Anodic current density, A/m^2."""
-    return p.z * p.F * p.a_diss_si * np.exp(_exponent(p, v_corr, phi))
+    return p.z * FARADAY * p.a_diss_si * np.exp(_exponent(p, v_corr, phi))
 
 
 def normal_velocity(p: ElectroParams, v_corr, phi):

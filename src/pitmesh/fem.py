@@ -54,7 +54,7 @@ from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import splu
 
 from . import electrochem
-from .crystal import MaterialSpec, VcorrParams, vcorr_many
+from .crystal import MaterialSpec, vcorr_many
 from .electrochem import ElectroParams, OverflowGuardError
 from .mesh import (BoundaryTag, MeshError, PitChain, TriMesh, corner_index,
                    vertex_roles)
@@ -365,7 +365,7 @@ class PitEdges:
 
 
 def pit_edges(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
-              vc_params: VcorrParams, eparams: ElectroParams) -> PitEdges:
+              eparams: ElectroParams) -> PitEdges:
     """The pit edges' V_corr and quadrature weights on mesh."""
     nq = len(_GAUSS_XI)
     # with no chains there are no edges to concatenate
@@ -385,7 +385,7 @@ def pit_edges(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
     # hat values of the edge's start and end at the quadrature points
     na, nb = 0.5 * (1.0 - _GAUSS_XI), 0.5 * (1.0 + _GAUSS_XI)
     pos = pa[:, None, :] * na[None, :, None] + pb[:, None, :] * nb[None, :, None]
-    vc = vcorr_many(material, vc_params, pos.reshape(-1, 2),
+    vc = vcorr_many(material, pos.reshape(-1, 2),
                     np.repeat(normals, nq, axis=0)).reshape(len(a_idx), nq)
     weight = (0.5 * lengths * UM_TO_M)[:, None] * _GAUSS_W[None, :] \
         / eparams.sigma_c
@@ -487,8 +487,7 @@ def _pcg(product: Callable, rhs: np.ndarray, factor: np.ndarray,
 
 
 def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSpec,
-                 vc_params: VcorrParams, eparams: ElectroParams,
-                 guess: Optional[np.ndarray] = None,
+                 eparams: ElectroParams, guess: Optional[np.ndarray] = None,
                  structure: Optional[MeshStructure] = None) -> NewtonResult:
     """Solve K phi = b(phi) with phi = 0 on the top boundary.
 
@@ -509,7 +508,7 @@ def newton_solve(mesh: TriMesh, chains: Sequence[PitChain], material: MaterialSp
     free = layout.order
     entries = _cell_stiffness(mesh, corners=structure.corners).ravel()
     K = layout.stiffness(mesh, entries)
-    edges = pit_edges(mesh, chains, material, vc_params, eparams)
+    edges = pit_edges(mesh, chains, material, eparams)
 
     history = []
     for it in range(_MAX_ITERS + 1):

@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import electrochem
-from .crystal import MaterialSpec, VcorrParams, vcorr_many
+from .crystal import MaterialSpec, vcorr_many
 from .electrochem import ElectroParams
 from .mesh import (BoundaryTag, PitChain, TriMesh, chain_corner_problems,
                    chain_interior_problems, chain_tag_problems, cross2,
-                   face_and_vertex_normals, point_segment_distances,
-                   polyline_self_intersects)
+                   point_segment_distances, polyline_self_intersects,
+                   vertex_normals)
 
 logger = logging.getLogger("pitmesh.front")
 
@@ -79,12 +79,11 @@ class MergeEvent:
 
 
 def chain_velocities(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
-                     material: MaterialSpec, vc_params: VcorrParams,
-                     eparams: ElectroParams):
+                     material: MaterialSpec, eparams: ElectroParams):
     """Normal speed (micrometers/s) and unit normal for every chain vertex."""
-    _, normals = face_and_vertex_normals(mesh, chain)
+    normals = vertex_normals(mesh, chain)
     pos = chain.positions(mesh)
-    vc = vcorr_many(material, vc_params, pos, normals)
+    vc = vcorr_many(material, pos, normals)
     vn = electrochem.normal_velocity(eparams, vc, phi[chain.vertices])
     return vn * M_TO_UM, normals
 

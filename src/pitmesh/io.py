@@ -57,9 +57,8 @@ _SCALAR_KEYS = {
     "pit_width": ("pits", "width", _finite),
     "pit_depth": ("pits", "depth", _finite),
     "pit_nodes": ("pits", "nodes", int),
+    "pit_centers": ("pits", "centers", lambda t: tuple(_parse_vector(t))),
     "z": ("electro", "z", _finite),
-    "F": ("electro", "F", _finite),
-    "R": ("electro", "R", _finite),
     "T": ("electro", "T", _finite),
     "V_app": ("electro", "V_app", _finite),
     "A_diss": ("electro", "A_diss", _finite),
@@ -74,8 +73,6 @@ _SCALAR_KEYS = {
     "dt": ("front", "dt", _finite),
     "t_end": ("front", "t_end", _finite),
     "merge_gap_tol": ("front", "merge_gap_tol", _finite),
-    "vcorr_k": ("vcorr", "k_const", _finite),
-    "vcorr_s": ("vcorr", "s_const", _finite),
     "target_h": (None, "target_h", _finite),
     "seed": (None, "seed", int),
     "vtk_every": (None, "vtk_every", int),
@@ -84,9 +81,9 @@ _SCALAR_KEYS = {
 # material -> the keys it reads; a key of another material is rejected
 _MATERIAL_FIELDS = {
     "homogeneous": ("vcorr_homogeneous",),
-    "crystal": ("zone_axis", "x_dir"),
+    "crystal": ("zone_axis", "x_dir", "vcorr_k", "vcorr_s"),
     "bicrystal": ("zone_axis_left", "x_dir_left", "zone_axis_right",
-                  "x_dir_right", "x_interface"),
+                  "x_dir_right", "x_interface", "vcorr_k", "vcorr_s"),
 }
 _MATERIAL_KEYS = ("material",) + sum(_MATERIAL_FIELDS.values(), ())
 
@@ -105,14 +102,13 @@ def parse_config(path: str) -> SimConfig:
             value = value.strip("\"'")
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            if key not in _SCALAR_KEYS and key not in _MATERIAL_KEYS \
-                    and key != "pit_centers":
+            if key not in _SCALAR_KEYS and key not in _MATERIAL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             raw[key] = (value, lineno)
 
     config = SimConfig()
     for key, (value, lineno) in raw.items():
-        if key in _MATERIAL_KEYS or key == "pit_centers":
+        if key in _MATERIAL_KEYS:
             continue
         section, attr, cast = _SCALAR_KEYS[key]
         try:
@@ -122,13 +118,6 @@ def parse_config(path: str) -> SimConfig:
                 from err
         target = config if section is None else getattr(config, section)
         setattr(target, attr, parsed)
-    if "pit_centers" in raw:
-        value, lineno = raw["pit_centers"]
-        try:
-            config.pits.centers = tuple(_parse_vector(value))
-        except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: bad pit_centers: {err}") from err
-
     config.material = _parse_material(raw, path)
     try:
         config.validate()
@@ -162,17 +151,25 @@ def _parse_material(raw: dict, path: str) -> MaterialSpec:
     def axis(key: str, default: str) -> list:
         return value(_parse_int_vector, key, default)
 
+    def given(**keys) -> dict:
+        """field -> value of each field's key the config sets."""
+        return {attr: value(_finite, key, "") for attr, key in keys.items()
+                if key in raw}
+
     try:
         if kind == "homogeneous":
-            return Homogeneous(value(_finite, "vcorr_homogeneous", "-0.24"))
+            return Homogeneous(**given(v_corr="vcorr_homogeneous"))
+        law = given(k_const="vcorr_k", s_const="vcorr_s")
         if kind == "crystal":
             return Crystal(orientation_from_axes(axis("zone_axis", "0 0 1"),
-                                                 axis("x_dir", "1 0 0")))
+                                                 axis("x_dir", "1 0 0")),
+                           **law)
         left = orientation_from_axes(axis("zone_axis_left", "0 0 1"),
                                      axis("x_dir_left", "1 0 0"))
         right = orientation_from_axes(axis("zone_axis_right", "1 0 1"),
                                       axis("x_dir_right", "-1 0 1"))
-        return Bicrystal(value(_finite, "x_interface", "0.0"), left, right)
+        return Bicrystal(value(_finite, "x_interface", "0.0"), left, right,
+                         **law)
     except ValueError as err:
         raise ConfigError(f"{path}: bad material description: {err}") from err
 

@@ -184,12 +184,11 @@ def vertex_roles(mesh: TriMesh) -> VertexRoles:
     return VertexRoles(pinned, slide_x, slide_y)
 
 
-def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
-    """Outward (into the metal) unit normals along a pit chain.
+def vertex_normals(mesh: TriMesh, chain: PitChain) -> np.ndarray:
+    """Outward (into the metal) unit normals (n,2) at a pit chain's vertices.
 
-    Returns (face_normals (n-1,2), vertex_normals (n,2)).  Interior vertex
-    normals average the two adjacent face normals; corner vertices take
-    the normal of their single adjacent pit edge.
+    Interior vertex normals average the two adjacent edge normals; corner
+    vertices take the normal of their single adjacent pit edge.
     """
     p = chain.positions(mesh)
     if len(p) < 3:
@@ -215,7 +214,7 @@ def face_and_vertex_normals(mesh: TriMesh, chain: PitChain):
         mid[folded] = face[pick[folded]]
         norms[folded] = 1.0
     vert[1:-1] = mid / norms[:, None]
-    return face, vert
+    return vert
 
 
 def _segment_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:

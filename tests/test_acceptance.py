@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from pitmesh.adapt import AdaptParams
-from pitmesh.crystal import (Bicrystal, Crystal, VcorrParams,
-                             orientation_from_axes, vcorr_many)
+from pitmesh.crystal import (Bicrystal, Crystal, orientation_from_axes,
+                             vcorr_many)
 from pitmesh.driver import (SimConfig, fit_power_law, fit_power_law_arrays,
                             init_mesh, run)
 from pitmesh.mesh import validate
@@ -162,12 +162,11 @@ def angle_from_vertical(direction):
 
 class TestCriterion1:
     def test_crystallographic_potentials(self):
-        par = VcorrParams()
         o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        got = (*vcorr_many(Crystal(o001), par, np.zeros((2, 2)),
+        got = (*vcorr_many(Crystal(o001), np.zeros((2, 2)),
                            np.array([[0.0, -1.0], [S2, -S2]])),
-               *vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+               *vcorr_many(Crystal(o101), np.zeros((1, 2)),
                            np.array([[np.sqrt(2.0 / 3.0), -S3]])))
         want = (-0.2297, -0.2455, -0.2525)
         ok = all(abs(g - w) < 5e-5 for g, w in zip(got, want))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous, VcorrParams,
+from pitmesh.crystal import (Bicrystal, Crystal, Homogeneous,
                              max_cube_dot, orientation_from_axes,
                              transform_normal, vcorr_many)
 
@@ -71,30 +71,27 @@ class TestTransformNormal:
 
 class TestVcorr:
     def test_characteristic_face_potentials(self):
-        par = VcorrParams()
         o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
         # normals whose crystal-frame images hit <001>, <011>, <111>
-        v001, v011 = vcorr_many(Crystal(o001), par, np.zeros((2, 2)),
+        v001, v011 = vcorr_many(Crystal(o001), np.zeros((2, 2)),
                                 np.array([[0.0, -1.0], [S2, -S2]]))
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        (v111,) = vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+        (v111,) = vcorr_many(Crystal(o101), np.zeros((1, 2)),
                              np.array([[np.sqrt(2.0 / 3.0), -S3]]))
         assert v001 == pytest.approx(-0.2297, abs=5e-5)
         assert v011 == pytest.approx(-0.2455, abs=5e-5)
         assert v111 == pytest.approx(-0.2525, abs=5e-5)
 
     def test_sign_symmetry(self):
-        par = VcorrParams()
         o = orientation_from_axes([0, 0, 1], [1, 0, 0])
-        up, down = vcorr_many(Crystal(o), par, np.zeros((2, 2)),
+        up, down = vcorr_many(Crystal(o), np.zeros((2, 2)),
                               np.array([[0.0, 1.0], [0.0, -1.0]]))
         assert up == down == pytest.approx(-0.2297, abs=5e-5)
 
     def test_homogeneous_constant(self):
-        par = VcorrParams()
         normals = np.array([[1.0, 0.0], [0.0, -1.0], [S2, S2]])
         positions = np.tile([3.0, -1.0], (3, 1))
-        v = vcorr_many(Homogeneous(-0.24), par, positions, normals)
+        v = vcorr_many(Homogeneous(-0.24), positions, normals)
         assert np.all(v == -0.24)
 
     @settings(max_examples=60, deadline=None)
@@ -113,22 +110,20 @@ class TestVcorr:
     @settings(max_examples=60, deadline=None)
     @given(unit_normals())
     def test_range_bounds(self, n):
-        par = VcorrParams()
         o = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        (v,) = vcorr_many(Crystal(o), par, np.zeros((1, 2)), n[None, :])
-        lo = par.k_const - par.s_const * (1 - S3)
-        assert lo - 1e-12 <= v <= par.k_const + 1e-12
+        (v,) = vcorr_many(Crystal(o), np.zeros((1, 2)), n[None, :])
+        lo = Crystal.k_const - Crystal.s_const * (1 - S3)
+        assert lo - 1e-12 <= v <= Crystal.k_const + 1e-12
 
     def test_extremes_attained(self):
-        par = VcorrParams()
         o = orientation_from_axes([0, 0, 1], [1, 0, 0])
-        assert vcorr_many(Crystal(o), par, np.zeros((1, 2)),
+        assert vcorr_many(Crystal(o), np.zeros((1, 2)),
                           np.array([[0.0, -1.0]]))[0] \
-            == pytest.approx(par.k_const)
+            == pytest.approx(Crystal.k_const)
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
-        (v,) = vcorr_many(Crystal(o101), par, np.zeros((1, 2)),
+        (v,) = vcorr_many(Crystal(o101), np.zeros((1, 2)),
                           np.array([[np.sqrt(2.0 / 3.0), -S3]]))
-        assert v == pytest.approx(par.k_const - par.s_const * (1 - S3))
+        assert v == pytest.approx(Crystal.k_const - Crystal.s_const * (1 - S3))
 
     def test_semicircle_argmax_arcs(self):
         # identity orientation: the maximizing <001> member switches at
@@ -150,7 +145,6 @@ class TestVcorr:
         assert np.rad2deg(angles[switches[1]]) == pytest.approx(45.0, abs=1.1)
 
     def test_bicrystal_sides(self):
-        par = VcorrParams()
         o001 = orientation_from_axes([0, 0, 1], [1, 0, 0])
         o101 = orientation_from_axes([1, 0, 1], [-1, 0, 1])
         mat = Bicrystal(0.0, o001, o101)
@@ -158,30 +152,32 @@ class TestVcorr:
         # image for the right grain, so it tells the two sides apart
         normals = np.tile([1.0, 0.0], (3, 1))
         left, right, boundary = vcorr_many(
-            mat, par, np.array([[-1.0, -2.0], [1.0, -2.0], [0.0, -2.0]]),
+            mat, np.array([[-1.0, -2.0], [1.0, -2.0], [0.0, -2.0]]),
             normals)
-        assert left == pytest.approx(par.k_const)
-        assert right == pytest.approx(par.k_const - par.s_const * (1 - S2))
+        assert left == pytest.approx(mat.k_const)
+        assert right == pytest.approx(mat.k_const - mat.s_const * (1 - S2))
         # x exactly on the interface uses the right-side orientation
         assert boundary == right
 
     def test_vectorized_matches_scalar(self):
-        par = VcorrParams()
         o = orientation_from_axes([1, 0, 1], [-1, 0, 1])
         mat = Crystal(o)
         rng = np.random.default_rng(5)
         angles = rng.uniform(0, 2 * np.pi, 17)
         normals = np.column_stack((np.cos(angles), np.sin(angles)))
         pos = rng.uniform(-5, 5, (17, 2))
-        many = vcorr_many(mat, par, pos, normals)
-        each = [vcorr_many(mat, par, pos[k:k + 1], normals[k:k + 1])[0]
+        many = vcorr_many(mat, pos, normals)
+        each = [vcorr_many(mat, pos[k:k + 1], normals[k:k + 1])[0]
                 for k in range(len(pos))]
         assert np.array_equal(many, each)
         # the batch rotates each normal as transform_normal does one
         n_cd = np.array([transform_normal(o, n) for n in normals])
         assert np.array_equal(
-            many, par.k_const - par.s_const * (1.0 - max_cube_dot(n_cd)))
+            many, mat.k_const - mat.s_const * (1.0 - max_cube_dot(n_cd)))
 
     def test_negative_s_rejected(self):
-        with pytest.raises(ValueError):
-            VcorrParams(s_const=-0.1).validate()
+        o = orientation_from_axes([0, 0, 1], [1, 0, 0])
+        with pytest.raises(ValueError, match="s_const must be >= 0"):
+            Crystal(o, s_const=-0.1)
+        with pytest.raises(ValueError, match="s_const must be >= 0"):
+            Bicrystal(0.0, o, o, s_const=-0.1)

@@ -11,7 +11,7 @@ from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
 from pitmesh.fem import BandLayout
 from pitmesh.front import FrontError
 from pitmesh.io import parse_config, read_timeseries, write_summary
-from pitmesh.mesh import (NearestSegments, face_and_vertex_normals, validate,
+from pitmesh.mesh import (NearestSegments, validate, vertex_normals,
                           vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
@@ -478,7 +478,7 @@ class TestRun:
         metric = adapt.monitor_mackenzie(mesh, chains, cfg.adapt)
         adapt.mmpde_step(mesh, metric, cfg.adapt, cfg.front.dt)
         assert len(level_sweeps) == 1
-        fem.newton_solve(mesh, chains, cfg.material, cfg.vcorr, cfg.electro)
+        fem.newton_solve(mesh, chains, cfg.material, cfg.electro)
         assert len(level_sweeps) == 2
 
     def test_kept_nearest_segments_give_the_stateless_monitor(self, merge_run):
@@ -675,7 +675,7 @@ class TestFailedStep:
 
         def push(mesh, chain, vn_um, normals, dt):
             for _ in range(12):
-                _, normals = face_and_vertex_normals(mesh, chain)
+                normals = vertex_normals(mesh, chain)
                 vn = np.zeros(chain.n_vertices)
                 vn[1] = 5.0 / dt
                 real(mesh, chain, vn, normals, dt)

@@ -31,7 +31,7 @@ class TestCurrentDensity:
         expo = params.zf_rt * (-0.24 + 0.5 * ec.overpotential(params, -0.24, 0.0))
         assert expo == pytest.approx(-16.19, abs=0.01)
         i = ec.current_density(params, -0.24, 0.0)
-        assert i == pytest.approx(params.z * params.F * params.a_diss_si
+        assert i == pytest.approx(params.z * ec.FARADAY * params.a_diss_si
                                   * np.exp(expo))
 
     def test_alpha_zero_decouples_phi(self):
@@ -73,7 +73,8 @@ class TestNormalVelocity:
         p = ElectroParams()
         vn = ec.normal_velocity(p, vc, phi)
         i = ec.current_density(p, vc, phi)
-        assert vn * p.z * p.F * p.c_solid_si == pytest.approx(i, rel=1e-12)
+        assert vn * p.z * ec.FARADAY * p.c_solid_si \
+            == pytest.approx(i, rel=1e-12)
 
     def test_faraday_identity_thousand_draws(self):
         p = ElectroParams()
@@ -82,7 +83,7 @@ class TestNormalVelocity:
         phi = rng.uniform(-0.05, 0.05, 1000)
         vn = ec.normal_velocity(p, vc, phi)
         i = ec.current_density(p, vc, phi)
-        rel = np.abs(vn * p.z * p.F * p.c_solid_si - i) / i
+        rel = np.abs(vn * p.z * ec.FARADAY * p.c_solid_si - i) / i
         assert rel.max() < 1e-12
 
     def test_increasing_in_vcorr_for_alpha_below_one(self, params):

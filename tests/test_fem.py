@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
+from pitmesh.crystal import Crystal, Homogeneous, orientation_from_axes
 from pitmesh.electrochem import ElectroParams, OverflowGuardError
 from pitmesh import adapt, fem, front
 from pitmesh.driver import SimConfig, init_mesh
@@ -30,10 +30,10 @@ def reference_triangle():
                              BoundaryTag.TOP]))
 
 
-def boundary_terms(mesh, chains, phi, material, vc_params, eparams):
+def boundary_terms(mesh, chains, phi, material, eparams):
     """The pit-flux load vector and edge blocks of phi on mesh."""
     return boundary_residual_and_jacobian(
-        pit_edges(mesh, chains, material, vc_params, eparams), phi)
+        pit_edges(mesh, chains, material, eparams), phi)
 
 
 def pit_edge_mesh(length):
@@ -106,11 +106,10 @@ class TestBoundaryTerm:
         length = 3.0
         mesh, chain = pit_edge_mesh(length)
         ep = ElectroParams(alpha=1e-12, sigma_c=2.5)
-        vc = VcorrParams()
         import pitmesh.electrochem as ec
         i0 = float(ec.current_density(ep, -0.24, 0.0))
         res, jac = boundary_terms(
-            mesh, [chain], np.zeros(4), Homogeneous(-0.24), vc, ep)
+            mesh, [chain], np.zeros(4), Homogeneous(-0.24), ep)
         expected = i0 * (length * 1e-6) / (2.0 * ep.sigma_c)
         assert res[0] == pytest.approx(expected, rel=1e-12)
         assert res[1] == pytest.approx(expected, rel=1e-12)
@@ -121,11 +120,10 @@ class TestBoundaryTerm:
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=1)
         ep = ElectroParams()
-        vc = VcorrParams()
         mat = Crystal(orientation_from_axes([1, 0, 1], [-1, 0, 1]))
         rng = np.random.default_rng(0)
         phi = rng.uniform(0.0, 0.01, mesh.n_vertices)
-        res0, jac = boundary_terms(mesh, chains, phi, mat, vc, ep)
+        res0, jac = boundary_terms(mesh, chains, phi, mat, ep)
         jac = edge_jacobian(mesh.n_vertices, jac)
         eps = 1e-7
         cols = np.unique(np.concatenate([c.vertices for c in chains]))
@@ -133,9 +131,9 @@ class TestBoundaryTerm:
         scale = np.abs(jac).max()
         for col in cols:
             phi[col] += eps
-            rp, _ = boundary_terms(mesh, chains, phi, mat, vc, ep)
+            rp, _ = boundary_terms(mesh, chains, phi, mat, ep)
             phi[col] -= 2 * eps
-            rm, _ = boundary_terms(mesh, chains, phi, mat, vc, ep)
+            rm, _ = boundary_terms(mesh, chains, phi, mat, ep)
             phi[col] += eps
             fd = (rp - rm) / (2 * eps)
             worst = max(worst, np.abs(fd - jac[:, col]).max() / scale)
@@ -145,7 +143,7 @@ class TestBoundaryTerm:
         mesh = make_rect_mesh(3, 3)
         res, jac = boundary_terms(
             mesh, [], np.zeros(mesh.n_vertices), Homogeneous(-0.24),
-            VcorrParams(), ElectroParams())
+            ElectroParams())
         assert np.all(res == 0.0)
         assert [len(part) for part in jac] == [0] * 5
 
@@ -154,7 +152,7 @@ class TestBoundaryTerm:
         ep = ElectroParams()
         with pytest.raises(OverflowGuardError, match="pit edge"):
             boundary_terms(mesh, [chain], np.full(4, -30.0),
-                           Homogeneous(-0.24), VcorrParams(), ep)
+                           Homogeneous(-0.24), ep)
         # a two-edge chain 0-1-2 with phi low only at vertex 2: the first
         # edge's exponents stay below the guard, the second's do not
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
@@ -167,15 +165,13 @@ class TestBoundaryTerm:
         chain = PitChain(0, np.array([0, 1, 2]))
         phi = np.array([0.0, 0.0, -30.0, 0.0, 0.0, 0.0])
         with pytest.raises(OverflowGuardError, match=r"on pit edge 1 \(1-2\)"):
-            boundary_terms(mesh, [chain], phi, Homogeneous(-0.24),
-                           VcorrParams(), ep)
+            boundary_terms(mesh, [chain], phi, Homogeneous(-0.24), ep)
 
 
 class TestNewton:
     def test_no_pit_solution_is_zero(self):
         mesh = make_rect_mesh(5, 5)
-        res = newton_solve(mesh, [], Homogeneous(-0.24), VcorrParams(),
-                           ElectroParams())
+        res = newton_solve(mesh, [], Homogeneous(-0.24), ElectroParams())
         assert np.abs(res.phi).max() == 0.0
 
     def test_dirichlet_exact_for_linear(self):
@@ -209,8 +205,7 @@ class TestNewton:
                 return _real(*args)
 
             monkeypatch.setattr(fem, name, counted)
-        res = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                           ElectroParams())
+        res = newton_solve(mesh, chains, Homogeneous(-0.24), ElectroParams())
         assert res.iterations >= 2
         assert calls == {"pit_edges": 1,
                          "boundary_residual_and_jacobian": res.iterations + 1}
@@ -218,8 +213,7 @@ class TestNewton:
     def test_superlinear_residual_history(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
                                              target_h=1.5, seed=0)
-        res = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                           ElectroParams())
+        res = newton_solve(mesh, chains, Homogeneous(-0.24), ElectroParams())
         h = res.history
         assert h[-1] <= 1e-10
         # each contraction factor beats the previous one
@@ -229,20 +223,19 @@ class TestNewton:
     def test_relabeling_invariance(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=15),
                                              target_h=2.5, seed=3)
-        base = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
+        base = newton_solve(mesh, chains, Homogeneous(-0.24),
                             ElectroParams()).phi
         mesh2, chains2, inv = relabelled(mesh, chains, 11)
         permuted = newton_solve(mesh2, chains2, Homogeneous(-0.24),
-                                VcorrParams(), ElectroParams()).phi
+                                ElectroParams()).phi
         assert np.abs(permuted[inv] - base).max() < 1e-10
 
     def test_warm_start_converges_faster(self):
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
                                              target_h=1.5, seed=0)
-        cold = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                            ElectroParams())
-        warm = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                            ElectroParams(), guess=cold.phi)
+        cold = newton_solve(mesh, chains, Homogeneous(-0.24), ElectroParams())
+        warm = newton_solve(mesh, chains, Homogeneous(-0.24), ElectroParams(),
+                            guess=cold.phi)
         assert warm.iterations <= 1
 
     def test_nonconvergence_raises_with_history(self, monkeypatch):
@@ -251,8 +244,7 @@ class TestNewton:
         monkeypatch.setattr(fem, "_ABS_TOL", 1e-300)
         monkeypatch.setattr(fem, "_MAX_ITERS", 2)
         with pytest.raises(NewtonError) as err:
-            newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
-                         ElectroParams())
+            newton_solve(mesh, chains, Homogeneous(-0.24), ElectroParams())
         assert len(err.value.history) == 3
 
     def test_sign_pattern_stable_under_refinement(self):
@@ -261,7 +253,7 @@ class TestNewton:
         for h in (2.5, 1.8):
             mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=21),
                                                  target_h=h, seed=0)
-            res = newton_solve(mesh, chains, Homogeneous(-0.24), VcorrParams(),
+            res = newton_solve(mesh, chains, Homogeneous(-0.24),
                                ElectroParams())
             signs.append(np.sign(res.phi[chains[0].vertices]).min())
         assert signs[0] == signs[1] == 1.0
@@ -316,7 +308,7 @@ def merged_case():
 class TestJacobianPattern:
     """Newton's layout on a MeshStructure: the Jacobian's band structure,
     its stiffness block and its last factor, kept across solves."""
-    args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
+    args = (Homogeneous(-0.24), ElectroParams())
 
     def test_one_factorisation_serves_solves_on_moved_meshes(self, pit_case,
                                                              band_calls):
@@ -511,7 +503,7 @@ class TestJacobianPattern:
 
 
 class TestBandNewton:
-    args = (Homogeneous(-0.24), VcorrParams(), ElectroParams())
+    args = (Homogeneous(-0.24), ElectroParams())
 
     def test_step_matches_dense_solve(self, merged_case, monkeypatch):
         # Newton's first step from a guess solves (K - dB) delta = -r on

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pitmesh import driver
 from pitmesh import electrochem as ec
 from pitmesh import front
-from pitmesh.crystal import Crystal, Homogeneous, VcorrParams, orientation_from_axes
+from pitmesh.crystal import Crystal, Homogeneous, orientation_from_axes
 from pitmesh.electrochem import ElectroParams
 from pitmesh.front import (APPROACH_FACTOR, FrontError, FrontParams,
                            MergeCandidate, advance_pit, capped_dt,
@@ -14,8 +14,8 @@ from pitmesh.front import (APPROACH_FACTOR, FrontError, FrontParams,
                            merge_pits, pit_area, track_apex, update_corners)
 from pitmesh.front import _apply_limited, _extrapolate_to_surface
 from pitmesh.mesh import (BoundaryTag, PitChain, TriMesh,
-                          face_and_vertex_normals, point_segment_distances,
-                          polyline_crossings, validate, validate_chain)
+                          point_segment_distances, polyline_crossings,
+                          validate, validate_chain, vertex_normals)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 
@@ -44,14 +44,14 @@ def advance_physical(mesh, chain, material=Homogeneous(-0.24), ep=None,
     ep = ep or ElectroParams()
     fp = fp or FrontParams()
     vn, normals = chain_velocities(mesh, chain, uniform_phi(mesh), material,
-                                   VcorrParams(), ep)
+                                   ep)
     advance_pit(mesh, chain, vn, normals, fp.dt)
 
 
 def advance_with(mesh, chain, speed):
     """advance_pit at the speeds speed(positions, normals) gives."""
     fp = FrontParams()
-    _, normals = face_and_vertex_normals(mesh, chain)
+    normals = vertex_normals(mesh, chain)
     vn = np.asarray(speed(chain.positions(mesh), normals), dtype=np.float64)
     advance_pit(mesh, chain, vn, normals, fp.dt)
 
@@ -138,7 +138,7 @@ class TestAdvance:
         phi = np.zeros(mesh.n_vertices)
         phi[chain.vertices] = rng.uniform(0, 0.01, chain.n_vertices)
         vn, normals = chain_velocities(mesh, chain, phi, Homogeneous(-0.24),
-                                       VcorrParams(), ep)
+                                       ep)
         k = chain.n_vertices // 2
         expected = ec.normal_velocity(ep, -0.24, phi[chain.vertices[k]]) * 1e6
         assert vn[k] == pytest.approx(float(expected))
@@ -195,7 +195,7 @@ class TestLimiter:
 
     def test_step_within_dt_cap_is_not_limited(self, pit_setup):
         mesh, chain = pit_setup
-        _, normals = face_and_vertex_normals(mesh, chain)
+        normals = vertex_normals(mesh, chain)
         vn = np.random.default_rng(3).uniform(0.5, 2.0, chain.n_vertices)
         dt = capped_dt(mesh, [chain], [(vn, normals)], 100.0)
         assert dt < 100.0

@@ -49,14 +49,15 @@ class TestConfig:
         assert cfg.front.dt == 0.5
         assert cfg.pits.nodes == 61
 
-    # the keys after bogus_key named solver settings that are now module
-    # constants in adapt, fem, front, driver and meshgen
+    # the keys after bogus_key named solver settings and constants of
+    # nature that are now module constants in adapt, fem, front, driver,
+    # meshgen and electrochem
     @pytest.mark.parametrize("key", [
         "bogus_key", "mmpde_max_substeps", "mmpde_smoothing_substeps",
         "mmpde_disp_frac", "mmpde_grad_tol", "newton_abs_tol",
         "newton_rel_tol", "newton_max_iters", "boundary_quad_points",
         "smoothing_tol", "smoothing_max_iters", "corner_close_factor",
-        "cfl_frac", "gap_single_edge"])
+        "cfl_frac", "gap_single_edge", "F", "R"])
     def test_unknown_key_rejected_with_line(self, tmp_path, key):
         path = write(tmp_path, "bad.cfg", f"mu1 = 10\n{key} = 3\n")
         with pytest.raises(ConfigError, match=rf"bad.cfg:2.*{key}"):
@@ -78,12 +79,14 @@ class TestConfig:
     def test_crystal_material(self, tmp_path):
         path = write(tmp_path, "c.cfg", "\n".join([
             'material = crystal', 'zone_axis = "1 0 1"', 'x_dir = "-1 0 1"',
-            'pit_centers = "-6 6"', "mu2 = 10", "alpha = 0.3"]) + "\n")
+            'pit_centers = "-6 6"', "mu2 = 10", "alpha = 0.3",
+            "vcorr_k = -0.21", "vcorr_s = 0.06"]) + "\n")
         cfg = parse_config(path)
         assert cfg.pits.centers == (-6.0, 6.0)
         assert cfg.adapt.mu2 == 10.0
         assert cfg.electro.alpha == 0.3
         assert isinstance(cfg.material, Crystal)
+        assert (cfg.material.k_const, cfg.material.s_const) == (-0.21, 0.06)
         s = 1 / np.sqrt(2)
         expected = np.array([[-s, 0, s], [0, 1, 0], [s, 0, s]])
         assert np.abs(cfg.material.orientation.matrix() - expected).max() < 1e-12
@@ -93,21 +96,32 @@ class TestConfig:
             "material = bicrystal",
             'zone_axis_left = "0 0 1"', 'x_dir_left = "1 0 0"',
             'zone_axis_right = "1 0 1"', 'x_dir_right = "-1 0 1"',
-            "x_interface = 0.5"]) + "\n")
+            "x_interface = 0.5", "vcorr_k = -0.22", "vcorr_s = 0"]) + "\n")
         cfg = parse_config(path)
         assert isinstance(cfg.material, Bicrystal)
         assert cfg.material.x_interface == 0.5
+        assert (cfg.material.k_const, cfg.material.s_const) == (-0.22, 0.0)
+
+    @pytest.mark.parametrize("kind", ["crystal", "bicrystal"])
+    def test_negative_vcorr_s_rejected(self, tmp_path, kind):
+        path = write(tmp_path, "s.cfg", f"material = {kind}\nvcorr_s = -0.1\n")
+        with pytest.raises(ConfigError, match="s.cfg: bad material "
+                           "description: s_const must be >= 0, got -0.1"):
+            parse_config(path)
 
     @pytest.mark.parametrize("text, line, key", [
         ('material = homogeneous\nzone_axis = "0 0 1"\n', 2, "zone_axis"),
         ("material = crystal\nvcorr_homogeneous = -0.3\n", 2,
          "vcorr_homogeneous"),
         ("vcorr_homogeneous = -0.3\nx_interface = 1.0\n", 2, "x_interface"),
-        ('x_dir_left = "1 0 0"\nmaterial = crystal\n', 1, "x_dir_left")])
+        ('x_dir_left = "1 0 0"\nmaterial = crystal\n', 1, "x_dir_left"),
+        ("vcorr_k = 5\n", 1, "vcorr_k"),
+        ("material = homogeneous\nvcorr_s = -3\n", 2, "vcorr_s")])
     def test_key_of_another_material_rejected(self, tmp_path, text, line, key):
         path = write(tmp_path, "m.cfg", text)
-        with pytest.raises(ConfigError,
-                           match=rf"m.cfg:{line}: key '{key}' does not apply"):
+        kind = re.search(r"material = (\w+)|$", text).group(1) or "homogeneous"
+        with pytest.raises(ConfigError, match=rf"m.cfg:{line}: key '{key}' "
+                           rf"does not apply to material '{kind}'"):
             parse_config(path)
 
     @pytest.mark.parametrize("axes", ['"0.4 0 1"', '"0 0 1.5"', '"nan 0 1"'])
@@ -429,6 +443,13 @@ class TestCli:
         assert self.run_cli("init-mesh", path, "-o",
                             str(tmp_path / "m.txt")) == 1
 
+    def test_key_of_another_material_exit_code_1(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.cfg", "vcorr_k = 5\n")
+        assert self.run_cli("run", path, "-o", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (f"error: {path}:1: key 'vcorr_k' "
+                                           "does not apply to material "
+                                           "'homogeneous'\n")
+
     def test_missing_file_exit_code_1(self, tmp_path):
         assert self.run_cli("fit", str(tmp_path / "nope.csv")) == 1
 
@@ -575,3 +596,27 @@ class TestCli:
                                  str(tmp_path / "missing.csv")],
                                 capture_output=True, text=True)
         assert result.returncode == 1
+
+    @staticmethod
+    def python_output(code, env):
+        """stdout of python -c code, this checkout's src first on the path."""
+        env = {**env, "PYTHONPATH": os.path.join(REPO, "src")}
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.split()
+
+    def test_package_import_loads_no_numpy(self):
+        # the pitmesh command imports the package before it pins BLAS
+        assert self.python_output("import sys, pitmesh; "
+                                  "print('numpy' in sys.modules)",
+                                  os.environ) == ["False"]
+
+    @pytest.mark.parametrize("given, want", [({}, "1 1 1"),
+                                             ({"OPENBLAS_NUM_THREADS": "2"},
+                                              "1 2 1")])
+    def test_command_pins_unset_blas_threads(self, given, want):
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        code = ("import os, pitmesh.__main__; "
+                f"print(*(os.environ.get(k) for k in {names}))")
+        assert self.python_output(code, {**env, **given}) == want.split()

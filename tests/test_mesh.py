@@ -7,10 +7,10 @@ from pitmesh import front
 from pitmesh.front import FrontParams, detect_merge, merge_pits, update_corners
 from pitmesh.mesh import (_KEPT_SLACK, BoundaryTag, MeshError,
                           NearestSegments, PitChain, TriMesh, chains_from_tags,
-                          face_and_vertex_normals, min_distance_to_pit,
-                          nearest_segment_distances, point_segment_distances,
-                          polyline_crossings, polyline_self_intersects,
-                          validate, validate_chain, vertex_roles)
+                          min_distance_to_pit, nearest_segment_distances,
+                          point_segment_distances, polyline_crossings,
+                          polyline_self_intersects, validate, validate_chain,
+                          vertex_normals, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (affine_map, all_pairs_crossings, make_rect_mesh,
@@ -74,13 +74,13 @@ class TestAffineMap:
 class TestNormals:
     def test_flat_segment_points_down(self):
         mesh, chain = chain_mesh([(-1, -1), (0, -1), (1, -1)])
-        _, vn = face_and_vertex_normals(mesh, chain)
+        vn = vertex_normals(mesh, chain)
         assert np.allclose(vn[1], (0, -1))
 
     def test_right_angle_average(self):
         # edges along +x then +y; averaged normal (1,-1)/sqrt(2)
         mesh, chain = chain_mesh([(0, -2), (1, -2), (1, -1)])
-        _, vn = face_and_vertex_normals(mesh, chain)
+        vn = vertex_normals(mesh, chain)
         assert np.allclose(vn[1], (1 / np.sqrt(2), -1 / np.sqrt(2)))
 
     def test_semicircle_normals_radial(self):
@@ -88,7 +88,7 @@ class TestNormals:
         theta = np.pi * (1 - np.linspace(0, 1, 41))
         pts = np.column_stack((r * np.cos(theta), -r * np.sin(theta)))
         mesh, chain = chain_mesh(pts)
-        _, vn = face_and_vertex_normals(mesh, chain)
+        vn = vertex_normals(mesh, chain)
         radial = pts / r
         err = np.abs(vn[1:-1] - radial[1:-1]).max()
         h = np.pi / 40
@@ -99,19 +99,19 @@ class TestNormals:
         pts = np.column_stack((np.linspace(-2, 2, 15),
                                -1 - rng.uniform(0, 0.5, 15)))
         mesh, chain = chain_mesh(pts)
-        _, vn = face_and_vertex_normals(mesh, chain)
+        vn = vertex_normals(mesh, chain)
         assert np.abs(np.hypot(vn[:, 0], vn[:, 1]) - 1).max() < 1e-12
 
     def test_corner_uses_single_edge(self):
         mesh, chain = chain_mesh([(-1, 0), (0, -1), (1, 0)])
-        fn, vn = face_and_vertex_normals(mesh, chain)
-        assert np.allclose(vn[0], fn[0])
-        assert np.allclose(vn[-1], fn[-1])
+        vn = vertex_normals(mesh, chain)
+        assert np.allclose(vn[0], np.array([-1, -1]) / np.sqrt(2))
+        assert np.allclose(vn[-1], np.array([1, -1]) / np.sqrt(2))
 
     def test_zero_length_edge_raises(self):
         mesh, chain = chain_mesh([(0, -1), (0, -1), (1, -1)])
         with pytest.raises(MeshError, match="zero-length"):
-            face_and_vertex_normals(mesh, chain)
+            vertex_normals(mesh, chain)
 
 
 class TestMinDistance:
