@@ -79,6 +79,9 @@ from .mesh import (MeshError, NearestSegments, PitChain, TriMesh,
 logger = logging.getLogger("pitmesh.adapt")
 
 _MESH_DIM = 2  # functional exponents are wired for d = 2
+# the energy's balance exponent, in (0, 1/2), and its power, > 1
+_THETA = 1.0 / 3.0
+_GAMMA = 1.5
 
 
 @dataclass
@@ -86,18 +89,12 @@ class AdaptParams:
     mu1: float = 100.0            # monitor magnitude at the pit boundary
     mu2: float = 1.0              # monitor decay rate with distance
     tau: float = 1e-5             # mesh response time, seconds
-    theta: float = 1.0 / 3.0      # energy balance exponent, in (0, 1/2)
-    gamma: float = 1.5            # energy power, > 1
 
     def validate(self) -> None:
         if self.mu1 < 0.0 or self.mu2 < 0.0:
             raise ValueError("mu1 and mu2 must be >= 0")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if not 0.0 < self.theta < 0.5:
-            raise ValueError(f"theta must be in (0, 1/2), got {self.theta}")
-        if self.gamma <= 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
 
 
 def monitor_mackenzie(mesh: TriMesh, chains: Sequence[PitChain],
@@ -144,25 +141,24 @@ class _ElementFunctional:
     Per cell with edge matrix E = [x1-x0, x2-x0], A2 = det(E) and monitor
     M = m I:
         I_K = c1 * A2 * T^gamma + c2 * A2^(1-gamma),  T = tr(E^-1 E^-T)/m
-    with c1 = theta m/2 and c2 = (1-2 theta) 2^(gamma-1) m^(1-gamma).
+    with c1 = theta m/2 and c2 = (1-2 theta) 2^(gamma-1) m^(1-gamma),
+    theta = _THETA and gamma = _GAMMA.
     For a 2x2 E, T = |E|_F^2 / (m A2^2) and dA2/dE = cof(E), so
         dI_K/dE = [(1-2 gamma) align + (1-gamma) equi] cof(E)
                   + (2 gamma align A2 / |E|_F^2) E
     with align = c1 T^gamma and equi = c2 A2^-gamma.
     """
 
-    def __init__(self, corners: np.ndarray, cell_metric: np.ndarray,
-                 theta: float, gamma: float):
+    def __init__(self, corners: np.ndarray, cell_metric: np.ndarray):
         # mesh.corner_index of the triangles: one take gathers every corner
         # coordinate and one bincount scatters the gradient back
         self._flat = corners
-        self.gamma = gamma
         if np.any(cell_metric <= 0.0):
             raise MeshError("non-positive monitor value")
         self.inv_m = 1.0 / cell_metric
-        self.c1 = theta * cell_metric / 2.0
-        self.c2 = (1.0 - 2.0 * theta) * 2.0 ** (gamma - 1.0) \
-            * cell_metric ** (1.0 - gamma)
+        self.c1 = _THETA * cell_metric / 2.0
+        self.c2 = (1.0 - 2.0 * _THETA) * 2.0 ** (_GAMMA - 1.0) \
+            * cell_metric ** (1.0 - _GAMMA)
 
     def evaluate(self, x: np.ndarray) -> Optional[tuple]:
         """(energy, gradient, density), or None if any element is inverted.
@@ -177,7 +173,7 @@ class _ElementFunctional:
         if np.any(a2 <= 0.0):
             return None
         norm2 = np.einsum("ckt,ckt->t", edges, edges)
-        g = self.gamma
+        g = _GAMMA
         align = self.c1 * (norm2 * self.inv_m / (a2 * a2)) ** g
         equi = self.c2 * a2 ** -g
         density = align + equi
@@ -217,9 +213,7 @@ class MmpdeResult:
 
 
 # Mesh relaxation settings (the upstream formulation names no solver).
-# The caps count L-BFGS iterations.
-_MAX_SUBSTEPS = 500          # per time step
-_SMOOTHING_SUBSTEPS = 1000   # per smoothing iteration
+_MAX_SUBSTEPS = 1000         # L-BFGS iterations per call
 _GRAD_TOL = 1e-7             # stationarity exit on the projected gradient
 _GRAD_RTOL = 1e-3            # ... or relative to the interval's start
 _FORCING_RTOL = 0.05         # a step's rtol, and a later flow's cap
@@ -417,8 +411,7 @@ def mmpde_step(mesh: TriMesh, metric: np.ndarray, p: AdaptParams,
         factor = StiffnessFactor()
     structure = factor.structure.of(mesh)
     free = structure.free
-    fn = _ElementFunctional(structure.corners, element_metrics(mesh, metric),
-                            p.theta, p.gamma)
+    fn = _ElementFunctional(structure.corners, element_metrics(mesh, metric))
     x0 = mesh.vertices
     # proximal weight (tau/dt)/P_i per coordinate; 0 for an infinite dt
     pull = (p.tau / dt_interval / vertex_p_scaling(metric))[:, None]
@@ -524,10 +517,12 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
     each flow's stop reason, iteration count and rtol.  Every flow's mmpde_step
     shares factor, a fresh one if none is given, and leaves it holding no
     motion, so the step after smoothing starts at x^n; every monitor
-    shares nearest, if given.
+    shares nearest, likewise a fresh one if none is given.
     """
     if factor is None:
         factor = StiffnessFactor()
+    if nearest is None:
+        nearest = NearestSegments()
     work = mesh.copy()
     out = SmoothResult(work)
     rtol = _GRAD_RTOL
@@ -537,12 +532,12 @@ def smooth_mesh(mesh: TriMesh, chains: Sequence[PitChain], p: AdaptParams,
         # further than an exact one would gain, and the outer stop still
         # reads the displacement of a flow that starts near stationarity
         res = mmpde_step(work, metric, p, dt_interval=np.inf,
-                         max_substeps=_SMOOTHING_SUBSTEPS, factor=factor,
+                         max_substeps=_MAX_SUBSTEPS, factor=factor,
                          rtol=rtol)
         if res.stopped == "substep-cap":
             logger.warning("smoothing iteration %d: flow stopped at its "
                            "%d-substep cap before stationarity",
-                           it + 1, _SMOOTHING_SUBSTEPS)
+                           it + 1, _MAX_SUBSTEPS)
         moved = res.positions - work.vertices
         lengths = np.hypot(moved[:, 0], moved[:, 1])
         disp = float(np.sum(lengths))

@@ -146,8 +146,8 @@ def init_mesh(config: SimConfig,
               nearest: Optional[NearestSegments] = None) -> InitResult:
     """Build the domain mesh and smooth it against the pit monitor.
 
-    The smoothing flows share factor, a fresh one if none is given, and
-    its monitors share nearest, if given; the potential solve uses the
+    The smoothing flows share factor and its monitors share nearest,
+    each a fresh one if none is given; the potential solve uses the
     factor's structure.
     """
     config.validate()

@@ -68,8 +68,6 @@ _SCALAR_KEYS = {
     "mu1": ("adapt", "mu1", _finite),
     "mu2": ("adapt", "mu2", _finite),
     "tau": ("adapt", "tau", _finite),
-    "theta": ("adapt", "theta", _finite),
-    "gamma": ("adapt", "gamma", _finite),
     "dt": ("front", "dt", _finite),
     "t_end": ("front", "t_end", _finite),
     "merge_gap_tol": ("front", "merge_gap_tol", _finite),
@@ -241,15 +239,17 @@ def read_mesh(path: str) -> TriMesh:
             start, pos = pos + 2, pos + 2 + n * width
             if n < 0 or pos > len(tokens):
                 raise IndexError(f"{marker} row count {n} does not fit the file")
-            tables.append(np.array(tokens[start:pos]).reshape(n, width))
+            tables.append(tokens[start:pos])
         if pos != len(tokens):
             raise MeshError(f"{path}: {len(tokens) - pos} tokens after "
                             "the last table")
         nodes, cells, edges = tables
-        verts = nodes[:, 1:].astype(np.float64)
-        cells = cells.astype(np.int64)
-        edges = edges.astype(np.int64)
-        for numbers in (nodes[:, 0].astype(np.int64), cells[:, 0]):
+        node_numbers = np.array(nodes[::3], dtype=np.int64)
+        del nodes[::3]
+        verts = np.array(nodes, dtype=np.float64).reshape(-1, 2)
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 3)
+        for numbers in (node_numbers, cells[:, 0]):
             wrong = np.flatnonzero(numbers != np.arange(len(numbers)))
             if wrong.size:
                 raise MeshError(f"{path}: record {wrong[0]} is numbered "

@@ -401,7 +401,8 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
 
     Takes a stack of points (n, 2) and returns their (n,) distances.
     With kept, the call starts from the nearest segments that state keeps
-    and updates it; the distances are the same bit for bit.
+    and updates it; without, a fresh NearestSegments takes its reference.
+    Either way the distances equal nearest_segment_distances bit for bit.
     """
     if not chains:
         raise MeshError("min_distance_to_pit needs at least one chain")
@@ -413,7 +414,7 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
         segs_b.append(p[1:])
     a, b = np.concatenate(segs_a), np.concatenate(segs_b)
     if kept is None:
-        return nearest_segment_distances(pts, a, b)
+        kept = NearestSegments()
     return kept.distances(pts, a, b)
 
 

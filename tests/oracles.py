@@ -65,7 +65,7 @@ def make_rect_mesh(nx: int, ny: int, width: float = 1.0,
 def _energy_and_gradient(mesh: TriMesh, metric: np.ndarray,
                          p: AdaptParams) -> tuple:
     fn = _ElementFunctional(corner_index(mesh.triangles),
-                            element_metrics(mesh, metric), p.theta, p.gamma)
+                            element_metrics(mesh, metric))
     out = fn.evaluate(mesh.vertices)
     if out is None:
         cell = int(np.argmin(mesh.signed_areas()))
@@ -278,7 +278,7 @@ def smooth_mesh_exact_flows(mesh: TriMesh, chains: list,
     for _ in range(adapt._SMOOTHING_MAX_ITERS):
         metric = adapt.monitor_mackenzie(work, chains, p)
         res = adapt.mmpde_step(work, metric, p, dt_interval=np.inf,
-                               max_substeps=adapt._SMOOTHING_SUBSTEPS,
+                               max_substeps=adapt._MAX_SUBSTEPS,
                                rtol=0.0, factor=factor)
         moved = res.positions - work.vertices
         trace.append(float(np.sum(np.hypot(moved[:, 0], moved[:, 1]))))

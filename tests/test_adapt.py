@@ -9,8 +9,8 @@ from pitmesh import adapt, fem, front, io
 from pitmesh.adapt import (AdaptParams, _ElementFunctional, element_metrics,
                            mmpde_step, monitor_mackenzie, smooth_mesh,
                            vertex_p_scaling)
-from pitmesh.mesh import (MeshError, TriMesh, corner_index, min_distance_to_pit,
-                          vertex_roles)
+from pitmesh.mesh import (MeshError, NearestSegments, TriMesh, corner_index,
+                          min_distance_to_pit, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import (band_by_assembly, energy, grad_energy,
@@ -77,7 +77,7 @@ class TestEnergy:
                       np.array([3, 2, 0]))
         p = AdaptParams()
         # J = I, T = 2, det J = 1: I = 0.5[theta 2^1.5 + (1-2theta) 2^1.5]
-        expected = 0.5 * 2.0 ** 1.5 * (1.0 - p.theta)
+        expected = 0.5 * 2.0 ** 1.5 * (1.0 - adapt._THETA)
         assert energy(tri, np.ones(3), p) == pytest.approx(expected)
 
     def test_relabeling_invariance(self, pit_mesh):
@@ -123,14 +123,14 @@ class TestEnergy:
         mesh = make_rect_mesh(3, 3)
         metric = np.ones(mesh.n_vertices)
         fn = _ElementFunctional(corner_index(mesh.triangles),
-                                element_metrics(mesh, metric), 1.0 / 3.0, 1.5)
+                                element_metrics(mesh, metric))
         value, grad, _ = fn.evaluate(mesh.vertices)
         assert value == pytest.approx(energy(mesh, metric, AdaptParams()))
         assert grad.shape == mesh.vertices.shape
         flipped = mesh.triangles.copy()
         flipped[4] = flipped[4][[0, 2, 1]]
         fn = _ElementFunctional(corner_index(flipped),
-                                element_metrics(mesh, metric), 1.0 / 3.0, 1.5)
+                                element_metrics(mesh, metric))
         assert fn.evaluate(mesh.vertices) is None
 
 
@@ -878,8 +878,8 @@ class TestSmoothing:
         full = smooth_mesh(mesh, chains, AdaptParams())
         assert len(full.flow_stops) == len(full.flow_iters) == len(full.trace)
         assert set(full.flow_stops) == {"stationary"}
-        assert all(n <= adapt._SMOOTHING_SUBSTEPS for n in full.flow_iters)
-        monkeypatch.setattr(adapt, "_SMOOTHING_SUBSTEPS", 3)
+        assert all(n <= adapt._MAX_SUBSTEPS for n in full.flow_iters)
+        monkeypatch.setattr(adapt, "_MAX_SUBSTEPS", 3)
         monkeypatch.setattr(adapt, "_SMOOTHING_MAX_ITERS", 2)
         with caplog.at_level("WARNING", logger="pitmesh.adapt"):
             short = smooth_mesh(mesh, chains, AdaptParams())
@@ -900,6 +900,27 @@ class TestSmoothing:
         own = smooth_mesh(mesh, chains, p)
         assert np.array_equal(own.mesh.vertices, kept.mesh.vertices)
         assert own.flow_iters == kept.flow_iters
+
+    def test_one_nearest_segments_serves_every_flow(self, monkeypatch):
+        # without a NearestSegments, smoothing makes one and keeps it over
+        # its monitors: one reference in all, and the vertices of a caller
+        # that passes a fresh one
+        mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
+                                             target_h=1.3, seed=0)
+        p = AdaptParams()
+        given = smooth_mesh(mesh, chains, p, nearest=NearestSegments())
+        references = []
+        reference = NearestSegments._reference
+
+        def counted(self, *args):
+            references.append(self)
+            return reference(self, *args)
+
+        monkeypatch.setattr(NearestSegments, "_reference", counted)
+        own = smooth_mesh(mesh, chains, p)
+        assert len(own.trace) > 1
+        assert len(references) == 1
+        assert np.array_equal(own.mesh.vertices, given.mesh.vertices)
 
     @pytest.mark.parametrize("case", ["criterion9", "mu2-10", "mu2-20"] + [
         f"{name}-{seed}" for name in ("homog", "twopit") for seed in range(3)])

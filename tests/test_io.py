@@ -49,15 +49,15 @@ class TestConfig:
         assert cfg.front.dt == 0.5
         assert cfg.pits.nodes == 61
 
-    # the keys after bogus_key named solver settings and constants of
-    # nature that are now module constants in adapt, fem, front, driver,
-    # meshgen and electrochem
+    # the keys after bogus_key named solver settings, constants of nature
+    # and the adaptation energy's exponents that are now module constants
+    # in adapt, fem, front, driver, meshgen and electrochem
     @pytest.mark.parametrize("key", [
         "bogus_key", "mmpde_max_substeps", "mmpde_smoothing_substeps",
         "mmpde_disp_frac", "mmpde_grad_tol", "newton_abs_tol",
         "newton_rel_tol", "newton_max_iters", "boundary_quad_points",
         "smoothing_tol", "smoothing_max_iters", "corner_close_factor",
-        "cfl_frac", "gap_single_edge", "F", "R"])
+        "cfl_frac", "gap_single_edge", "F", "R", "theta", "gamma"])
     def test_unknown_key_rejected_with_line(self, tmp_path, key):
         path = write(tmp_path, "bad.cfg", f"mu1 = 10\n{key} = 3\n")
         with pytest.raises(ConfigError, match=rf"bad.cfg:2.*{key}"):
@@ -524,7 +524,9 @@ class TestCli:
                                         "node_number", "unknown_tag",
                                         "nan_coordinate", "untagged_boundary",
                                         "duplicate_edge",
-                                        "tagged_interior_edge"])
+                                        "tagged_interior_edge",
+                                        "fractional_index",
+                                        "word_coordinate"])
     def test_malformed_mesh_exit_code_2(self, tmp_path, capsys, pit_mesh,
                                         damage):
         mesh, _ = pit_mesh
@@ -537,8 +539,13 @@ class TestCli:
         elif damage == "vertex_index":
             first_cell = lines.index("$Elements") + 2
             lines[first_cell] = f"0 0 1 {mesh.n_vertices}"
+        elif damage == "fractional_index":
+            first_cell = lines.index("$Elements") + 2
+            lines[first_cell] = "0 0 1 2.5"
         elif damage == "nan_coordinate":
             lines[2] = "0 nan " + lines[2].split()[2]
+        elif damage == "word_coordinate":
+            lines[2] = "0 abc " + lines[2].split()[2]
         elif damage == "unknown_tag":
             # every top edge tagged 9, which is no BoundaryTag
             start = lines.index("$BoundaryEdges") + 2

@@ -292,9 +292,13 @@ class TestNearestSegments:
         kept = NearestSegments()
         for shift in (0.0, 0.01, 0.02):
             mesh.vertices[chains[0].vertices[1:-1], 1] -= shift
+            dense = nearest_segment_distances(
+                mesh.vertices,
+                *segments([c.positions(mesh) for c in chains]))
             assert np.array_equal(
-                min_distance_to_pit(mesh.vertices, chains, mesh, kept),
-                min_distance_to_pit(mesh.vertices, chains, mesh))
+                min_distance_to_pit(mesh.vertices, chains, mesh, kept), dense)
+            assert np.array_equal(
+                min_distance_to_pit(mesh.vertices, chains, mesh), dense)
         assert kept.references == 1
 
 
