@@ -281,9 +281,11 @@ def run(config: SimConfig, step_hook: Optional[Callable] = None) -> RunResult:
     return result
 
 
-# a Gauss-Newton step of at most this relative size that cannot lower
-# the RSS is rounding noise, so the fit has converged
-_FIT_FLOOR_STEP = 1e-6
+# the exponent's search interval: at b = 0 the regression is singular,
+# and no growth law has b <= 0, since depth and width never shrink; the
+# fastest shipped law is the [001] width's, b = 1.03
+_FIT_B_RANGE = (0.01, 10.0)
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -311,13 +313,14 @@ def fit_power_law(series: TimeSeries, column: str = "depth",
 # 1e-12, but importing scipy.optimize raised the benchmark's homog
 # peak_rss_mb from 98-100 to 107-108 MiB, past that metric's 5% bound
 def fit_power_law_arrays(t: np.ndarray, y: np.ndarray) -> PowerLawFit:
-    """Damped Gauss-Newton least squares for y = a*t^b + c.
+    """Least squares for y = a*t^b + c.
 
-    Initialized from a log-log slope estimate; parameter standard errors
-    come from the linearized covariance at the optimum.  Converged means a
-    relative step below 1e-12, or no RSS decrease from a relative step
-    below _FIT_FLOOR_STEP.  A constant series short-circuits to a = 0,
-    b = 1, c = mean.
+    At fixed b, a and c are the simple linear regression of y on t^b, so
+    golden-section search minimises that regression's RSS over b alone,
+    on _FIT_B_RANGE, to a bracket 1e-10 wide.  Converged means the
+    optimum lies strictly inside that interval.  Standard errors come
+    from the linearized covariance at the optimum.  A constant series
+    short-circuits to a = 0, b = 1, c = mean.
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -330,62 +333,44 @@ def fit_power_law_arrays(t: np.ndarray, y: np.ndarray) -> PowerLawFit:
         return PowerLawFit(0.0, 1.0, float(np.mean(y)), 0.0, 0.0, 0.0,
                            0.0, 1.0, True)
 
-    c0 = float(np.min(y)) - 0.05 * spread
-    z = np.log(y - c0)
-    lt = np.log(t)
-    b0, loga0 = np.polyfit(lt, z, 1)
-    params = np.array([np.exp(loga0), b0, c0])
+    yc = y - np.mean(y)
 
-    def residual(p):
-        return p[0] * t ** p[1] + p[2] - y
+    def regression(b):
+        """(rss, a, c) of the regression of y on t^b."""
+        x = t ** b
+        xc = x - np.mean(x)
+        a = float(xc @ yc) / float(xc @ xc)
+        r = yc - a * xc
+        return float(r @ r), a, float(np.mean(y) - a * np.mean(x))
 
-    def jacobian(p):
-        tb = t ** p[1]
-        return np.column_stack((tb, p[0] * tb * np.log(t), np.ones_like(t)))
-
-    r = residual(params)
-    rss = float(r @ r)
-    converged = False
-    for _ in range(200):
-        J = jacobian(params)
-        g = J.T @ r
-        H = J.T @ J
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(25):
-            trial = params + lam * step
-            rt = residual(trial)
-            rss_t = float(rt @ rt)
-            if np.isfinite(rss_t) and rss_t <= rss:
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            converged = float(np.max(np.abs(step) / np.maximum(
-                1e-12, np.abs(params)))) < _FIT_FLOOR_STEP
-            break
-        moved = np.max(np.abs(lam * step) / np.maximum(1e-12, np.abs(trial)))
-        params, r, rss = trial, rt, rss_t
-        if moved < 1e-12:
-            converged = True
-            break
+    lo, hi = _FIT_B_RANGE
+    b1, b2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = regression(b1)[0], regression(b2)[0]
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, b2, f2 = b2, b1, f1
+            b1 = hi - _GOLDEN * (hi - lo)
+            f1 = regression(b1)[0]
+        else:
+            lo, b1, f1 = b1, b2, f2
+            b2 = lo + _GOLDEN * (hi - lo)
+            f2 = regression(b2)[0]
+    converged = _FIT_B_RANGE[0] < lo and hi < _FIT_B_RANGE[1]
+    b = b1 if f1 <= f2 else b2
+    rss, a, c = regression(b)
 
     dof = max(1, len(t) - 3)
-    J = jacobian(params)
+    tb = t ** b
+    J = np.column_stack((tb, a * tb * np.log(t), np.ones_like(t)))
     try:
         cov = np.linalg.inv(J.T @ J) * (rss / dof)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         se = np.full(3, np.nan)
-    tss = float(np.sum((y - np.mean(y)) ** 2))
+    tss = float(yc @ yc)
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     if not converged:
         logger.warning("power-law fit stopped before full convergence "
                        "(rss %.3g)", rss)
-    return PowerLawFit(float(params[0]), float(params[1]), float(params[2]),
-                       float(se[0]), float(se[1]), float(se[2]), rss, r2,
-                       converged)
+    return PowerLawFit(a, b, c, float(se[0]), float(se[1]), float(se[2]),
+                       rss, r2, converged)

@@ -71,10 +71,12 @@ def _exponent(p: ElectroParams, v_corr, phi):
                       + p.alpha * overpotential(p, v_corr, phi))
     if np.any(expo > EXP_GUARD):
         worst = int(np.argmax(expo))
+        at = [float(np.broadcast_to(v, np.shape(expo)).flat[worst])
+              for v in (v_corr, phi)]
         raise OverflowGuardError(
             f"Butler-Volmer exponent {float(np.max(expo)):.3g} exceeds "
-            f"{EXP_GUARD:g} (v_corr={np.max(np.asarray(v_corr)):.4g} V, "
-            f"phi={np.min(np.asarray(phi)):.4g} V)", worst)
+            f"{EXP_GUARD:g} (v_corr={at[0]:.4g} V, phi={at[1]:.4g} V)",
+            worst)
     return expo
 
 

@@ -758,9 +758,9 @@ class TestPowerLawFit:
         assert fit.a + fit.c == pytest.approx(5.0, rel=0.05)
 
     def test_converges_at_the_rounding_floor(self, caplog):
-        # width of the homogeneous pit, t = 0..12.5 s in 0.5 s steps: the
-        # Gauss-Newton step stalls at a relative size near 5e-8, where no
-        # step lowers the RSS
+        # width of the homogeneous pit, t = 0..12.5 s in 0.5 s steps: so
+        # nearly linear that the RSS is flat to rounding near its optimum,
+        # which still lies strictly inside the search interval
         t = np.arange(26) * 0.5 + 1.0
         y = np.array([
             10.0, 10.052510069819498, 10.077554561422136, 10.102597960991037,
@@ -779,6 +779,14 @@ class TestPowerLawFit:
         assert round(fit.b, 6) == 0.947967
         assert round(fit.se_b, 4) == 0.0165
         assert round(fit.r_squared, 9) == 0.999508906
+
+    def test_exponent_beyond_the_interval_is_not_converged(self, caplog):
+        t = np.arange(1.0, 21.0)
+        with caplog.at_level("WARNING", logger="pitmesh.driver"):
+            fit = fit_power_law_arrays(t, 1e-12 * t ** 12 + 5.0)
+        assert not fit.converged
+        assert fit.b == pytest.approx(driver._FIT_B_RANGE[1])
+        assert "before full convergence" in caplog.text
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):

@@ -49,6 +49,18 @@ class TestCurrentDensity:
         with pytest.raises(OverflowGuardError, match="exceeds"):
             ec.current_density(params, 25.0, 0.0)
 
+    @pytest.mark.parametrize("v_corr, phi, named, index", [
+        # the largest v_corr (point 1) and the smallest phi (point 2) are
+        # not where the exponent overflows (point 0)
+        ([25.0, 30.0, 0.0], [0.0, 30.0, -10.0], "v_corr=25 V, phi=0 V", 0),
+        (25.0, [0.0, -1.0, 3.0], "v_corr=25 V, phi=-1 V", 1),
+    ])
+    def test_overflow_names_the_overflowing_point(self, params, v_corr, phi,
+                                                  named, index):
+        with pytest.raises(OverflowGuardError, match=rf"\({named}\)") as err:
+            ec.current_density(params, np.asarray(v_corr), np.asarray(phi))
+        assert err.value.index == index
+
 
 class TestNormalVelocity:
     def test_si_prefactor(self, params):

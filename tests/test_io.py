@@ -438,6 +438,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "b = 0.9" in out
 
+    def test_fit_beyond_the_search_interval_exits_0(self, tmp_path, capsys):
+        series = TimeSeries()
+        for k in range(20):
+            series.append(float(k), 5.0 + 1e-12 * (k + 1.0) ** 12, 10.0)
+        path = str(tmp_path / "ts.csv")
+        pio.write_timeseries(series, path)
+        assert self.run_cli("fit", path, "--column", "depth") == 0
+        assert "converged = False" in capsys.readouterr().out
+
     def test_config_error_exit_code_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cfg", "nonsense = 1\n")
         assert self.run_cli("init-mesh", path, "-o",
