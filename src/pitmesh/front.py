@@ -1,12 +1,13 @@
-"""Pit-front advancement, corner relocation, merging, and apex tracking.
+"""Pit-front advancement, corner relocation and merging.
 
-Chain vertices move along their vertex normals at the Faraday speed.
-Corners are re-seated on y = 0 by extrapolating the wall through the two
-nearest chain vertices; when the intersection jumps far from the old
-corner, the corner dives into the pit and the adjacent surface vertex
-takes over as the new corner (the mesh topology never changes, edges are
-only retagged).  Facing pits merge once the single surface edge between
-their corners drops below tolerance.
+Chain vertices move along their vertex normals at the Faraday speed,
+the top of a merged ridge like any other.  Corners are re-seated on
+y = 0 by extrapolating the wall through the two nearest chain vertices;
+when the intersection jumps far from the old corner, the corner dives
+into the pit and the adjacent surface vertex takes over as the new
+corner (the mesh topology never changes, edges are only retagged).
+Facing pits merge once the single surface edge between their corners
+drops below tolerance.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from . import electrochem
 from .crystal import MaterialSpec, vcorr_many
 from .electrochem import ElectroParams
 from .mesh import (BoundaryTag, PitChain, TriMesh, chain_corner_problems,
-                   chain_interior_problems, chain_tag_problems, cross2,
+                   chain_interior_problems, chain_tag_problems,
                    point_segment_distances, polyline_self_intersects,
                    vertex_normals)
 
 logger = logging.getLogger("pitmesh.front")
 
 M_TO_UM = 1.0e6
-PARALLEL_SIN = np.sin(np.deg2rad(1.0))
-# once the chain turn at a merge apex flattens below this angle the ridge
-# has corroded away and the vertex goes back to plain normal motion
-APEX_RETIRE_TURN_DEG = 20.0
 # a re-seated corner within this many mean pit-edge lengths of the old one
 # just slides; a farther one absorbs the adjacent surface vertex
 _CORNER_CLOSE_FACTOR = 1.5
@@ -90,7 +87,7 @@ def chain_velocities(mesh: TriMesh, chain: PitChain, phi: np.ndarray,
 
 def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
                 normals: np.ndarray, dt: float) -> None:
-    """Advance one chain over dt; corners and apex get their special rules.
+    """Advance one chain over dt; the corners get their own rule.
 
     vn_um and normals are the normal speed (micrometers/s) and unit normal
     of every chain vertex, as chain_velocities returns them.  Mutates mesh
@@ -98,28 +95,16 @@ def advance_pit(mesh: TriMesh, chain: PitChain, vn_um: np.ndarray,
     tags).  Interior vertices take _apply_limited's one-pass fractions of
     the full step, which keep each APPROACH_FACTOR of its distance to every
     chain segment not incident to it; a step within capped_dt moves them
-    in full, and one far longer than the pit edges stalls.  Corners and
-    the apex move after that, so raises FrontError if an interior vertex
-    then sits above y = 0, the chain self-intersects or a corner cannot be
+    in full, and one far longer than the pit edges stalls.  The corners
+    move after that, so raises FrontError if an interior vertex then sits
+    above y = 0, the chain self-intersects or a corner cannot be
     re-seated; the mesh and chain may then be partly advanced, and
     driver.step never writes to the state it starts from.
     """
-    if chain.apex_pos is not None:
-        _maybe_retire_apex(mesh, chain)
-    move = np.ones(chain.n_vertices, dtype=bool)
-    move[0] = move[-1] = False
-    if chain.apex_pos is not None:
-        move[chain.apex_pos] = False
-    old_neighbors = None
-    if chain.apex_pos is not None:
-        a = chain.apex_pos
-        old_neighbors = mesh.vertices[chain.vertices[[a - 1, a + 1]]].copy()
-    disp = np.zeros((chain.n_vertices, 2))
-    disp[move] = dt * vn_um[move, None] * normals[move]
+    disp = dt * vn_um[:, None] * normals
+    disp[[0, -1]] = 0.0
     _apply_limited(mesh, chain, disp)
     update_corners(mesh, chain)
-    if chain.apex_pos is not None:
-        _advance_apex(mesh, chain, old_neighbors)
     _raise_problems(chain_interior_problems(mesh, chain), "advance: ")
     if polyline_self_intersects(chain.positions(mesh)):
         raise FrontError(
@@ -137,15 +122,12 @@ def capped_dt(mesh: TriMesh, chains: Sequence[PitChain], speeds,
               dt: float) -> float:
     """dt, capped so no front vertex sweeps over _CFL_FRAC of the smallest
     pit edge; speeds holds chain_velocities' (vn_um, normals) per chain.
-    Edges below 0.1 of their chain's median (a collapsed bunch of
-    envelope-limited vertices) carry no front resolution and are ignored.
     """
     max_vn = 0.0
     min_edge = np.inf
     for chain, (vn, _) in zip(chains, speeds):
         max_vn = max(max_vn, float(np.max(vn)))
         seg = np.linalg.norm(np.diff(chain.positions(mesh), axis=0), axis=1)
-        seg = seg[seg >= 0.1 * np.median(seg)]
         min_edge = min(min_edge, float(np.min(seg)))
     if max_vn > 0.0:
         dt = min(dt, _CFL_FRAC * min_edge / max_vn)
@@ -262,8 +244,6 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
         absorbed = True
         if side == "left":
             chain.vertices = np.concatenate(([neighbor], chain.vertices)).astype(np.int32)
-            if chain.apex_pos is not None:
-                chain.apex_pos += 1
         else:
             chain.vertices = np.concatenate((chain.vertices, [neighbor])).astype(np.int32)
         logger.info("pit %d: %s corner absorbed surface vertex %d",
@@ -272,81 +252,6 @@ def update_corners(mesh: TriMesh, chain: PitChain) -> None:
     if absorbed:
         problems += chain_tag_problems(mesh, chain)
     _raise_problems(problems, "corner update: ")
-
-
-def line_intersection(a1, a2, b1, b2):
-    """Intersection of lines (a1,a2) and (b1,b2); None if nearly parallel."""
-    d1 = np.asarray(a2, dtype=np.float64) - a1
-    d2 = np.asarray(b2, dtype=np.float64) - b1
-    n1 = np.hypot(*d1)
-    n2 = np.hypot(*d2)
-    if n1 == 0.0 or n2 == 0.0:
-        return None
-    denom = float(cross2(d1, d2))
-    if abs(denom) < PARALLEL_SIN * n1 * n2:
-        return None
-    t = float(cross2(np.asarray(b1) - a1, d2)) / denom
-    return np.asarray(a1) + t * d1
-
-
-def track_apex(p_ll, p_l, p_r, p_rr, apex_old: np.ndarray):
-    """New apex from the intersection of the second-last wall edges.
-
-    p_ll..p_l is the second-last edge left of the apex, p_r..p_rr the one
-    on the right.  Near-parallel walls return None (caller falls back to
-    averaged neighbor displacement).  The apex never rises: material only
-    dissolves, so y is clamped to min(old_y, 0, intersection_y).
-    """
-    hit = line_intersection(p_ll, p_l, p_r, p_rr)
-    if hit is None:
-        return None
-    return np.array([hit[0], min(hit[1], apex_old[1], 0.0)])
-
-
-def _maybe_retire_apex(mesh: TriMesh, chain: PitChain) -> None:
-    """Drop apex tracking when the ridge has effectively corroded away.
-
-    Two symptoms end the ridge regime: the wall lines through the
-    second-last edges become nearly collinear (no wedge left to track), or
-    a neighbor vertex has crowded onto the apex, which starves the local
-    edge and stalls the front time step.  Either way plain normal motion
-    takes over and rounds off the remnant.
-    """
-    a = chain.apex_pos
-    p = mesh.vertices[chain.vertices[a - 2:a + 3]]
-    w1 = p[1] - p[0]
-    w2 = p[3] - p[4]
-    n1 = np.hypot(*w1)
-    n2 = np.hypot(*w2)
-    seg = np.hypot(*np.diff(mesh.vertices[chain.vertices], axis=0).T)
-    crowd = min(seg[a - 1], seg[a]) < 0.25 * float(np.median(seg))
-    flat = False
-    if n1 > 0.0 and n2 > 0.0:
-        turn = 180.0 - np.rad2deg(np.arccos(
-            np.clip(np.dot(w1, w2) / (n1 * n2), -1.0, 1.0)))
-        flat = turn < APEX_RETIRE_TURN_DEG
-    if flat or crowd:
-        logger.info("pit %d: apex retired (%s)", chain.pit_id,
-                    "walls collinear" if flat else "neighbor crowded in")
-        chain.apex_pos = None
-
-
-def _advance_apex(mesh: TriMesh, chain: PitChain, old_neighbors: np.ndarray) -> None:
-    a = chain.apex_pos
-    if a < 2 or a > chain.n_vertices - 3:
-        raise FrontError(f"apex at chain position {a} needs 2 edges per side")
-    verts = chain.vertices
-    apex_id = verts[a]
-    pos = mesh.vertices
-    new = track_apex(pos[verts[a - 2]], pos[verts[a - 1]],
-                     pos[verts[a + 1]], pos[verts[a + 2]], pos[apex_id])
-    if new is None:
-        disp = (pos[verts[[a - 1, a + 1]]] - old_neighbors).mean(axis=0)
-        new = pos[apex_id] + disp
-        new[1] = min(new[1], 0.0)
-        logger.warning("pit %d: apex walls near-parallel, advancing by "
-                       "averaged neighbor displacement", chain.pit_id)
-    mesh.vertices[apex_id] = new
 
 
 def detect_merge(mesh: TriMesh, chains: Sequence[PitChain],
@@ -385,16 +290,18 @@ def _triangle_angles(p0, p1, p2):
 
 def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
                cand: MergeCandidate) -> tuple:
-    """Collapse the gap edge between two pits into one chain with an apex.
+    """Collapse the gap edge between two pits into one chain.
 
     The gap-edge endpoint with the larger angle in the owning triangle
-    becomes the apex at the gap midpoint; the other endpoint moves halfway
-    toward its first chain neighbor.  Vertex and cell counts are untouched;
-    the gap edge is retagged as pit boundary, and the chains are renumbered
-    from 0 in left-corner order.  Raises FrontError if the move would
-    invert a cell, the merged chain self-intersects or the retag leaves a
-    merged chain edge untagged; the mesh then keeps the moves and the
-    retag, and driver.step never writes to the state it starts from.
+    moves to the gap midpoint, the apex of the merged ridge; the other
+    endpoint moves halfway toward its first chain neighbor.  From the next
+    step on, both move along their normals like every interior vertex.
+    Vertex and cell counts are untouched; the gap edge is retagged as pit
+    boundary, and the chains are renumbered from 0 in left-corner order.
+    Raises FrontError if the move would invert a cell, the merged chain
+    self-intersects or the retag leaves a merged chain edge untagged; the
+    mesh then keeps the moves and the retag, and driver.step never writes
+    to the state it starts from.
     """
     left = chains[cand.left_chain]
     right = chains[cand.right_chain]
@@ -434,9 +341,7 @@ def merge_pits(mesh: TriMesh, chains: Sequence[PitChain],
             "the merged chain self-intersect")
 
     mesh.edge_tags[cand.edge_index] = BoundaryTag.PIT
-    merged = PitChain(
-        left.pit_id, joined,
-        apex_pos=len(left.vertices) - 1 if apex_id == rc else len(left.vertices))
+    merged = PitChain(left.pit_id, joined)
     _raise_problems(chain_tag_problems(mesh, merged),
                     f"merging pits {left.pit_id} and {right.pit_id}: ")
 

@@ -50,14 +50,12 @@ class BoundaryTag(enum.IntEnum):
 class PitChain:
     """Ordered pit-boundary vertex indices, left corner to right corner.
 
-    Corners sit on y = 0; interior vertices lie below.  ``apex_pos`` marks
-    the ridge vertex created by a pit merge (position within ``vertices``),
-    which is advanced by wall extrapolation instead of normal motion.
+    Corners sit on y = 0; interior vertices lie below.  The mesh's Pit
+    tags hold the same paths, so chains_from_tags rebuilds the chains.
     """
 
     pit_id: int
     vertices: np.ndarray  # (n,) int vertex indices, corners included
-    apex_pos: Optional[int] = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.int32)
@@ -78,7 +76,7 @@ class PitChain:
         return mesh.vertices[self.vertices]
 
     def copy(self) -> "PitChain":
-        return PitChain(self.pit_id, self.vertices.copy(), self.apex_pos)
+        return PitChain(self.pit_id, self.vertices.copy())
 
 
 def corner_index(triangles: np.ndarray) -> np.ndarray:
@@ -479,7 +477,7 @@ def chain_corner_problems(mesh: TriMesh, chain: PitChain) -> list:
 def chain_interior_problems(mesh: TriMesh, chain: PitChain) -> list:
     """A problem string for each interior chain vertex above y = 0."""
     y = mesh.vertices[chain.vertices[1:-1], 1]
-    # the post-merge apex may sit exactly on y=0 until it corrodes down
+    # a merge leaves the ridge apex on y = 0 until the next step advances it
     above = chain.vertices[1:-1][~(y <= _CHAIN_Y_TOL)]
     return [f"pit {chain.pit_id}: interior vertex {v} above y=0" for v in above]
 

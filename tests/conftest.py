@@ -11,9 +11,10 @@ from pathlib import Path  # noqa: E402  (after the BLAS thread pins)
 import pytest  # noqa: E402
 
 from pitmesh import fem, io  # noqa: E402
-from pitmesh.driver import init_mesh  # noqa: E402
+from pitmesh.driver import init_mesh, run  # noqa: E402
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -57,3 +58,20 @@ def bench_starts():
     return {name: init_mesh(io.parse_config(str(BENCH_WORKLOADS
                                                  / f"{name}.cfg")))
             for name in ("homog", "twopit")}
+
+
+@pytest.fixture(scope="session")
+def ridge_run():
+    """configs/twopit.cfg at target_h = 1.5 to t = 60 s: its RunResult and
+    the (mesh, chains) of every state the step hook saw.  A step never
+    writes to the state it is given, so each state stays as it was.
+    """
+    cfg = io.parse_config(str(CONFIGS / "twopit.cfg"))
+    cfg.target_h = 1.5
+    cfg.front.t_end = 60.0
+    states = []
+
+    def hook(step, t, mesh, chains, phi):
+        states.append((mesh, chains))
+
+    return run(cfg, step_hook=hook), states

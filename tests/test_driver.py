@@ -11,8 +11,8 @@ from pitmesh.driver import (SimConfig, SimulationError, TimeSeries, diagnostics,
 from pitmesh.fem import BandLayout
 from pitmesh.front import FrontError
 from pitmesh.io import parse_config, read_timeseries, write_summary
-from pitmesh.mesh import (NearestSegments, validate, vertex_normals,
-                          vertex_roles)
+from pitmesh.mesh import (NearestSegments, chains_from_tags, validate,
+                          vertex_normals, vertex_roles)
 from pitmesh.meshgen import DomainSpec, PitSpec, build_initial_mesh
 
 from oracles import grad_energy
@@ -580,7 +580,7 @@ def forced_absorption_config(monkeypatch):
 
 
 def chain_state(chains):
-    return [(c.pit_id, c.vertices.tolist(), c.apex_pos) for c in chains]
+    return [(c.pit_id, c.vertices.tolist()) for c in chains]
 
 
 def state_key(state):
@@ -635,6 +635,32 @@ class TestStep:
         before, after, _ = steps[0]
         assert not np.array_equal(before.mesh.edge_tags, after.mesh.edge_tags)
         assert chain_state(before.chains) != chain_state(after.chains)
+
+
+class TestMergedRidge:
+    """The ridge top a merge leaves moves along its normal like every
+    interior chain vertex (ridge_run: configs/twopit.cfg at target_h = 1.5
+    to t = 60 s)."""
+
+    def test_no_chain_edge_collapses_and_no_step_is_capped(self, ridge_run):
+        result, states = ridge_run
+        assert [e.step for e in result.events] == [67]
+        capped = sum(r.capped for r in result.records)
+        assert (result.steps, capped) == (120, 0)
+        # each chain's smallest edge against its median, at every step
+        ratios = []
+        for mesh, chains in states:
+            for chain in chains:
+                seg = np.linalg.norm(np.diff(chain.positions(mesh), axis=0),
+                                     axis=1)
+                ratios.append(seg.min() / np.median(seg))
+        assert min(ratios) >= 0.1  # measured 0.245
+
+    def test_the_mesh_alone_carries_the_chains(self, ridge_run):
+        result, states = ridge_run
+        assert len(states) == result.steps + 1
+        for mesh, chains in states:
+            assert chain_state(chains_from_tags(mesh)) == chain_state(chains)
 
 
 class TestFailedStep:

@@ -10,8 +10,8 @@ from pitmesh.crystal import Crystal, Homogeneous, orientation_from_axes
 from pitmesh.electrochem import ElectroParams
 from pitmesh.front import (APPROACH_FACTOR, FrontError, FrontParams,
                            MergeCandidate, advance_pit, capped_dt,
-                           chain_velocities, detect_merge, line_intersection,
-                           merge_pits, pit_area, track_apex, update_corners)
+                           chain_velocities, detect_merge, merge_pits,
+                           pit_area, update_corners)
 from pitmesh.front import _apply_limited, _extrapolate_to_surface
 from pitmesh.mesh import (BoundaryTag, PitChain, TriMesh,
                           point_segment_distances, polyline_crossings,
@@ -311,13 +311,15 @@ class TestMergePits:
         assert validate_chain(mesh, merged) == []
         assert validate(mesh).ok
         # the moved endpoint halves the apex-to-neighbor segment
-        apex_id = merged.vertices[merged.apex_pos]
+        apex_pos = int(np.where(merged.vertices == event.apex_vertex)[0][0])
         moved_id = event.moved_vertex
         pos_in_chain = int(np.where(merged.vertices == moved_id)[0][0])
         neighbor = merged.vertices[pos_in_chain + 1] \
-            if pos_in_chain > merged.apex_pos else merged.vertices[pos_in_chain - 1]
-        expected = 0.5 * (mesh.vertices[apex_id] + mesh.vertices[neighbor])
-        # the neighbor kept its pre-merge position, so recompute from event
+            if pos_in_chain > apex_pos else merged.vertices[pos_in_chain - 1]
+        expected = 0.5 * (mesh.vertices[event.apex_vertex]
+                          + mesh.vertices[neighbor])
+        # the neighbor kept its pre-merge position
+        assert np.allclose(mesh.vertices[moved_id], expected)
         assert mesh.vertices[moved_id, 1] <= 0.0
 
     def test_merged_width_spans_both(self):
@@ -346,48 +348,6 @@ class TestMergePits:
         assert mesh.edge_tags[gap] == BoundaryTag.TOP
 
 
-class TestApex:
-    def test_45_degree_walls_intersect_at_origin(self):
-        new = track_apex(np.array([-2.0, -2.0]), np.array([-1.0, -1.0]),
-                         np.array([1.0, -1.0]), np.array([2.0, -2.0]),
-                         apex_old=np.array([0.3, 0.0]))
-        assert np.allclose(new, (0.0, 0.0))
-
-    def test_symmetry_keeps_apex_centered(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            a, b = sorted(rng.uniform(0.5, 3.0, 2))
-            new = track_apex(np.array([-b, -b]), np.array([-a, -a]),
-                             np.array([a, -a]), np.array([b, -b]),
-                             apex_old=np.array([0.0, 0.0]))
-            assert new[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_translation_equivariance(self):
-        delta = 0.7
-        top = track_apex(np.array([-2.0, -2.0]), np.array([-1.0, -1.0]),
-                         np.array([1.0, -1.0]), np.array([2.0, -2.0]),
-                         apex_old=np.array([0.0, 0.0]))
-        shifted = track_apex(np.array([-2.0, -2.0 - delta]),
-                             np.array([-1.0, -1.0 - delta]),
-                             np.array([1.0, -1.0 - delta]),
-                             np.array([2.0, -2.0 - delta]),
-                             apex_old=np.array([0.0, -delta]))
-        assert shifted[1] == pytest.approx(top[1] - delta)
-
-    def test_near_parallel_returns_none(self):
-        out = track_apex(np.array([-2.0, -2.0]), np.array([-1.0, -2.0]),
-                         np.array([1.0, -2.0001]), np.array([2.0, -2.0]),
-                         apex_old=np.array([0.0, 0.0]))
-        assert out is None
-
-    def test_apex_never_rises(self):
-        # walls whose intersection lies above the old apex: y is clamped
-        new = track_apex(np.array([-2.0, -3.0]), np.array([-1.0, -2.0]),
-                         np.array([1.0, -2.0]), np.array([2.0, -3.0]),
-                         apex_old=np.array([0.0, -1.5]))
-        assert new[1] <= -1.5
-
-
 class TestInvariants:
     def test_pit_area_grows_under_advance(self, pit_setup):
         mesh, chain = pit_setup
@@ -399,9 +359,6 @@ class TestInvariants:
         mesh, chain = pit_setup
         # half disc of radius 5, sampled by the 41-node chain
         assert pit_area(mesh, chain) == pytest.approx(np.pi * 12.5, rel=2e-3)
-
-    def test_line_intersection_parallel_none(self):
-        assert line_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
 
 
 def surface_pit_mesh(chain_points, margin=1.0):
