@@ -15,15 +15,12 @@ import numpy as np
 
 # the chain checks' tolerance on the y = 0 surface, micrometers
 _CHAIN_Y_TOL = 1e-9
-# points per block of nearest_segment_distances
+# points per block of nearest_segment_distances and NearestSegments' rows
 _DISTANCE_BLOCK = 256
 # NearestSegments: segments on either side of a point's nearest one that
-# a later call computes, the share of points failing the bound above
-# which it takes a new reference (one in _KEPT_REFRESH), and its rounding
-# margin relative to the largest coordinate, which meshgen's lattice
-# clearance test also takes
+# each call computes, and its rounding margin relative to the largest
+# coordinate, which meshgen's lattice clearance test also takes
 _KEPT_WINDOW = 2
-_KEPT_REFRESH = 8
 _KEPT_SLACK = 1e-9
 
 
@@ -263,23 +260,18 @@ def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     return np.sqrt(sq, out=sq)
 
 
-def _nearest_squared(points: np.ndarray, table: np.ndarray,
-                     kept: Optional["NearestSegments"] = None) -> np.ndarray:
+def _nearest_squared(points: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest segment, (n_points,).
 
     The per-pair arithmetic runs over blocks of points small enough for
-    the (rows, n_segs) temporaries to stay in cache.  With kept, each
-    block's rows are also recorded there as its reference.
+    the (rows, n_segs) temporaries to stay in cache.
     """
     out = np.empty(len(points))
     for start in range(0, len(points), _DISTANCE_BLOCK):
         stop = start + _DISTANCE_BLOCK
         sq = _squared_distances(points[start:stop, 0, None],
                                 points[start:stop, 1, None], *table)
-        if kept is None:
-            sq.min(axis=1, out=out[start:stop])
-        else:
-            out[start:stop] = kept._record(start, sq)
+        sq.min(axis=1, out=out[start:stop])
     return out
 
 
@@ -298,89 +290,97 @@ def nearest_segment_distances(points: np.ndarray, a: np.ndarray,
 class NearestSegments:
     """Each point's nearest segment, kept from call to call.
 
-    A reference call is the dense kernel.  Beside the distances it records
-    each point's window, the _KEPT_WINDOW segments on either side of its
-    nearest one (shifted inwards at the ends), each point's distance to
-    the nearest segment outside its window (the runner-up), and the
-    positions of the points and the segment ends.
+    A point's row is the dense kernel's row.  Beside the distance it keeps
+    the point's window, the _KEPT_WINDOW segments on either side of its
+    nearest one (shifted inwards at the ends), the distance to the nearest
+    segment outside its window (the runner-up), the point's position and
+    the travel at that call.  The travel sums, over calls, the largest
+    move of any segment end since the call before.
 
-    A later call computes each point's distance to its window alone.  A
-    point-to-segment distance moves by at most |p - p_ref| when the point
+    A call computes each point's distance to its window alone.  A
+    point-to-segment distance moves by at most |p - p_row| when the point
     moves, and by at most the larger of its two end moves when the
-    segment does.  So every segment outside the window is still at least
-    runner_up - |p - p_ref| - drift away, drift the largest end move of
-    any segment.  A window minimum at most that, less a margin for
-    rounding, is the point's distance; points that fail the test get
-    their dense rows.  That holds for any points and segments of the
-    reference's shapes, so a call equals nearest_segment_distances bit
-    for bit.  A call takes a new reference when the point or segment
-    count has changed, or when more than 1/_KEPT_REFRESH of its points
-    fail the test.  The state is O(points + segments).
+    segment does, which the travel since the row bounds.  So every
+    segment outside the window is still at least runner_up - |p - p_row|
+    - (travel - travel_row) away.  A window minimum at most that, less a
+    margin for rounding, is the point's distance; a point that fails the
+    test gets its dense row, which is kept.  That holds for any points and
+    segments of the row's shapes, so a call equals
+    nearest_segment_distances bit for bit.  Every row is computed on the
+    first call, when the point or segment count has changed, and when a
+    travel is not finite.  The state is O(points + segments).
     """
 
     def __init__(self):
-        self.points = None      # (n, 2) points at the reference
-        self.a = self.b = None  # (m, 2) segment ends at the reference
+        self.points = None      # (n, 2) each point where its row was computed
+        self.a = self.b = None  # (m, 2) segment ends at the last call
         self.window = None      # (w, n) segment indices of each window
         self.runner_up = None   # (n,) distance outside the window
-        self.scale = 0.0        # largest coordinate at the reference
-        self.references = 0     # reference calls
+        self.travel = 0.0       # summed largest segment-end moves
+        self.at = None          # (n,) travel when each row was computed
+        self.scale = 0.0        # largest coordinate since every row was
+        self.references = 0     # calls that computed every row
         self.dense_rows = 0     # rows that failed the test
 
     def distances(self, points: np.ndarray, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
         """nearest_segment_distances(points, a, b), from the kept state."""
         table = _segment_table(a, b)
-        if (self.points is None or self.points.shape != points.shape
-                or self.a.shape != a.shape):
-            return self._reference(points, a, b, table)
+        every = (self.points is None or self.points.shape != points.shape
+                 or self.a.shape != a.shape)
+        if not every:
+            self.travel += max(_largest_move(a, self.a),
+                               _largest_move(b, self.b))
+            every = not np.isfinite(self.travel)
+        self.a, self.b = a.copy(), b.copy()
+        if every:
+            n = len(points)
+            self.window = np.empty((min(2 * _KEPT_WINDOW + 1, len(a)), n),
+                                   dtype=np.intp)
+            self.points, self.runner_up = np.empty((n, 2)), np.empty(n)
+            self.travel, self.at = 0.0, np.empty(n)
+            self.scale = _largest_coordinate(points, a, b)
+            self.references += 1
+            return self._renew(np.arange(n), points, table)
+        self.scale = max(self.scale, _largest_coordinate(points, a, b))
         sq = _squared_distances(points[:, 0], points[:, 1],
                                 *np.take(table, self.window, axis=1)).min(axis=0)
         dist = np.sqrt(sq, out=sq)
         moved = points - self.points
         moved = np.hypot(moved[:, 0], moved[:, 1])
-        drift = max(_largest_move(a, self.a), _largest_move(b, self.b))
-        scale = max(self.scale, _largest_coordinate(points, a, b))
         # a NaN anywhere fails the test
-        fail = ~(dist <= self.runner_up - moved
-                 - (drift + _KEPT_SLACK * max(scale, 1.0)))
-        n_fail = int(np.count_nonzero(fail))
-        if n_fail * _KEPT_REFRESH > len(points):
-            return self._reference(points, a, b, table)
-        if n_fail:
-            self.dense_rows += n_fail
-            rows = _nearest_squared(points[fail], table)
-            dist[fail] = np.sqrt(rows, out=rows)
+        fail = ~(dist <= self.runner_up - moved - (
+            self.travel - self.at + _KEPT_SLACK * max(self.scale, 1.0)))
+        rows = np.flatnonzero(fail)
+        if len(rows):
+            self.dense_rows += len(rows)
+            dist[rows] = self._renew(rows, points, table)
         return dist
 
-    def _reference(self, points, a, b, table) -> np.ndarray:
-        n, m = len(points), len(a)
-        self.window = np.empty((min(2 * _KEPT_WINDOW + 1, m), n),
-                               dtype=np.intp)
-        self.runner_up = np.empty(n)
-        out = _nearest_squared(points, table, self)
-        np.sqrt(self.runner_up, out=self.runner_up)
-        self.points = points.copy()
-        self.a, self.b = a.copy(), b.copy()
-        self.scale = _largest_coordinate(points, a, b)
-        self.references += 1
-        return np.sqrt(out, out=out)
+    def _renew(self, rows: np.ndarray, points: np.ndarray,
+               table: np.ndarray) -> np.ndarray:
+        """Compute and keep the rows of the points indexed by rows.
 
-    def _record(self, start: int, sq: np.ndarray) -> np.ndarray:
-        """Record the reference of one block of rows; returns their minima.
-
-        sq is the block's (rows, n_segs) squared distances, overwritten.
+        Returns their distances.  The dense rows run in blocks of
+        _DISTANCE_BLOCK points, as nearest_segment_distances does.
         """
-        rows = np.arange(len(sq))
-        nearest = sq.argmin(axis=1)
-        best = sq[rows, nearest]
+        out = np.empty(len(rows))
         width = len(self.window)
-        first = np.clip(nearest - _KEPT_WINDOW, 0, sq.shape[1] - width)
-        window = first[:, None] + np.arange(width)
-        self.window[:, start:start + len(sq)] = window.T
-        sq[rows[:, None], window] = np.inf
-        sq.min(axis=1, out=self.runner_up[start:start + len(sq)])
-        return best
+        for start in range(0, len(rows), _DISTANCE_BLOCK):
+            block = rows[start:start + _DISTANCE_BLOCK]
+            p = points[block]
+            sq = _squared_distances(p[:, 0, None], p[:, 1, None], *table)
+            span = np.arange(len(block))
+            nearest = sq.argmin(axis=1)
+            out[start:start + len(block)] = sq[span, nearest]
+            first = np.clip(nearest - _KEPT_WINDOW, 0, sq.shape[1] - width)
+            window = first[:, None] + np.arange(width)
+            self.window[:, block] = window.T
+            sq[span[:, None], window] = np.inf
+            self.runner_up[block] = np.sqrt(sq.min(axis=1))
+            self.points[block] = p
+            self.at[block] = self.travel
+        return np.sqrt(out, out=out)
 
 
 def _largest_move(now: np.ndarray, ref: np.ndarray) -> float:
@@ -399,7 +399,7 @@ def min_distance_to_pit(points: np.ndarray, chains: Sequence[PitChain],
 
     Takes a stack of points (n, 2) and returns their (n,) distances.
     With kept, the call starts from the nearest segments that state keeps
-    and updates it; without, a fresh NearestSegments takes its reference.
+    and updates it; without, a fresh NearestSegments computes every row.
     Either way the distances equal nearest_segment_distances bit for bit.
     """
     if not chains:

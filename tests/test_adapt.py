@@ -903,23 +903,22 @@ class TestSmoothing:
 
     def test_one_nearest_segments_serves_every_flow(self, monkeypatch):
         # without a NearestSegments, smoothing makes one and keeps it over
-        # its monitors: one reference in all, and the vertices of a caller
-        # that passes a fresh one
+        # its monitors: one full compute in all, and the vertices of a
+        # caller that passes a fresh one
         mesh, chains, _ = build_initial_mesh(DomainSpec(), PitSpec(nodes=31),
                                              target_h=1.3, seed=0)
         p = AdaptParams()
         given = smooth_mesh(mesh, chains, p, nearest=NearestSegments())
-        references = []
-        reference = NearestSegments._reference
+        made = []
 
-        def counted(self, *args):
-            references.append(self)
-            return reference(self, *args)
+        def counted():
+            made.append(NearestSegments())
+            return made[-1]
 
-        monkeypatch.setattr(NearestSegments, "_reference", counted)
+        monkeypatch.setattr(adapt, "NearestSegments", counted)
         own = smooth_mesh(mesh, chains, p)
         assert len(own.trace) > 1
-        assert len(references) == 1
+        assert [kept.references for kept in made] == [1]
         assert np.array_equal(own.mesh.vertices, given.mesh.vertices)
 
     @pytest.mark.parametrize("case", ["criterion9", "mu2-10", "mu2-20"] + [

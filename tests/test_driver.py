@@ -488,9 +488,9 @@ class TestRun:
         assert len(monitors) == len(result.init.smooth.trace) + result.steps
         for used, stateless in monitors:
             assert np.array_equal(used, stateless)
-        # the first smoothing monitor takes a reference, and so does the
-        # step after the merge, which adds a segment; most monitors take none
-        assert 2 <= kept.references < result.steps // 2
+        # every row is computed by the first smoothing monitor and by the
+        # step after the merge, which adds a segment, and by no other call
+        assert kept.references == 2
 
     def test_run_without_kept_nearest_segments_is_the_same(self, merge_run,
                                                            monkeypatch):

@@ -210,7 +210,8 @@ def segments(chains):
             np.concatenate([c[1:] for c in chains]))
 
 
-_DRIFTS = ("still", "small", "large", "grow", "shrink", "reorder")
+_DRIFTS = ("still", "small", "large", "some", "chain", "grow", "shrink",
+           "reorder")
 
 
 class TestNearestSegments:
@@ -230,6 +231,14 @@ class TestNearestSegments:
                 points = points + rng.normal(0.0, size, points.shape)
                 chains = [c + rng.normal(0.0, size / 2, c.shape)
                           for c in chains]
+            elif drift == "some":
+                # a random subset of the points, in place, so rows go
+                # stale apart and a state aliasing them would be caught
+                some = rng.random(len(points)) < 0.3
+                points[some] += rng.normal(0.0, 0.05, (some.sum(), 2))
+            elif drift == "chain":
+                k = int(rng.integers(len(chains)))
+                chains[k] = chains[k] + rng.normal(0.0, 0.02, chains[k].shape)
             elif drift == "grow":
                 k = int(rng.integers(len(chains)))
                 chains[k] = np.vstack((chains[k], chains[k][-1] + (0.5, -0.3)))
@@ -271,6 +280,27 @@ class TestNearestSegments:
             assert (kept.references, kept.dense_rows) == work
         elif f > 1.0:
             assert (kept.references, kept.dense_rows) != work
+
+    def test_moves_inside_the_margin_add_up(self):
+        # a straight chain slides along itself, each slide inside every
+        # row's margin; the point 10 um off it has the smallest gap, and
+        # the third slide takes the travel past it.  That row alone is
+        # recomputed, then kept: the fourth slide is inside its new gap
+        chain = np.column_stack((np.arange(21.0), np.zeros(21)))
+        points = np.array([[10.5, 10.0]] + [[x, y] for x in (3.5, 7.5, 12.5)
+                                            for y in (-3.0, 1.0, 2.0)])
+        kept = NearestSegments()
+        d = kept.distances(points, *segments([chain]))
+        gap = kept.runner_up - d
+        assert 0.3 < gap[0] < 0.31 and np.all(gap[1:] > 0.9)
+        for k in range(1, 5):
+            chain = chain + (0.4 * gap[0], 0.0)
+            rows = kept.dense_rows
+            got = kept.distances(points, *segments([chain]))
+            assert np.array_equal(
+                got, nearest_segment_distances(points, *segments([chain])))
+            assert kept.dense_rows - rows == (k == 3)
+        assert kept.references == 1
 
     def test_window_covers_a_short_chain(self):
         # four segments fit one window: no runner-up, and any drift passes
